@@ -341,9 +341,7 @@ def _sweep_policy_options(
     for policy in policies:
         accepted = accepted_options(policy)
         chosen = {
-            key: value
-            for key, value in options.items()
-            if accepted is None or key in accepted
+            key: value for key, value in options.items() if key in accepted
         }
         claimed.update(chosen)
         if chosen:

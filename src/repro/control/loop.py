@@ -21,17 +21,18 @@ Applied redeploys run in one of three migration modes:
 ``migration="live"`` (the default)
     The old and new trees are diffed into a subtree-granular
     :class:`~repro.deploy.migration.MigrationPlan` and applied *inside*
-    the running simulation: one region at a time is unlinked from the
-    fan-out, drained until quiet (bounded by the cost model's per-region
-    cap), reconfigured, and resumed — clients keep running and the rest
-    of the platform keeps serving throughout.  Only diffs the plan
-    engine cannot realize incrementally (changed root, changed node
-    powers) fall back to the stop-the-world path below.
+    the running simulation by the wave executor, one region per wave:
+    the region is unlinked from the fan-out, drained until quiet
+    (bounded by the cost model's per-region cap), reconfigured, and
+    resumed — clients keep running and the rest of the platform keeps
+    serving throughout.  Only diffs the plan engine cannot realize
+    incrementally (changed root, changed node powers) fall back to the
+    stop-the-world path below.
 ``migration="concurrent"``
-    Live migration with the plan's dependency waves
-    (:meth:`~repro.deploy.migration.MigrationPlan.concurrent_schedule`)
-    executed in parallel: every region of a wave is unlinked at once
-    and the engine advances under interleaved
+    The same wave executor over the plan's dependency waves
+    (:meth:`~repro.deploy.migration.MigrationPlan.concurrent_schedule`):
+    every region of a wave is unlinked at once and the engine advances
+    under interleaved
     :meth:`~repro.sim.engine.Simulator.run_until_condition` drains —
     each region reconfigures and resumes the moment *it* goes quiet
     (and its config window elapses), while its wave-mates keep
@@ -90,6 +91,7 @@ from repro.core.params import DEFAULT_PARAMS, ModelParams
 from repro.core.registry import CAP_DEMAND, REGISTRY, PlannerRegistry
 from repro.deploy.migration import (
     MigrationPlan,
+    MigrationRegion,
     apply_steps,
     hierarchies_equal,
     plan_migration,
@@ -422,11 +424,12 @@ class ControlLoop:
         :class:`~repro.control.policy.MigrationCostModel`.
     migration:
         ``"live"`` (default) applies redeploys as subtree-granular
-        migrations inside the running simulation — only drained
-        subtrees stop serving; ``"concurrent"`` additionally drains
-        independent regions in parallel (dependency waves), shrinking
-        the migration window; ``"restart"`` keeps the legacy
-        stop-the-world rebuild for comparison.
+        migrations inside the running simulation, one region per wave —
+        only drained subtrees stop serving; ``"concurrent"`` runs the
+        same executor over dependency waves, draining independent
+        regions in parallel and shrinking the migration window;
+        ``"restart"`` keeps the legacy stop-the-world rebuild for
+        comparison.
     amortize_epochs:
         Scale-up gate: the modeled throughput gain must repay the
         migration downtime within this many epochs.  Live migrations
@@ -1015,10 +1018,10 @@ class ControlLoop:
                     and plan.is_live
                 ):
                     # Live: migrate subtree by subtree inside the
-                    # running simulation.  Clients keep looping and the
-                    # undrained part of the platform keeps serving.
-                    # Concurrent mode executes whole dependency waves
-                    # at once instead of one region at a time.
+                    # running simulation, wave by wave (one region per
+                    # wave in live mode, dependency waves in concurrent
+                    # mode).  Clients keep looping and the undrained
+                    # part of the platform keeps serving.
                     # With an executor configured, the plan first runs
                     # the master/daemon protocol: serialized commands
                     # out, acked digests back, and the wire-round-
@@ -1032,14 +1035,9 @@ class ControlLoop:
                                 plan, candidate, index
                             )
                     migrate_start = sim.now
-                    if self.migration == "concurrent":
-                        step_records = self._apply_concurrent(
-                            sim, system, plan, candidate
-                        )
-                    else:
-                        step_records = self._apply_live(
-                            sim, system, plan, candidate
-                        )
+                    step_records = self._apply_waves(
+                        sim, system, plan, candidate
+                    )
                     migration_window = sim.now - migrate_start
                     with self._overhead:
                         monitor.attach(system)  # fresh busy baselines
@@ -1647,104 +1645,56 @@ class ControlLoop:
         )
         return round_tripped, commands
 
-    def _apply_live(
-        self,
-        sim: Simulator,
-        system: MiddlewareSystem,
-        plan: MigrationPlan,
-        target: Hierarchy,
-    ) -> tuple[MigrationStepRecord, ...]:
-        """Execute an incremental plan region by region on the live system.
+    def _schedule(
+        self, plan: MigrationPlan
+    ) -> tuple[tuple[MigrationRegion, ...], ...]:
+        """The waves a live ``plan`` executes in under the active mode.
 
-        Per drained region: unlink the subtree from the fan-out, run the
-        engine until the region's in-flight work has gone quiet (capped
-        by the cost model's ``drain_seconds``), bill the configuration
-        pushes, apply the structural steps, and restore the fan-out
-        edge.  Drain-free growth regions bill configuration only — the
-        platform serves at full capacity throughout.
+        ``"live"`` runs one region per wave, in plan order;
+        ``"concurrent"`` runs the plan's dependency waves
+        (:meth:`~repro.deploy.migration.MigrationPlan
+        .concurrent_schedule`).  The executor and the amortization gate
+        both read it, so the price can never describe another schedule
+        than the one that runs.
         """
-        records: list[MigrationStepRecord] = []
-        deployed = max(1, plan.source_nodes)
-        for region in plan.regions:
-            start = sim.now
-            drained = tuple(str(node) for node in region.drained)
-            if drained:
-                system.unlink(str(region.root), drained)
-                busy = system.region_busy_predicate(drained)
-                sim.run_until_condition(
-                    sim.now + self.cost_model.drain_seconds,
-                    lambda: not busy(),
-                )
-            config = self.cost_model.region_config_seconds(
-                region, self.params
-            )
-            if config > 0.0:
-                sim.run_until(sim.now + config)
-            self._finish_region(sim, system, region, drained, target)
-            records.append(
-                MigrationStepRecord(
-                    op="drain" if drained else "grow",
-                    target=str(region.root),
-                    seconds=sim.now - start,
-                    drained_nodes=len(drained),
-                    deployed_nodes=deployed,
-                    started_at=start,
-                )
-            )
-        system.complete_migration(target)
-        return tuple(records)
+        if self.migration == "concurrent":
+            return plan.concurrent_schedule()
+        return tuple((region,) for region in plan.regions)
 
-    def _finish_region(
-        self,
-        sim: Simulator,
-        system: MiddlewareSystem,
-        region,
-        drained: tuple[str, ...],
-        target: Hierarchy,
-    ) -> None:
-        """Apply one region's structural steps and restore its fan-out."""
-        system.apply_migration(region.steps)
-        if drained and region.root in target:
-            parent = target.parent(region.root)
-            if parent is not None:
-                system.ensure_linked(str(region.root), str(parent))
-
-    def _apply_concurrent(
+    def _apply_waves(
         self,
         sim: Simulator,
         system: MiddlewareSystem,
         plan: MigrationPlan,
         target: Hierarchy,
     ) -> tuple[MigrationStepRecord, ...]:
-        """Execute an incremental plan wave by wave, regions in parallel.
+        """Execute an incremental plan wave by wave (:meth:`_schedule`).
 
-        Every region of a dependency wave is unlinked at the wave's
-        start; the engine then advances under interleaved
+        Every region of a wave is unlinked at the wave's start; the
+        engine then advances under interleaved
         :meth:`~repro.sim.engine.Simulator.run_until_condition` drains,
         and each region is reconfigured and resumed the moment its own
         subtree has gone quiet (capped by ``drain_seconds``) and its
         config push has elapsed — while its wave-mates are still
-        draining.  The wave ends when its last region resumes; the next
-        wave (whose regions depend on this one's attaches/promotes)
-        then starts.  Step records carry overlapping intervals:
-        ``started_at`` is shared per wave while windows differ.
+        draining.  Drain-free growth regions bill configuration only.
+        The wave ends when its last region resumes; the next wave
+        (whose regions depend on this one's attaches/promotes) then
+        starts.  Step records of one wave share ``started_at`` while
+        their windows differ.
 
         Determinism: regions are scanned in plan order, config
         completions are totally ordered by ``(time, plan order)``, and
-        every pause point is a pure function of simulation state — the
-        same contract as the serial executor, which the regression
-        tests compare against run by run.
+        every pause point is a pure function of simulation state.
         """
         records: list[MigrationStepRecord] = []
         deployed = max(1, plan.source_nodes)
-        for wave_index, wave in enumerate(plan.concurrent_schedule()):
+        for wave_index, wave in enumerate(self._schedule(plan)):
             start = sim.now
-            # Wave-aware drain budget: the serial executor grants each
-            # region the full cap back to back, but a wave drains its
-            # regions *simultaneously* — so the wave shares one cap,
-            # split proportionally to each region's drained-node count.
-            # A single-region wave keeps the full cap bit-exactly
-            # (its share is 1.0), so serial-shaped plans are unchanged.
+            # Wave-aware drain budget: a wave drains its regions
+            # *simultaneously*, so it shares one cap, split
+            # proportionally to each region's drained-node count.  A
+            # single-region wave keeps the full cap bit-exactly (its
+            # share is 1.0).
             total_drained = sum(len(region.drained) for region in wave)
             cap_for: dict[str, float] = {}
             # root -> (region, members, quiet predicate), plan order.
@@ -1798,10 +1748,15 @@ class ControlLoop:
                         )
                         offset += 1
                         del draining[root]
-                # Regions whose config window has closed resume now.
+                # Regions whose config window has closed apply their
+                # structural steps and resume (fan-out edge restored).
                 while ready and ready[0][0] <= sim.now + 1e-12:
                     _, _, region, drained = heapq.heappop(ready)
-                    self._finish_region(sim, system, region, drained, target)
+                    system.apply_migration(region.steps)
+                    if drained and region.root in target:
+                        parent = target.parent(region.root)
+                        if parent is not None:
+                            system.ensure_linked(str(region.root), str(parent))
                     records.append(
                         MigrationStepRecord(
                             op="drain" if drained else "grow",
@@ -2055,8 +2010,7 @@ class ControlLoop:
             # than the serial-live one — which is what makes heavily
             # multi-region plans, restructures above all, affordable.
             window = self.cost_model.plan_window_seconds(
-                plan, self.params,
-                concurrent=self.migration == "concurrent",
+                plan, self.params, self._schedule(plan)
             )
             horizon = max(0.0, horizon - window)
         gained_requests = gain * horizon

@@ -61,8 +61,7 @@ which is what lets policies act aggressively under live migration.
 from __future__ import annotations
 
 import dataclasses
-import inspect
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -74,7 +73,7 @@ from repro.errors import ControlError, PlanningError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.control.monitor import WindowObservation
-    from repro.deploy.migration import MigrationPlan
+    from repro.deploy.migration import MigrationPlan, MigrationRegion
 
 __all__ = [
     "MIGRATION_MODES",
@@ -233,15 +232,15 @@ class ControlPolicy:
     a policy needs (hysteresis counters included) is derivable from the
     context's observation history, which keeps runs replayable.
 
-    Policies that declare an ``options_type`` (a :class:`PolicyOptions`
-    dataclass) get typed, eagerly-validated option handling through
+    Registered policies declare an ``options_type`` (a
+    :class:`PolicyOptions` dataclass, possibly field-less) and get
+    typed, eagerly-validated option handling through
     :func:`make_policy`, sharing the planner registry's coercion
-    machinery; policies without one fall back to the legacy
-    constructor-default string coercion.
+    machinery.
     """
 
     name = "abstract"
-    #: Typed option dataclass, or None for legacy loose-kwargs policies.
+    #: Typed option dataclass; :func:`register_policy` requires one.
     options_type: "type[PolicyOptions] | None" = None
 
     def decide(self, ctx: ControlContext) -> ControlDecision:
@@ -298,7 +297,12 @@ _POLICIES: dict[str, type] = {}
 
 
 def register_policy(cls: type) -> type:
-    """Class decorator registering a policy under ``cls.name``."""
+    """Class decorator registering a policy under ``cls.name``.
+
+    The class must declare an ``options_type``: a :class:`PolicyOptions`
+    dataclass whose fields are exactly its constructor's keyword
+    arguments (a field-less subclass for a policy without options).
+    """
     name = getattr(cls, "name", None)
     if not name or not isinstance(name, str):
         raise ControlError(
@@ -306,6 +310,17 @@ def register_policy(cls: type) -> type:
         )
     if not callable(getattr(cls, "decide", None)):
         raise ControlError(f"policy {name!r} needs a decide() method")
+    options_type = getattr(cls, "options_type", None)
+    if not (
+        isinstance(options_type, type)
+        and issubclass(options_type, PolicyOptions)
+    ):
+        raise ControlError(
+            f"policy {name!r} needs an `options_type`: declare a frozen "
+            "PolicyOptions dataclass with one field per constructor "
+            "option (an empty subclass if it takes none) and set it as "
+            "the class attribute `options_type`"
+        )
     if name in _POLICIES:
         raise ControlError(f"policy {name!r} is already registered")
     _POLICIES[name] = cls
@@ -317,22 +332,14 @@ def available_policies() -> tuple[str, ...]:
     return tuple(sorted(_POLICIES))
 
 
-def accepted_options(policy: str) -> frozenset[str] | None:
-    """Option names policy ``policy`` accepts, or None if unconstrained.
-
-    Typed policies (those with an ``options_type``) report their
-    dataclass fields; legacy policies return ``None`` — callers cannot
-    know the constructor's vocabulary without instantiating, so they
-    should pass options through unfiltered.
-    """
+def accepted_options(policy: str) -> frozenset[str]:
+    """Option names policy ``policy`` accepts: its options' fields."""
     if policy not in _POLICIES:
         raise ControlError(
             f"unknown control policy {policy!r}; "
             f"available policies: {', '.join(available_policies())}"
         )
-    options_type = getattr(_POLICIES[policy], "options_type", None)
-    if options_type is None:
-        return None
+    options_type = _POLICIES[policy].options_type
     return frozenset(f.name for f in dataclasses.fields(options_type))
 
 
@@ -342,10 +349,9 @@ def make_policy(
 ) -> "ControlPolicy":
     """Resolve a policy name (plus loose options) into an instance.
 
-    Policies that declare a typed ``options_type`` (all the built-ins)
-    resolve options through it: eager validation, registry-grade string
-    coercion, actionable unknown-key errors.  Legacy policies without
-    one keep the constructor-default string coercion.
+    Options resolve through the policy's typed ``options_type``: eager
+    validation, registry-grade string coercion, actionable unknown-key
+    errors.
     """
     if isinstance(policy, ControlPolicy):
         if options:
@@ -360,67 +366,13 @@ def make_policy(
             f"available policies: {', '.join(available_policies())}"
         )
     cls = _POLICIES[policy]
-    options_type = getattr(cls, "options_type", None)
-    if options_type is not None:
-        resolved = (
-            options_type.coerce(options) if options else options_type()
-        )
-        return cls(
-            **{
-                spec.name: getattr(resolved, spec.name)
-                for spec in dataclasses.fields(resolved)
-            }
-        )
-    if not options:
-        return cls()
-    parameters = {
-        name: parameter
-        for name, parameter in inspect.signature(cls.__init__).parameters.items()
-        if name != "self"
-        and parameter.kind
-        in (
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            inspect.Parameter.KEYWORD_ONLY,
-        )
-    }
-    unknown = sorted(set(options) - set(parameters))
-    if unknown:
-        raise ControlError(
-            f"unknown option(s) {unknown} for policy {policy!r}; "
-            f"valid options: {sorted(parameters)}"
-        )
-    kwargs: dict[str, object] = {}
-    for key, value in options.items():
-        default = parameters[key].default
-        if default is inspect.Parameter.empty and isinstance(value, str):
-            # No default to infer a type from: passing the raw string on
-            # would fail deep inside decide() instead of here.
-            raise ControlError(
-                f"policy option {key!r} of {policy!r} has no default to "
-                "infer a type from; pass a pre-typed value via the API "
-                "or give the parameter a default"
-            )
-        if isinstance(value, str) and default is not inspect.Parameter.empty:
-            try:
-                if isinstance(default, bool):
-                    lowered = value.strip().lower()
-                    if lowered in ("1", "true", "yes", "on"):
-                        value = True
-                    elif lowered in ("0", "false", "no", "off"):
-                        value = False
-                    else:
-                        raise ValueError(f"not a boolean: {value!r}")
-                elif isinstance(default, int):
-                    value = int(value)
-                elif isinstance(default, float):
-                    value = float(value)
-            except ValueError as exc:
-                raise ControlError(
-                    f"policy option {key}={value!r} is not a valid "
-                    f"{type(default).__name__}: {exc}"
-                ) from exc
-        kwargs[key] = value
-    return cls(**kwargs)
+    resolved = cls.options_type.coerce(options or {})
+    return cls(
+        **{
+            spec.name: getattr(resolved, spec.name)
+            for spec in dataclasses.fields(resolved)
+        }
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -529,8 +481,12 @@ class MigrationCostModel:
         however small the structural diff — which is exactly why live
         migration pays off.
         """
+        return self._stop_the_world_seconds(len(new), params)
+
+    def _stop_the_world_seconds(self, nodes: int, params: ModelParams) -> float:
+        """One restart barrier plus a full relaunch of ``nodes`` elements."""
         per_node = self.launch_seconds + self.per_node_seconds(params)
-        return self.restart_seconds + len(new) * per_node
+        return self.restart_seconds + nodes * per_node
 
     def region_config_seconds(self, region, params: ModelParams) -> float:
         """Configuration time of one region's structural steps.
@@ -555,15 +511,14 @@ class MigrationCostModel:
         return drain + self.region_config_seconds(region, params)
 
     def wave_window_seconds(self, wave, params: ModelParams) -> float:
-        """Worst-case wall duration of one concurrent dependency wave.
+        """Worst-case wall duration of one migration wave.
 
-        The concurrent executor shares a single drain cap across a
-        wave's simultaneously-draining regions, each slice proportional
-        to the region's drained-node count; a wave closes when its
-        slowest region (drain slice plus config push) resumes.  A
-        single-region wave prices exactly like
-        :meth:`region_window_seconds` — the share is 1.0 — so the
-        serial and concurrent prices agree on serial-shaped plans.
+        The wave executor shares a single drain cap across a wave's
+        simultaneously-draining regions, each slice proportional to the
+        region's drained-node count; a wave closes when its slowest
+        region (drain slice plus config push) resumes.  A single-region
+        wave — every wave of a serial ``"live"`` schedule — prices
+        exactly like :meth:`region_window_seconds`: the share is 1.0.
         """
         total_drained = sum(len(region.drained) for region in wave)
         window = 0.0
@@ -599,8 +554,7 @@ class MigrationCostModel:
         — see :meth:`plan_window_seconds`.
         """
         if not plan.is_live:
-            per_node = self.launch_seconds + self.per_node_seconds(params)
-            return self.restart_seconds + plan.target_nodes * per_node
+            return self._stop_the_world_seconds(plan.target_nodes, params)
         deployed = max(1, plan.source_nodes)
         outage = 0.0
         for region in plan.regions:
@@ -613,31 +567,25 @@ class MigrationCostModel:
         self,
         plan: "MigrationPlan",
         params: ModelParams,
-        concurrent: bool = False,
+        waves: "Sequence[Sequence[MigrationRegion]]",
     ) -> float:
         """Worst-case wall (simulated) duration of executing ``plan``.
 
-        Serial execution pays region windows back to back; a concurrent
-        schedule pays each dependency wave only its *slowest* region, so
-        a plan with independent regions migrates in a strictly shorter
-        window.  Non-live plans are one stop-the-world window, priced
-        like :meth:`cost_seconds` regardless of schedule.  This is the
-        horizon discount the concurrent amortization gate applies: the
-        modeled gain only starts accruing once the migration window has
-        closed.
+        ``waves`` is the schedule the executor will run the plan's
+        regions in: each wave pays only its *slowest* region
+        (:meth:`wave_window_seconds`), waves run back to back.  One
+        region per wave is the serial window; the plan's dependency
+        waves (:meth:`~repro.deploy.migration.MigrationPlan
+        .concurrent_schedule`) give a strictly shorter one whenever a
+        wave holds independent regions.  Non-live plans are one
+        stop-the-world window, priced like :meth:`cost_seconds`
+        whatever ``waves`` says.  This is the horizon discount the
+        amortization gate applies: the modeled gain only starts
+        accruing once the migration window has closed.
         """
         if not plan.is_live:
-            per_node = self.launch_seconds + self.per_node_seconds(params)
-            return self.restart_seconds + plan.target_nodes * per_node
-        if not concurrent:
-            return sum(
-                self.region_window_seconds(region, params)
-                for region in plan.regions
-            )
-        return sum(
-            self.wave_window_seconds(wave, params)
-            for wave in plan.concurrent_schedule()
-        )
+            return self._stop_the_world_seconds(plan.target_nodes, params)
+        return sum(self.wave_window_seconds(wave, params) for wave in waves)
 
 
 # ---------------------------------------------------------------------- #

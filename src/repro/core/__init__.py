@@ -18,9 +18,7 @@ This package contains the paper's primary contribution:
 * :mod:`repro.core.optimal` — exhaustive reference planners for small pools;
 * :mod:`repro.core.baselines` — star / balanced / chain deployments (§5.3);
 * :mod:`repro.core.registry` — the pluggable planner registry and typed
-  per-planner options (the modern entry point, with
-  :mod:`repro.api` on top);
-* :mod:`repro.core.planner` — the deprecated high-level planning façade.
+  per-planner options (the entry point, with :mod:`repro.api` on top).
 """
 
 from repro.core.params import LevelSizes, ModelParams
@@ -56,7 +54,6 @@ from repro.core.registry import (
     default_middle_agents,
     register_planner,
 )
-from repro.core.planner import plan_deployment
 
 __all__ = [
     "REGISTRY",
@@ -90,5 +87,4 @@ __all__ = [
     "star_deployment",
     "balanced_deployment",
     "chain_deployment",
-    "plan_deployment",
 ]

@@ -189,6 +189,18 @@ class PlannerOptions:
             )
             for key, value in mapping.items()
         }
+        missing = sorted(
+            name
+            for name, f in fields.items()
+            if f.init
+            and name not in kwargs
+            and f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING
+        )
+        if missing:
+            raise PlanningError(
+                f"{cls.__name__} is missing required options {missing}"
+            )
         return cls(**kwargs)
 
     def summary(self) -> str:
@@ -228,7 +240,10 @@ def _convert_option(
                 return True
             if lowered in ("0", "false", "no", "off"):
                 return False
-            raise ValueError(f"not a boolean: {value!r}")
+            raise PlanningError(
+                f"{owner}.{name}: {value!r} is not a boolean; use one of "
+                "1/0, true/false, yes/no, on/off"
+            )
         if declared.startswith("int"):
             return int(value)
         if declared.startswith("float"):

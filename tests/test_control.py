@@ -216,12 +216,36 @@ class TestPolicyRegistry:
         with pytest.raises(ControlError, match="valid options"):
             make_policy("reactive", {"vibes": "1"})
 
-    def test_make_policy_rejects_bad_boolean_string(self):
+    def test_register_policy_refuses_untyped_policy(self):
         from repro.control import register_policy
         from repro.control.policy import ControlPolicy, _POLICIES
 
+        class UntypedPolicy(ControlPolicy):
+            name = "untyped-test"
+
+            def __init__(self, strict: bool = True):
+                self.strict = strict
+
+            def decide(self, ctx):
+                return ControlDecision.hold()
+
+        with pytest.raises(ControlError, match="PolicyOptions dataclass"):
+            register_policy(UntypedPolicy)
+        assert "untyped-test" not in _POLICIES
+
+    def test_make_policy_rejects_bad_boolean_string(self):
+        from dataclasses import dataclass
+
+        from repro.control import PolicyOptions, register_policy
+        from repro.control.policy import ControlPolicy, _POLICIES
+
+        @dataclass(frozen=True)
+        class FlaggedOptions(PolicyOptions):
+            strict: bool = True
+
         class FlaggedPolicy(ControlPolicy):
             name = "flagged-test"
+            options_type = FlaggedOptions
 
             def __init__(self, strict: bool = True):
                 self.strict = strict
@@ -596,11 +620,21 @@ class TestControlLoop:
             make_policy("reactive", {"self": "1"})
 
     def test_defaultless_option_rejects_strings_at_parse_time(self):
-        from repro.control import register_policy
+        # A required (default-less) option is typed by its annotation:
+        # unparseable strings and omissions fail in make_policy, as a
+        # ControlError, before any policy is built.
+        from dataclasses import dataclass
+
+        from repro.control import PolicyOptions, register_policy
         from repro.control.policy import ControlPolicy, _POLICIES
+
+        @dataclass(frozen=True)
+        class ThresholdOptions(PolicyOptions):
+            threshold: float
 
         class ThresholdPolicy(ControlPolicy):
             name = "threshold-test"
+            options_type = ThresholdOptions
 
             def __init__(self, threshold):
                 self.threshold = threshold
@@ -610,8 +644,13 @@ class TestControlLoop:
 
         register_policy(ThresholdPolicy)
         try:
-            with pytest.raises(ControlError, match="no default"):
-                make_policy("threshold-test", {"threshold": "0.5"})
+            with pytest.raises(ControlError, match="cannot parse"):
+                make_policy("threshold-test", {"threshold": "high"})
+            with pytest.raises(ControlError, match="missing required"):
+                make_policy("threshold-test")
+            assert make_policy(
+                "threshold-test", {"threshold": "0.5"}
+            ).threshold == 0.5
             # Pre-typed values still pass straight through.
             assert make_policy(
                 "threshold-test", {"threshold": 0.5}

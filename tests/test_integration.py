@@ -9,9 +9,9 @@ outcome against the model and against the paper's qualitative claims.
 import pytest
 
 from repro.analysis.experiments import run_fixed_load
+from repro.api import PlanningSession
 from repro.calibration.table3 import calibrate
 from repro.core.params import DEFAULT_PARAMS
-from repro.core.planner import plan_deployment
 from repro.deploy.godiet import GoDIET
 from repro.deploy.plan import DeploymentPlan
 from repro.deploy.xml_io import plan_from_xml, plan_to_xml
@@ -30,7 +30,7 @@ class TestFullPipeline:
 
         # 2. Plan.
         wapp = dgemm_mflop(310)
-        deployment = plan_deployment(pool, wapp)
+        deployment = PlanningSession().plan(pool=pool, app_work=wapp)
 
         # 3. Serialize through disk, as a deployment tool would.
         plan = DeploymentPlan(
@@ -71,8 +71,12 @@ class TestFullPipeline:
         )
         pool = NodePool.uniform_random(16, low=100, high=350, seed=6)
         wapp = dgemm_mflop(310)
-        with_truth = plan_deployment(pool, wapp, params=DEFAULT_PARAMS)
-        with_calibrated = plan_deployment(pool, wapp, params=calibration.params)
+        with_truth = PlanningSession().plan(
+            pool=pool, app_work=wapp, params=DEFAULT_PARAMS
+        )
+        with_calibrated = PlanningSession().plan(
+            pool=pool, app_work=wapp, params=calibration.params
+        )
         assert with_calibrated.throughput == pytest.approx(
             with_truth.throughput, rel=1e-3
         )
@@ -88,9 +92,11 @@ class TestPaperClaims:
     def test_tiny_grain_pair_beats_bigger_deployments_measured(self):
         pool = NodePool.homogeneous(6, 265.0)
         wapp = dgemm_mflop(10)
-        pair = plan_deployment(pool, wapp).hierarchy
+        pair = PlanningSession().plan(pool=pool, app_work=wapp).hierarchy
         assert pair.shape_signature() == (2, 1, 1, 1)
-        star = plan_deployment(pool, wapp, method="star").hierarchy
+        star = PlanningSession().plan(
+            pool=pool, app_work=wapp, method="star"
+        ).hierarchy
         pair_rate = run_fixed_load(
             pair, DEFAULT_PARAMS, wapp, clients=50, duration=5.0
         ).throughput
@@ -103,7 +109,9 @@ class TestPaperClaims:
         pool = NodePool.uniform_random(40, low=100, high=400, seed=3)
         wapp = dgemm_mflop(200)
         demand = 60.0
-        deployment = plan_deployment(pool, wapp, demand=demand)
+        deployment = PlanningSession().plan(
+            pool=pool, app_work=wapp, demand=demand
+        )
         measured = run_fixed_load(
             deployment.hierarchy, DEFAULT_PARAMS, wapp,
             clients=80, duration=15.0,
@@ -116,5 +124,5 @@ class TestPaperClaims:
         returns the smaller one — the paper's tie-breaking rule."""
         pool = NodePool.homogeneous(30, 265.0)
         wapp = dgemm_mflop(10)  # scheduling-bound: extra servers useless
-        deployment = plan_deployment(pool, wapp)
+        deployment = PlanningSession().plan(pool=pool, app_work=wapp)
         assert deployment.nodes_used == 2

@@ -21,8 +21,9 @@ The contract under test, layer by layer:
   without serving less per measured second — with both modes ending on
   the same deployment tree.
 * **Pricing layer** — :meth:`MigrationCostModel.plan_window_seconds`
-  prices the concurrent schedule at or below the serial window, and
-  strictly below whenever a wave holds two or more regions.
+  prices the dependency-wave schedule at or below the one-region-per-wave
+  (serial) window, and strictly below whenever a wave holds two or more
+  regions.
 """
 
 import random
@@ -331,6 +332,11 @@ class TestConcurrentSurgery:
 # pricing layer
 
 
+def serial_waves(plan):
+    """One region per wave: the schedule ``migration="live"`` runs."""
+    return tuple((region,) for region in plan.regions)
+
+
 class TestConcurrentPricing:
     def test_concurrent_window_never_exceeds_serial(self):
         model = MigrationCostModel()
@@ -343,9 +349,11 @@ class TestConcurrentPricing:
                 plan = plan_migration(old, new)
                 if plan.is_noop:
                     continue
-                serial = model.plan_window_seconds(plan, DEFAULT_PARAMS)
+                serial = model.plan_window_seconds(
+                    plan, DEFAULT_PARAMS, serial_waves(plan)
+                )
                 concurrent = model.plan_window_seconds(
-                    plan, DEFAULT_PARAMS, concurrent=True
+                    plan, DEFAULT_PARAMS, plan.concurrent_schedule()
                 )
                 assert concurrent <= serial + 1e-12
                 widest = max(
@@ -353,6 +361,22 @@ class TestConcurrentPricing:
                 )
                 if plan.is_live and widest >= 2:
                     assert concurrent < serial
+
+    def test_one_region_waves_price_the_serial_window_exactly(self):
+        # A single-region wave's drain share is 1.0, so pricing the
+        # serial schedule as waves is bit-identical to summing region
+        # windows back to back.
+        model = MigrationCostModel()
+        pool = NodePool.uniform_random(14, low=80, high=400, seed=3)
+        old, new = planned(pool), planned(pool, demand=60.0)
+        plan = plan_migration(old, new)
+        assert plan.is_live and len(plan.regions) >= 2
+        assert model.plan_window_seconds(
+            plan, DEFAULT_PARAMS, serial_waves(plan)
+        ) == sum(
+            model.region_window_seconds(region, DEFAULT_PARAMS)
+            for region in plan.regions
+        )
 
     def test_non_live_plans_price_one_restart_window(self):
         model = MigrationCostModel()
@@ -365,9 +389,11 @@ class TestConcurrentPricing:
         new.add_server(server, 999.0, parent)
         plan = plan_migration(old, new)
         assert not plan.is_live
-        serial = model.plan_window_seconds(plan, DEFAULT_PARAMS)
+        serial = model.plan_window_seconds(
+            plan, DEFAULT_PARAMS, serial_waves(plan)
+        )
         concurrent = model.plan_window_seconds(
-            plan, DEFAULT_PARAMS, concurrent=True
+            plan, DEFAULT_PARAMS, plan.concurrent_schedule()
         )
         assert serial == concurrent
         assert serial == pytest.approx(

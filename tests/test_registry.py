@@ -1,7 +1,6 @@
 """The planner registry and typed per-planner options."""
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -23,7 +22,6 @@ from repro.core.registry import (
     default_middle_agents,
     register_planner,
 )
-from repro.core.planner import plan_deployment
 from repro.errors import PlanningError
 from repro.platforms.pool import NodePool
 from repro.units import dgemm_mflop
@@ -222,10 +220,9 @@ class TestEveryPlannerOnPoolSweep:
 
 
 class TestDeprecatedShim:
-    def test_plan_deployment_warns(self):
-        pool = NodePool.uniform_random(10, low=100, high=400, seed=4)
-        with pytest.warns(DeprecationWarning, match="PlanningSession"):
-            plan_deployment(pool, dgemm_mflop(200))
+    """The loose call forms the old ``plan_deployment`` shim forwarded —
+    options as a mapping, request fields as keywords — plan exactly like
+    the typed request API."""
 
     @pytest.mark.parametrize(
         "method,options",
@@ -242,28 +239,31 @@ class TestDeprecatedShim:
     def test_shim_matches_new_api_exactly(self, method, options):
         pool = NodePool.uniform_random(16, low=100, high=400, seed=9)
         wapp = dgemm_mflop(250)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = plan_deployment(pool, wapp, method=method, **options)
-        modern = PlanningSession().plan(
+        mapped = REGISTRY.plan(
             PlanRequest(
                 pool=pool, app_work=wapp, method=method,
-                options=options or None,
+                options=dict(options) or None,
             )
         )
-        assert legacy.hierarchy.describe() == modern.hierarchy.describe()
-        assert legacy.throughput == pytest.approx(modern.throughput)
-        assert legacy.report.bottleneck == modern.report.bottleneck
-        assert legacy.params == DEFAULT_PARAMS
+        typed = PlanningSession().plan(
+            PlanRequest(
+                pool=pool, app_work=wapp, method=method,
+                options=REGISTRY.get(method).options_type(**options),
+            )
+        )
+        assert mapped.hierarchy.describe() == typed.hierarchy.describe()
+        assert mapped.throughput == pytest.approx(typed.throughput)
+        assert mapped.report.bottleneck == typed.report.bottleneck
+        assert mapped.params == DEFAULT_PARAMS
 
     def test_shim_matches_new_api_with_demand(self):
         pool = NodePool.uniform_random(16, low=100, high=400, seed=9)
         wapp = dgemm_mflop(250)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = plan_deployment(pool, wapp, demand=20.0)
-        modern = PlanningSession().plan(
+        request = REGISTRY.plan(
+            PlanRequest(pool=pool, app_work=wapp, demand=20.0)
+        )
+        keyword = PlanningSession().plan(
             pool=pool, app_work=wapp, demand=20.0
         )
-        assert legacy.hierarchy.describe() == modern.hierarchy.describe()
-        assert legacy.throughput == pytest.approx(modern.throughput)
+        assert request.hierarchy.describe() == keyword.hierarchy.describe()
+        assert request.throughput == pytest.approx(keyword.throughput)
