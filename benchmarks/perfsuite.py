@@ -10,8 +10,10 @@ record a *performance trajectory* across PRs.  It times
   measurable forever;
 * a scenario-grid ``plan_many`` fan-out (100 requests across pools,
   workloads and planner methods), serial vs. parallel;
-* discrete-event engine throughput: a schedule/fire ping-pong and a
-  cancellation-heavy churn storm that exercises heap compaction;
+* discrete-event engine throughput: a schedule/fire ping-pong, a
+  cancellation-heavy churn storm that exercises heap compaction, and a
+  ``SerialResource`` whose priority-1 work is preempted by priority-0
+  arrivals (submit, preempt, complete);
 * the batched kernels against their scalar counterparts;
 * the online control plane: a full autoscaling run under a flash-crowd
   trace (reactive policy vs. the static ``hold`` baseline), separating
@@ -106,6 +108,7 @@ from repro.core.kernels import (  # noqa: E402
 )
 from repro.platforms.pool import NodePool  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
+from repro.sim.resources import SerialResource  # noqa: E402
 from repro.units import dgemm_mflop  # noqa: E402
 
 _REL_TOL = 1e-9
@@ -386,6 +389,49 @@ def bench_engine(quick):
         f"  engine_churn: {rounds / seconds:,.0f} schedule+cancel/s, "
         f"peak heap {peak} for {survivors} live events, "
         f"{sim.heap_compactions} compactions"
+    )
+
+    def serial_resource():
+        # Service-phase items (priority 1) arrive every 4 ms and need
+        # 3 ms; scheduling-phase items (priority 0) arrive every 2.5 ms
+        # and need 0.5 ms, so most of them land on a running priority-1
+        # item and preempt it.  Load is 0.95: the resource never
+        # saturates and every task completes.
+        sim = Simulator()
+        resource = SerialResource(sim, "node")
+        arrivals = rounds // 2
+
+        def arrive(period, duration, priority, left):
+            resource.submit(duration, "compute", priority=priority)
+            if left > 1:
+                sim.schedule(
+                    period, lambda: arrive(period, duration, priority, left - 1)
+                )
+
+        sim.schedule(0.0, lambda: arrive(0.004, 0.003, 1, arrivals))
+        sim.schedule(0.001, lambda: arrive(0.0025, 0.0005, 0, arrivals))
+        sim.run()
+        return sim, resource
+
+    seconds, (sim, resource) = best_of(2, serial_resource)
+    results.append(
+        {
+            "name": "engine_serial_resource",
+            "params": {"tasks": resource.tasks_done},
+            "metric": "tasks_per_s",
+            "value": round(resource.tasks_done / seconds, 1),
+            "extra": {
+                "seconds": round(seconds, 6),
+                "preemptions": resource.preemptions,
+                "preemptions_per_s": round(resource.preemptions / seconds, 1),
+                "events": sim.events_processed,
+            },
+        }
+    )
+    print(
+        f"  engine_serial_resource: {resource.tasks_done / seconds:,.0f} tasks/s, "
+        f"{resource.preemptions / seconds:,.0f} preemptions/s "
+        f"({resource.preemptions} preemptions over {resource.tasks_done} tasks)"
     )
     return results
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 
 
 class TestScheduling:
@@ -66,6 +66,14 @@ class TestCancellation:
         event.cancel()
         sim.run()
         assert fired == []
+
+    def test_events_define_no_ordering(self):
+        sim = Simulator()
+        first = sim.schedule(1.0, lambda: None)
+        second = sim.schedule(1.0, lambda: None)
+        with pytest.raises(TypeError):
+            first < second  # noqa: B015 - the comparison is the test
+        assert first != Event(first.time, first.sequence, None)
 
     def test_peek_skips_cancelled(self):
         sim = Simulator()
@@ -169,3 +177,96 @@ class TestRunUntil:
         sim.run()
         assert sim.now == 0.0
         assert not sim.step()
+
+
+class TestEventBudget:
+    """A budget of N fires at most N events and raises only if a live
+    event due within the horizon remains after that."""
+
+    @staticmethod
+    def loaded(times=(1.0, 2.0, 3.0)):
+        sim = Simulator()
+        fired = []
+        for time in times:
+            sim.schedule(time, lambda t=time: fired.append(t))
+        return sim, fired
+
+    def test_run_exact_budget_drains_without_raising(self):
+        sim, fired = self.loaded()
+        sim.run(max_events=3)
+        assert fired == [1.0, 2.0, 3.0]
+
+    def test_run_ignores_cancelled_leftovers(self):
+        sim, fired = self.loaded()
+        sim.schedule(4.0, lambda: fired.append(4.0)).cancel()
+        sim.run(max_events=3)
+        assert fired == [1.0, 2.0, 3.0]
+        assert sim.pending == 0
+
+    def test_run_raises_after_exactly_budget_events(self):
+        sim, fired = self.loaded()
+        with pytest.raises(SimulationError, match="budget of 2"):
+            sim.run(max_events=2)
+        assert fired == [1.0, 2.0]
+        assert sim.events_processed == 2
+
+    def test_run_until_raises_after_exactly_budget_events(self):
+        sim, fired = self.loaded()
+        with pytest.raises(SimulationError, match="budget of 2"):
+            sim.run_until(10.0, max_events=2)
+        assert fired == [1.0, 2.0]
+        assert sim.now == 2.0
+
+    def test_run_until_budget_ignores_events_past_the_horizon(self):
+        sim, fired = self.loaded()
+        sim.run_until(2.5, max_events=2)
+        assert fired == [1.0, 2.0]
+        assert sim.now == 2.5
+        assert sim.pending == 1
+
+    def test_run_until_condition_raises_after_exactly_budget_events(self):
+        sim, fired = self.loaded()
+        with pytest.raises(SimulationError, match="budget of 2"):
+            sim.run_until_condition(10.0, lambda: False, max_events=2)
+        assert fired == [1.0, 2.0]
+
+    def test_run_until_condition_met_on_the_last_budgeted_event(self):
+        sim, fired = self.loaded()
+        met = sim.run_until_condition(
+            10.0, lambda: len(fired) == 2, max_events=2
+        )
+        assert met
+        assert fired == [1.0, 2.0]
+        assert sim.now == 2.0
+
+    def test_run_until_condition_budget_ignores_events_past_deadline(self):
+        sim, fired = self.loaded()
+        met = sim.run_until_condition(2.5, lambda: False, max_events=2)
+        assert not met
+        assert fired == [1.0, 2.0]
+        assert sim.now == 2.5
+
+    def test_zero_budget(self):
+        sim, fired = self.loaded()
+        with pytest.raises(SimulationError):
+            sim.run(max_events=0)
+        assert fired == []
+        Simulator().run(max_events=0)  # nothing to fire: no error
+
+
+class TestStepAndPeek:
+    def test_step_fires_one_event_at_a_time(self):
+        sim = Simulator()
+        fired = []
+        for time in (2.0, 1.0):
+            sim.schedule(time, lambda t=time: fired.append(t))
+        sim.schedule(0.5, lambda: fired.append(0.5)).cancel()
+        assert sim.peek_time() == 1.0
+        assert sim.step()
+        assert fired == [1.0]
+        assert sim.now == 1.0
+        assert sim.step()
+        assert not sim.step()
+        assert fired == [1.0, 2.0]
+        assert sim.events_processed == 2
+        assert sim.peek_time() is None
