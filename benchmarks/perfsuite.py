@@ -425,6 +425,7 @@ def bench_engine(quick):
                 "preemptions": resource.preemptions,
                 "preemptions_per_s": round(resource.preemptions / seconds, 1),
                 "events": sim.events_processed,
+                "heap_compactions": sim.heap_compactions,
             },
         }
     )

@@ -14,11 +14,37 @@ timeout ladders) hold memory proportional to the *live* event count.
 Compaction preserves the (time, sequence) total order, so firing order and
 results are bit-identical with or without it.
 
+A pending event can also be *suspended* and later *resumed* at a new
+time without cancel-and-reschedule — the serial resource model parks a
+preempted completion this way, often several times per work item.  The
+carrier rule keeps this to one heap entry per event:
+
+* every pending event is carried by exactly one heap entry, and records
+  that entry's time as :attr:`Event.carrier`;
+* an entry whose sequence differs from its event's current sequence is
+  a *carrier* — a key the event has since outgrown.  When a carrier
+  reaches the heap top, a suspended event's carrier is dropped, and any
+  other carrier is re-keyed to its event's ``(time, sequence)`` in place;
+* :meth:`Simulator.suspend` invalidates the event's key and leaves the
+  heap alone;
+* :meth:`Simulator.resume` takes the next sequence number, exactly where
+  a fresh :meth:`Simulator.schedule` would.  A carrier due no later than
+  the new time is simply outgrown (re-keyed when it surfaces); a dropped
+  carrier is replaced by a new entry; a carrier due *later* than the new
+  time cannot be re-keyed upwards, so the old event is cancelled and a
+  fresh event takes over.
+
+A carrier's key is below its event's key, so it surfaces first, and
+every event fires at the ``(time, sequence)`` a cancel-and-reschedule
+would have given it: firing order and sequence numbering are unchanged,
+only the heap's bookkeeping (:attr:`Simulator.pending`,
+:attr:`Simulator.heap_compactions`) differs.
+
 One private loop fires events: it pops the heap top, skips cancelled
-entries, stops at the horizon, checks that time never goes backwards and
-fires.  :meth:`Simulator.run`, :meth:`Simulator.run_until`,
-:meth:`Simulator.run_until_condition` and :meth:`Simulator.step` all share
-it.  Their ``max_events`` budget follows one rule: a budget of N fires at
+entries, drops or re-keys carriers, stops at the horizon, checks that
+time never goes backwards and fires.  :meth:`Simulator.run`,
+:meth:`Simulator.run_until`, :meth:`Simulator.run_until_condition` and
+:meth:`Simulator.step` all share it.  Their ``max_events`` budget follows one rule: a budget of N fires at
 most N events, and raises only if a live event due within the horizon
 remains after that.  ``run_until_condition`` adds a state-predicate stop
 on top of the deadline — the primitive that lets a live migration drain a
@@ -44,9 +70,16 @@ class Event:
     ordering or equality of its own.  ``owner`` is the scheduling
     simulator, so cancellation can be counted for heap compaction
     (``None`` for events constructed outside a simulator).
+
+    ``time`` and ``sequence`` are the event's current key: it fires when
+    the heap reaches that key.  ``carrier`` is the time of the one heap
+    entry that carries the event — equal to ``time`` unless the event
+    was suspended or resumed since that entry was pushed — or ``None``
+    once a surfacing carrier of a suspended event was dropped.  A
+    suspended event's key is ``(inf, 0)``; no heap entry matches it.
     """
 
-    __slots__ = ("time", "sequence", "callback", "owner")
+    __slots__ = ("time", "sequence", "callback", "owner", "carrier")
 
     def __init__(
         self,
@@ -59,17 +92,21 @@ class Event:
         self.sequence = sequence
         self.callback = callback
         self.owner = owner
+        self.carrier: float | None = time
 
     @property
     def cancelled(self) -> bool:
         return self.callback is None
 
     def cancel(self) -> None:
-        """Cancel the event in place (lazy deletion from the heap)."""
+        """Cancel the event in place (lazy deletion from the heap).
+
+        Its carrier, if it still has one, becomes a dead heap entry.
+        """
         if self.callback is None:
             return
         self.callback = None
-        if self.owner is not None:
+        if self.owner is not None and self.carrier is not None:
             self.owner._note_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -125,11 +162,49 @@ class Simulator:
         """Schedule ``callback`` at absolute simulation ``time``."""
         return self.schedule(time - self.now, callback)
 
+    def suspend(self, event: Event) -> None:
+        """Hold a pending ``event``: it keeps its callback but cannot fire
+        until :meth:`resume`.  The heap is not touched."""
+        if event.callback is None or event.sequence == 0:
+            raise SimulationError(f"cannot suspend {event!r}: not pending")
+        event.time = math.inf
+        event.sequence = 0
+
+    def resume(self, event: Event, delay: float) -> Event:
+        """Let a suspended ``event`` fire ``delay`` seconds from now.
+
+        Fires exactly as ``schedule(delay, callback)`` would — same time,
+        same sequence number — but reuses the event's carrier when it is
+        due no later (see the module docstring).  Returns the event that
+        will fire: ``event`` itself, or a fresh one when the carrier was
+        due later, in which case ``event`` is cancelled.
+        """
+        if delay < 0.0:
+            raise SimulationError(f"cannot schedule in the past: delay={delay}")
+        if event.callback is None or event.sequence != 0:
+            raise SimulationError(f"cannot resume {event!r}: not suspended")
+        time = self.now + delay
+        sequence = self._sequence = self._sequence + 1
+        carrier = event.carrier
+        if carrier is not None and carrier <= time:
+            event.time = time
+            event.sequence = sequence
+            return event
+        if carrier is None:
+            event.time = event.carrier = time
+            event.sequence = sequence
+        else:
+            callback = event.callback
+            event.cancel()
+            event = Event(time, sequence, callback, self)
+        heapq.heappush(self._heap, (time, sequence, event))
+        return event
+
     # ------------------------------------------------------------------ #
 
     @property
     def pending(self) -> int:
-        """Number of queued (possibly cancelled) events."""
+        """Number of heap entries: live events, dead entries and carriers."""
         return len(self._heap)
 
     @property
@@ -145,12 +220,28 @@ class Simulator:
     def peek_time(self) -> float | None:
         """Time of the next live event, or None if the heap is drained."""
         heap = self._heap
-        while heap and heap[0][2].callback is None:
-            heapq.heappop(heap)
-            self._cancelled_in_heap -= 1
-        return heap[0][0] if heap else None
+        while heap:
+            time, sequence, event = heap[0]
+            if event.callback is None:
+                heapq.heappop(heap)
+                self._cancelled_in_heap -= 1
+            elif sequence != event.sequence:
+                self._surface(event)
+            else:
+                return time
+        return None
 
     # ------------------------------------------------------------------ #
+
+    def _surface(self, event: Event) -> None:
+        """The heap top carries ``event`` under an outgrown key: drop the
+        carrier if the event is suspended, else re-key it in place."""
+        if event.sequence:
+            heapq.heapreplace(self._heap, (event.time, event.sequence, event))
+            event.carrier = event.time
+        else:
+            heapq.heappop(self._heap)
+            event.carrier = None
 
     def _note_cancelled(self) -> None:
         """Bookkeeping hook for :meth:`Event.cancel`; may compact the heap.
@@ -159,7 +250,8 @@ class Simulator:
         firing loop's reference to the heap stays valid.  Heap order is a
         total order here — sequence numbers are unique — so the surviving
         events pop in exactly the order they would have anyway: lazily and
-        eagerly deleted runs are bit-identical.
+        eagerly deleted runs are bit-identical.  Carriers belong to live
+        events, so they survive with their keys.
         """
         self._cancelled_in_heap += 1
         heap = self._heap
@@ -182,6 +274,8 @@ class Simulator:
     ) -> bool:
         """The firing loop: fire live events due by ``horizon`` in order.
 
+        Dead entries and carriers at the top are handled whatever their
+        time, so a window may drop or re-key entries past its horizon.
         Returns ``True`` as soon as ``condition()`` holds after a firing,
         ``False`` once no live event due by ``horizon`` remains (the clock
         then rests at the last event fired).  Raises if ``max_events``
@@ -192,11 +286,14 @@ class Simulator:
         budget = -1 if max_events is None else max_events
         fired = 0
         while heap:
-            time, _, event = heap[0]
+            time, sequence, event = heap[0]
             callback = event.callback
             if callback is None:
                 heappop(heap)
                 self._cancelled_in_heap -= 1
+                continue
+            if sequence != event.sequence:
+                self._surface(event)
                 continue
             if time > horizon:
                 return False

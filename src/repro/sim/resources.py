@@ -22,6 +22,14 @@ accounting, which is all the paper's throughput model relies on, is
 unchanged.  Only latency behaviour (and therefore the load-balancing
 feedback loop) becomes realistic.
 
+Preemption *parks* the interrupted item's completion event: the engine
+suspends it in place (:meth:`~repro.sim.engine.Simulator.suspend`) and
+resumes it when the item restarts, rather than cancelling it and
+scheduling a new one.  Middleware callback chains preempt the same item
+again and again, often at zero elapsed time, so this keeps the heap free
+of a dead entry per preemption.  Events fire at exactly the times and in
+exactly the order cancel-and-reschedule gives them.
+
 Per-kind busy-time accounting feeds utilization reports, which is how
 experiment harnesses identify the bottleneck node — the simulated
 analogue of the paper's mathematical bottleneck analysis.
@@ -59,6 +67,7 @@ class SerialResource:
         "_busy",
         "_current",
         "_completion",
+        "_parked",
         "busy_time",
         "tasks_done",
         "preemptions",
@@ -80,6 +89,10 @@ class SerialResource:
         self._busy = False
         self._current: tuple[float, str, Callable[[], None] | None, int] | None = None
         self._completion: Event | None = None
+        # The suspended completion of the preempted item at the front of
+        # the low queue.  At most one item is ever preempted and waiting:
+        # it sits at the front, so the next low-priority start is its own.
+        self._parked: Event | None = None
         self.busy_time = 0.0
         self.tasks_done = 0
         self.preemptions = 0
@@ -107,11 +120,6 @@ class SerialResource:
         when the item completes.  Priority-0 items preempt a priority-1
         item in progress (work-conserving).
         """
-        if self._halted:
-            # A crashed node is a black hole: work vanishes, callbacks
-            # never fire.  Failure surfacing is the middleware's job
-            # (dead-letter + resubmit), not the resource's.
-            return
         if duration < 0.0:
             raise SimulationError(
                 f"{self.name}: negative task duration {duration}"
@@ -121,19 +129,24 @@ class SerialResource:
                 f"{self.name}: unknown task kind {kind!r}; expected {_KINDS}"
             )
         if priority == 0:
-            self._queue.append((duration, kind, on_done))
-            if self._busy and self._current is not None and self._current[3] == 1:
-                self._preempt()
-            elif not self._busy:
-                self._start_next()
+            queue = self._queue
         elif priority == 1:
-            self._low_queue.append((duration, kind, on_done))
-            if not self._busy:
-                self._start_next()
+            queue = self._low_queue
         else:
             raise SimulationError(
                 f"{self.name}: priority must be 0 or 1, got {priority}"
             )
+        if self._halted:
+            # A crashed node is a black hole: valid work vanishes,
+            # callbacks never fire.  Failure surfacing is the
+            # middleware's job (dead-letter + resubmit), not the
+            # resource's.
+            return
+        queue.append((duration, kind, on_done))
+        if not self._busy:
+            self._start_next()
+        elif priority == 0 and self._current is not None and self._current[3] == 1:
+            self._preempt()
 
     # ------------------------------------------------------------------ #
 
@@ -188,7 +201,8 @@ class SerialResource:
 
         The in-progress item's elapsed time is banked (the node really
         did burn those cycles), its completion is cancelled, and every
-        queued item is dropped; subsequent :meth:`submit` calls are
+        queued item is dropped — a preempted item with its parked
+        completion too; subsequent valid :meth:`submit` calls are
         silently ignored.  Returns the number of work items discarded.
         """
         if self._halted:
@@ -202,6 +216,9 @@ class SerialResource:
             self._kind_time[kind] += elapsed
             self._completion.cancel()
             dropped += 1
+        if self._parked is not None:
+            self._parked.cancel()
+            self._parked = None
         self._queue.clear()
         self._low_queue.clear()
         self._busy = False
@@ -259,9 +276,12 @@ class SerialResource:
         if self._queue:
             duration, kind, on_done = self._queue.popleft()
             priority = 0
+            parked = None
         elif self._low_queue:
             duration, kind, on_done = self._low_queue.popleft()
             priority = 1
+            parked = self._parked
+            self._parked = None
         else:
             return
         self._busy = True
@@ -270,15 +290,20 @@ class SerialResource:
         # At rate 1.0 the division is bit-exact identity.
         wall = duration / self._rate
         self._current = (wall, kind, on_done, priority)
-        self._completion = self.sim.schedule(wall, self._complete)
+        if parked is None:
+            self._completion = self.sim.schedule(wall, self._complete)
+        else:
+            self._completion = self.sim.resume(parked, wall)
 
     def _preempt(self) -> None:
-        """Pause the in-progress priority-1 item; requeue its remainder."""
+        """Pause the in-progress priority-1 item; requeue its remainder
+        and park its suspended completion until it restarts."""
         assert self._current is not None and self._completion is not None
         duration, kind, on_done, _ = self._current
         elapsed = self.sim.now - self._busy_since
         remaining = duration - elapsed
-        self._completion.cancel()
+        self.sim.suspend(self._completion)
+        self._parked = self._completion
         self.busy_time += elapsed
         self._kind_time[kind] += elapsed
         self.preemptions += 1

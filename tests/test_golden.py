@@ -2,12 +2,20 @@
 
 Same seed ⇒ bit-identical :class:`~repro.control.ControlTimeline` holds
 within one run by construction; this module holds it *across commits*.
-``tests/golden/control_timelines.json`` pins one digest per cell of a
-small corpus — sha256 of ``repr(timeline) + repr(timeline.records)``,
-the digest the end-to-end benchmark checks — and the tests recompute
-every one.  A refactor that claims "same behaviour" passes unchanged; a
-change that alters timelines on purpose regenerates the file and says
-why in CHANGES.md::
+``tests/golden/control_timelines.json`` pins two digests per cell of a
+small corpus, and the tests recompute every one:
+
+* ``full`` — sha256 of ``repr(timeline) + repr(timeline.records)``, the
+  digest the end-to-end benchmark checks;
+* ``compaction_blind`` — the same sha256 with the
+  ``engine_heap_compactions`` counter removed from every record's
+  metrics.  That counter records how the engine keeps its heap, not
+  what fires, so a change to heap bookkeeping alone moves ``full`` and
+  leaves this one fixed.
+
+A refactor that claims "same behaviour" passes unchanged; a change that
+alters timelines on purpose regenerates the file and says why in
+CHANGES.md::
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -31,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -102,13 +111,41 @@ def run_cell(mode: str, scenario: str, seed: int, drain: float | None):
     ).run()
 
 
+#: The one metric that records heap bookkeeping rather than firing.
+HEAP_BOOKKEEPING = "engine_heap_compactions"
+
+
+def _sha256(timeline, records) -> str:
+    return hashlib.sha256((repr(timeline) + repr(records)).encode()).hexdigest()
+
+
 def timeline_digest(timeline) -> str:
     """sha256 of ``repr(timeline) + repr(timeline.records)``."""
-    text = repr(timeline) + repr(timeline.records)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return _sha256(timeline, timeline.records)
 
 
-def load_golden() -> dict[str, str]:
+def compaction_blind_digest(timeline) -> str:
+    """:func:`timeline_digest` without ``engine_heap_compactions``."""
+    records = tuple(
+        record
+        if record.metrics is None
+        else replace(
+            record,
+            metrics=replace(
+                record.metrics,
+                counters=tuple(
+                    counter
+                    for counter in record.metrics.counters
+                    if counter[0] != HEAP_BOOKKEEPING
+                ),
+            ),
+        )
+        for record in timeline.records
+    )
+    return _sha256(timeline, records)
+
+
+def load_golden() -> dict[str, dict[str, str]]:
     return json.loads(GOLDEN.read_text())["cells"]
 
 
@@ -137,9 +174,16 @@ def test_timeline_matches_golden(cell, backend, monkeypatch):
         monkeypatch.setattr(kernels, "_USE_NUMPY", backend == "numpy")
     timeline = run_cell(**CORPUS[cell])
     assert timeline.lost_conversations == 0
-    assert timeline_digest(timeline) == load_golden()[cell], (
-        f"{cell}: timeline changed; if intended, regenerate with "
-        "`python tests/test_golden.py --write` and explain in CHANGES.md"
+    golden = load_golden()[cell]
+    hint = (
+        "if intended, regenerate with `python tests/test_golden.py "
+        "--write` and explain in CHANGES.md"
+    )
+    assert compaction_blind_digest(timeline) == golden["compaction_blind"], (
+        f"{cell}: timeline changed; {hint}"
+    )
+    assert timeline_digest(timeline) == golden["full"], (
+        f"{cell}: only engine_heap_compactions changed; {hint}"
     )
 
 
@@ -147,13 +191,27 @@ def write_golden() -> None:
     """Recompute every digest and rewrite the golden file."""
     cells = {}
     for cell, spec in CORPUS.items():
-        cells[cell] = timeline_digest(run_cell(**spec))
-        print(f"{cell}: {cells[cell][:16]}", flush=True)
+        timeline = run_cell(**spec)
+        cells[cell] = {
+            "full": timeline_digest(timeline),
+            "compaction_blind": compaction_blind_digest(timeline),
+        }
+        print(
+            f"{cell}: {cells[cell]['full'][:16]} "
+            f"{cells[cell]['compaction_blind'][:16]}",
+            flush=True,
+        )
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(
         json.dumps(
             {
-                "digest": "sha256(repr(timeline) + repr(timeline.records))",
+                "digest": {
+                    "full": "sha256(repr(timeline) + repr(timeline.records))",
+                    "compaction_blind": (
+                        "the same, with engine_heap_compactions removed "
+                        "from every record's metrics counters"
+                    ),
+                },
                 "cells": cells,
             },
             indent=2,

@@ -3,16 +3,21 @@
 The load-bearing invariants of the DES:
 
 * the engine fires events in (time, schedule-order) — never backwards;
-* under any interleaving of scheduling, cancellation and run windows,
-  the firing order and the engine's counters match a reference model
-  that keeps its queue as a plain list and takes its minimum;
+* under any interleaving of scheduling, cancellation, suspension,
+  resumption and run windows, the firing order and the engine's counters
+  match a reference model that keeps its queue as a plain list and takes
+  its minimum;
 * a serial resource conserves work exactly across any interleaving of
   priorities and preemptions (total busy time == total submitted
   durations once drained, regardless of arrival pattern);
-* a resource never runs two things at once (busy time <= elapsed time).
+* a resource never runs two things at once (busy time <= elapsed time);
+* a resource that parks preempted completions behaves exactly like the
+  cancel-and-reschedule algorithm it replaced.
 """
 
+import math
 import random
+from collections import deque
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,6 +35,10 @@ task_lists = st.lists(
     min_size=1,
     max_size=40,
 )
+#: A paused priority-1 completion must not fire at its original time: an
+#: engine that left a suspended event's sequence valid would fire it at
+#: t=1.0, with ``busy_time`` 2.0 at ``now`` 1.0.
+PAUSED_COMPLETION_AT_ITS_OLD_TIME = [(0.0, 1.0, 1), (0.0, 1.0, 0)]
 
 
 class TestEngineProperties:
@@ -63,15 +72,28 @@ delays = st.sampled_from(DELAYS)
 #: Indices into the events scheduled so far, taken modulo their count.
 picks = st.integers(min_value=0, max_value=10**6)
 # One top-level step of an engine program.  A scheduled event carries
-# its callback's actions: child delays to schedule and picks to cancel.
+# its callback's actions: child delays to schedule, picks to cancel, and
+# (pick, delay) toggles that suspend a pending event or resume a
+# suspended one.
 program_steps = st.one_of(
     st.tuples(
         st.just("schedule"),
         delays,
         st.lists(delays, max_size=3),
         st.lists(picks, max_size=2),
+        st.lists(st.tuples(picks, delays), max_size=2),
     ),
     st.tuples(st.just("cancel"), picks),
+    st.tuples(st.just("suspend"), picks),
+    st.tuples(st.just("resume"), picks, delays),
+    # (seed, suspended tenths): suspend a seeded share of pending events.
+    st.tuples(
+        st.just("park"),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=10),
+    ),
+    # (seed): resume every suspended event at a seeded delay.
+    st.tuples(st.just("unpark"), st.integers(min_value=0, max_value=2**32 - 1)),
     # (count, seed, cancelled tenths): a seeded storm of events.
     st.tuples(
         st.just("burst"),
@@ -109,6 +131,47 @@ POPPED_DEAD_ENTRIES_STOP_COUNTING = [
 ]
 #: Dead entries reach exactly half the heap, which does not compact:
 HALF_DEAD_DOES_NOT_COMPACT = [("burst", 600, 4, 5)]
+#: The carrier (t=1) is due before the resumed time (t=3): no push.
+RESUME_AFTER_CARRIER = [
+    ("schedule", 1.0, [], []),
+    ("suspend", 0),
+    ("resume", 0, 3.0),
+]
+#: The carrier (t=3) is due after the resumed time (t=1): a fresh entry.
+RESUME_BEFORE_CARRIER = [
+    ("schedule", 3.0, [], []),
+    ("suspend", 0),
+    ("resume", 0, 1.0),
+]
+#: The carrier surfaces while its event is suspended and is dropped; the
+#: later resume pushes a new entry.
+CARRIER_DROPPED_THEN_RESUMED = [
+    ("schedule", 0.5, [], []),
+    ("suspend", 0),
+    ("run_until", 1.0),
+    ("resume", 0, 0.5),
+]
+#: Cancelling a suspended event kills its carrier; once the carrier is
+#: dropped, a cancel leaves no dead entry behind.  (The second suspend
+#: picks the only pending event left, event 1.)
+SUSPEND_THEN_CANCEL = [
+    ("schedule", 1.0, [], []),
+    ("schedule", 0.5, [], []),
+    ("suspend", 0),
+    ("cancel", 0),
+    ("suspend", 0),
+    ("run_until", 1.0),
+    ("cancel", 1),
+]
+#: Half the storm's survivors are suspended, then a fully cancelled storm
+#: compacts the heap above ``COMPACT_MIN_SIZE``: the suspended events'
+#: carriers survive it and are resumed afterwards.
+CARRIERS_SURVIVE_COMPACTION = [
+    ("burst", 700, 5, 0),
+    ("park", 6, 5),
+    ("burst", 800, 7, 10),
+    ("unpark", 8),
+]
 
 
 class ReferenceEngine:
@@ -116,12 +179,17 @@ class ReferenceEngine:
 
     The queue is a plain list; the next entry is its ``(time, sequence)``
     minimum.  Cancelled entries stay queued until they reach the front or
-    a compaction drops them, under the engine's documented rule.
+    a compaction drops them, under the engine's documented rule.  Each
+    event's current key lives in a dict, ``(inf, 0)`` while suspended; a
+    queued entry whose sequence differs from it is a carrier, dropped or
+    re-keyed when it reaches the front.  Event handles are the sequence
+    number the event was created with.
     """
 
     def __init__(self):
         self.now = 0.0
-        self.queue: list[tuple[float, int, int]] = []  # (time, seq, eid)
+        self.queue: list[tuple[float, int, int]] = []  # (time, seq, handle)
+        self.key: dict[int, tuple[float, int]] = {}
         self.cancelled: set[int] = set()
         self.done: set[int] = set()
         self.sequence = 0
@@ -134,16 +202,27 @@ class ReferenceEngine:
     def pending(self) -> int:
         return len(self.queue)
 
-    def schedule(self, delay, eid, action):
+    def _push(self, time, action):
         self.sequence += 1
-        self.queue.append((self.now + delay, self.sequence, eid))
-        self.actions[eid] = action
-        return eid
+        handle = self.sequence
+        self.queue.append((time, handle, handle))
+        self.key[handle] = (time, handle)
+        self.actions[handle] = action
+        return handle
 
-    def cancel(self, eid):
-        if eid in self.cancelled or eid in self.done:
+    def _carrier(self, handle):
+        """The queued entry carrying ``handle``, or None."""
+        return next((e for e in self.queue if e[2] == handle), None)
+
+    def schedule(self, delay, eid, action):
+        return self._push(self.now + delay, action)
+
+    def cancel(self, handle):
+        if handle in self.cancelled or handle in self.done:
             return
-        self.cancelled.add(eid)
+        self.cancelled.add(handle)
+        if self._carrier(handle) is None:
+            return
         self.cancelled_in_queue += 1
         size = len(self.queue)
         if size >= Simulator.COMPACT_MIN_SIZE and 2 * self.cancelled_in_queue > size:
@@ -151,21 +230,42 @@ class ReferenceEngine:
             self.cancelled_in_queue = 0
             self.heap_compactions += 1
 
+    def suspend(self, handle):
+        self.key[handle] = (math.inf, 0)
+
+    def resume(self, handle, delay):
+        time = self.now + delay
+        carrier = self._carrier(handle)
+        if carrier is not None and carrier[0] > time:
+            self.cancel(handle)
+            return self._push(time, self.actions[handle])
+        self.sequence += 1
+        self.key[handle] = (time, self.sequence)
+        if carrier is None:
+            self.queue.append((time, self.sequence, handle))
+        return handle
+
     def _fire(self, horizon, condition):
         while self.queue:
             head = min(self.queue)
-            time, _, eid = head
-            if eid in self.cancelled:
+            time, sequence, handle = head
+            if handle in self.cancelled:
                 self.queue.remove(head)
                 self.cancelled_in_queue -= 1
+                continue
+            key = self.key[handle]
+            if sequence != key[1]:
+                self.queue.remove(head)
+                if key[1] != 0:
+                    self.queue.append((*key, handle))
                 continue
             if time > horizon:
                 return False
             self.queue.remove(head)
             self.now = time
-            self.done.add(eid)
+            self.done.add(handle)
             self.events_processed += 1
-            self.actions[eid]()
+            self.actions[handle]()
             if condition is not None and condition():
                 return True
         return False
@@ -195,6 +295,10 @@ class EngineAdapter:
     def __getattr__(self, name):
         return getattr(self.sim, name)
 
+    @property
+    def cancelled_in_queue(self):
+        return self.sim._cancelled_in_heap
+
     def schedule(self, delay, eid, action):
         return self.sim.schedule(delay, action)
 
@@ -204,21 +308,52 @@ class EngineAdapter:
 
 def play(engine, program):
     """Run ``program`` on ``engine``; returns fired (time, eid) pairs and
-    the observable state after every top-level step."""
+    the observable state after every top-level step.
+
+    Suspend and resume picks choose among the events that are pending
+    and not suspended, or suspended, respectively (no-ops if none are).
+    """
     fired: list[tuple[float, int]] = []
     handles: list = []
+    settled: set[int] = set()  # fired or cancelled
+    suspended: set[int] = set()
 
-    def schedule(delay, children=(), cancels=()):
+    def schedule(delay, children=(), cancels=(), toggles=()):
         eid = len(handles)
 
         def action():
             fired.append((engine.now, eid))
+            settled.add(eid)
             for child in children:
                 schedule(child)
             for pick in cancels:
-                engine.cancel(handles[pick % len(handles)])
+                cancel(pick)
+            for pick, delay in toggles:
+                index = pick % len(handles)
+                if index in suspended:
+                    resume(index, delay)
+                elif index not in settled:
+                    suspend(index)
 
         handles.append(engine.schedule(delay, eid, action))
+
+    def cancel(pick):
+        index = pick % len(handles)
+        engine.cancel(handles[index])
+        settled.add(index)
+        suspended.discard(index)
+
+    def suspend(index):
+        engine.suspend(handles[index])
+        suspended.add(index)
+
+    def resume(index, delay):
+        handles[index] = engine.resume(handles[index], delay)
+        suspended.remove(index)
+
+    def pick_from(indices, pick):
+        indices = sorted(indices)
+        return indices[pick % len(indices)] if indices else None
 
     def observed(outcome=None):
         return (
@@ -228,6 +363,7 @@ def play(engine, program):
             engine.events_processed,
             engine.heap_compactions,
             engine.pending,
+            engine.cancelled_in_queue,
         )
 
     trace = []
@@ -238,7 +374,27 @@ def play(engine, program):
             schedule(*args)
         elif kind == "cancel":
             if handles:
-                engine.cancel(handles[args[0] % len(handles)])
+                cancel(args[0])
+        elif kind == "suspend":
+            live = set(range(len(handles))) - settled - suspended
+            index = pick_from(live, args[0])
+            if index is not None:
+                suspend(index)
+        elif kind == "resume":
+            index = pick_from(suspended, args[0])
+            if index is not None:
+                resume(index, args[1])
+        elif kind == "park":
+            seed, tenths = args
+            rng = random.Random(seed)
+            for index in range(len(handles)):
+                if index not in settled and index not in suspended:
+                    if rng.random() * 10 < tenths:
+                        suspend(index)
+        elif kind == "unpark":
+            rng = random.Random(args[0])
+            for index in sorted(suspended):
+                resume(index, rng.choice(DELAYS))
         elif kind == "burst":
             count, seed, tenths = args
             rng = random.Random(seed)
@@ -247,7 +403,7 @@ def play(engine, program):
                 picked = [rng.randrange(10**6)] if rng.random() < 0.2 else []
                 schedule(rng.choice(DELAYS), (), picked)
                 if rng.random() * 10 < tenths:
-                    engine.cancel(handles[-1])
+                    cancel(len(handles) - 1)
         elif kind == "run_until":
             engine.run_until(engine.now + args[0])
         else:
@@ -262,21 +418,39 @@ def play(engine, program):
     return fired, trace
 
 
+def reschedules(program) -> bool:
+    """Whether ``program`` may suspend or resume an event."""
+    return any(
+        step[0] in ("suspend", "resume", "park", "unpark")
+        or (step[0] == "schedule" and len(step) > 4 and step[4])
+        for step in program
+    )
+
+
 class TestEngineMatchesReference:
     @given(programs)
     @example(COMPACTS_BETWEEN_WINDOWS)
     @example(COMPACTS_WHILE_FIRING)
     @example(POPPED_DEAD_ENTRIES_STOP_COUNTING)
     @example(HALF_DEAD_DOES_NOT_COMPACT)
+    @example(RESUME_AFTER_CARRIER)
+    @example(RESUME_BEFORE_CARRIER)
+    @example(CARRIER_DROPPED_THEN_RESUMED)
+    @example(SUSPEND_THEN_CANCEL)
+    @example(CARRIERS_SURVIVE_COMPACTION)
     @settings(max_examples=60, deadline=None)
     def test_firing_order_and_counters_match_reference(self, program):
         fired, trace = play(EngineAdapter(), program)
         expected_fired, expected_trace = play(ReferenceEngine(), program)
         assert fired == expected_fired
         assert trace == expected_trace
-        # Fired (time, schedule index) keys rise strictly: the reference
-        # sort on (time, sequence) is the firing order.
-        assert fired == sorted(set(fired))
+        # Time never goes backwards, and nothing fires twice.
+        assert [time for time, _ in fired] == sorted(time for time, _ in fired)
+        assert len({eid for _, eid in fired}) == len(fired)
+        if not reschedules(program):
+            # Without suspend/resume, fired (time, schedule index) keys
+            # rise strictly: the sort on (time, sequence) is the order.
+            assert fired == sorted(set(fired))
 
     def test_pinned_programs_reach_their_cases(self):
         compactions = [
@@ -294,9 +468,40 @@ class TestEngineMatchesReference:
         assert popped[-1] == 0
         assert half[-1] == 0
 
+    def test_pinned_carrier_programs_reach_their_cases(self):
+        def pending(trace):
+            return [step[5] for step in trace]
+
+        fired, trace = play(EngineAdapter(), RESUME_AFTER_CARRIER)
+        assert pending(trace) == [1, 1, 1, 0]
+        assert fired == [(3.0, 0)]
+
+        fired, trace = play(EngineAdapter(), RESUME_BEFORE_CARRIER)
+        assert pending(trace) == [1, 1, 2, 0]
+        assert trace[2][6] == 1  # the outgrown carrier is a dead entry
+        assert fired == [(1.0, 0)]
+
+        fired, trace = play(EngineAdapter(), CARRIER_DROPPED_THEN_RESUMED)
+        assert pending(trace) == [1, 1, 0, 1, 0]
+        assert fired == [(1.5, 0)]
+
+        fired, trace = play(EngineAdapter(), SUSPEND_THEN_CANCEL)
+        dead = [step[6] for step in trace]
+        assert dead[3] == 1  # the cancelled event still had its carrier
+        assert pending(trace)[5] == 0 and dead[5] == 0
+        assert dead[6] == 0  # ...this one had lost it
+        assert fired == []
+
+        fired, trace = play(EngineAdapter(), CARRIERS_SURVIVE_COMPACTION)
+        after_storm = trace[2]
+        assert after_storm[4] > 0
+        # Every entry of the first storm survived, suspended or not.
+        assert after_storm[5] - after_storm[6] == 700
+
 
 class TestResourceProperties:
     @given(task_lists)
+    @example(PAUSED_COMPLETION_AT_ITS_OLD_TIME)
     @settings(max_examples=80, deadline=None)
     def test_work_conservation(self, tasks):
         """Total busy time equals total submitted work, for any arrival
@@ -318,6 +523,7 @@ class TestResourceProperties:
         assert resource.tasks_done == len(tasks)
 
     @given(task_lists)
+    @example(PAUSED_COMPLETION_AT_ITS_OLD_TIME)
     @settings(max_examples=60, deadline=None)
     def test_no_time_travel_and_no_overcommit(self, tasks):
         sim = Simulator()
@@ -392,3 +598,203 @@ class TestResourceProperties:
         sim.run()
         by_kind = sum(resource.kind_time(kind) for kind in kinds)
         assert abs(by_kind - resource.busy_time) < 1e-9
+
+
+class ReferenceSerialResource:
+    """The cancel-and-reschedule preemption algorithm, kept verbatim.
+
+    Preemption cancels the in-progress completion event and the restart
+    schedules a new one.  :class:`SerialResource` parks the event
+    instead; the equivalence property below holds it to this behaviour.
+    """
+
+    def __init__(self, sim, name):
+        self.sim = sim
+        self.name = name
+        self._queue = deque()
+        self._low_queue = deque()
+        self._busy = False
+        self._current = None
+        self._completion = None
+        self.busy_time = 0.0
+        self.tasks_done = 0
+        self.preemptions = 0
+        self._busy_since = 0.0
+        self._kind_time = {kind: 0.0 for kind in ("send", "recv", "compute")}
+        self._rate = 1.0
+        self._halted = False
+
+    @property
+    def is_halted(self):
+        return self._halted
+
+    def kind_time(self, kind):
+        return self._kind_time[kind]
+
+    def submit(self, duration, kind, on_done=None, priority=0):
+        if self._halted:
+            return
+        if priority == 0:
+            self._queue.append((duration, kind, on_done))
+            if self._busy and self._current is not None and self._current[3] == 1:
+                self._preempt()
+            elif not self._busy:
+                self._start_next()
+        else:
+            self._low_queue.append((duration, kind, on_done))
+            if not self._busy:
+                self._start_next()
+
+    def set_rate(self, rate):
+        if rate == self._rate:
+            return
+        if self._busy:
+            wall, kind, on_done, priority = self._current
+            elapsed = self.sim.now - self._busy_since
+            remaining_wall = max(0.0, wall - elapsed)
+            self.busy_time += elapsed
+            self._kind_time[kind] += elapsed
+            self._completion.cancel()
+            new_wall = remaining_wall * self._rate / rate
+            self._busy_since = self.sim.now
+            self._current = (new_wall, kind, on_done, priority)
+            self._completion = self.sim.schedule(new_wall, self._complete)
+        self._rate = rate
+
+    def halt(self):
+        if self._halted:
+            return 0
+        dropped = len(self._queue) + len(self._low_queue)
+        if self._busy:
+            _, kind, _, _ = self._current
+            elapsed = self.sim.now - self._busy_since
+            self.busy_time += elapsed
+            self._kind_time[kind] += elapsed
+            self._completion.cancel()
+            dropped += 1
+        self._queue.clear()
+        self._low_queue.clear()
+        self._busy = False
+        self._current = None
+        self._completion = None
+        self._halted = True
+        return dropped
+
+    def _start_next(self):
+        if self._queue:
+            duration, kind, on_done = self._queue.popleft()
+            priority = 0
+        elif self._low_queue:
+            duration, kind, on_done = self._low_queue.popleft()
+            priority = 1
+        else:
+            return
+        self._busy = True
+        self._busy_since = self.sim.now
+        wall = duration / self._rate
+        self._current = (wall, kind, on_done, priority)
+        self._completion = self.sim.schedule(wall, self._complete)
+
+    def _preempt(self):
+        duration, kind, on_done, _ = self._current
+        elapsed = self.sim.now - self._busy_since
+        remaining = duration - elapsed
+        self._completion.cancel()
+        self.busy_time += elapsed
+        self._kind_time[kind] += elapsed
+        self.preemptions += 1
+        self._low_queue.appendleft(
+            (max(0.0, remaining) * self._rate, kind, on_done)
+        )
+        self._busy = False
+        self._current = None
+        self._completion = None
+        self._start_next()
+
+    def _complete(self):
+        duration, kind, on_done, _ = self._current
+        self.busy_time += duration
+        self._kind_time[kind] += duration
+        self.tasks_done += 1
+        self._busy = False
+        self._current = None
+        self._completion = None
+        if self._queue or self._low_queue:
+            self._start_next()
+        if on_done is not None:
+            on_done()
+
+
+KINDS = ("send", "recv", "compute")
+arrivals = st.sampled_from((0.0, 0.0, 0.25, 0.5, 1.0, 2.5))
+durations = st.sampled_from((0.0, 0.0, 0.1, 0.25, 1.0, 1.5))
+# One step of a resource program, scheduled at ``arrival``.  A submit's
+# ``chain`` is the priority-0 follow-ups its completion submits, one
+# after another — a server's recv -> predict -> send callback chain.
+resource_steps = st.one_of(
+    st.tuples(
+        st.just("submit"),
+        arrivals,
+        durations,
+        st.integers(min_value=0, max_value=1),
+        st.sampled_from(KINDS),
+        st.lists(durations, max_size=3),
+    ),
+    st.tuples(st.just("rate"), arrivals, st.sampled_from((0.5, 1.0, 2.0))),
+    st.tuples(st.just("halt"), arrivals),
+)
+resource_programs = st.lists(resource_steps, min_size=1, max_size=30)
+
+
+def play_resource(resource_class, program):
+    """Run ``program`` on a fresh ``resource_class``; returns everything
+    observable about the run."""
+    sim = Simulator()
+    resource = resource_class(sim, "node")
+    done: list[tuple[float, int]] = []
+
+    def submit(index, duration, priority, kind, chain):
+        def on_done():
+            done.append((sim.now, index))
+            if chain:
+                submit(index, chain[0], 0, "send", chain[1:])
+
+        resource.submit(duration, kind, on_done, priority=priority)
+
+    for index, (kind, arrival, *args) in enumerate(program):
+        if kind == "submit":
+            sim.schedule(arrival, lambda i=index, a=args: submit(i, *a))
+        elif kind == "rate":
+            sim.schedule(
+                arrival,
+                lambda r=args[0]: None if resource.is_halted else resource.set_rate(r),
+            )
+        else:
+            sim.schedule(arrival, resource.halt)
+    sim.run()
+    return (
+        done,
+        resource.busy_time,
+        tuple(resource.kind_time(kind) for kind in KINDS),
+        resource.tasks_done,
+        resource.preemptions,
+        sim.events_processed,
+        sim.now,
+    )
+
+
+class TestParkedPreemptionMatchesReference:
+    @given(resource_programs)
+    @example([("submit", 0.0, 1.0, 1, "compute", []),
+              ("submit", 0.0, 1.0, 0, "compute", [])])
+    @example([("submit", 0.0, 1.0, 1, "compute", []),
+              ("submit", 0.25, 0.0, 0, "recv", [0.0, 0.0]),
+              ("submit", 0.25, 0.1, 0, "recv", [0.0]),
+              ("halt", 0.5)])
+    @settings(max_examples=120, deadline=None)
+    def test_same_completions_and_counters_as_cancel_and_reschedule(
+        self, program
+    ):
+        assert play_resource(SerialResource, program) == play_resource(
+            ReferenceSerialResource, program
+        )

@@ -2,7 +2,8 @@
 
 Examples and benchmark files are exercised manually / by the benchmark
 runner; this guard keeps them from silently rotting when the library API
-moves (compile + import-resolution check, no execution)."""
+moves (compile + import-resolution check, no execution).  Library modules
+are documented, and only the engine touches its own event heap."""
 
 import ast
 import py_compile
@@ -69,3 +70,23 @@ def test_every_public_function_and_class_documented():
                         f"{path.relative_to(REPO)}::{node.name}"
                     )
     assert not undocumented, f"missing docstrings: {undocumented}"
+
+
+#: The engine's heap bookkeeping: the carrier rule holds only if nothing
+#: but ``sim/engine.py`` reads or writes these.
+ENGINE_PRIVATE = {"_heap", "_sequence", "_cancelled_in_heap"}
+
+
+def test_only_the_engine_touches_its_heap():
+    src = REPO / "src" / "repro"
+    engine = src / "sim" / "engine.py"
+    offenders = []
+    for path in src.rglob("*.py"):
+        if path == engine:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ENGINE_PRIVATE:
+                offenders.append(
+                    f"{path.relative_to(REPO)}:{node.lineno}: .{node.attr}"
+                )
+    assert not offenders, f"engine internals used outside the engine: {offenders}"

@@ -126,3 +126,54 @@ class TestPriorityPreemption:
         res.submit(1.0, "compute", lambda: done.append(sim.now), priority=1)
         sim.run()
         assert done == [1.0]
+
+    def test_repeated_zero_elapsed_preemption_keeps_one_heap_entry(self, sim, res):
+        done = []
+        res.submit(4.0, "compute", lambda: done.append(sim.now), priority=1)
+        # A callback chain that preempts the resumed item at the very
+        # instant it restarts, again and again.
+        def chain(left):
+            if left:
+                res.submit(0.0, "recv", lambda: chain(left - 1))
+        sim.schedule(1.0, lambda: chain(50))
+        sim.run_until(1.0)
+        assert res.preemptions == 50
+        # The parked completion is resumed in place, not rescheduled.
+        assert sim.pending == 1
+        sim.run()
+        assert done == [4.0]
+
+
+class TestHalt:
+    def test_halted_resource_still_rejects_bad_inputs(self, res):
+        res.halt()
+        with pytest.raises(SimulationError):
+            res.submit(-1.0, "bogus", priority=7)
+        with pytest.raises(SimulationError):
+            res.submit(1.0, "think")
+        with pytest.raises(SimulationError):
+            res.submit(1.0, "compute", priority=2)
+
+    def test_halt_drops_a_preempted_item_and_its_parked_completion(
+        self, sim, res
+    ):
+        done = []
+        res.submit(4.0, "compute", lambda: done.append("low"), priority=1)
+        res.submit(
+            1.0, "compute", lambda: done.append("later-low"), priority=1
+        )
+        sim.schedule(1.0, lambda: res.submit(
+            2.0, "send", lambda: done.append("high")))
+        sim.run_until(2.0)
+        assert res.preemptions == 1
+        # In progress: the high item.  Queued: the preempted low item
+        # (parked) and the later low item.
+        assert res.halt() == 3
+        # Both completions, in progress and parked, are dead heap entries
+        # now, so a compaction may reclaim them.
+        assert sim._cancelled_in_heap == 2
+        sim.run()
+        assert done == []
+        assert res.tasks_done == 0
+        assert res.busy_time == pytest.approx(2.0)
+        assert sim.pending == 0
