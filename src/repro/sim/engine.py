@@ -28,17 +28,36 @@ carrier rule keeps this to one heap entry per event:
 * :meth:`Simulator.suspend` invalidates the event's key and leaves the
   heap alone;
 * :meth:`Simulator.resume` takes the next sequence number, exactly where
-  a fresh :meth:`Simulator.schedule` would.  A carrier due no later than
-  the new time is simply outgrown (re-keyed when it surfaces); a dropped
-  carrier is replaced by a new entry; a carrier due *later* than the new
-  time cannot be re-keyed upwards, so the old event is cancelled and a
-  fresh event takes over.
+  a fresh :meth:`Simulator.schedule` would — or the reserved one, see
+  below.  A carrier due no later than the new time is simply outgrown
+  (re-keyed when it surfaces); a dropped carrier is replaced by a new
+  entry; a carrier due *later* than the new time cannot be re-keyed
+  upwards, so the old event is cancelled and a fresh event takes over.
 
 A carrier's key is below its event's key, so it surfaces first, and
 every event fires at the ``(time, sequence)`` a cancel-and-reschedule
 would have given it: firing order and sequence numbering are unchanged,
 only the heap's bookkeeping (:attr:`Simulator.pending`,
 :attr:`Simulator.heap_compactions`) differs.
+
+Two more hooks let a caller keep a sequence number and an event object
+it would otherwise throw away:
+
+* :meth:`Simulator.reserve` takes the next sequence number now, for a
+  :meth:`~Simulator.schedule` or :meth:`~Simulator.resume` decided later
+  (``sequence=``).  The event then fires exactly where it would have had
+  it been scheduled at reservation time.  One reservation is open at a
+  time, and only until the next event fires: reserving again forfeits
+  the previous number, a firing lets it lapse, and a number is used at
+  most once.  A forfeited number is simply never used, which leaves the
+  order of every other event alone.
+* ``schedule(..., reuse=event)`` re-arms an event that is off the heap
+  — fired, or cancelled after its entry was popped — instead of
+  allocating a new one.  The event must belong to this simulator and
+  its handle to the caller alone: whoever still holds it would now
+  cancel the new incarnation.  Re-arming still goes through
+  :meth:`~Simulator.schedule`, the one entry point that every new
+  heap entry passes.
 
 One private loop fires events: it pops the heap top, skips cancelled
 entries, drops or re-keys carriers, stops at the horizon, checks that
@@ -75,7 +94,8 @@ class Event:
     the heap reaches that key.  ``carrier`` is the time of the one heap
     entry that carries the event — equal to ``time`` unless the event
     was suspended or resumed since that entry was pushed — or ``None``
-    once a surfacing carrier of a suspended event was dropped.  A
+    once no entry carries it: the event fired, its dead entry was
+    popped, or a surfacing carrier of a suspended event was dropped.  A
     suspended event's key is ``(inf, 0)``; no heap entry matches it.
     """
 
@@ -142,25 +162,78 @@ class Simulator:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._sequence: int = 0
+        # The open reservation's sequence number (0 when none is open),
+        # and the number of events fired when it was taken.
+        self._reservation: int = 0
+        self._reserved_at: int = 0
         self._events_processed: int = 0
         self._cancelled_in_heap: int = 0
         self._compactions: int = 0
 
     # ------------------------------------------------------------------ #
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to fire ``delay`` seconds from now."""
-        if delay < 0.0:
+    def schedule(
+        self,
+        delay: float,
+        callback: Callable[[], None],
+        reuse: Event | None = None,
+        sequence: int | None = None,
+    ) -> Event:
+        """Schedule ``callback`` to fire ``delay`` seconds from now.
+
+        ``reuse`` re-arms an event that no heap entry carries instead of
+        allocating one; ``sequence`` fires it under the open
+        reservation (see :meth:`reserve`) instead of the next number.
+        """
+        if not delay >= 0.0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
+        if reuse is not None and (
+            reuse.callback is not None
+            or reuse.carrier is not None
+            or reuse.owner is not self
+        ):
+            raise SimulationError(
+                f"cannot reuse {reuse!r}: pending, still on the heap or "
+                "owned by another simulator"
+            )
         time = self.now + delay
-        sequence = self._sequence = self._sequence + 1
-        event = Event(time, sequence, callback, self)
+        if sequence is None:
+            sequence = self._sequence = self._sequence + 1
+        else:
+            self._take_reservation(sequence)
+        if reuse is None:
+            event = Event(time, sequence, callback, self)
+        else:
+            reuse.time = reuse.carrier = time
+            reuse.sequence = sequence
+            reuse.callback = callback
+            event = reuse
         heapq.heappush(self._heap, (time, sequence, event))
         return event
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute simulation ``time``."""
         return self.schedule(time - self.now, callback)
+
+    def reserve(self) -> int:
+        """Take the next sequence number now for a later ``schedule`` or
+        ``resume`` with ``sequence=``, before any other event fires;
+        forfeits any open reservation."""
+        sequence = self._sequence = self._sequence + 1
+        self._reservation = sequence
+        self._reserved_at = self._events_processed
+        return sequence
+
+    def _take_reservation(self, sequence: int) -> None:
+        if (
+            sequence != self._reservation
+            or not sequence
+            or self._reserved_at != self._events_processed
+        ):
+            raise SimulationError(
+                f"sequence {sequence} is not the open reservation"
+            )
+        self._reservation = 0
 
     def suspend(self, event: Event) -> None:
         """Hold a pending ``event``: it keeps its callback but cannot fire
@@ -170,21 +243,27 @@ class Simulator:
         event.time = math.inf
         event.sequence = 0
 
-    def resume(self, event: Event, delay: float) -> Event:
+    def resume(
+        self, event: Event, delay: float, sequence: int | None = None
+    ) -> Event:
         """Let a suspended ``event`` fire ``delay`` seconds from now.
 
-        Fires exactly as ``schedule(delay, callback)`` would — same time,
-        same sequence number — but reuses the event's carrier when it is
-        due no later (see the module docstring).  Returns the event that
-        will fire: ``event`` itself, or a fresh one when the carrier was
-        due later, in which case ``event`` is cancelled.
+        Fires exactly as ``schedule(delay, callback, sequence=sequence)``
+        would — same time, same sequence number — but reuses the event's
+        carrier when it is due no later (see the module docstring).
+        Returns the event that will fire: ``event`` itself, or a fresh
+        one when the carrier was due later, in which case ``event`` is
+        cancelled.
         """
-        if delay < 0.0:
+        if not delay >= 0.0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
         if event.callback is None or event.sequence != 0:
             raise SimulationError(f"cannot resume {event!r}: not suspended")
         time = self.now + delay
-        sequence = self._sequence = self._sequence + 1
+        if sequence is None:
+            sequence = self._sequence = self._sequence + 1
+        else:
+            self._take_reservation(sequence)
         carrier = event.carrier
         if carrier is not None and carrier <= time:
             event.time = time
@@ -224,6 +303,7 @@ class Simulator:
             time, sequence, event = heap[0]
             if event.callback is None:
                 heapq.heappop(heap)
+                event.carrier = None
                 self._cancelled_in_heap -= 1
             elif sequence != event.sequence:
                 self._surface(event)
@@ -290,6 +370,7 @@ class Simulator:
             callback = event.callback
             if callback is None:
                 heappop(heap)
+                event.carrier = None
                 self._cancelled_in_heap -= 1
                 continue
             if sequence != event.sequence:
@@ -307,7 +388,7 @@ class Simulator:
                     f"time went backwards: {time} < {self.now}"
                 )
             self.now = time
-            event.callback = None
+            event.callback = event.carrier = None
             self._events_processed += 1
             fired += 1
             callback()
@@ -329,7 +410,7 @@ class Simulator:
         Events scheduled beyond the horizon stay queued, so simulations can
         be advanced window by window.
         """
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot run to the past: {time} < now={self.now}"
             )
@@ -357,7 +438,7 @@ class Simulator:
         ``False`` if the deadline was reached first (the clock then
         rests exactly at ``deadline``, like :meth:`run_until`).
         """
-        if deadline < self.now:
+        if not deadline >= self.now:
             raise SimulationError(
                 f"cannot run to the past: {deadline} < now={self.now}"
             )

@@ -25,10 +25,35 @@ feedback loop) becomes realistic.
 Preemption *parks* the interrupted item's completion event: the engine
 suspends it in place (:meth:`~repro.sim.engine.Simulator.suspend`) and
 resumes it when the item restarts, rather than cancelling it and
-scheduling a new one.  Middleware callback chains preempt the same item
-again and again, often at zero elapsed time, so this keeps the heap free
-of a dead entry per preemption.  Events fire at exactly the times and in
-exactly the order cancel-and-reschedule gives them.
+scheduling a new one.
+
+A completion also *defers* the restart of queued priority-1 work.
+Middleware callback chains submit their next priority-0 step from the
+completion callback, at the very instant the service item would
+restart, so restarting it first would only preempt it again with zero
+elapsed time.  When only priority-1 work is queued, the completion
+reserves the sequence number the restart would take
+(:meth:`~repro.sim.engine.Simulator.reserve`) and runs its callback
+with the resource idle and the item still at the front of the low
+queue:
+
+* a priority-0 submit inside the callback forfeits the reservation and
+  starts at once — the zero-elapsed preemption the restart would have
+  suffered, counted in :attr:`SerialResource.preemptions` all the same;
+* a priority-1 submit, :meth:`SerialResource.set_rate` or
+  :meth:`SerialResource.halt` inside the callback first starts the
+  deferred item under the reserved number, which is the state an
+  immediate restart would have left;
+* otherwise the item starts under the reserved number once the
+  callback returns.
+
+No reservation outlives the completion callback that made it, and the
+observers (:attr:`SerialResource.is_busy`,
+:attr:`SerialResource.queue_length`, :attr:`SerialResource.backlog`)
+count the deferred item as in progress.  Idle work starts directly,
+and a fired completion event is re-armed for the next item rather
+than replaced.  Events fire at exactly the times and in exactly the
+order cancel-and-reschedule gives them.
 
 Per-kind busy-time accounting feeds utilization reports, which is how
 experiment harnesses identify the bottleneck node — the simulated
@@ -39,6 +64,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable
+from itertools import islice
 
 from repro.errors import SimulationError
 from repro.sim.engine import Event, Simulator
@@ -68,6 +94,9 @@ class SerialResource:
         "_current",
         "_completion",
         "_parked",
+        "_spare",
+        "_deferred",
+        "_on_complete",
         "busy_time",
         "tasks_done",
         "preemptions",
@@ -93,6 +122,12 @@ class SerialResource:
         # the low queue.  At most one item is ever preempted and waiting:
         # it sits at the front, so the next low-priority start is its own.
         self._parked: Event | None = None
+        # A fired completion event, re-armed for the next item started.
+        self._spare: Event | None = None
+        # The sequence number reserved for a deferred restart while a
+        # completion callback runs; 0 otherwise.
+        self._deferred = 0
+        self._on_complete = self._complete
         self.busy_time = 0.0
         self.tasks_done = 0
         self.preemptions = 0
@@ -120,19 +155,15 @@ class SerialResource:
         when the item completes.  Priority-0 items preempt a priority-1
         item in progress (work-conserving).
         """
-        if duration < 0.0:
+        if not duration >= 0.0:
             raise SimulationError(
-                f"{self.name}: negative task duration {duration}"
+                f"{self.name}: task duration must be >= 0, got {duration}"
             )
         if kind not in _KINDS:
             raise SimulationError(
                 f"{self.name}: unknown task kind {kind!r}; expected {_KINDS}"
             )
-        if priority == 0:
-            queue = self._queue
-        elif priority == 1:
-            queue = self._low_queue
-        else:
+        if priority != 0 and priority != 1:
             raise SimulationError(
                 f"{self.name}: priority must be 0 or 1, got {priority}"
             )
@@ -142,17 +173,38 @@ class SerialResource:
             # middleware's job (dead-letter + resubmit), not the
             # resource's.
             return
-        queue.append((duration, kind, on_done))
-        if not self._busy:
-            self._start_next()
-        elif priority == 0 and self._current is not None and self._current[3] == 1:
+        if self._busy:
+            if priority:
+                self._low_queue.append((duration, kind, on_done))
+                return
+            if self._current[3] == 0:
+                self._queue.append((duration, kind, on_done))
+                return
             self._preempt()
+        elif self._deferred:
+            if priority:
+                self._restart(self._deferred)
+                self._low_queue.append((duration, kind, on_done))
+                return
+            self._forfeit()
+        # The resource is idle and its queues are empty, a preempted or
+        # deferred item aside: start at once.
+        self._busy = True
+        self._busy_since = self.sim.now
+        # Queued durations are nominal; _current holds *wall* duration.
+        # At rate 1.0 the division is bit-exact identity.
+        wall = duration / self._rate
+        self._current = (wall, kind, on_done, priority)
+        self._completion = self.sim.schedule(
+            wall, self._on_complete, self._spare
+        )
+        self._spare = None
 
     # ------------------------------------------------------------------ #
 
     @property
     def is_busy(self) -> bool:
-        return self._busy
+        return self._busy or self._deferred != 0
 
     @property
     def rate(self) -> float:
@@ -173,7 +225,7 @@ class SerialResource:
         they start.  ``set_rate(1.0)`` on an idle, never-degraded
         resource is a bit-exact no-op.
         """
-        if rate <= 0.0:
+        if not rate > 0.0:
             raise SimulationError(
                 f"{self.name}: rate must be > 0, got {rate} "
                 "(use halt() to stop the resource)"
@@ -182,6 +234,8 @@ class SerialResource:
             raise SimulationError(f"{self.name}: cannot re-rate a halted resource")
         if rate == self._rate:
             return
+        if self._deferred:
+            self._restart(self._deferred)
         if self._busy:
             assert self._current is not None and self._completion is not None
             wall, kind, on_done, priority = self._current
@@ -193,7 +247,10 @@ class SerialResource:
             new_wall = remaining_wall * self._rate / rate
             self._busy_since = self.sim.now
             self._current = (new_wall, kind, on_done, priority)
-            self._completion = self.sim.schedule(new_wall, self._complete)
+            self._completion = self.sim.schedule(
+                new_wall, self._on_complete, self._spare
+            )
+            self._spare = None
         self._rate = rate
 
     def halt(self) -> int:
@@ -207,6 +264,8 @@ class SerialResource:
         """
         if self._halted:
             return 0
+        if self._deferred:
+            self._restart(self._deferred)
         dropped = len(self._queue) + len(self._low_queue)
         if self._busy:
             assert self._current is not None and self._completion is not None
@@ -230,13 +289,14 @@ class SerialResource:
     @property
     def queue_length(self) -> int:
         """Work items waiting (excluding the one in progress)."""
-        return len(self._queue) + len(self._low_queue)
+        return len(self._queue) + len(self._low_queue) - (self._deferred != 0)
 
     @property
     def backlog(self) -> float:
         """Total queued work in seconds (excluding the one in progress)."""
+        waiting = islice(self._low_queue, self._deferred != 0, None)
         return sum(item[0] for item in self._queue) + sum(
-            item[0] for item in self._low_queue
+            item[0] for item in waiting
         )
 
     def busy_seconds(self, horizon: float | None = None) -> float:
@@ -272,31 +332,40 @@ class SerialResource:
 
     # ------------------------------------------------------------------ #
 
-    def _start_next(self) -> None:
-        if self._queue:
-            duration, kind, on_done = self._queue.popleft()
-            priority = 0
-            parked = None
-        elif self._low_queue:
-            duration, kind, on_done = self._low_queue.popleft()
-            priority = 1
-            parked = self._parked
-            self._parked = None
-        else:
-            return
+    def _restart(self, sequence: int | None = None) -> None:
+        """Start the front of the low queue, resuming its parked
+        completion if it was preempted; under ``sequence`` if given
+        (a deferred restart's reservation)."""
+        self._deferred = 0
+        duration, kind, on_done = self._low_queue.popleft()
         self._busy = True
         self._busy_since = self.sim.now
-        # Queued durations are nominal; _current holds *wall* duration.
-        # At rate 1.0 the division is bit-exact identity.
         wall = duration / self._rate
-        self._current = (wall, kind, on_done, priority)
+        self._current = (wall, kind, on_done, 1)
+        parked = self._parked
         if parked is None:
-            self._completion = self.sim.schedule(wall, self._complete)
+            self._completion = self.sim.schedule(
+                wall, self._on_complete, self._spare, sequence
+            )
+            self._spare = None
         else:
-            self._completion = self.sim.resume(parked, wall)
+            self._parked = None
+            self._completion = self.sim.resume(parked, wall, sequence)
+
+    def _forfeit(self) -> None:
+        """Give up a deferred restart for priority-0 work: the zero-elapsed
+        preemption the restart would have met.  The item keeps its place
+        and its parked completion, if any."""
+        self._deferred = 0
+        self.preemptions += 1
+        rate = self._rate
+        if rate != 1.0:
+            # The requeue of a started item: nominal -> wall -> nominal.
+            duration, kind, on_done = self._low_queue[0]
+            self._low_queue[0] = (max(0.0, duration / rate) * rate, kind, on_done)
 
     def _preempt(self) -> None:
-        """Pause the in-progress priority-1 item; requeue its remainder
+        """Pause the in-progress priority-1 item: requeue its remainder
         and park its suspended completion until it restarts."""
         assert self._current is not None and self._completion is not None
         duration, kind, on_done, _ = self._current
@@ -316,24 +385,46 @@ class SerialResource:
         self._busy = False
         self._current = None
         self._completion = None
-        self._start_next()
 
     def _complete(self) -> None:
-        assert self._current is not None
         duration, kind, on_done, _ = self._current
         self.busy_time += duration
         self._kind_time[kind] += duration
         self.tasks_done += 1
+        if self._queue:
+            # Start the next priority-0 item, re-arming the fired event.
+            next_duration, next_kind, next_done = self._queue.popleft()
+            self._busy_since = self.sim.now
+            wall = next_duration / self._rate
+            self._current = (wall, next_kind, next_done, 0)
+            self._completion = self.sim.schedule(
+                wall, self._on_complete, self._completion
+            )
+            if on_done is not None:
+                on_done()
+            return
+        # The engine has fired this event: it is free to re-arm.
+        self._spare = self._completion
         self._busy = False
         self._current = None
         self._completion = None
-        if self._queue or self._low_queue:
-            self._start_next()
+        if self._low_queue:
+            if on_done is None:
+                self._restart()
+                return
+            # Defer the restart past on_done (see the module docstring).
+            self._deferred = self.sim.reserve()
+            try:
+                on_done()
+            finally:
+                if self._deferred:
+                    self._restart(self._deferred)
+            return
         if on_done is not None:
             on_done()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "busy" if self._busy else "idle"
+        state = "busy" if self.is_busy else "idle"
         return (
             f"SerialResource({self.name!r}, {state}, "
             f"queued={self.queue_length}, done={self.tasks_done})"

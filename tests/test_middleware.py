@@ -257,3 +257,34 @@ class TestSchedulingRaces:
         assert rounds[1].selected_server == survivor
         assert system.total_completed() == 1
         assert system.lost_conversations == 0
+
+
+class TestScheduleInstrumentation:
+    def test_every_fired_event_passes_the_counted_entry_point(self, p):
+        """Profilers count events by wrapping ``Simulator.schedule`` on
+        the class.  Service work (priority 1) preempted by scheduling work
+        exercises every start path of the serial resource; none may push
+        an event around the wrapper."""
+        calls = []
+        original = Simulator.schedule
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        Simulator.schedule = counted
+        try:
+            sim = Simulator()
+            system = MiddlewareSystem(sim, star(2), p, app_work=50.0)
+            clients = [ClosedLoopClient(system, f"c{i}") for i in range(6)]
+            for client in clients:
+                client.start()
+            sim.run_until(3.0)
+        finally:
+            Simulator.schedule = original
+        resources = [system.agents["agent"].resource] + [
+            server.resource for server in system.servers.values()
+        ]
+        assert sum(r.preemptions for r in resources) > 0
+        assert sum(client.completed for client in clients) > 0
+        assert 0 < sim.events_processed <= len(calls)

@@ -4,15 +4,17 @@ The load-bearing invariants of the DES:
 
 * the engine fires events in (time, schedule-order) — never backwards;
 * under any interleaving of scheduling, cancellation, suspension,
-  resumption and run windows, the firing order and the engine's counters
-  match a reference model that keeps its queue as a plain list and takes
-  its minimum;
+  resumption, reservation, re-arming of fired events and run windows,
+  the firing order and the engine's counters match a reference model
+  that keeps its queue as a plain list and takes its minimum;
 * a serial resource conserves work exactly across any interleaving of
   priorities and preemptions (total busy time == total submitted
   durations once drained, regardless of arrival pattern);
 * a resource never runs two things at once (busy time <= elapsed time);
-* a resource that parks preempted completions behaves exactly like the
-  cancel-and-reschedule algorithm it replaced.
+* a resource that parks preempted completions, defers restarts past
+  completion callbacks and re-arms fired events behaves exactly like the
+  cancel-and-reschedule algorithm it replaced — every engine event fires
+  at the same time in the same order, whatever the callbacks do.
 """
 
 import math
@@ -94,6 +96,12 @@ program_steps = st.one_of(
     ),
     # (seed): resume every suspended event at a seeded delay.
     st.tuples(st.just("unpark"), st.integers(min_value=0, max_value=2**32 - 1)),
+    # Take a sequence number now; a later step fires an event under it.
+    st.tuples(st.just("reserve")),
+    st.tuples(st.just("schedule_reserved"), delays),
+    st.tuples(st.just("resume_reserved"), picks, delays),
+    # Re-arm a fired event for a new callback.
+    st.tuples(st.just("reuse"), picks, delays),
     # (count, seed, cancelled tenths): a seeded storm of events.
     st.tuples(
         st.just("burst"),
@@ -163,6 +171,27 @@ SUSPEND_THEN_CANCEL = [
     ("run_until", 1.0),
     ("cancel", 1),
 ]
+#: A reserved number fires before an equal-time event scheduled after
+#: the reservation, and a fired event is re-armed.
+RESERVED_AND_REUSED = [
+    ("schedule", 0.5, [], []),
+    ("reserve",),
+    ("schedule", 1.0, [], []),
+    ("schedule_reserved", 1.0),
+    ("run_until", 1.0),
+    ("reuse", 0, 0.0),
+    ("schedule", 0.0, [], []),
+]
+#: A suspended event resumes under a reservation taken before an
+#: equal-time event; reserving again forfeits the first number.
+RESUMED_UNDER_RESERVATION = [
+    ("schedule", 3.0, [], []),
+    ("suspend", 0),
+    ("reserve",),
+    ("reserve",),
+    ("schedule", 1.0, [], []),
+    ("resume_reserved", 0, 1.0),
+]
 #: Half the storm's survivors are suspended, then a fully cancelled storm
 #: compacts the heap above ``COMPACT_MIN_SIZE``: the suspended events'
 #: carriers survive it and are resumed afterwards.
@@ -183,7 +212,9 @@ class ReferenceEngine:
     event's current key lives in a dict, ``(inf, 0)`` while suspended; a
     queued entry whose sequence differs from it is a carrier, dropped or
     re-keyed when it reaches the front.  Event handles are the sequence
-    number the event was created with.
+    number the event was created with.  A reserved number is just a
+    sequence number taken early; re-arming a fired event is a fresh
+    schedule.
     """
 
     def __init__(self):
@@ -202,9 +233,11 @@ class ReferenceEngine:
     def pending(self) -> int:
         return len(self.queue)
 
-    def _push(self, time, action):
-        self.sequence += 1
-        handle = self.sequence
+    def _push(self, time, action, sequence=None):
+        if sequence is None:
+            self.sequence += 1
+            sequence = self.sequence
+        handle = sequence
         self.queue.append((time, handle, handle))
         self.key[handle] = (time, handle)
         self.actions[handle] = action
@@ -214,8 +247,12 @@ class ReferenceEngine:
         """The queued entry carrying ``handle``, or None."""
         return next((e for e in self.queue if e[2] == handle), None)
 
-    def schedule(self, delay, eid, action):
-        return self._push(self.now + delay, action)
+    def schedule(self, delay, eid, action, reuse=None, sequence=None):
+        return self._push(self.now + delay, action, sequence)
+
+    def reserve(self):
+        self.sequence += 1
+        return self.sequence
 
     def cancel(self, handle):
         if handle in self.cancelled or handle in self.done:
@@ -233,16 +270,18 @@ class ReferenceEngine:
     def suspend(self, handle):
         self.key[handle] = (math.inf, 0)
 
-    def resume(self, handle, delay):
+    def resume(self, handle, delay, sequence=None):
         time = self.now + delay
         carrier = self._carrier(handle)
         if carrier is not None and carrier[0] > time:
             self.cancel(handle)
-            return self._push(time, self.actions[handle])
-        self.sequence += 1
-        self.key[handle] = (time, self.sequence)
+            return self._push(time, self.actions[handle], sequence)
+        if sequence is None:
+            self.sequence += 1
+            sequence = self.sequence
+        self.key[handle] = (time, sequence)
         if carrier is None:
-            self.queue.append((time, self.sequence, handle))
+            self.queue.append((time, sequence, handle))
         return handle
 
     def _fire(self, horizon, condition):
@@ -299,8 +338,8 @@ class EngineAdapter:
     def cancelled_in_queue(self):
         return self.sim._cancelled_in_heap
 
-    def schedule(self, delay, eid, action):
-        return self.sim.schedule(delay, action)
+    def schedule(self, delay, eid, action, reuse=None, sequence=None):
+        return self.sim.schedule(delay, action, reuse, sequence)
 
     def cancel(self, handle):
         handle.cancel()
@@ -311,19 +350,25 @@ def play(engine, program):
     the observable state after every top-level step.
 
     Suspend and resume picks choose among the events that are pending
-    and not suspended, or suspended, respectively (no-ops if none are).
+    and not suspended, or suspended, respectively (no-ops if none are);
+    reuse picks choose among fired events not yet re-armed.  Steps that
+    use a reservation are no-ops when none is open; run windows close it.
     """
     fired: list[tuple[float, int]] = []
     handles: list = []
     settled: set[int] = set()  # fired or cancelled
     suspended: set[int] = set()
+    reusable: set[int] = set()  # fired, handle not re-armed
+    reservation = None
 
-    def schedule(delay, children=(), cancels=(), toggles=()):
+    def schedule(delay, children=(), cancels=(), toggles=(), reuse=None,
+                 sequence=None):
         eid = len(handles)
 
         def action():
             fired.append((engine.now, eid))
             settled.add(eid)
+            reusable.add(eid)
             for child in children:
                 schedule(child)
             for pick in cancels:
@@ -335,10 +380,12 @@ def play(engine, program):
                 elif index not in settled:
                     suspend(index)
 
-        handles.append(engine.schedule(delay, eid, action))
+        handles.append(engine.schedule(delay, eid, action, reuse, sequence))
 
     def cancel(pick):
         index = pick % len(handles)
+        if handles[index] is None:  # re-armed under a new index
+            return
         engine.cancel(handles[index])
         settled.add(index)
         suspended.discard(index)
@@ -347,8 +394,8 @@ def play(engine, program):
         engine.suspend(handles[index])
         suspended.add(index)
 
-    def resume(index, delay):
-        handles[index] = engine.resume(handles[index], delay)
+    def resume(index, delay, sequence=None):
+        handles[index] = engine.resume(handles[index], delay, sequence)
         suspended.remove(index)
 
     def pick_from(indices, pick):
@@ -372,6 +419,23 @@ def play(engine, program):
         outcome = None
         if kind == "schedule":
             schedule(*args)
+        elif kind == "reserve":
+            reservation = engine.reserve()
+        elif kind == "schedule_reserved":
+            if reservation is not None:
+                schedule(args[0], sequence=reservation)
+                reservation = None
+        elif kind == "resume_reserved":
+            index = pick_from(suspended, args[0])
+            if index is not None and reservation is not None:
+                resume(index, args[1], reservation)
+                reservation = None
+        elif kind == "reuse":
+            index = pick_from(reusable, args[0])
+            if index is not None:
+                reusable.remove(index)
+                handle, handles[index] = handles[index], None
+                schedule(args[1], reuse=handle)
         elif kind == "cancel":
             if handles:
                 cancel(args[0])
@@ -406,7 +470,9 @@ def play(engine, program):
                     cancel(len(handles) - 1)
         elif kind == "run_until":
             engine.run_until(engine.now + args[0])
+            reservation = None  # lapsed if anything fired
         else:
+            reservation = None
             span, quota = args
             start = len(fired)
             outcome = engine.run_until_condition(
@@ -419,9 +485,12 @@ def play(engine, program):
 
 
 def reschedules(program) -> bool:
-    """Whether ``program`` may suspend or resume an event."""
+    """Whether ``program`` may suspend or resume an event, or fire one
+    under a reserved number."""
     return any(
-        step[0] in ("suspend", "resume", "park", "unpark")
+        step[0]
+        in ("suspend", "resume", "park", "unpark", "schedule_reserved",
+            "resume_reserved")
         or (step[0] == "schedule" and len(step) > 4 and step[4])
         for step in program
     )
@@ -438,6 +507,8 @@ class TestEngineMatchesReference:
     @example(CARRIER_DROPPED_THEN_RESUMED)
     @example(SUSPEND_THEN_CANCEL)
     @example(CARRIERS_SURVIVE_COMPACTION)
+    @example(RESERVED_AND_REUSED)
+    @example(RESUMED_UNDER_RESERVATION)
     @settings(max_examples=60, deadline=None)
     def test_firing_order_and_counters_match_reference(self, program):
         fired, trace = play(EngineAdapter(), program)
@@ -497,6 +568,18 @@ class TestEngineMatchesReference:
         assert after_storm[4] > 0
         # Every entry of the first storm survived, suspended or not.
         assert after_storm[5] - after_storm[6] == 700
+
+    def test_pinned_reservation_programs_reach_their_cases(self):
+        fired, _ = play(EngineAdapter(), RESERVED_AND_REUSED)
+        # Event 2 was scheduled after event 1 but under the earlier
+        # number; event 3 re-armed event 0 and fires before event 4.
+        assert fired == [(0.5, 0), (1.0, 2), (1.0, 1), (1.0, 3), (1.0, 4)]
+
+        fired, trace = play(EngineAdapter(), RESUMED_UNDER_RESERVATION)
+        # Under the second reservation (3), before event 1 (4); the
+        # carrier was due later, so a fresh entry carries it.
+        assert fired == [(1.0, 0), (1.0, 1)]
+        assert trace[5][5] == 3
 
 
 class TestResourceProperties:
@@ -728,9 +811,23 @@ class ReferenceSerialResource:
 KINDS = ("send", "recv", "compute")
 arrivals = st.sampled_from((0.0, 0.0, 0.25, 0.5, 1.0, 2.5))
 durations = st.sampled_from((0.0, 0.0, 0.1, 0.25, 1.0, 1.5))
+rates = st.sampled_from((0.5, 0.7, 1.0, 2.0))
+# What a completion callback does, in order, before it returns: submit
+# priority-0 or priority-1 work (the first submit carries the rest of the
+# chain as its callback), submit work with no callback, schedule an
+# unrelated engine event, re-rate or halt the resource.
+callback_actions = st.one_of(
+    st.tuples(st.sampled_from(("p0", "p0", "p1")), durations),
+    st.tuples(st.just("quiet"), durations, st.integers(min_value=0, max_value=1)),
+    st.tuples(st.just("tick"), st.sampled_from((0.0, 0.0, 0.1))),
+    st.tuples(st.just("rate"), rates),
+    st.tuples(st.just("halt")),
+)
+# One link of a callback chain: a priority-0 duration (a server's
+# recv -> predict -> send chain), or a list of callback actions.
+chain_links = st.one_of(durations, st.lists(callback_actions, min_size=1, max_size=4))
 # One step of a resource program, scheduled at ``arrival``.  A submit's
-# ``chain`` is the priority-0 follow-ups its completion submits, one
-# after another — a server's recv -> predict -> send callback chain.
+# ``chain`` is what its completion does, one link per completion.
 resource_steps = st.one_of(
     st.tuples(
         st.just("submit"),
@@ -738,42 +835,98 @@ resource_steps = st.one_of(
         durations,
         st.integers(min_value=0, max_value=1),
         st.sampled_from(KINDS),
-        st.lists(durations, max_size=3),
+        st.lists(chain_links, max_size=3),
     ),
-    st.tuples(st.just("rate"), arrivals, st.sampled_from((0.5, 1.0, 2.0))),
+    st.tuples(st.just("rate"), arrivals, rates),
     st.tuples(st.just("halt"), arrivals),
 )
 resource_programs = st.lists(resource_steps, min_size=1, max_size=30)
 
 
+def observe(resource):
+    """Whether ``resource`` is busy, its queue length and backlog — read
+    from the reference's fields, which it keeps verbatim."""
+    if isinstance(resource, SerialResource):
+        return resource.is_busy, resource.queue_length, resource.backlog
+    queue, low_queue = resource._queue, resource._low_queue
+    return (
+        resource._busy,
+        len(queue) + len(low_queue),
+        sum(item[0] for item in queue) + sum(item[0] for item in low_queue),
+    )
+
+
 def play_resource(resource_class, program):
     """Run ``program`` on a fresh ``resource_class``; returns everything
-    observable about the run."""
+    observable about the run.
+
+    Every engine callback notes the clock, how many events fired so far
+    (which places it in the firing order) and the resource's observable
+    state: a completion through its callback, the rest directly.
+    """
     sim = Simulator()
     resource = resource_class(sim, "node")
-    done: list[tuple[float, int]] = []
+    fired: list[tuple] = []
+
+    def note(*what):
+        fired.append((sim.now, sim.events_processed, *what, observe(resource)))
+
+    def link(index, chain):
+        """The callback of a submit whose completion runs ``chain``."""
+        def on_done():
+            note("done", index)
+            if not chain:
+                return
+            actions = chain[0]
+            if not isinstance(actions, list):
+                actions = [("p0", actions)]
+            rest = chain[1:]
+            for action in actions:
+                kind = action[0]
+                if kind in ("p0", "p1"):
+                    priority = 1 if kind == "p1" else 0
+                    resource.submit(
+                        action[1],
+                        ("send", "compute")[priority],
+                        link(index, rest),
+                        priority=priority,
+                    )
+                    rest = ()
+                elif kind == "quiet":
+                    resource.submit(action[1], "recv", priority=action[2])
+                elif kind == "tick":
+                    sim.schedule(action[1], lambda: note("tick", index))
+                elif kind == "rate":
+                    if not resource.is_halted:
+                        resource.set_rate(action[1])
+                else:
+                    resource.halt()
+
+        return on_done
 
     def submit(index, duration, priority, kind, chain):
-        def on_done():
-            done.append((sim.now, index))
-            if chain:
-                submit(index, chain[0], 0, "send", chain[1:])
+        note("submit", index)
+        resource.submit(duration, kind, link(index, chain), priority=priority)
 
-        resource.submit(duration, kind, on_done, priority=priority)
+    def rate(value):
+        note("rate", value)
+        if not resource.is_halted:
+            resource.set_rate(value)
+
+    def halt():
+        note("halt")
+        resource.halt()
 
     for index, (kind, arrival, *args) in enumerate(program):
         if kind == "submit":
             sim.schedule(arrival, lambda i=index, a=args: submit(i, *a))
         elif kind == "rate":
-            sim.schedule(
-                arrival,
-                lambda r=args[0]: None if resource.is_halted else resource.set_rate(r),
-            )
+            sim.schedule(arrival, lambda r=args[0]: rate(r))
         else:
-            sim.schedule(arrival, resource.halt)
+            sim.schedule(arrival, halt)
     sim.run()
     return (
-        done,
+        fired,
         resource.busy_time,
         tuple(resource.kind_time(kind) for kind in KINDS),
         resource.tasks_done,
@@ -783,14 +936,96 @@ def play_resource(resource_class, program):
     )
 
 
+class ProbedResource(SerialResource):
+    """Records which deferred-restart case each call inside a completion
+    callback meets."""
+
+    def __init__(self, sim, name):
+        super().__init__(sim, name)
+        self.cases = []
+
+    def submit(self, duration, kind, on_done=None, priority=0):
+        if self._deferred and not self._halted:
+            self.cases.append("restart on p1" if priority else "forfeit")
+            if not priority and self._rate != 1.0:
+                self.cases.append("forfeit off rate 1")
+        super().submit(duration, kind, on_done, priority)
+
+    def set_rate(self, rate):
+        if self._deferred and rate != self._rate:
+            self.cases.append("restart on set_rate")
+        super().set_rate(rate)
+
+    def halt(self):
+        if self._deferred:
+            self.cases.append("restart on halt")
+        return super().halt()
+
+    def _restart(self, sequence=None):
+        self.cases.append("restart now" if sequence is None else "restart reserved")
+        super()._restart(sequence)
+
+
+#: A service item is preempted the instant it starts.
+PREEMPTED_THEN_RESTARTED = [
+    ("submit", 0.0, 1.0, 1, "compute", []),
+    ("submit", 0.0, 1.0, 0, "compute", []),
+]
+#: Chained priority-0 work queues behind priority-0 work, until a halt.
+CHAIN_QUEUES_THEN_HALT = [
+    ("submit", 0.0, 1.0, 1, "compute", []),
+    ("submit", 0.25, 0.0, 0, "recv", [0.0, 0.0]),
+    ("submit", 0.25, 0.1, 0, "recv", [0.0]),
+    ("halt", 0.5),
+]
+#: A preempted item's deferred restart is forfeited to chained
+#: priority-0 work twice, then restarts under its reservation.
+CHAIN_FORFEITS = [
+    ("submit", 0.0, 1.0, 1, "compute", []),
+    ("submit", 0.25, 0.1, 0, "recv", [0.0, 0.0]),
+]
+#: Equal-time engine events scheduled before and after a chained submit
+#: that forfeits the restart, at a rate where the forfeited item's
+#: nominal -> wall -> nominal round trip is inexact.
+TICKS_AROUND_A_FORFEIT = [
+    ("rate", 0.0, 0.7),
+    ("submit", 0.0, 0.1, 0, "recv", [[("tick", 0.0), ("p0", 0.1), ("tick", 0.0)]]),
+    ("submit", 0.0, 1.5, 1, "compute", []),
+]
+#: Priority-1 work submitted inside the callback restarts the deferred
+#: item first, under the reserved number; a tick scheduled before it
+#: fires after the restarted item's equal-time completion.
+P1_INSIDE_THE_CALLBACK = [
+    ("submit", 0.0, 1.0, 1, "compute", []),
+    ("submit", 0.25, 0.1, 0, "recv", [[("tick", 0.75), ("p1", 0.5)]]),
+]
+#: A rate change inside the callback re-times the restarted item.
+RATE_INSIDE_THE_CALLBACK = [
+    ("submit", 0.0, 1.0, 1, "compute", []),
+    ("submit", 0.25, 0.1, 0, "recv", [[("rate", 2.0), ("p0", 0.25)]]),
+]
+#: A halt inside the callback drops the restarted item.
+HALT_INSIDE_THE_CALLBACK = [
+    ("submit", 0.0, 1.0, 1, "compute", []),
+    ("submit", 0.0, 1.0, 1, "compute", []),
+    ("submit", 0.25, 0.1, 0, "recv", [[("tick", 0.0), ("halt",), ("p0", 0.1)]]),
+]
+#: A callback-free completion restarts queued service work at once.
+QUIET_COMPLETION = [
+    ("submit", 0.0, 1.0, 1, "compute", [[("quiet", 0.5, 1), ("quiet", 0.1, 1)]]),
+]
+
+
 class TestParkedPreemptionMatchesReference:
     @given(resource_programs)
-    @example([("submit", 0.0, 1.0, 1, "compute", []),
-              ("submit", 0.0, 1.0, 0, "compute", [])])
-    @example([("submit", 0.0, 1.0, 1, "compute", []),
-              ("submit", 0.25, 0.0, 0, "recv", [0.0, 0.0]),
-              ("submit", 0.25, 0.1, 0, "recv", [0.0]),
-              ("halt", 0.5)])
+    @example(PREEMPTED_THEN_RESTARTED)
+    @example(CHAIN_QUEUES_THEN_HALT)
+    @example(CHAIN_FORFEITS)
+    @example(TICKS_AROUND_A_FORFEIT)
+    @example(P1_INSIDE_THE_CALLBACK)
+    @example(RATE_INSIDE_THE_CALLBACK)
+    @example(HALT_INSIDE_THE_CALLBACK)
+    @example(QUIET_COMPLETION)
     @settings(max_examples=120, deadline=None)
     def test_same_completions_and_counters_as_cancel_and_reschedule(
         self, program
@@ -798,3 +1033,44 @@ class TestParkedPreemptionMatchesReference:
         assert play_resource(SerialResource, program) == play_resource(
             ReferenceSerialResource, program
         )
+
+    def test_pinned_programs_reach_their_cases(self):
+        def cases(program):
+            probe = {}
+
+            def make(sim, name):
+                probe["resource"] = ProbedResource(sim, name)
+                return probe["resource"]
+
+            play_resource(make, program)
+            return probe["resource"].cases
+
+        assert cases(CHAIN_FORFEITS) == [
+            "forfeit", "forfeit", "restart reserved",
+        ]
+        assert "forfeit" not in cases(CHAIN_QUEUES_THEN_HALT)
+        assert cases(QUIET_COMPLETION) == ["restart now"]
+        ticks = cases(TICKS_AROUND_A_FORFEIT)
+        assert "forfeit" in ticks and "forfeit off rate 1" in ticks
+        assert "restart on p1" in cases(P1_INSIDE_THE_CALLBACK)
+        assert "restart on set_rate" in cases(RATE_INSIDE_THE_CALLBACK)
+        assert "restart on halt" in cases(HALT_INSIDE_THE_CALLBACK)
+
+        def at(program, time):
+            fired = play_resource(SerialResource, program)[0]
+            return [entry[2:] for entry in fired if entry[0] == time]
+
+        # The recv's callback scheduled both ticks around the forfeiting
+        # send; they fire next, and see the forfeited item's
+        # round-tripped remainder.
+        recv_done = at(TICKS_AROUND_A_FORFEIT, 0.1 / 0.7)
+        assert [entry[:2] for entry in recv_done] == [
+            ("done", 1), ("tick", 1), ("tick", 1),
+        ]
+        backlog = recv_done[-1][-1][2]
+        assert backlog == (1.5 / 0.7) * 0.7 != 1.5
+        # The restarted item took the number reserved before the tick.
+        restarted_done = at(P1_INSIDE_THE_CALLBACK, 0.35 + 0.75)
+        assert [entry[:2] for entry in restarted_done] == [
+            ("done", 0), ("tick", 1),
+        ]

@@ -1,5 +1,7 @@
 """Discrete-event engine."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -44,6 +46,23 @@ class TestScheduling:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().schedule(-1.0, lambda: None)
+
+    def test_nan_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(math.nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(math.nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.run_until(math.nan)
+        with pytest.raises(SimulationError):
+            sim.run_until_condition(math.nan, lambda: False)
+        event = sim.schedule(1.0, lambda: None)
+        sim.suspend(event)
+        with pytest.raises(SimulationError):
+            sim.resume(event, math.nan)
+        assert sim.now == 0.0
+        assert sim.pending == 1
 
     def test_nested_scheduling(self):
         sim = Simulator()
@@ -270,3 +289,128 @@ class TestStepAndPeek:
         assert fired == [1.0, 2.0]
         assert sim.events_processed == 2
         assert sim.peek_time() is None
+
+
+class TestReuse:
+    """``schedule(..., reuse=event)`` re-arms an event no entry carries."""
+
+    def test_a_fired_event_is_re_armed_in_place(self):
+        sim = Simulator()
+        fired = []
+        event = sim.schedule(1.0, lambda: fired.append("first"))
+        sim.run()
+        again = sim.schedule(0.5, lambda: fired.append("second"), event)
+        assert again is event
+        assert (event.time, event.carrier) == (1.5, 1.5)
+        sim.run()
+        assert fired == ["first", "second"]
+        assert sim.events_processed == 2
+
+    def test_a_cancelled_event_is_reusable_once_its_entry_is_popped(self):
+        sim = Simulator()
+        event = sim.schedule(1.0, lambda: None)
+        event.cancel()
+        with pytest.raises(SimulationError, match="still on the heap"):
+            sim.schedule(1.0, lambda: None, event)
+        sim.run()
+        assert sim.schedule(1.0, lambda: None, event) is event
+        assert sim._cancelled_in_heap == 0
+
+    def test_reusing_a_pending_event_raises(self):
+        sim = Simulator()
+        event = sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="pending"):
+            sim.schedule(1.0, lambda: None, event)
+        sim.suspend(event)
+        with pytest.raises(SimulationError, match="pending"):
+            sim.schedule(1.0, lambda: None, event)
+        sim.run_until(2.0)
+        # The suspended event's carrier surfaced and was dropped: no entry
+        # carries it, but it is still pending.
+        assert sim.pending == 0 and event.carrier is None
+        with pytest.raises(SimulationError, match="pending"):
+            sim.schedule(1.0, lambda: None, event)
+
+    def test_reusing_another_simulators_event_raises(self):
+        other = Simulator()
+        event = other.schedule(1.0, lambda: None)
+        other.run()
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="another simulator"):
+            sim.schedule(1.0, lambda: None, event)
+        with pytest.raises(SimulationError, match="another simulator"):
+            sim.schedule(1.0, lambda: None, Event(0.0, 1, None))
+        assert sim.pending == 0
+
+    def test_a_failed_reuse_takes_no_sequence_number(self):
+        sim = Simulator()
+        event = sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule(1.0, lambda: None, event)
+        assert sim.schedule(1.0, lambda: None).sequence == 2
+
+
+class TestReserve:
+    """:meth:`Simulator.reserve` takes a number for a later schedule."""
+
+    def test_a_reserved_event_fires_where_it_was_reserved(self):
+        sim = Simulator()
+        fired = []
+        sequence = sim.reserve()
+        sim.schedule(0.0, lambda: fired.append("later"))
+        event = sim.schedule(
+            0.0, lambda: fired.append("reserved"), sequence=sequence
+        )
+        assert event.sequence == sequence == 1
+        sim.run()
+        assert fired == ["reserved", "later"]
+
+    def test_resume_under_a_reservation(self):
+        sim = Simulator()
+        fired = []
+        event = sim.schedule(1.0, lambda: fired.append("resumed"))
+        sim.suspend(event)
+        sequence = sim.reserve()
+        sim.schedule(2.0, lambda: fired.append("later"))
+        assert sim.resume(event, 2.0, sequence) is event
+        assert event.sequence == sequence
+        sim.run()
+        assert fired == ["resumed", "later"]
+
+    def test_a_reservation_is_used_at_most_once(self):
+        sim = Simulator()
+        sequence = sim.reserve()
+        sim.schedule(1.0, lambda: None, sequence=sequence)
+        with pytest.raises(SimulationError, match="not the open reservation"):
+            sim.schedule(1.0, lambda: None, sequence=sequence)
+
+    def test_reserving_again_forfeits_the_open_number(self):
+        sim = Simulator()
+        first = sim.reserve()
+        second = sim.reserve()
+        with pytest.raises(SimulationError, match="not the open reservation"):
+            sim.schedule(1.0, lambda: None, sequence=first)
+        assert sim.schedule(1.0, lambda: None, sequence=second).sequence == 2
+        # Forfeited numbers are skipped, not handed out again.
+        assert sim.schedule(1.0, lambda: None).sequence == 3
+
+    def test_a_reservation_lapses_when_an_event_fires(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(0.0, lambda: fired.append("first"))
+        sequence = sim.reserve()
+        sim.schedule(0.0, lambda: fired.append("second"))
+        sim.run()
+        with pytest.raises(SimulationError, match="not the open reservation"):
+            sim.schedule(0.0, lambda: fired.append("late"), sequence=sequence)
+        assert fired == ["first", "second"]
+
+    def test_numbers_never_reserved_are_refused(self):
+        sim = Simulator()
+        for sequence in (0, 1, 7):
+            with pytest.raises(SimulationError, match="not the open reservation"):
+                sim.schedule(1.0, lambda: None, sequence=sequence)
+        event = sim.schedule(1.0, lambda: None)
+        sim.suspend(event)
+        with pytest.raises(SimulationError, match="not the open reservation"):
+            sim.resume(event, 1.0, event.sequence)

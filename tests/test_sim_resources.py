@@ -1,9 +1,11 @@
 """M(r,s,w) serial resource with priority preemption."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.resources import SerialResource
 
 
@@ -48,6 +50,8 @@ class TestSerialExecution:
     def test_rejects_bad_inputs(self, res):
         with pytest.raises(SimulationError):
             res.submit(-1.0, "compute")
+        with pytest.raises(SimulationError):
+            res.submit(math.nan, "compute")
         with pytest.raises(SimulationError):
             res.submit(1.0, "think")
         with pytest.raises(SimulationError):
@@ -177,3 +181,90 @@ class TestHalt:
         assert res.tasks_done == 0
         assert res.busy_time == pytest.approx(2.0)
         assert sim.pending == 0
+
+
+class TestRate:
+    def test_rejects_non_positive_and_nan_rates(self, sim, res):
+        res.submit(1.0, "compute")
+        for rate in (0.0, -1.0, math.nan):
+            with pytest.raises(SimulationError):
+                res.set_rate(rate)
+        assert res.rate == 1.0
+        sim.run()
+        assert sim.now == 1.0
+
+
+class TestDeferredRestart:
+    """A completion runs its callback before restarting queued
+    priority-1 work (see the module docstring)."""
+
+    @staticmethod
+    def preempted(sim, res, on_done):
+        """A 4 s service item preempted at t=1 by a 1 s item whose
+        completion callback is ``on_done``."""
+        done = []
+        res.submit(4.0, "compute", lambda: done.append(sim.now), priority=1)
+        sim.schedule(1.0, lambda: res.submit(1.0, "recv", on_done))
+        return done
+
+    def test_observers_count_the_deferred_item_as_in_progress(self, sim, res):
+        seen = []
+        done = self.preempted(
+            sim,
+            res,
+            lambda: seen.append((res.is_busy, res.queue_length, res.backlog)),
+        )
+        res.submit(0.5, "compute", priority=1)
+        sim.run()
+        # Busy with the restarted 3 s remainder; the 0.5 s item waits.
+        assert seen == [(True, 1, 0.5)]
+        assert done == [5.0]
+
+    def test_a_priority_0_submit_takes_the_port(self, sim, res):
+        order = []
+        done = self.preempted(sim, res, lambda: res.submit(
+            0.5, "send", lambda: order.append(sim.now)))
+        sim.run()
+        assert order == [2.5]
+        assert done == [5.5]
+        # The item the restart would have run was preempted at once.
+        assert res.preemptions == 2
+        assert res.busy_time == pytest.approx(5.5)
+
+    def test_no_reservation_outlives_the_callback(self, sim, res):
+        def on_done():
+            assert sim._reservation != 0
+
+        done = self.preempted(sim, res, on_done)
+        sim.run_until(2.0)
+        assert sim._reservation == 0
+        assert res.is_busy
+        sim.run()
+        assert done == [5.0]
+
+    def test_a_raising_callback_still_restarts_the_item(self, sim, res):
+        def on_done():
+            raise RuntimeError("callback failed")
+
+        done = self.preempted(sim, res, on_done)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert sim._reservation == 0
+        assert res.is_busy and res.queue_length == 0
+        sim.run()
+        assert done == [5.0]
+
+    def test_completion_events_are_re_armed(self, sim, res, monkeypatch):
+        created = []
+        original = Event.__init__
+
+        def counting_init(event, *args, **kwargs):
+            created.append(event)
+            original(event, *args, **kwargs)
+
+        monkeypatch.setattr(Event, "__init__", counting_init)
+        for _ in range(100):
+            res.submit(0.1, "recv")
+        sim.run()
+        assert res.tasks_done == 100
+        assert len(created) == 1
