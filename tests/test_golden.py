@@ -30,6 +30,13 @@ second wave, so live plans drain several regions at once):
 * seeds 0 and 1;
 * plus ``live`` and ``concurrent`` with ``drain_seconds=0`` (every drain
   capped out at once) on the no-fault and oracle-crash scenarios;
+* plus ``live`` and ``concurrent`` on two fault branches the four
+  scenarios above never reach, seeds 0 and 1 each: ``evict`` (a
+  degraded server under detection, drained and replaced by the policy's
+  ``evict_after``/``evict_fraction`` rule) and ``partition`` (an
+  oracle-health partition and its heal, which recompute capacity over a
+  dark subtree; ``restart`` rebuilds the platform and forgets the
+  partition, so the heal would not land there);
 * hybrid cells under both kernel backends (``kernels._USE_NUMPY``),
   which must agree bit for bit.
 """
@@ -62,6 +69,9 @@ SCENARIOS = ("none", "crash", "silent", "hybrid")
 SEEDS = (0, 1)
 CRASH = "crash:target=busiest-child,at=14"
 DETECTION = "timeout=0.5,retries=0,threshold=3,reserve=0.2"
+DEGRADE = "degrade:target=busiest-server,at=10,factor=0.03"
+#: The heal names its target: by then ``busiest-child`` is a lit sibling.
+PARTITION = "partition:target=busiest-child,at=14;heal:target=node-00,at=24"
 
 
 def corpus() -> dict[str, dict]:
@@ -81,6 +91,12 @@ def corpus() -> dict[str, dict]:
                 cells[f"{mode}/{scenario}/seed{seed}/drain0"] = dict(
                     mode=mode, scenario=scenario, seed=seed, drain=0.0
                 )
+    for mode in ("live", "concurrent"):
+        for scenario in ("evict", "partition"):
+            for seed in SEEDS:
+                cells[f"{mode}/{scenario}/seed{seed}"] = dict(
+                    mode=mode, scenario=scenario, seed=seed, drain=None
+                )
     return cells
 
 
@@ -88,10 +104,16 @@ def run_cell(mode: str, scenario: str, seed: int, drain: float | None):
     """One corpus cell's timeline."""
     trace = piecewise(STEPS)
     options: dict = {}
+    policy_options = {"hysteresis": 1, "cooldown": 1, "repair": True}
     if scenario in ("crash", "silent"):
         options["faults"] = CRASH
-    if scenario == "silent":
+    if scenario in ("silent", "evict"):
         options["detection"] = DETECTION
+    if scenario == "evict":
+        options["faults"] = DEGRADE
+        policy_options.update(evict_after=2, evict_fraction=0.5)
+    if scenario == "partition":
+        options["faults"] = PARTITION
     if scenario == "hybrid":
         trace = hybrid(trace, population=10, cohort=4)
     if drain is not None:
@@ -101,7 +123,7 @@ def run_cell(mode: str, scenario: str, seed: int, drain: float | None):
         dgemm_mflop(310),
         trace,
         policy="reactive",
-        policy_options={"hysteresis": 1, "cooldown": 1, "repair": True},
+        policy_options=policy_options,
         epochs=18,
         epoch_duration=2.0,
         initial_fraction=0.4,
