@@ -2,19 +2,30 @@
 
 :class:`ControlLoop` runs a deployment inside the discrete-event
 simulator under a time-varying :class:`~repro.control.traces.Trace` and
-adapts it epoch by epoch:
+adapts it epoch by epoch.  Each epoch runs six stages over one per-run
+state:
 
-1. **simulate** — adjust the closed-loop client population to the trace
-   level and advance the engine one epoch;
+1. **simulate** — match the closed-loop client population to the trace
+   level, then advance the engine one epoch, injecting the faults due
+   inside it;
 2. **observe** — :class:`~repro.control.monitor.SLOMonitor` condenses
-   the window (served rate, per-tier utilization, queue depth);
-3. **decide** — the configured policy returns ``hold`` / ``improve`` /
-   ``replan``;
-4. **act** — the loop realizes the decision: ``improve`` runs the
-   prior-work bottleneck-removal mechanism over the spares, ``replan``
-   goes through the planner registry; either way the candidate is priced
-   by the :class:`~repro.control.policy.MigrationCostModel` and a
-   scale-up that cannot amortize its migration downtime is **vetoed**.
+   the window (served rate, per-tier utilization, queue depth), the
+   demand unit is calibrated, and a hybrid trace's fluid mass is folded
+   in;
+3. **reconcile** — the controller's tree catches up with the damage:
+   under oracle health it adopts the survivors of a crash and reprices
+   partitions and heals; under timeout-modelled detection it excises
+   the subtrees the monitor confirmed dead;
+4. **decide** — the configured policy returns ``hold`` / ``improve`` /
+   ``replan`` / ``repair`` / ``evict``, and the loop realizes it into a
+   priced candidate: ``improve`` and ``repair`` run the prior-work
+   bottleneck-removal mechanism over the spares, ``replan`` goes through
+   the planner registry, ``evict`` swaps a degraded server for the
+   strongest spare.  Every candidate is priced by the
+   :class:`~repro.control.policy.MigrationCostModel`, and a scale-up
+   that cannot amortize its migration downtime is **vetoed**;
+5. **act** — the platform migrates onto the candidate;
+6. **record** — the epoch's metrics snapshot and :class:`EpochRecord`.
 
 Applied redeploys run in one of three migration modes:
 
@@ -63,7 +74,9 @@ benchmark suite.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.api import PlanRequest
 from repro.control.monitor import SLOMonitor, WindowObservation, merge_fluid
@@ -391,6 +404,139 @@ class ControlTimeline:
         )
 
 
+class _Realized(NamedTuple):
+    """A decision turned into what the act stage executes.
+
+    ``candidate`` is the tree to migrate onto — ``None`` when the
+    decision is a no-op or the migration-cost gate vetoes it, and
+    ``reason`` then says why.  ``cost`` is the predicted migration
+    downtime, ``rho`` the candidate's modeled throughput (already
+    computed by the improve/replan machinery, so the loop never
+    re-evaluates the model) and ``plan`` the migration recipe.
+    """
+
+    candidate: Hierarchy | None
+    reason: str
+    cost: float
+    rho: float
+    plan: MigrationPlan | None
+
+    @classmethod
+    def skip(cls, reason: str, note: str = "") -> _Realized:
+        """Nothing to migrate; ``note`` is appended to ``reason``."""
+        text = f"{reason} [{note}]" if note else reason
+        return cls(None, text, 0.0, 0.0, None)
+
+
+@dataclass(eq=False)
+class _Run:
+    """Everything one :meth:`ControlLoop.run` builds up and mutates.
+
+    Created fresh at the start of every run (and once at construction,
+    so a loop that never ran still answers its helpers).  The deployment
+    fields are filled in by :meth:`ControlLoop._deploy_initial`.
+    """
+
+    # Loop-owned memoizing evaluator for capacity evaluations
+    # (bit-identical to cold hierarchy_throughput); fresh per run so
+    # serial and process-pool sweeps see identical cache hit-rate
+    # metrics.
+    evaluator: HierarchyEvaluator
+    injector: FaultInjector | None = None
+    # Hybrid traces only: only the sampled cohort runs as discrete
+    # clients; the remainder is integrated analytically between event
+    # boundaries by a fluid population calibrated from the cohort's own
+    # measured per-client rate.
+    fluid: FluidPopulation | None = None
+    sim: Simulator = field(default_factory=Simulator)
+    # Generation 0 is the initial deployment and every applied
+    # transition (redeploy, crash adoption, confirmed-detection
+    # excision) commits the next one.
+    registry: DeploymentRegistry = field(default_factory=DeploymentRegistry)
+    # Names of crashed nodes; they leave the usable pool for good.
+    failed_names: set[str] = field(default_factory=set)
+    # Names of evicted nodes; the controller gave up on them, so they
+    # leave the usable pool exactly like crashed ones.
+    evicted_names: set[str] = field(default_factory=set)
+    # node -> injection time of a not-yet-confirmed silent fault
+    # (detection accounting only; never consulted by decisions).
+    pending_injections: dict[str, float] = field(default_factory=dict)
+    # Memoized demand-free (maximum-capacity) replans, keyed by the
+    # excluded-name set (the repair reserve); dropped whenever attrition
+    # shrinks the live pool.
+    capacity_plans: dict[frozenset, object] = field(default_factory=dict)
+    completions: IntervalCounter = field(default_factory=IntervalCounter)
+    monitor: SLOMonitor | None = None
+    system: MiddlewareSystem | None = None
+    generation: int = 0
+    # (dead-lettered, resubmitted, lost) conversations of the platform
+    # generations a stop-the-world restart replaced: the counters live
+    # on the system object, which restarts discard.
+    retired: tuple[int, int, int] = (0, 0, 0)
+    # The deployment the controller plans from, its spares, and its
+    # model capacity.
+    hierarchy: Hierarchy | None = None
+    spares: list = field(default_factory=list)
+    capacity: float = 0.0
+    clients: list[ClosedLoopClient] = field(default_factory=list)
+    # Stopped clients whose final request is still in flight; their
+    # completions land in windows whose `offered` no longer counts them,
+    # so calibration is suppressed until the drain finishes.
+    draining: list[ClosedLoopClient] = field(default_factory=list)
+    client_serial: int = 0
+    observations: list[WindowObservation] = field(default_factory=list)
+    records: list[EpochRecord] = field(default_factory=list)
+    redeploys: int = 0
+    # Policies gate their cooldown on `redeploys > 0`, so the value
+    # before the first redeploy is immaterial.
+    epochs_since_redeploy: int = 0
+    demand_unit: float = 0.0
+
+    def conversation_totals(self) -> tuple[int, int, int]:
+        """``(dead-lettered, resubmitted, lost)`` over every generation."""
+        dead, resubmitted, lost = self.retired
+        return (
+            dead + self.system.dead_letters,
+            resubmitted + self.system.resubmissions,
+            lost + self.system.lost_conversations,
+        )
+
+
+@dataclass(eq=False)
+class _Epoch:
+    """One epoch's working state, handed from stage to stage."""
+
+    index: int
+    start: float
+    end: float
+    offered: int
+    cohort_target: int
+    # Stopped clients were still draining when the window opened.
+    contaminated: bool = False
+    faults: list[FaultRecord] = field(default_factory=list)
+    observation: WindowObservation | None = None
+    fluid_window: object = None
+    detections: list[DetectionRecord] = field(default_factory=list)
+    decision: ControlDecision | None = None
+    realized: _Realized | None = None
+    # The deployment that served the epoch, before any candidate.
+    capacity: float = 0.0
+    deployed_nodes: int = 0
+    spares: int = 0
+    applied: bool = False
+    steps: tuple[MigrationStepRecord, ...] = ()
+    migration_window: float = 0.0
+    act_start: float = 0.0
+    dispatched: tuple = ()
+
+    @property
+    def evictions(self) -> tuple[str, ...]:
+        """Servers an applied ``evict`` drained this epoch."""
+        if self.applied and self.decision.action == "evict":
+            return self.decision.targets
+        return ()
+
+
 class ControlLoop:
     """Online autoscaling controller over the simulated platform.
 
@@ -535,30 +681,10 @@ class ControlLoop:
             raise ControlError(
                 f"trace must be a control Trace, got {type(trace).__name__}"
             )
-        if epochs < 1:
-            raise ControlError(f"epochs must be >= 1, got {epochs}")
-        if epoch_duration <= 0.0:
-            raise ControlError(
-                f"epoch_duration must be > 0, got {epoch_duration}"
-            )
-        if not (0.0 < initial_fraction <= 1.0):
-            raise ControlError(
-                f"initial_fraction must be in (0, 1], got {initial_fraction}"
-            )
-        if min_nodes < 2:
-            raise ControlError(f"min_nodes must be >= 2, got {min_nodes}")
-        if amortize_epochs < 1:
-            raise ControlError(
-                f"amortize_epochs must be >= 1, got {amortize_epochs}"
-            )
         if migration not in MIGRATION_MODES:
             raise ControlError(
                 f"unknown migration mode {migration!r}; "
                 f"expected one of {MIGRATION_MODES}"
-            )
-        if think_time < 0.0:
-            raise ControlError(
-                f"think_time must be >= 0, got {think_time}"
             )
         if isinstance(faults, str):
             faults = fault_spec(faults)
@@ -578,10 +704,26 @@ class ControlLoop:
                 "detection must be DetectionParams or a spec string, "
                 f"got {type(detection).__name__}"
             )
-        if not 0.0 <= spare_reserve < 1.0:
-            raise ControlError(
-                f"spare_reserve must be in [0, 1), got {spare_reserve}"
-            )
+        # Chained bounds reject NaN too (every comparison with NaN is
+        # false); an infinite epoch would never end.
+        for name, value, ok, rule in (
+            ("epochs", epochs, epochs >= 1, ">= 1"),
+            ("epoch_duration", epoch_duration,
+             0.0 < epoch_duration < math.inf, "finite and > 0"),
+            ("app_work", app_work, math.isfinite(app_work), "finite"),
+            ("initial_fraction", initial_fraction,
+             0.0 < initial_fraction <= 1.0, "in (0, 1]"),
+            ("min_nodes", min_nodes, min_nodes >= 2, ">= 2"),
+            ("amortize_epochs", amortize_epochs, amortize_epochs >= 1, ">= 1"),
+            ("think_time", think_time,
+             0.0 <= think_time < math.inf, "finite and >= 0"),
+            ("spare_reserve", spare_reserve,
+             0.0 <= spare_reserve < 1.0, "in [0, 1)"),
+            ("executor_workers", executor_workers,
+             executor_workers is None or executor_workers >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ControlError(f"{name} must be {rule}, got {value}")
         if obs is None or obs is False:
             obs = NULL_OBS
         elif obs is True:
@@ -603,10 +745,6 @@ class ControlLoop:
             raise ControlError(
                 "executor must be an EXECUTOR_KINDS string or an object "
                 f"with execute()/close(), got {type(executor).__name__}"
-            )
-        if executor_workers is not None and executor_workers < 1:
-            raise ControlError(
-                f"executor_workers must be >= 1, got {executor_workers}"
             )
         self.pool = pool
         self.app_work = float(app_work)
@@ -634,22 +772,10 @@ class ControlLoop:
         # The live run's executor instance (None in inline mode); owned
         # and closed by :meth:`run` when built from a kind string.
         self._executor = None
-        #: Versioned deployment-state registry of the last :meth:`run` —
-        #: one generation per applied deployment transition, the durable
-        #: truth executors (and restarted daemons) rebuild from.
-        self.deployment_registry = DeploymentRegistry()
         self.spare_reserve = float(spare_reserve)
         # Reserve size in nodes, fixed at construction: a fraction of
         # the *full* pool, so attrition cannot silently shrink it.
         self._reserve_target = int(round(self.spare_reserve * len(pool)))
-        # Names of crashed nodes; they leave the usable pool for good.
-        self._failed_names: set[str] = set()
-        # Names of evicted nodes; the controller gave up on them, so
-        # they leave the usable pool exactly like crashed ones.
-        self._evicted_names: set[str] = set()
-        # node -> injection time of a not-yet-confirmed silent fault
-        # (detection accounting only; never consulted by decisions).
-        self._pending_injections: dict[str, float] = {}
         #: The observability handle (the shared null handle when none
         #: was configured); callers read traces back from
         #: ``loop.obs.tracer`` after :meth:`run`.
@@ -666,13 +792,7 @@ class ControlLoop:
         # context manager instead of hand-paired perf_counter deltas,
         # so new control stages cannot double-count.  Telemetry only.
         self._overhead = Stopwatch()
-        # Loop-owned memoizing evaluator for capacity evaluations
-        # (bit-identical to cold hierarchy_throughput); recreated per
-        # run so serial and process-pool sweeps see identical cache
-        # hit-rate metrics.
-        self._evaluator = HierarchyEvaluator(self.params)
-        # The live run's simulator (sim-time source for planner spans).
-        self._sim: Simulator | None = None
+        self._run = self._new_run()
         #: The last run's final demand-unit estimate (req/s one
         #: unsaturated client generates); telemetry only.
         self.demand_unit_estimate = 0.0
@@ -680,12 +800,15 @@ class ControlLoop:
         #: for equivalence tests (the timeline itself only carries the
         #: shape signature).
         self.final_hierarchy: Hierarchy | None = None
-        # Memoized demand-free (maximum-capacity) replans, keyed by the
-        # excluded-name set (the repair reserve); reset per run and
-        # whenever attrition shrinks the live pool.
-        self._capacity_plans: dict[frozenset, object] = {}
 
     # ------------------------------------------------------------------ #
+
+    @property
+    def deployment_registry(self) -> DeploymentRegistry:
+        """Versioned deployment-state registry of the last :meth:`run` —
+        one generation per applied deployment transition, the durable
+        truth executors (and restarted daemons) rebuild from."""
+        return self._run.registry
 
     @property
     def overhead_seconds(self) -> float:
@@ -695,7 +818,7 @@ class ControlLoop:
         return self._overhead.total
 
     def run(self) -> ControlTimeline:
-        """Execute the simulate → observe → decide → act loop."""
+        """Run every epoch's stages (see the module docstring)."""
         if isinstance(self.executor, str):
             executor = make_executor(self.executor, self.executor_workers)
             owns_executor = True
@@ -718,539 +841,52 @@ class ControlLoop:
                 executor.close()
             self._executor = None
 
+    def _new_run(self) -> _Run:
+        """The one place per-run state is set up."""
+        return _Run(
+            evaluator=HierarchyEvaluator(self.params),
+            injector=(
+                FaultInjector(self.faults) if self.faults is not None else None
+            ),
+            fluid=(
+                FluidPopulation()
+                if isinstance(self.trace, HybridTrace)
+                else None
+            ),
+            epochs_since_redeploy=self.epochs,
+        )
+
     def _run_loop(self) -> ControlTimeline:
         self._overhead.reset()
         self._metrics.reset()
-        self._evaluator = HierarchyEvaluator(self.params)
-        obs = self.obs
-        tracer = obs.tracer
-        tracer.clear()
-        self._capacity_plans = {}
-        self._failed_names = set()
-        self._evicted_names = set()
-        self._pending_injections = {}
-        # Fresh registry per run: generation 0 is the initial deployment
-        # and every applied transition (redeploy, crash adoption,
-        # confirmed-detection excision) commits the next one.
-        self.deployment_registry = DeploymentRegistry()
-        injector = (
-            FaultInjector(self.faults) if self.faults is not None else None
-        )
-        # Dead-letter/lost/resubmission totals survive stop-the-world
-        # rebuilds: the counters live on the system object, which
-        # restarts replace.
-        dead_letters_base = 0
-        resubmissions_base = 0
-        lost_base = 0
-        params = self.params
-        sim = Simulator()
-        self._sim = sim
+        self.obs.tracer.clear()
+        run = self._run = self._new_run()
         with self._overhead:
-            initial = min(
-                len(self.pool),
-                max(
-                    self.min_nodes,
-                    round(self.initial_fraction * len(self.pool)),
-                ),
-            )
-            deployment = self._traced_plan(
-                PlanRequest(
-                    pool=self.pool.take(initial),
-                    app_work=self.app_work,
-                    params=params,
-                    method=self.base_method,
-                    seed=self.seed,
-                ),
-                purpose="initial",
-            )
-            completions = IntervalCounter()
-            monitor = SLOMonitor(completions)
-            hierarchy = deployment.hierarchy
-            self.deployment_registry.commit(hierarchy, "initial")
-            spares = self._spares_for(hierarchy)
-            system = self._build_system(sim, hierarchy, generation=0)
-            monitor.attach(system)
-            # Model capacity of the live deployment; only changes on
-            # redeploy.
-            capacity = self._evaluator.evaluate(
-                hierarchy, self.app_work
-            ).throughput
-
-        clients: list[ClosedLoopClient] = []
-        observations: list[WindowObservation] = []
-        records: list[EpochRecord] = []
-        generation = 0
-        redeploys = 0
-        # Policies gate their cooldown on `redeploys > 0`, so the value
-        # before the first redeploy is immaterial.
-        epochs_since_redeploy = self.epochs
-        demand_unit = 0.0
-        client_serial = 0
-        # Hybrid populations: only the sampled cohort runs as discrete
-        # clients; the remainder is integrated analytically between
-        # event boundaries by a fluid population calibrated from the
-        # cohort's own measured per-client rate.
-        hybrid = self.trace if isinstance(self.trace, HybridTrace) else None
-        fluid = FluidPopulation() if hybrid is not None else None
-        # Stopped clients whose final request is still in flight; their
-        # completions land in windows whose `offered` no longer counts
-        # them, so calibration is suppressed until the drain finishes.
-        draining: list[ClosedLoopClient] = []
+            self._deploy_initial(run)
+        sim, completions = run.sim, run.completions
 
         def record_completion(request) -> None:
             completions.record(sim.now)
 
         for index in range(self.epochs):
-            start = sim.now
-            end = start + self.epoch_duration
-            offered = self.trace.level(start)
-            # The engine only ever runs the cohort; the fluid remainder
-            # (offered - cohort_target) is integrated after the window.
-            cohort_target = (
-                hybrid.cohort_level(start) if hybrid is not None else offered
-            )
-            sim_span = (
-                tracer.begin(
-                    start, "epoch", "simulate", index=index, offered=offered
-                )
-                if obs.enabled
-                else -1
-            )
-
-            # simulate: reconcile the client population, advance one epoch.
-            while len(clients) < cohort_target:
-                client = ClosedLoopClient(
-                    system,
-                    f"c{generation}-{client_serial:05d}",
-                    think_time=self.think_time,
-                    on_complete=record_completion,
-                )
-                client_serial += 1
-                clients.append(client)
-                client.start()
-            while len(clients) > cohort_target:
-                stopped = clients.pop()
-                stopped.stop()
-                draining.append(stopped)
-            # A drain finishing mid-window still contaminates it, so the
-            # calibration guard sees the window-start state; the list is
-            # pruned afterwards for the next epoch.
-            window_contaminated = bool(draining)
-            faults_this_epoch: list[FaultRecord] = []
-            if injector is not None:
-                for event in injector.due(end):
-                    if event.at > sim.now:
-                        sim.run_until(event.at)
-                    faults_this_epoch.append(injector.apply(event, system))
-            sim.run_until(end)
-            draining = [client for client in draining if client.active]
-            if obs.enabled:
-                tracer.end(end, sim_span)
-
-            # observe → reconcile → decide → realize: controller
-            # bookkeeping, accounted by the overhead stopwatch (the
-            # simulated migration below is the platform's time, not the
-            # controller's, so it stays outside the block).
+            epoch = self._simulate(run, index, record_completion)
+            # observe → reconcile → decide: controller bookkeeping,
+            # accounted by the overhead stopwatch.  The act stage times
+            # its own bookkeeping: the simulated migration is the
+            # platform's time, not the controller's.
             with self._overhead:
-                observation = monitor.observe(
-                    index, start, end, cohort_target
-                )
-                if observation.offered > 0 and not window_contaminated:
-                    # served/offered never exceeds the rate one
-                    # unsaturated client generates (latency only grows
-                    # with contention), so the running max is a safe
-                    # demand-unit estimate — but only for windows free
-                    # of drain contamination: clients stopped by a
-                    # population shrink complete their final requests
-                    # inside windows whose `offered` no longer counts
-                    # them, inflating the ratio for as long as the
-                    # drain lasts.  Calibration waits until every
-                    # stopped client has gone quiet; the estimate stays
-                    # a lower bound.  (Redeploys don't contaminate: a
-                    # stop-the-world restart aborts its fleet —
-                    # disowned completions are never counted — and a
-                    # live migration stops nobody.)
-                    demand_unit = max(
-                        demand_unit, observation.per_client_rate
-                    )
+                self._observe(run, epoch)
+                self._reconcile(run, epoch)
+                self._decide(run, epoch)
+            self._act(run, epoch)
+            if self.obs.enabled:
+                self._trace_epoch(run, epoch)
+            self._record(run, epoch)
 
-                # Fluid advance: the mass not simulated as the cohort is
-                # integrated analytically over the window just run, at
-                # the per-client rate the cohort measured, against the
-                # model capacity the cohort left unused.  The merged
-                # observation (total offered, combined served) is what
-                # calibration above never sees but policies below do.
-                fluid_window = None
-                if fluid is not None:
-                    residual = max(0.0, capacity - observation.served_rate)
-                    fluid_window = fluid.advance(
-                        start, end, hybrid.fluid_level, demand_unit, residual
-                    )
-                    allocation = system.assign_fluid_rates(
-                        fluid_window.served_rate
-                    )
-                    observation = merge_fluid(
-                        observation, fluid_window, offered, allocation,
-                        residual,
-                    )
-                observations.append(observation)
-
-                # reconcile: observed damage is the truth the controller
-                # plans from.
-                detections: list[DetectionRecord] = []
-                if self.detection is None:
-                    # Oracle health: crash surgery already pruned the
-                    # dead subtree out of the running system, so adopt
-                    # the survivors' tree; crashed nodes leave the
-                    # usable pool for good.
-                    crashed_nodes = sorted(
-                        name
-                        for record in faults_this_epoch
-                        if record.applied and record.kind == "crash"
-                        for name in record.nodes
-                    )
-                    if crashed_nodes:
-                        self._failed_names.update(crashed_nodes)
-                        hierarchy = system.hierarchy
-                        spares = self._spares_for(hierarchy)
-                        self._capacity_plans.clear()
-                        self.deployment_registry.commit(
-                            hierarchy, "crash", epoch=index
-                        )
-                    if any(
-                        record.applied and record.kind != "degrade"
-                        for record in faults_this_epoch
-                    ):
-                        # Crashes shrink the tree, partitions dark a
-                        # subtree, heals light it back up — all change
-                        # what the model says the platform can serve.
-                        # (Degrades don't touch the structure; the
-                        # straggler still reports nominal.)
-                        capacity = self._effective_capacity(
-                            system, hierarchy
-                        )
-                else:
-                    # Inferred health: faults landed silently, so the
-                    # tree the controller plans from only changes when
-                    # the monitor *confirms* a death.  Injection times
-                    # are remembered purely for latency accounting.
-                    for record in faults_this_epoch:
-                        if not record.applied:
-                            continue
-                        if record.kind in ("crash", "partition"):
-                            for name in record.nodes:
-                                self._pending_injections.setdefault(
-                                    name, record.at
-                                )
-                        elif record.kind == "heal":
-                            for name in record.nodes:
-                                self._pending_injections.pop(name, None)
-                    if observation.failed_nodes:
-                        detections = self._excise_confirmed(
-                            system, monitor, observation.failed_nodes, end
-                        )
-                    if detections:
-                        for detection in detections:
-                            self._failed_names.update(detection.nodes)
-                            for name in detection.nodes:
-                                self._pending_injections.pop(name, None)
-                        hierarchy = system.hierarchy
-                        spares = self._spares_for(hierarchy)
-                        self._capacity_plans.clear()
-                        self.deployment_registry.commit(
-                            hierarchy, "detection", epoch=index
-                        )
-                        capacity = self._effective_capacity(
-                            system, hierarchy
-                        )
-
-                # decide.
-                scalable, reserved = self._split_spares(spares)
-                context = ControlContext(
-                    observations=tuple(observations),
-                    capacity=capacity,
-                    deployed_nodes=len(hierarchy),
-                    pool_size=len(self._live_pool()),
-                    spares=len(scalable),
-                    min_nodes=self.min_nodes,
-                    epoch_duration=self.epoch_duration,
-                    next_start=sim.now,
-                    trace=self.trace,
-                    demand_unit=demand_unit,
-                    redeploys=redeploys,
-                    epochs_since_redeploy=epochs_since_redeploy,
-                    repair_spares=len(spares) if reserved else 0,
-                    server_shares=self._server_shares(hierarchy),
-                )
-                decision = self.policy.decide(context)
-
-                # act.
-                candidate, reason, predicted_cost, new_capacity, plan = (
-                    self._realize(
-                        decision, hierarchy, scalable, capacity,
-                        observation, reserved=reserved,
-                    )
-                )
-
-                applied = False
-                epoch_capacity = capacity
-                epoch_nodes = len(hierarchy)
-                epoch_spares = len(spares)
-                step_records: tuple[MigrationStepRecord, ...] = ()
-                migration_window = 0.0
-                if candidate is not None:
-                    if decision.action == "evict":
-                        # The drained server leaves the usable pool for
-                        # good — the controller decided it cannot be
-                        # trusted — and capacity memos keyed on the old
-                        # pool go stale with it.
-                        self._evicted_names.update(decision.targets)
-                        self._capacity_plans.clear()
-                    hierarchy = candidate
-                    spares = self._spares_for(hierarchy)
-                    capacity = new_capacity
-            act_start = sim.now
-            dispatched: tuple = ()
-            if candidate is not None:
-                if (
-                    self.migration in _LIVE_MODES
-                    and plan is not None
-                    and plan.is_live
-                ):
-                    # Live: migrate subtree by subtree inside the
-                    # running simulation, wave by wave (one region per
-                    # wave in live mode, dependency waves in concurrent
-                    # mode).  Clients keep looping and the undrained
-                    # part of the platform keeps serving.
-                    # With an executor configured, the plan first runs
-                    # the master/daemon protocol: serialized commands
-                    # out, acked digests back, and the wire-round-
-                    # tripped plan is what the simulated apply below
-                    # executes — so serialization is load-bearing, not
-                    # decorative.  (Restart plans bypass the protocol:
-                    # stop-the-world is a rebuild, not a command batch.)
-                    if self._executor is not None and plan.regions:
-                        with self._overhead:
-                            plan, dispatched = self._dispatch_commands(
-                                plan, candidate, index
-                            )
-                    migrate_start = sim.now
-                    step_records = self._apply_waves(
-                        sim, system, plan, candidate
-                    )
-                    migration_window = sim.now - migrate_start
-                    with self._overhead:
-                        monitor.attach(system)  # fresh busy baselines
-                else:
-                    # Stop-the-world: the old platform's daemons are
-                    # killed, so every in-flight request dies with them
-                    # (aborted clients disown their completions), the
-                    # platform serves nothing for the whole migration
-                    # window, and a fresh client fleet reconnects to the
-                    # rebuilt platform at the next epoch.  This is the
-                    # cost live migration exists to avoid.
-                    for client in clients:
-                        client.abort()
-                    clients = []
-                    restart_start = sim.now
-                    sim.run_until(sim.now + predicted_cost)
-                    migration_window = predicted_cost
-                    step_records = (
-                        MigrationStepRecord(
-                            op="restart",
-                            target="*",
-                            seconds=predicted_cost,
-                            drained_nodes=epoch_nodes,
-                            deployed_nodes=epoch_nodes,
-                            started_at=restart_start,
-                        ),
-                    )
-                    with self._overhead:
-                        dead_letters_base += system.dead_letters
-                        resubmissions_base += system.resubmissions
-                        lost_base += system.lost_conversations
-                        generation += 1
-                        system = self._build_system(
-                            sim, hierarchy, generation
-                        )
-                        monitor.attach(system)
-                with self._overhead:
-                    # The applied deployment becomes the next registry
-                    # generation — committed *after* the apply, so the
-                    # executors above replayed from the old one.
-                    self.deployment_registry.commit(
-                        hierarchy, decision.action, epoch=index,
-                        command_ids=tuple(
-                            command.command_id for command in dispatched
-                        ),
-                    )
-                redeploys += 1
-                applied = True
-                epochs_since_redeploy = 0
-            else:
-                epochs_since_redeploy += 1
-
-            if obs.enabled:
-                tracer.event(
-                    end, "epoch", "observe",
-                    index=index,
-                    served=observation.served,
-                    queue_depth=observation.queue_depth,
-                    suspects=len(observation.suspect_nodes),
-                )
-                tracer.event(
-                    end, "epoch", "decide",
-                    index=index,
-                    action=decision.action,
-                    applied=applied,
-                )
-                for detection in detections:
-                    tracer.span(
-                        detection.injected_at
-                        if detection.injected_at is not None
-                        else detection.suspected_at,
-                        detection.confirmed_at,
-                        "detection",
-                        detection.node,
-                        latency=detection.latency,
-                        dead_letters=detection.dead_letters,
-                        nodes=len(detection.nodes),
-                    )
-                if applied:
-                    for step in step_records:
-                        tracer.span(
-                            step.started_at,
-                            step.started_at + step.seconds,
-                            "migration",
-                            f"{step.op}:{step.target}",
-                            drained_nodes=step.drained_nodes,
-                            epoch=index,
-                        )
-                    tracer.span(
-                        act_start, sim.now, "epoch", "act",
-                        index=index,
-                        action=decision.action,
-                        steps=len(step_records),
-                    )
-                if applied and dispatched:
-                    # The master/daemon exchange, folded back into the
-                    # epoch: one dispatch marker, then per region a
-                    # command span (outstanding from dispatch until the
-                    # region resumed) closed by an ack event, with flow
-                    # arrows tying each pair together across tracks.
-                    by_root = {
-                        command.root: command for command in dispatched
-                    }
-                    tracer.event(
-                        act_start, "protocol", "dispatch",
-                        epoch=index,
-                        commands=len(dispatched),
-                        generation=dispatched[0].generation,
-                    )
-                    for step in step_records:
-                        command = by_root.get(step.target)
-                        if command is None:
-                            continue
-                        done = step.started_at + step.seconds
-                        tracer.span(
-                            act_start, done, "protocol",
-                            f"command:{step.target}",
-                            command_id=command.command_id,
-                            wave=command.wave,
-                            generation=command.generation,
-                            epoch=index,
-                        )
-                        tracer.event(
-                            done, "protocol", f"ack:{step.target}",
-                            command_id=command.command_id,
-                            epoch=index,
-                        )
-                        tracer.flow(
-                            act_start, "protocol", command.command_id, "s"
-                        )
-                        tracer.flow(
-                            done, "protocol", command.command_id, "f"
-                        )
-                tracer.sample(end, "served_rate", observation.served_rate)
-                tracer.sample(end, "queue_depth", observation.queue_depth)
-                if fluid is not None:
-                    tracer.sample(
-                        end, "fluid_clients", observation.fluid_clients
-                    )
-
-            with self._overhead:
-                snapshot = self._epoch_metrics(
-                    sim=sim,
-                    system=system,
-                    observation=observation,
-                    completions=completions,
-                    dead_letters_base=dead_letters_base,
-                    resubmissions_base=resubmissions_base,
-                    lost_base=lost_base,
-                    faults=faults_this_epoch,
-                    detections=detections,
-                    step_records=step_records,
-                    migration_window=migration_window,
-                    capacity=epoch_capacity,
-                    deployed_nodes=epoch_nodes,
-                    spares=epoch_spares,
-                    offered=offered,
-                    demand_unit=demand_unit,
-                    applied=applied,
-                    evictions=(
-                        len(decision.targets)
-                        if applied and decision.action == "evict"
-                        else 0
-                    ),
-                    fluid_rate=(
-                        fluid_window.served_rate
-                        if fluid_window is not None
-                        else 0.0
-                    ),
-                    fluid_total=(
-                        fluid.total_served if fluid is not None else 0
-                    ),
-                )
-
-            records.append(
-                EpochRecord(
-                    index=index,
-                    start=start,
-                    end=end,
-                    offered=offered,
-                    served=observation.served,
-                    served_rate=observation.served_rate,
-                    capacity=epoch_capacity,
-                    deployed_nodes=epoch_nodes,
-                    spares=epoch_spares,
-                    busiest_node=observation.busiest_node,
-                    busiest_utilization=observation.busiest_utilization,
-                    queue_depth=observation.queue_depth,
-                    action=decision.action,
-                    reason=reason,
-                    applied=applied,
-                    migration_seconds=sum(
-                        step.downtime for step in step_records
-                    ),
-                    migration_steps=step_records,
-                    migration_window=migration_window,
-                    faults=tuple(faults_this_epoch),
-                    detections=tuple(detections),
-                    suspects=observation.suspect_nodes,
-                    reintegrated=observation.reintegrated_nodes,
-                    evictions=(
-                        decision.targets
-                        if applied and decision.action == "evict"
-                        else ()
-                    ),
-                    metrics=snapshot,
-                    fluid_clients=observation.fluid_clients,
-                    cohort_clients=observation.cohort,
-                )
-            )
-
-        self.demand_unit_estimate = demand_unit
-        self.final_hierarchy = hierarchy
+        self.demand_unit_estimate = run.demand_unit
+        self.final_hierarchy = run.hierarchy
+        records = run.records
+        dead_letters, _, lost = run.conversation_totals()
         return ControlTimeline(
             policy=self.policy.name,
             trace_name=self.trace.name,
@@ -1258,19 +894,446 @@ class ControlLoop:
             epoch_duration=self.epoch_duration,
             records=tuple(records),
             total_served=completions.count,
-            redeploys=redeploys,
-            final_shape=hierarchy.shape_signature(),
-            final_capacity=capacity,
+            redeploys=run.redeploys,
+            final_shape=run.hierarchy.shape_signature(),
+            final_capacity=run.capacity,
             migration=self.migration,
             fault_count=sum(len(record.faults) for record in records),
-            dead_letters=dead_letters_base + system.dead_letters,
-            lost_conversations=lost_base + system.lost_conversations,
+            dead_letters=dead_letters,
+            lost_conversations=lost,
             detection_count=sum(
                 len(record.detections) for record in records
             ),
             eviction_count=sum(
                 len(record.evictions) for record in records
             ),
+        )
+
+    # -- epoch stages --------------------------------------------------- #
+
+    def _deploy_initial(self, run: _Run) -> None:
+        """Plan over the first nodes of the pool and start generation 0."""
+        initial = min(
+            len(self.pool),
+            max(self.min_nodes, round(self.initial_fraction * len(self.pool))),
+        )
+        deployment = self._traced_plan(
+            PlanRequest(
+                pool=self.pool.take(initial),
+                app_work=self.app_work,
+                params=self.params,
+                method=self.base_method,
+                seed=self.seed,
+            ),
+            purpose="initial",
+        )
+        run.monitor = SLOMonitor(run.completions)
+        run.hierarchy = deployment.hierarchy
+        run.registry.commit(run.hierarchy, "initial")
+        run.spares = self._spares_for(run.hierarchy)
+        run.system = self._build_system(run.sim, run.hierarchy, generation=0)
+        run.monitor.attach(run.system)
+        # Model capacity of the live deployment; only changes on redeploy.
+        run.capacity = run.evaluator.evaluate(
+            run.hierarchy, self.app_work
+        ).throughput
+
+    def _simulate(self, run: _Run, index: int, on_complete) -> _Epoch:
+        """Match the client cohort to the trace, then advance one epoch."""
+        sim = run.sim
+        start = sim.now
+        end = start + self.epoch_duration
+        offered = self.trace.level(start)
+        # The engine only ever runs the cohort; the fluid remainder
+        # (offered - cohort) is integrated after the window.
+        cohort = offered
+        if run.fluid is not None:
+            cohort = self.trace.cohort_level(start)
+        epoch = _Epoch(index, start, end, offered, cohort)
+        tracer = self.obs.tracer
+        if self.obs.enabled:
+            span = tracer.begin(
+                start, "epoch", "simulate", index=index, offered=offered
+            )
+        clients = run.clients
+        while len(clients) < epoch.cohort_target:
+            client = ClosedLoopClient(
+                run.system,
+                f"c{run.generation}-{run.client_serial:05d}",
+                think_time=self.think_time,
+                on_complete=on_complete,
+            )
+            run.client_serial += 1
+            clients.append(client)
+            client.start()
+        while len(clients) > epoch.cohort_target:
+            stopped = clients.pop()
+            stopped.stop()
+            run.draining.append(stopped)
+        # A drain finishing mid-window still contaminates it, so the
+        # calibration guard sees the window-start state; the list is
+        # pruned afterwards for the next epoch.
+        epoch.contaminated = bool(run.draining)
+        injector = run.injector
+        if injector is not None:
+            for event in injector.due(end):
+                if event.at > sim.now:
+                    sim.run_until(event.at)
+                epoch.faults.append(injector.apply(event, run.system))
+        sim.run_until(end)
+        run.draining = [client for client in run.draining if client.active]
+        if self.obs.enabled:
+            tracer.end(end, span)
+        return epoch
+
+    def _observe(self, run: _Run, epoch: _Epoch) -> None:
+        """Condense the window, calibrate demand, fold in the fluid mass."""
+        observation = run.monitor.observe(
+            epoch.index, epoch.start, epoch.end, epoch.cohort_target
+        )
+        if observation.offered > 0 and not epoch.contaminated:
+            # served/offered never exceeds the rate one unsaturated
+            # client generates (latency only grows with contention), so
+            # the running max is a safe demand-unit estimate — but only
+            # for windows free of drain contamination: clients stopped
+            # by a population shrink complete their final requests
+            # inside windows whose `offered` no longer counts them,
+            # inflating the ratio for as long as the drain lasts.
+            # Calibration waits until every stopped client has gone
+            # quiet; the estimate stays a lower bound.  (Redeploys don't
+            # contaminate: a stop-the-world restart aborts its fleet —
+            # disowned completions are never counted — and a live
+            # migration stops nobody.)
+            run.demand_unit = max(
+                run.demand_unit, observation.per_client_rate
+            )
+        if run.fluid is not None:
+            # Fluid advance: the mass not simulated as the cohort is
+            # integrated analytically over the window just run, at the
+            # per-client rate the cohort measured, against the model
+            # capacity the cohort left unused.  The merged observation
+            # (total offered, combined served) is what calibration above
+            # never sees but policies do.
+            residual = max(0.0, run.capacity - observation.served_rate)
+            fluid_window = epoch.fluid_window = run.fluid.advance(
+                epoch.start, epoch.end, self.trace.fluid_level,
+                run.demand_unit, residual,
+            )
+            allocation = run.system.assign_fluid_rates(
+                fluid_window.served_rate
+            )
+            observation = merge_fluid(
+                observation, fluid_window, epoch.offered, allocation,
+                residual,
+            )
+        run.observations.append(observation)
+        epoch.observation = observation
+
+    def _reconcile(self, run: _Run, epoch: _Epoch) -> None:
+        """Observed damage is the truth the controller plans from."""
+        if self.detection is None:
+            # Oracle health: crash surgery already pruned the dead
+            # subtree out of the running system, so adopt the survivors'
+            # tree.
+            crashed = sorted(
+                name
+                for record in epoch.faults
+                if record.applied and record.kind == "crash"
+                for name in record.nodes
+            )
+            if crashed:
+                self._adopt_survivors(run, crashed, "crash", epoch.index)
+            elif any(
+                record.applied and record.kind != "degrade"
+                for record in epoch.faults
+            ):
+                # Partitions dark a subtree and heals light it back up:
+                # both change what the model says the platform can
+                # serve.  (Degrades don't touch the structure; the
+                # straggler still reports nominal.)
+                run.capacity = self._effective_capacity(run)
+            return
+        # Inferred health: faults landed silently, so the tree the
+        # controller plans from only changes when the monitor *confirms*
+        # a death.  Injection times are remembered purely for latency
+        # accounting.
+        for record in epoch.faults:
+            if not record.applied:
+                continue
+            if record.kind in ("crash", "partition"):
+                for name in record.nodes:
+                    run.pending_injections.setdefault(name, record.at)
+            elif record.kind == "heal":
+                for name in record.nodes:
+                    run.pending_injections.pop(name, None)
+        if epoch.observation.failed_nodes:
+            epoch.detections = self._excise_confirmed(
+                run, epoch.observation.failed_nodes, epoch.end
+            )
+        if epoch.detections:
+            self._adopt_survivors(
+                run,
+                [name for found in epoch.detections for name in found.nodes],
+                "detection",
+                epoch.index,
+            )
+
+    def _adopt_survivors(
+        self, run: _Run, lost, cause: str, index: int
+    ) -> None:
+        """Plan from the tree failure surgery left in the running system.
+
+        The ``lost`` nodes leave the usable pool for good, so capacity
+        memos keyed on the old pool go stale; the survivors' tree
+        becomes the next registry generation.
+        """
+        run.failed_names.update(lost)
+        for name in lost:
+            run.pending_injections.pop(name, None)
+        run.hierarchy = run.system.hierarchy
+        run.spares = self._spares_for(run.hierarchy)
+        run.capacity_plans.clear()
+        run.registry.commit(run.hierarchy, cause, epoch=index)
+        run.capacity = self._effective_capacity(run)
+
+    def _decide(self, run: _Run, epoch: _Epoch) -> None:
+        """Ask the policy, realize its decision, adopt the candidate."""
+        scalable, reserved = self._split_spares(run.spares)
+        context = ControlContext(
+            observations=tuple(run.observations),
+            capacity=run.capacity,
+            deployed_nodes=len(run.hierarchy),
+            pool_size=len(self._live_pool()),
+            spares=len(scalable),
+            min_nodes=self.min_nodes,
+            epoch_duration=self.epoch_duration,
+            next_start=run.sim.now,
+            trace=self.trace,
+            demand_unit=run.demand_unit,
+            redeploys=run.redeploys,
+            epochs_since_redeploy=run.epochs_since_redeploy,
+            repair_spares=len(run.spares) if reserved else 0,
+            server_shares=self._server_shares(run.hierarchy),
+        )
+        decision = epoch.decision = self.policy.decide(context)
+        realized = epoch.realized = self._realize(
+            decision, run.hierarchy, scalable, run.capacity,
+            epoch.observation, reserved=reserved,
+        )
+        epoch.capacity = run.capacity
+        epoch.deployed_nodes = len(run.hierarchy)
+        epoch.spares = len(run.spares)
+        if realized.candidate is None:
+            return
+        if decision.action == "evict":
+            # The drained server leaves the usable pool for good — the
+            # controller decided it cannot be trusted — and capacity
+            # memos keyed on the old pool go stale with it.
+            run.evicted_names.update(decision.targets)
+            run.capacity_plans.clear()
+        run.hierarchy = realized.candidate
+        run.spares = self._spares_for(run.hierarchy)
+        run.capacity = realized.rho
+
+    def _act(self, run: _Run, epoch: _Epoch) -> None:
+        """Migrate the running platform onto the adopted candidate."""
+        sim = run.sim
+        epoch.act_start = sim.now
+        candidate, _, cost, _, plan = epoch.realized
+        if candidate is None:
+            run.epochs_since_redeploy += 1
+            return
+        # Only live modes build a plan (see _price).
+        if plan is not None and plan.is_live:
+            # Live: migrate subtree by subtree inside the running
+            # simulation, wave by wave (one region per wave in live
+            # mode, dependency waves in concurrent mode).  Clients keep
+            # looping and the undrained part of the platform keeps
+            # serving.
+            # With an executor configured, the plan first runs the
+            # master/daemon protocol: serialized commands out, acked
+            # digests back, and the wire-round-tripped plan is what the
+            # simulated apply below executes — so serialization is
+            # load-bearing, not decorative.  (Restart plans bypass the
+            # protocol: stop-the-world is a rebuild, not a command
+            # batch.)
+            if self._executor is not None and plan.regions:
+                with self._overhead:
+                    plan, epoch.dispatched = self._dispatch_commands(
+                        plan, candidate, epoch.index
+                    )
+            migrate_start = sim.now
+            epoch.steps = self._apply_waves(sim, run.system, plan, candidate)
+            epoch.migration_window = sim.now - migrate_start
+            with self._overhead:
+                run.monitor.attach(run.system)  # fresh busy baselines
+        else:
+            self._restart(run, epoch, cost)
+        with self._overhead:
+            # The applied deployment becomes the next registry
+            # generation — committed *after* the apply, so the executors
+            # above replayed from the old one.
+            run.registry.commit(
+                run.hierarchy, epoch.decision.action, epoch=epoch.index,
+                command_ids=tuple(
+                    command.command_id for command in epoch.dispatched
+                ),
+            )
+        run.redeploys += 1
+        run.epochs_since_redeploy = 0
+        epoch.applied = True
+
+    def _restart(self, run: _Run, epoch: _Epoch, cost: float) -> None:
+        """Stop-the-world: rebuild the platform after ``cost`` seconds dark.
+
+        The old platform's daemons are killed, so every in-flight request
+        dies with them (aborted clients disown their completions), the
+        platform serves nothing for the whole migration window, and a
+        fresh client fleet reconnects to the rebuilt platform at the next
+        epoch.  This is the cost live migration exists to avoid.
+        """
+        sim = run.sim
+        for client in run.clients:
+            client.abort()
+        run.clients = []
+        started = sim.now
+        sim.run_until(started + cost)
+        epoch.migration_window = cost
+        epoch.steps = (
+            MigrationStepRecord(
+                op="restart",
+                target="*",
+                seconds=cost,
+                drained_nodes=epoch.deployed_nodes,
+                deployed_nodes=epoch.deployed_nodes,
+                started_at=started,
+            ),
+        )
+        with self._overhead:
+            run.retired = run.conversation_totals()
+            run.generation += 1
+            run.system = self._build_system(sim, run.hierarchy, run.generation)
+            run.monitor.attach(run.system)
+
+    def _trace_epoch(self, run: _Run, epoch: _Epoch) -> None:
+        """Emit the epoch's observe/decide/act spans, samples and flows."""
+        tracer = self.obs.tracer
+        index, end = epoch.index, epoch.end
+        observation, decision = epoch.observation, epoch.decision
+        act_start, dispatched = epoch.act_start, epoch.dispatched
+        tracer.event(
+            end, "epoch", "observe",
+            index=index,
+            served=observation.served,
+            queue_depth=observation.queue_depth,
+            suspects=len(observation.suspect_nodes),
+        )
+        tracer.event(
+            end, "epoch", "decide",
+            index=index,
+            action=decision.action,
+            applied=epoch.applied,
+        )
+        for detection in epoch.detections:
+            tracer.span(
+                detection.injected_at
+                if detection.injected_at is not None
+                else detection.suspected_at,
+                detection.confirmed_at,
+                "detection",
+                detection.node,
+                latency=detection.latency,
+                dead_letters=detection.dead_letters,
+                nodes=len(detection.nodes),
+            )
+        if epoch.applied:
+            for step in epoch.steps:
+                tracer.span(
+                    step.started_at,
+                    step.started_at + step.seconds,
+                    "migration",
+                    f"{step.op}:{step.target}",
+                    drained_nodes=step.drained_nodes,
+                    epoch=index,
+                )
+            tracer.span(
+                act_start, run.sim.now, "epoch", "act",
+                index=index,
+                action=decision.action,
+                steps=len(epoch.steps),
+            )
+        if epoch.applied and dispatched:
+            # The master/daemon exchange, folded back into the epoch:
+            # one dispatch marker, then per region a command span
+            # (outstanding from dispatch until the region resumed)
+            # closed by an ack event, with flow arrows tying each pair
+            # together across tracks.
+            by_root = {command.root: command for command in dispatched}
+            tracer.event(
+                act_start, "protocol", "dispatch",
+                epoch=index,
+                commands=len(dispatched),
+                generation=dispatched[0].generation,
+            )
+            for step in epoch.steps:
+                command = by_root.get(step.target)
+                if command is None:
+                    continue
+                done = step.started_at + step.seconds
+                tracer.span(
+                    act_start, done, "protocol",
+                    f"command:{step.target}",
+                    command_id=command.command_id,
+                    wave=command.wave,
+                    generation=command.generation,
+                    epoch=index,
+                )
+                tracer.event(
+                    done, "protocol", f"ack:{step.target}",
+                    command_id=command.command_id,
+                    epoch=index,
+                )
+                tracer.flow(act_start, "protocol", command.command_id, "s")
+                tracer.flow(done, "protocol", command.command_id, "f")
+        tracer.sample(end, "served_rate", observation.served_rate)
+        tracer.sample(end, "queue_depth", observation.queue_depth)
+        if run.fluid is not None:
+            tracer.sample(end, "fluid_clients", observation.fluid_clients)
+
+    def _record(self, run: _Run, epoch: _Epoch) -> None:
+        """Snapshot the epoch's metrics and append its record."""
+        with self._overhead:
+            snapshot = self._epoch_metrics(run, epoch)
+        observation = epoch.observation
+        run.records.append(
+            EpochRecord(
+                index=epoch.index,
+                start=epoch.start,
+                end=epoch.end,
+                offered=epoch.offered,
+                served=observation.served,
+                served_rate=observation.served_rate,
+                capacity=epoch.capacity,
+                deployed_nodes=epoch.deployed_nodes,
+                spares=epoch.spares,
+                busiest_node=observation.busiest_node,
+                busiest_utilization=observation.busiest_utilization,
+                queue_depth=observation.queue_depth,
+                action=epoch.decision.action,
+                reason=epoch.realized.reason,
+                applied=epoch.applied,
+                migration_seconds=sum(step.downtime for step in epoch.steps),
+                migration_steps=epoch.steps,
+                migration_window=epoch.migration_window,
+                faults=tuple(epoch.faults),
+                detections=tuple(epoch.detections),
+                suspects=observation.suspect_nodes,
+                reintegrated=observation.reintegrated_nodes,
+                evictions=epoch.evictions,
+                metrics=snapshot,
+                fluid_clients=observation.fluid_clients,
+                cohort_clients=observation.cohort,
+            )
         )
 
     # ------------------------------------------------------------------ #
@@ -1287,7 +1350,7 @@ class ControlLoop:
         self._metrics.counter("planner_calls").inc()
         if not self.obs.enabled:
             return self.registry.plan(request)
-        now = self._sim.now if self._sim is not None else 0.0
+        now = self._run.sim.now
         span_id = self.obs.tracer.begin(
             now, "planner", request.method, purpose=purpose
         )
@@ -1297,30 +1360,7 @@ class ControlLoop:
         )
         return deployment
 
-    def _epoch_metrics(
-        self,
-        *,
-        sim: Simulator,
-        system: MiddlewareSystem,
-        observation: WindowObservation,
-        completions: IntervalCounter,
-        dead_letters_base: int,
-        resubmissions_base: int,
-        lost_base: int,
-        faults,
-        detections,
-        step_records,
-        migration_window: float,
-        capacity: float,
-        deployed_nodes: int,
-        spares: int,
-        offered: int,
-        demand_unit: float,
-        applied: bool,
-        evictions: int,
-        fluid_rate: float = 0.0,
-        fluid_total: int = 0,
-    ) -> MetricsSnapshot:
+    def _epoch_metrics(self, run: _Run, epoch: _Epoch) -> MetricsSnapshot:
         """Fold one epoch's deterministic state into the registry and
         freeze it.
 
@@ -1332,70 +1372,72 @@ class ControlLoop:
         per-epoch quantities increment.
         """
         metrics = self._metrics
-        metrics.counter("conversations_served").set_total(completions.count)
-        metrics.counter("conversations_dead_lettered").set_total(
-            dead_letters_base + system.dead_letters
+        sim, observation, steps = run.sim, epoch.observation, epoch.steps
+        dead_letters, resubmissions, lost = run.conversation_totals()
+        metrics.counter("conversations_served").set_total(
+            run.completions.count
         )
-        metrics.counter("conversations_resubmitted").set_total(
-            resubmissions_base + system.resubmissions
-        )
-        metrics.counter("conversations_lost").set_total(
-            lost_base + system.lost_conversations
-        )
+        metrics.counter("conversations_dead_lettered").set_total(dead_letters)
+        metrics.counter("conversations_resubmitted").set_total(resubmissions)
+        metrics.counter("conversations_lost").set_total(lost)
         metrics.counter("engine_events").set_total(sim.events_processed)
         metrics.counter("engine_heap_compactions").set_total(
             sim.heap_compactions
         )
-        metrics.counter("faults_injected").inc(len(faults))
-        metrics.counter("detections_confirmed").inc(len(detections))
-        metrics.counter("redeploys").inc(1 if applied else 0)
-        metrics.counter("evictions").inc(evictions)
-        metrics.counter("migration_steps").inc(len(step_records))
+        metrics.counter("faults_injected").inc(len(epoch.faults))
+        metrics.counter("detections_confirmed").inc(len(epoch.detections))
+        metrics.counter("redeploys").inc(1 if epoch.applied else 0)
+        metrics.counter("evictions").inc(len(epoch.evictions))
+        metrics.counter("migration_steps").inc(len(steps))
         metrics.counter("migration_downtime_seconds").inc(
-            sum(step.downtime for step in step_records)
+            sum(step.downtime for step in steps)
         )
-        metrics.counter("migration_window_seconds").inc(migration_window)
-        cache = self._evaluator.cache_info()
+        metrics.counter("migration_window_seconds").inc(
+            epoch.migration_window
+        )
+        cache = run.evaluator.cache_info()
         metrics.counter("evaluator_cache_hits").set_total(cache["hits"])
         metrics.counter("evaluator_cache_misses").set_total(cache["misses"])
         lookups = cache["hits"] + cache["misses"]
         metrics.gauge("evaluator_cache_hit_rate").set(
             cache["hits"] / lookups if lookups else 0.0
         )
-        metrics.gauge("offered_clients").set(offered)
+        metrics.gauge("offered_clients").set(epoch.offered)
         metrics.gauge("served_rate").set(observation.served_rate)
-        metrics.gauge("capacity").set(capacity)
-        metrics.gauge("deployed_nodes").set(deployed_nodes)
-        metrics.gauge("spares").set(spares)
+        metrics.gauge("capacity").set(epoch.capacity)
+        metrics.gauge("deployed_nodes").set(epoch.deployed_nodes)
+        metrics.gauge("spares").set(epoch.spares)
         metrics.gauge("queue_depth").set(observation.queue_depth)
         metrics.gauge("busiest_utilization").set(
             observation.busiest_utilization
         )
         metrics.gauge("suspect_nodes").set(len(observation.suspect_nodes))
-        metrics.gauge("demand_unit_estimate").set(demand_unit)
+        metrics.gauge("demand_unit_estimate").set(run.demand_unit)
         # Hybrid-population split: all four stay 0 on all-discrete runs,
         # set unconditionally so every epoch's snapshot has a uniform
         # key set (tracing on/off and hybrid/non-hybrid diffs stay
         # structural, never shape changes).
         metrics.gauge("fluid_clients").set(observation.fluid_clients)
         metrics.gauge("cohort_clients").set(observation.cohort)
-        metrics.gauge("fluid_served_rate").set(fluid_rate)
-        metrics.counter("fluid_served_total").set_total(fluid_total)
-        for detection in detections:
+        metrics.gauge("fluid_served_rate").set(
+            epoch.fluid_window.served_rate
+            if epoch.fluid_window is not None
+            else 0.0
+        )
+        metrics.counter("fluid_served_total").set_total(
+            run.fluid.total_served if run.fluid is not None else 0
+        )
+        for detection in epoch.detections:
             if detection.latency is not None:
                 metrics.histogram("detection_latency").observe(
                     detection.latency
                 )
-        for step in step_records:
+        for step in steps:
             metrics.histogram("migration_step_seconds").observe(step.seconds)
         return metrics.snapshot()
 
     def _excise_confirmed(
-        self,
-        system: MiddlewareSystem,
-        monitor: SLOMonitor,
-        confirmed: tuple,
-        now: float,
+        self, run: _Run, confirmed: tuple, now: float
     ) -> list[DetectionRecord]:
         """Cut every newly confirmed subtree out of the live system.
 
@@ -1407,6 +1449,7 @@ class ControlLoop:
         pairing the measured suspicion timeline with the (accounting
         only) injection time.
         """
+        system = run.system
         by_name = {str(node): node for node in system.hierarchy}
         ordered = sorted(
             confirmed,
@@ -1421,7 +1464,7 @@ class ControlLoop:
         for name in ordered:
             if name not in system.agents and name not in system.servers:
                 continue  # excised with an ancestor this pass
-            report = monitor.detection_report(name)
+            report = run.monitor.detection_report(name)
             suspected_at, confirmed_at = (
                 report if report is not None else (now, now)
             )
@@ -1433,7 +1476,7 @@ class ControlLoop:
                 DetectionRecord(
                     node=name,
                     nodes=members,
-                    injected_at=self._pending_injections.get(name),
+                    injected_at=run.pending_injections.get(name),
                     suspected_at=suspected_at,
                     confirmed_at=confirmed_at,
                     dead_letters=dead,
@@ -1444,11 +1487,7 @@ class ControlLoop:
     def _spares_for(self, hierarchy: Hierarchy):
         deployed = {str(node) for node in hierarchy}
         return [
-            node
-            for node in self.pool
-            if node.name not in deployed
-            and node.name not in self._failed_names
-            and node.name not in self._evicted_names
+            node for node in self._live_pool() if node.name not in deployed
         ]
 
     def _split_spares(self, spares) -> tuple[list, list]:
@@ -1480,17 +1519,15 @@ class ControlLoop:
             (name, power / total) for name, power in sorted(powers.items())
         )
 
-    def _live_pool(self) -> NodePool:
-        """The pool minus crashed and evicted nodes — what planning may
-        still use."""
-        unusable = self._failed_names | self._evicted_names
+    def _live_pool(self, exclude: frozenset = frozenset()) -> NodePool:
+        """The pool minus crashed, evicted and ``exclude``d nodes — what
+        planning may still use."""
+        unusable = self._run.failed_names | self._run.evicted_names | exclude
         if not unusable:
             return self.pool
         return self.pool.without(unusable)
 
-    def _effective_capacity(
-        self, system: MiddlewareSystem, hierarchy: Hierarchy
-    ) -> float:
+    def _effective_capacity(self, run: _Run) -> float:
         """Modeled throughput of the *reachable* part of the deployment.
 
         Partitioned subtrees are still in the logical tree but serve
@@ -1506,42 +1543,47 @@ class ControlLoop:
         """
         dark: set[str] = set()
         if self.detection is None:
-            for members in system.partitioned_subtrees.values():
+            for members in run.system.partitioned_subtrees.values():
                 dark.update(members)
-        reachable = hierarchy
+        reachable = run.hierarchy
         if dark:
-            reachable = _hierarchy_without(hierarchy, dark)
+            reachable = _hierarchy_without(run.hierarchy, dark)
         if not reachable.servers:
             return 0.0
-        return self._evaluator.evaluate(
+        return run.evaluator.evaluate(
             reachable, self.app_work
         ).throughput
 
-    def _plan_full_capacity(self, exclude: frozenset = frozenset()):
-        """Demand-free replan over the live pool, memoized per run.
+    def _replan(
+        self, exclude: frozenset = frozenset(), demand: float | None = None
+    ):
+        """Replan over the live pool; demand-free replans are memoized.
 
         ``exclude`` holds names additionally withheld (the repair
-        reserve, for policy-driven restructures).  The memo is keyed by
-        it and dropped whenever attrition (crash, confirmation,
-        eviction) shrinks the pool, so each entry is always the
-        maximum-capacity plan over the nodes it may actually use.
+        reserve, for policy-driven restructures).  A demand-free
+        (maximum-capacity) replan is a pure function of run constants,
+        so it is memoized per run, keyed by ``exclude``; the memo is
+        dropped whenever attrition (crash, confirmation, eviction)
+        shrinks the pool, so each entry is always the maximum-capacity
+        plan over the nodes it may actually use.
         """
-        plan = self._capacity_plans.get(exclude)
-        if plan is None:
-            pool = self._live_pool()
-            if exclude:
-                pool = pool.without(exclude & set(pool.names))
-            plan = self._capacity_plans[exclude] = self._traced_plan(
-                PlanRequest(
-                    pool=pool,
-                    app_work=self.app_work,
-                    params=self.params,
-                    method=self.base_method,
-                    seed=self.seed,
-                ),
-                purpose="full-capacity",
-            )
-        return plan
+        plans = self._run.capacity_plans
+        if demand is None and exclude in plans:
+            return plans[exclude]
+        planned = self._traced_plan(
+            PlanRequest(
+                pool=self._live_pool(exclude),
+                app_work=self.app_work,
+                demand=demand,
+                params=self.params,
+                method=self.base_method,
+                seed=self.seed,
+            ),
+            purpose="full-capacity" if demand is None else "demand",
+        )
+        if demand is None:
+            plans[exclude] = planned
+        return planned
 
     def _build_system(
         self, sim: Simulator, hierarchy: Hierarchy, generation: int
@@ -1557,10 +1599,11 @@ class ControlLoop:
             obs=self.obs,
         )
 
-    def _plan_and_price(
-        self, current: Hierarchy, candidate: Hierarchy
-    ) -> tuple[MigrationPlan | None, float]:
-        """Migration recipe and predicted downtime under the active mode.
+    def _price(
+        self, current: Hierarchy, candidate: Hierarchy, reason: str, rho: float
+    ) -> _Realized:
+        """``candidate`` with the migration recipe and predicted downtime
+        that take ``current`` onto it under the active mode.
 
         Live plans price at their service-weighted outage (per-subtree
         drains); everything else — restart mode, or diffs the plan
@@ -1570,18 +1613,16 @@ class ControlLoop:
         and its cost would inflate the adaptation-overhead telemetry
         the benchmark suite tracks.
         """
+        plan = None
         if self.migration in _LIVE_MODES:
             plan = plan_migration(current, candidate)
-            if plan.is_live:
-                return plan, self.cost_model.plan_outage_seconds(
-                    plan, self.params
-                )
-            return plan, self.cost_model.cost_seconds(
+        if plan is not None and plan.is_live:
+            cost = self.cost_model.plan_outage_seconds(plan, self.params)
+        else:
+            cost = self.cost_model.cost_seconds(
                 current, candidate, self.params
             )
-        return None, self.cost_model.cost_seconds(
-            current, candidate, self.params
-        )
+        return _Realized(candidate, reason, cost, rho, plan)
 
     def _dispatch_commands(
         self, plan: MigrationPlan, candidate: Hierarchy, epoch: int
@@ -1603,7 +1644,7 @@ class ControlLoop:
         the simulated apply executes that one, so a serialization bug
         cannot hide behind the in-memory original.
         """
-        registry = self.deployment_registry
+        registry = self._run.registry
         generation = registry.generation
         commands = plan_commands(plan, generation, epoch)
         wires = [command.to_wire() for command in commands]
@@ -1783,17 +1824,8 @@ class ControlLoop:
         capacity: float,
         observation: WindowObservation,
         reserved=(),
-    ) -> tuple[
-        Hierarchy | None, str, float, float, MigrationPlan | None
-    ]:
-        """Turn a decision into ``(candidate, reason, cost, rho, plan)``.
-
-        ``candidate`` is ``None`` (cost, rho 0, plan ``None``) when the
-        decision is a no-op or the migration-cost gate vetoes it;
-        ``reason`` then says why.  ``rho`` is the candidate's modeled
-        throughput — already computed by the improve/replan machinery,
-        so the caller never re-evaluates the model — and ``plan`` the
-        migration recipe the act stage executes.
+    ) -> _Realized:
+        """Turn a decision into a priced :class:`_Realized` candidate.
 
         ``spares`` is the *scalable* spare set; ``reserved`` the
         repair reserve held back from scale-ups.  ``improve`` and
@@ -1802,10 +1834,10 @@ class ControlLoop:
         """
         reason = decision.reason
         if decision.action == "hold":
-            return None, reason, 0.0, 0.0, None
+            return _Realized.skip(reason)
         if decision.action == "evict":
             return self._realize_evict(
-                decision, hierarchy, list(spares) + list(reserved), reason
+                decision, hierarchy, list(spares) + list(reserved)
             )
         if decision.action == "improve":
             if not spares:
@@ -1813,16 +1845,13 @@ class ControlLoop:
                     "spares held in repair reserve" if reserved
                     else "no spares"
                 )
-                return None, f"{reason} [no-op: {qualifier}]", 0.0, 0.0, None
+                return _Realized.skip(reason, f"no-op: {qualifier}")
             result = improve_deployment(
                 hierarchy, list(spares), self.params, self.app_work
             )
             gain = result.final_throughput - result.initial_throughput
             if not result.actions or gain <= capacity * _REL_TOL:
-                return (
-                    None, f"{reason} [no-op: no improving move]",
-                    0.0, 0.0, None,
-                )
+                return _Realized.skip(reason, "no-op: no improving move")
             return self._gate_scale_up(
                 result.hierarchy, hierarchy, result.final_throughput,
                 gain, observation, reason,
@@ -1851,32 +1880,22 @@ class ControlLoop:
                     and result.final_throughput - capacity
                     > capacity * _REL_TOL
                 ):
-                    plan, cost = self._plan_and_price(
-                        hierarchy, result.hierarchy
-                    )
-                    return (
-                        result.hierarchy, reason, cost,
-                        result.final_throughput, plan,
+                    return self._price(
+                        hierarchy, result.hierarchy, reason,
+                        result.final_throughput,
                     )
             # No spares, or splicing could not raise capacity:
             # restructure the survivors from scratch over the live pool.
-            planned = self._plan_full_capacity()
+            planned = self._replan()
             if (
                 self.cost_model.touched_nodes(hierarchy, planned.hierarchy)
                 > 0
                 and planned.throughput > capacity * (1.0 + _REL_TOL)
             ):
-                plan, cost = self._plan_and_price(
-                    hierarchy, planned.hierarchy
+                return self._price(
+                    hierarchy, planned.hierarchy, reason, planned.throughput
                 )
-                return (
-                    planned.hierarchy, reason, cost,
-                    planned.throughput, plan,
-                )
-            return (
-                None, f"{reason} [no-op: no repair raises capacity]",
-                0.0, 0.0, None,
-            )
+            return _Realized.skip(reason, "no-op: no repair raises capacity")
         # replan
         if decision.demand is not None and CAP_DEMAND not in self.registry.get(
             self.base_method
@@ -1884,42 +1903,20 @@ class ControlLoop:
             # A demand-blind planner would plan the full pool for maximum
             # throughput — turning a shrink decision into a scale-up, the
             # opposite of what the policy asked for.
-            return None, (
-                f"{reason} [no-op: planner {self.base_method!r} ignores "
-                "demand caps]"
-            ), 0.0, 0.0, None
+            return _Realized.skip(
+                reason,
+                f"no-op: planner {self.base_method!r} ignores demand caps",
+            )
         # Policy-driven replans never touch the repair reserve; only
         # repair (above) and evict may spend it.
+        # Demand-free replans (the saturation restructure above all) are
+        # memoized, so a persistently saturated policy proposing one
+        # every epoch does not pay the planner again each time.
         held = frozenset(node.name for node in reserved)
-        if decision.demand is None:
-            # Demand-free replans (the saturation restructure above all)
-            # are a pure function of run constants — live pool, work,
-            # params, method, seed — so a persistently saturated policy
-            # proposing one every epoch must not pay the planner again
-            # each time.  (The memo drops whenever attrition shrinks
-            # the pool.)
-            planned = self._plan_full_capacity(held)
-        else:
-            pool = self._live_pool()
-            if held:
-                pool = pool.without(held & set(pool.names))
-            planned = self._traced_plan(
-                PlanRequest(
-                    pool=pool,
-                    app_work=self.app_work,
-                    demand=decision.demand,
-                    params=self.params,
-                    method=self.base_method,
-                    seed=self.seed,
-                ),
-                purpose="demand",
-            )
+        planned = self._replan(held, decision.demand)
         candidate = planned.hierarchy
         if self.cost_model.touched_nodes(hierarchy, candidate) == 0:
-            return (
-                None, f"{reason} [no-op: replan kept the deployment]",
-                0.0, 0.0, None,
-            )
+            return _Realized.skip(reason, "no-op: replan kept the deployment")
         gain = planned.throughput - capacity
         if gain > capacity * _REL_TOL:
             return self._gate_scale_up(
@@ -1931,29 +1928,26 @@ class ControlLoop:
             # restructure, or any policy asking for maximum throughput):
             # a reshaped tree that does not raise modeled capacity is
             # churn, not relief, so it is never applied.
-            return None, (
-                f"{reason} [no-op: full-capacity replan does not raise "
-                "modeled capacity]"
-            ), 0.0, 0.0, None
+            return _Realized.skip(
+                reason,
+                "no-op: full-capacity replan does not raise modeled capacity",
+            )
         # Scale-down (or sideways): efficiency move, no throughput gate —
         # but never below the configured deployment floor.
         if len(candidate) < self.min_nodes:
-            return None, (
-                f"{reason} [no-op: candidate has {len(candidate)} nodes, "
-                f"below min_nodes={self.min_nodes}]"
-            ), 0.0, 0.0, None
-        plan, cost = self._plan_and_price(hierarchy, candidate)
-        return candidate, reason, cost, planned.throughput, plan
+            return _Realized.skip(
+                reason,
+                f"no-op: candidate has {len(candidate)} nodes, "
+                f"below min_nodes={self.min_nodes}",
+            )
+        return self._price(hierarchy, candidate, reason, planned.throughput)
 
     def _realize_evict(
         self,
         decision: ControlDecision,
         hierarchy: Hierarchy,
         all_spares: list,
-        reason: str,
-    ) -> tuple[
-        Hierarchy | None, str, float, float, MigrationPlan | None
-    ]:
+    ) -> _Realized:
         """Drain-and-replace a persistently degraded server.
 
         The target leaf is swapped for the strongest available spare
@@ -1963,14 +1957,14 @@ class ControlLoop:
         throughput play (the replacement may even be weaker on paper —
         the model's rate for the evictee was a lie).
         """
-        target = decision.targets[0]
+        target, reason = decision.targets[0], decision.reason
         if not all_spares:
-            return None, f"{reason} [no-op: no spares]", 0.0, 0.0, None
+            return _Realized.skip(reason, "no-op: no spares")
         server_names = {str(node) for node in hierarchy.servers}
         if target not in server_names:
-            return None, (
-                f"{reason} [no-op: {target} is not a deployed server]"
-            ), 0.0, 0.0, None
+            return _Realized.skip(
+                reason, f"no-op: {target} is not a deployed server"
+            )
         replacement = max(
             all_spares, key=lambda node: (node.power, node.name)
         )
@@ -1980,11 +1974,10 @@ class ControlLoop:
         candidate.remove_leaf(doomed)
         candidate.add_server(replacement.name, replacement.power, parent)
         candidate.validate(strict=False)
-        rho = self._evaluator.evaluate(
+        rho = self._run.evaluator.evaluate(
             candidate, self.app_work, validate=False
         ).throughput
-        plan, cost = self._plan_and_price(hierarchy, candidate)
-        return candidate, reason, cost, rho, plan
+        return self._price(hierarchy, candidate, reason, rho)
 
     def _gate_scale_up(
         self,
@@ -1994,12 +1987,11 @@ class ControlLoop:
         gain: float,
         observation: WindowObservation,
         reason: str,
-    ) -> tuple[
-        Hierarchy | None, str, float, float, MigrationPlan | None
-    ]:
+    ) -> _Realized:
         """Veto scale-ups whose gain cannot amortize the migration loss."""
-        plan, cost = self._plan_and_price(current, candidate)
-        lost_requests = cost * observation.served_rate
+        priced = self._price(current, candidate, reason, rho)
+        plan = priced.plan
+        lost_requests = priced.cost * observation.served_rate
         horizon = self.amortize_epochs * self.epoch_duration
         if plan is not None and plan.is_live:
             # The gain only accrues once the migration window closes, so
@@ -2015,9 +2007,10 @@ class ControlLoop:
             horizon = max(0.0, horizon - window)
         gained_requests = gain * horizon
         if gained_requests <= lost_requests:
-            return None, (
-                f"{reason} [vetoed: migration loses "
-                f"{lost_requests:.0f} requests vs {gained_requests:.0f} "
-                f"gained over {self.amortize_epochs} epochs]"
-            ), 0.0, 0.0, None
-        return candidate, reason, cost, rho, plan
+            return _Realized.skip(
+                reason,
+                f"vetoed: migration loses {lost_requests:.0f} requests vs "
+                f"{gained_requests:.0f} gained over {self.amortize_epochs} "
+                "epochs",
+            )
+        return priced

@@ -9,6 +9,7 @@ client per second to ramp load, as the authors did.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 from repro.errors import SimulationError
@@ -52,8 +53,12 @@ class ClosedLoopClient:
         think_time: float = 0.0,
         on_complete: Callable[[Request], None] | None = None,
     ):
-        if think_time < 0.0:
-            raise SimulationError(f"think_time must be >= 0, got {think_time}")
+        # Written so NaN fails too: ``nan < 0.0`` is false, and a NaN
+        # think time would otherwise behave as zero.
+        if not 0.0 <= think_time < math.inf:
+            raise SimulationError(
+                f"think_time must be finite and >= 0, got {think_time}"
+            )
         self.system = system
         self.name = name
         self.think_time = think_time

@@ -1,5 +1,7 @@
 """Online control plane: traces, monitor, policies, control loop."""
 
+import math
+
 import pytest
 
 from repro.api import PlanningSession
@@ -753,6 +755,23 @@ class TestControlLoop:
             small_loop(pool=pool, initial_fraction=1.5)
         with pytest.raises(ControlError):
             small_loop(pool=pool, think_time=-0.1)
+
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            # An infinite epoch made run() never return.
+            ("epoch_duration", math.inf),
+            # NaN epochs and NaN work failed deep inside the run.
+            ("epoch_duration", math.nan),
+            ("app_work", math.nan),
+            # NaN fails both `< 0` and `> 0`, so it ran as zero.
+            ("think_time", math.nan),
+            ("think_time", math.inf),
+        ],
+    )
+    def test_non_finite_timing_rejected(self, argument, value):
+        with pytest.raises(ControlError, match=argument):
+            small_loop(**{argument: value})
 
     def test_demand_unit_not_inflated_by_drain(self):
         # Stopping clients leaves their in-flight requests draining into

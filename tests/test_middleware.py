@@ -1,10 +1,13 @@
 """Simulated middleware: agents, servers, clients, assembled systems."""
 
+import math
+
 import pytest
 
 from repro.core.hierarchy import Hierarchy
 from repro.core.params import ModelParams
 from repro.core.throughput import hierarchy_throughput
+from repro.errors import SimulationError
 from repro.middleware.client import ClosedLoopClient
 from repro.middleware.system import MiddlewareSystem
 from repro.sim.engine import Simulator
@@ -153,6 +156,13 @@ class TestClosedLoopClient:
             return client.completed
 
         assert completions(0.5) < completions(0.0)
+
+    @pytest.mark.parametrize("think", [-1.0, math.nan, math.inf])
+    def test_bad_think_time_rejected(self, p, think):
+        # NaN fails both `< 0` and `> 0`, so it used to run as zero.
+        system = MiddlewareSystem(Simulator(), star(1), p, app_work=1.0)
+        with pytest.raises(SimulationError, match="think_time"):
+            ClosedLoopClient(system, "c0", think_time=think)
 
     def test_start_idempotent(self, p):
         sim = Simulator()
