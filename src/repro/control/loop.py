@@ -443,7 +443,7 @@ class _Run:
     # metrics.
     evaluator: HierarchyEvaluator
     injector: FaultInjector | None = None
-    # Hybrid traces only: only the sampled cohort runs as discrete
+    # Hybrid traces: only the sampled cohort runs as discrete
     # clients; the remainder is integrated analytically between event
     # boundaries by a fluid population calibrated from the cohort's own
     # measured per-client rate.
@@ -473,10 +473,8 @@ class _Run:
     # generations a stop-the-world restart replaced: the counters live
     # on the system object, which restarts discard.
     retired: tuple[int, int, int] = (0, 0, 0)
-    # The deployment the controller plans from, its spares, and its
-    # model capacity.
+    # The deployment the controller plans from and its model capacity.
     hierarchy: Hierarchy | None = None
-    spares: list = field(default_factory=list)
     capacity: float = 0.0
     clients: list[ClosedLoopClient] = field(default_factory=list)
     # Stopped clients whose final request is still in flight; their
@@ -681,10 +679,34 @@ class ControlLoop:
             raise ControlError(
                 f"trace must be a control Trace, got {type(trace).__name__}"
             )
+        if epochs < 1:
+            raise ControlError(f"epochs must be >= 1, got {epochs}")
+        # Chained bounds reject NaN too (every comparison with NaN is
+        # false); an infinite epoch would never end.
+        if not 0.0 < epoch_duration < math.inf:
+            raise ControlError(
+                f"epoch_duration must be finite and > 0, got {epoch_duration}"
+            )
+        if not math.isfinite(app_work):
+            raise ControlError(f"app_work must be finite, got {app_work}")
+        if not (0.0 < initial_fraction <= 1.0):
+            raise ControlError(
+                f"initial_fraction must be in (0, 1], got {initial_fraction}"
+            )
+        if min_nodes < 2:
+            raise ControlError(f"min_nodes must be >= 2, got {min_nodes}")
+        if amortize_epochs < 1:
+            raise ControlError(
+                f"amortize_epochs must be >= 1, got {amortize_epochs}"
+            )
         if migration not in MIGRATION_MODES:
             raise ControlError(
                 f"unknown migration mode {migration!r}; "
                 f"expected one of {MIGRATION_MODES}"
+            )
+        if not 0.0 <= think_time < math.inf:
+            raise ControlError(
+                f"think_time must be finite and >= 0, got {think_time}"
             )
         if isinstance(faults, str):
             faults = fault_spec(faults)
@@ -704,26 +726,10 @@ class ControlLoop:
                 "detection must be DetectionParams or a spec string, "
                 f"got {type(detection).__name__}"
             )
-        # Chained bounds reject NaN too (every comparison with NaN is
-        # false); an infinite epoch would never end.
-        for name, value, ok, rule in (
-            ("epochs", epochs, epochs >= 1, ">= 1"),
-            ("epoch_duration", epoch_duration,
-             0.0 < epoch_duration < math.inf, "finite and > 0"),
-            ("app_work", app_work, math.isfinite(app_work), "finite"),
-            ("initial_fraction", initial_fraction,
-             0.0 < initial_fraction <= 1.0, "in (0, 1]"),
-            ("min_nodes", min_nodes, min_nodes >= 2, ">= 2"),
-            ("amortize_epochs", amortize_epochs, amortize_epochs >= 1, ">= 1"),
-            ("think_time", think_time,
-             0.0 <= think_time < math.inf, "finite and >= 0"),
-            ("spare_reserve", spare_reserve,
-             0.0 <= spare_reserve < 1.0, "in [0, 1)"),
-            ("executor_workers", executor_workers,
-             executor_workers is None or executor_workers >= 1, ">= 1"),
-        ):
-            if not ok:
-                raise ControlError(f"{name} must be {rule}, got {value}")
+        if not 0.0 <= spare_reserve < 1.0:
+            raise ControlError(
+                f"spare_reserve must be in [0, 1), got {spare_reserve}"
+            )
         if obs is None or obs is False:
             obs = NULL_OBS
         elif obs is True:
@@ -745,6 +751,10 @@ class ControlLoop:
             raise ControlError(
                 "executor must be an EXECUTOR_KINDS string or an object "
                 f"with execute()/close(), got {type(executor).__name__}"
+            )
+        if executor_workers is not None and executor_workers < 1:
+            raise ControlError(
+                f"executor_workers must be >= 1, got {executor_workers}"
             )
         self.pool = pool
         self.app_work = float(app_work)
@@ -930,9 +940,7 @@ class ControlLoop:
         run.monitor = SLOMonitor(run.completions)
         run.hierarchy = deployment.hierarchy
         run.registry.commit(run.hierarchy, "initial")
-        run.spares = self._spares_for(run.hierarchy)
-        run.system = self._build_system(run.sim, run.hierarchy, generation=0)
-        run.monitor.attach(run.system)
+        self._start_generation(run)
         # Model capacity of the live deployment; only changes on redeploy.
         run.capacity = run.evaluator.evaluate(
             run.hierarchy, self.app_work
@@ -1091,19 +1099,21 @@ class ControlLoop:
         for name in lost:
             run.pending_injections.pop(name, None)
         run.hierarchy = run.system.hierarchy
-        run.spares = self._spares_for(run.hierarchy)
         run.capacity_plans.clear()
         run.registry.commit(run.hierarchy, cause, epoch=index)
         run.capacity = self._effective_capacity(run)
 
     def _decide(self, run: _Run, epoch: _Epoch) -> None:
         """Ask the policy, realize its decision, adopt the candidate."""
-        scalable, reserved = self._split_spares(run.spares)
+        live = self._live_pool()
+        deployed = {str(node) for node in run.hierarchy}
+        spares = [node for node in live if node.name not in deployed]
+        scalable, reserved = self._split_spares(spares)
         context = ControlContext(
             observations=tuple(run.observations),
             capacity=run.capacity,
             deployed_nodes=len(run.hierarchy),
-            pool_size=len(self._live_pool()),
+            pool_size=len(live),
             spares=len(scalable),
             min_nodes=self.min_nodes,
             epoch_duration=self.epoch_duration,
@@ -1112,7 +1122,7 @@ class ControlLoop:
             demand_unit=run.demand_unit,
             redeploys=run.redeploys,
             epochs_since_redeploy=run.epochs_since_redeploy,
-            repair_spares=len(run.spares) if reserved else 0,
+            repair_spares=len(spares) if reserved else 0,
             server_shares=self._server_shares(run.hierarchy),
         )
         decision = epoch.decision = self.policy.decide(context)
@@ -1122,7 +1132,7 @@ class ControlLoop:
         )
         epoch.capacity = run.capacity
         epoch.deployed_nodes = len(run.hierarchy)
-        epoch.spares = len(run.spares)
+        epoch.spares = len(spares)
         if realized.candidate is None:
             return
         if decision.action == "evict":
@@ -1132,7 +1142,6 @@ class ControlLoop:
             run.evicted_names.update(decision.targets)
             run.capacity_plans.clear()
         run.hierarchy = realized.candidate
-        run.spares = self._spares_for(run.hierarchy)
         run.capacity = realized.rho
 
     def _act(self, run: _Run, epoch: _Epoch) -> None:
@@ -1212,8 +1221,7 @@ class ControlLoop:
         with self._overhead:
             run.retired = run.conversation_totals()
             run.generation += 1
-            run.system = self._build_system(sim, run.hierarchy, run.generation)
-            run.monitor.attach(run.system)
+            self._start_generation(run)
 
     def _trace_epoch(self, run: _Run, epoch: _Epoch) -> None:
         """Emit the epoch's observe/decide/act spans, samples and flows."""
@@ -1468,10 +1476,7 @@ class ControlLoop:
             suspected_at, confirmed_at = (
                 report if report is not None else (now, now)
             )
-            if name in system.servers:
-                members, dead = system.fail_server(name)
-            else:
-                members, dead = system.fail_subtree(name)
+            members, dead = system.fail_subtree(name)
             records.append(
                 DetectionRecord(
                     node=name,
@@ -1483,12 +1488,6 @@ class ControlLoop:
                 )
             )
         return records
-
-    def _spares_for(self, hierarchy: Hierarchy):
-        deployed = {str(node) for node in hierarchy}
-        return [
-            node for node in self._live_pool() if node.name not in deployed
-        ]
 
     def _split_spares(self, spares) -> tuple[list, list]:
         """``(scalable, reserved)`` — strongest spares held for repairs.
@@ -1585,19 +1584,19 @@ class ControlLoop:
             plans[exclude] = planned
         return planned
 
-    def _build_system(
-        self, sim: Simulator, hierarchy: Hierarchy, generation: int
-    ) -> MiddlewareSystem:
-        return MiddlewareSystem(
-            sim,
-            hierarchy,
+    def _start_generation(self, run: _Run) -> None:
+        """Bring the platform up on ``run.hierarchy`` and watch it."""
+        run.system = MiddlewareSystem(
+            run.sim,
+            run.hierarchy,
             self.params,
             self.app_work,
             trace=self.recorder,
-            seed=self.seed + generation,
+            seed=self.seed + run.generation,
             detection=self.detection,
             obs=self.obs,
         )
+        run.monitor.attach(run.system)
 
     def _price(
         self, current: Hierarchy, candidate: Hierarchy, reason: str, rho: float
