@@ -8,16 +8,22 @@ Usage::
 
 Loads two ``repro-bench/1`` files, matches measurement cells by
 ``(name, params)``, and prints the relative change per common cell.
+``seconds`` and ``fraction`` cells are lower-is-better, every other
+metric (``events_per_s``, ``tasks_per_s``, ``ratio``) higher-is-better.
 Cells whose regression exceeds ``--threshold`` (default 25 %) are
 flagged with ``!!``.  Quick and full runs use different problem sizes —
 when the two files disagree on the ``quick`` flag, cells rarely overlap
-and the script says so instead of comparing apples to oranges.
+and the script says so instead of comparing apples to oranges.  Likewise
+when they disagree on ``host_ref_ms``: host-normalized values and raw
+ones (files written before normalization carry no ``host_ref_ms``) are
+not comparable, and the script says so before comparing anyway.
 
 Control-plane cells additionally carry the controller's own adaptation
 cost in ``extra.overhead_fraction``; the ROADMAP budgets that at ~5 % of
 wall time.  The current file's ``control_loop`` / ``live_migration`` /
-``concurrent_migration`` cells are checked against ``--overhead-budget``
-(default 0.05) and flagged — warn-only by default, like everything here.
+``concurrent_migration`` / ``distributed_epoch`` cells are checked
+against ``--overhead-budget`` (default 0.05) and flagged — warn-only by
+default, like everything here.
 
 This is the CI ``bench-smoke`` job's trend check.  By default it
 **always exits 0**: the benchmark JSON exists to make performance
@@ -37,6 +43,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+#: Metrics where larger is worse; for rates and ratios, smaller is.
+_LOWER_IS_BETTER = ("seconds", "fraction")
 
 
 def _cells(payload: dict) -> dict[tuple, dict]:
@@ -115,6 +124,13 @@ def _compare(args: argparse.Namespace) -> int:
             f"current quick={current.get('quick')}); sizes are not "
             "comparable, reporting overlapping cells only"
         )
+    if baseline.get("host_ref_ms") != current.get("host_ref_ms"):
+        print(
+            "bench-diff: baseline and current differ in host normalization "
+            f"(baseline host_ref_ms={baseline.get('host_ref_ms')}, "
+            f"current host_ref_ms={current.get('host_ref_ms')}); values "
+            "are not comparable, reporting them anyway"
+        )
 
     base_cells = _cells(baseline)
     cur_cells = _cells(current)
@@ -144,8 +160,7 @@ def _compare(args: argparse.Namespace) -> int:
             )
             continue
         change = (after - before) / before
-        # For `seconds`, larger is worse; for rates/ratios, smaller is.
-        regression = change if metric == "seconds" else -change
+        regression = change if metric in _LOWER_IS_BETTER else -change
         flag = "!!" if regression > args.threshold else "  "
         if flag == "!!":
             flagged += 1
@@ -162,12 +177,14 @@ def _compare(args: argparse.Namespace) -> int:
 
 
 #: Measurement families whose `extra.overhead_fraction` is controller
-#: adaptation cost, subject to the ROADMAP's ~5 % budget.  `fluid_scale`
-#: is deliberately absent (and publishes no overhead_fraction): the
-#: hybrid model collapses simulation wall time while the controller's
-#: per-epoch bookkeeping stays constant, so its overhead *fraction*
-#: rises by construction — the cell gates on absolute wall time against
-#: the discrete `control_loop` reference instead (asserted in-suite).
+#: adaptation cost, subject to the ROADMAP's ~5 % budget.  Every control
+#: cell publishes overhead_fraction, but `fluid_scale` is deliberately
+#: absent: the hybrid model collapses simulation wall time while the
+#: controller's per-epoch bookkeeping stays constant, so its overhead
+#: *fraction* rises by construction — the cell gates on absolute wall
+#: time against the discrete `control_loop` reference instead (asserted
+#: in-suite).  The `fault_recovery` / `fault_detection` fractions are
+#: likewise published for reading only.
 _CONTROL_CELLS = (
     "control_loop",
     "live_migration",

@@ -4,10 +4,7 @@
 Unlike the ``bench_*`` paper-artifact benchmarks, this suite exists to
 record a *performance trajectory* across PRs.  It times
 
-* heuristic planner scaling over pool sizes 64 → 2048, against a frozen
-  in-file reimplementation of the pre-optimization (PR 1) solver loop, so
-  the speedup of the vectorized/incremental evaluation layer stays
-  measurable forever;
+* heuristic planner scaling over pool sizes 64 → 2048;
 * a scenario-grid ``plan_many`` fan-out (100 requests across pools,
   workloads and planner methods), serial vs. parallel;
 * discrete-event engine throughput: a schedule/fire ping-pong, a
@@ -48,11 +45,17 @@ record a *performance trajectory* across PRs.  It times
   detection — the control plane infers it from expired watchdogs
   instead of being told — recording the injection-to-confirmation
   latency alongside wall time (asserted: exactly one confirmation,
-  latency within ``threshold x timeout + one epoch``, zero lost).
+  latency within ``threshold x timeout + one epoch``, zero lost);
+* the disabled-tracing overhead of ``repro.obs`` (asserted <= 1 %).
+
+Every cell is timed by one harness, ``timed``: the fastest of
+``repeat`` calls, host-normalized by ``benchmarks/e2e/hostspeed.py``'s
+probe run just before and after that call, so a slow phase of the host
+does not read as a slow program.
 
 Run it from the repository root::
 
-    PYTHONPATH=src python benchmarks/perfsuite.py            # full, ~min
+    PYTHONPATH=src python benchmarks/perfsuite.py            # full, ~5 min
     PYTHONPATH=src python benchmarks/perfsuite.py --quick    # CI smoke
 
 Output schema (``repro-bench/1``) — one JSON object::
@@ -61,6 +64,7 @@ Output schema (``repro-bench/1``) — one JSON object::
       "schema": "repro-bench/1",     # format version of this file
       "suite": "planning",
       "quick": false,                # --quick runs are smaller, not comparable
+      "host_ref_ms": 1.0,            # hostspeed.REF_MS, the values' host speed
       "created_unix": 1753...,       # seconds since epoch
       "python": "3.12.1", "platform": "...", "numpy": "2.4.6" | null,
       "cpu_count": 8,
@@ -68,40 +72,44 @@ Output schema (``repro-bench/1``) — one JSON object::
         {
           "name": "heuristic_plan",  # measurement family
           "params": {"nodes": 1024}, # inputs that define the cell
-          "metric": "seconds",       # unit: seconds | events_per_s | ratio
-          "value": 0.142,            # best-of-repeat measurement
-          "extra": {...}             # free-form context (throughput, counts)
+          "metric": "seconds",       # unit; benchmarks/README.md lists them
+          "value": 0.142,            # host-normalized, fastest of repeat
+          "extra": {...}             # context (throughput, counts), plus the
+                                     # fastest call's raw_seconds and
+                                     # host_probe_ms
         }, ...
       ]
     }
 
 Comparisons are valid between runs with equal (name, params, quick) cells
-on similar hardware.  The driver CI uploads the ``--quick`` artifact per
-commit; run the full suite locally before/after perf work.
+and equal ``host_ref_ms``.  CI's bench-smoke job uploads the ``--quick``
+artifact per commit; run the full suite locally before/after perf work.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+# Appended, not prepended: the e2e directory's other modules (`run`,
+# `workloads`) must never shadow a name found elsewhere.
+sys.path.append(str(REPO_ROOT / "benchmarks" / "e2e"))
+
+import hostspeed  # noqa: E402
 from repro.api import PlanningSession, scenario_grid  # noqa: E402
-from repro.core.heuristic import HeuristicPlanner, sort_nodes  # noqa: E402
+from repro.core.heuristic import HeuristicPlanner  # noqa: E402
 from repro.core.params import DEFAULT_PARAMS  # noqa: E402
-from repro.core.throughput import (  # noqa: E402
-    agent_sched_throughput,
-    server_sched_throughput,
-)
+from repro.core.throughput import agent_sched_throughput  # noqa: E402
 from repro.core.kernels import (  # noqa: E402
     HAVE_NUMPY,
     supported_children_many,
@@ -111,168 +119,145 @@ from repro.sim.engine import Simulator  # noqa: E402
 from repro.sim.resources import SerialResource  # noqa: E402
 from repro.units import dgemm_mflop  # noqa: E402
 
-_REL_TOL = 1e-9
-
-
-def best_of(repeat: int, fn, *args):
-    """(best seconds, last result) over ``repeat`` timed calls."""
-    best = math.inf
-    result = None
-    for _ in range(repeat):
-        start = time.perf_counter()
-        result = fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
 
 # --------------------------------------------------------------------- #
-# frozen pre-optimization reference (PR 1 solver loop, verbatim costs)
+# the cell harness
+
+#: The reactive policy options every control cell runs with.
+REACTIVE = {"hysteresis": 1, "cooldown": 1}
 
 
-def _legacy_supported_children(params, power, target_rate):
-    """The pre-PR ``supported_children``: constants re-derived per call."""
-    fixed = (params.wreq + params.wfix) / power + (
-        params.agent_sizes.sreq / params.bandwidth
-        + params.agent_sizes.srep / params.bandwidth
-    )
-    per_child = (
-        params.wsel / power
-        + params.agent_sizes.round_trip / params.bandwidth
-    )
-    budget = 1.0 / target_rate - fixed
-    if budget < per_child:
-        return 0
-    return int(math.floor(budget / per_child + _REL_TOL))
+class Timing(NamedTuple):
+    """The fastest of a cell's timed calls, with that call's result."""
+
+    raw: float  # wall seconds of the fastest call
+    probe_ms: float  # mean hostspeed probe just before and just after it
+    result: object  # what that call returned
+
+    @property
+    def seconds(self) -> float:
+        """``raw`` as it would read on a host at ``hostspeed.REF_MS``."""
+        return self.raw * hostspeed.REF_MS / self.probe_ms
 
 
-def _legacy_solve(params, agents, candidates, app_work):
-    """The pre-PR ``_solve_for_agents`` search loop (throughput-max case).
+def timed(repeat: int, fn) -> Timing:
+    """Time ``repeat`` calls of ``fn()``; keep the fastest with its result.
 
-    Kept verbatim (scalar per-node recomputation, Python prefix sums) as
-    the fixed baseline the vectorized solver is measured against.
+    A best-of that kept the last result would pair one run's wall time
+    with another run's telemetry.  Fastest is by raw time, so noise
+    biases a cell slower, never faster.
     """
-    n_agents = len(agents)
-    n = n_agents + len(candidates)
-    if not candidates:
-        return None
-    k_min = 1 if n_agents == 1 else n_agents
-    k_cap = n - n_agents
-    if k_cap < k_min:
-        return None
-    t_hi = agent_sched_throughput(params, agents[0].power, 1)
-    for agent in agents[1:]:
-        t_hi = min(t_hi, agent_sched_throughput(params, agent.power, 2))
-    prefix_power = [0.0]
-    for node in candidates:
-        prefix_power.append(prefix_power[-1] + node.power)
-
-    def server_slots(t):
-        slots = 0
-        for agent in agents:
-            slots += min(_legacy_supported_children(params, agent.power, t), n)
-            if slots > n:
-                break
-        return max(0, min(slots - (n_agents - 1), k_cap))
-
-    def service_of(k):
-        comm = params.service_sizes.round_trip / params.bandwidth
-        pred = k * params.wpre / app_work
-        rate = prefix_power[k] / app_work
-        return 1.0 / (comm + (1.0 + pred) / rate)
-
-    def floor_of(k):
-        return server_sched_throughput(params, candidates[k - 1].power)
-
-    def achievable(t):
-        k = server_slots(t)
-        if k < k_min:
-            return None
-        return min(t, service_of(k), floor_of(k))
-
-    hi_value = achievable(t_hi)
-    if hi_value is not None and hi_value >= t_hi - _REL_TOL:
-        k = server_slots(t_hi)
-        return min(t_hi, service_of(k), floor_of(k)), k, t_hi
-    t_lo = t_hi
-    value = None
-    for _ in range(200):
-        t_lo /= 2.0
-        value = achievable(t_lo)
-        if value is not None and value >= t_lo - _REL_TOL:
-            break
-        if t_lo < 1e-12:
-            return None
-    lo, hi = t_lo, t_hi
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        v = achievable(mid)
-        if v is not None and v >= mid - _REL_TOL:
-            lo = mid
-        else:
-            hi = mid
-    k = server_slots(lo)
-    return min(lo, service_of(k), floor_of(k)), k, lo
-
-
-def _legacy_fixed_point_search(pool, app_work):
-    """Pre-PR fixed-point sweep: best (rho, A) over all agent-tier sizes."""
-    ranked = sort_nodes(pool, DEFAULT_PARAMS)
-    n = len(ranked)
     best = None
-    for n_agents in range(1, max(1, n // 2) + 1):
-        agents = ranked[:n_agents]
-        candidates = ranked[n_agents:]
-        solved = _legacy_solve(DEFAULT_PARAMS, agents, candidates, app_work)
-        if solved is None:
-            continue
-        rho, n_servers, _ = solved
-        used = n_agents + n_servers
-        if best is None or (rho, -used) > (best[0], -best[1]):
-            best = (rho, used, n_agents)
+    for _ in range(repeat):
+        probes: list[float] = []
+        hostspeed.probe(probes)
+        start = time.perf_counter()
+        result = fn()
+        raw = time.perf_counter() - start
+        hostspeed.probe(probes)
+        if best is None or raw < best.raw:
+            best = Timing(raw, sum(probes) / len(probes), result)
     return best
+
+
+def cell(name, params, timing, metric="seconds", value=None, **extra):
+    """Print and return one ``results`` entry (``value`` defaults to the
+    normalized seconds); ``extra`` gains ``raw_seconds`` and
+    ``host_probe_ms``."""
+    if value is None:
+        value = round(timing.seconds, 6)
+    extra["raw_seconds"] = round(timing.raw, 6)
+    extra["host_probe_ms"] = round(timing.probe_ms, 4)
+    print(
+        f"  {name} {params}: {value:,} {metric} "
+        f"({timing.raw:.4f} s raw, host probe {timing.probe_ms:.2f} ms)"
+    )
+    return {
+        "name": name,
+        "params": params,
+        "metric": metric,
+        "value": value,
+        "extra": extra,
+    }
+
+
+def control_scenario(trace, size, policy_options=None, **kw):
+    """A ``ControlLoop`` on the scenario every control cell shares.
+
+    ``size`` is ``(pool nodes, epochs, epoch_duration)``.  Pool seed 7,
+    DGEMM 200, reactive hysteresis and cooldown 1, a 40 % initial
+    deployment and loop seed 3 (``benchmarks/e2e``'s seed 0 reproduces
+    these); callers pass only what differs, and ``policy_options``
+    extend the reactive defaults.
+    """
+    from repro.control import ControlLoop
+
+    pool_size, epochs, epoch_duration = size
+    if kw.setdefault("policy", "reactive") == "reactive":
+        policy_options = {**REACTIVE, **(policy_options or {})}
+    return ControlLoop(
+        NodePool.uniform_random(pool_size, low=80, high=400, seed=7),
+        dgemm_mflop(200),
+        trace,
+        policy_options=policy_options,
+        epochs=epochs,
+        epoch_duration=epoch_duration,
+        initial_fraction=0.4,
+        seed=3,
+        **kw,
+    )
+
+
+def control_cell(name, label, trace, size, **kw):
+    """Time a ``control_scenario`` into a cell with the common ``extra``.
+
+    ``label`` holds the params that tell the family's cells apart.
+    Returns the cell, the fastest run's timeline and the loop, for the
+    caller's own simulation-domain outcomes and assertions.
+    """
+    loop = control_scenario(trace, size, **kw)
+    timing = timed(2, lambda: (loop.run(), loop.overhead_seconds))
+    timeline, overhead = timing.result
+    pool_size, epochs, _ = size
+    result = cell(
+        name,
+        {**label, "pool": pool_size, "epochs": epochs},
+        timing,
+        # Controller bookkeeping (observe/decide/plan/price) against the
+        # same run's raw wall: the adaptation overhead the control plane
+        # adds on top of simulating the platform.
+        overhead_seconds=round(overhead, 6),
+        overhead_fraction=round(overhead / timing.raw, 4),
+        # Simulation-domain outcomes: deterministic for fixed inputs,
+        # so a change here is behaviour, not noise.
+        served=timeline.total_served,
+        redeploys=timeline.redeploys,
+        mean_served_rate=round(timeline.mean_served_rate, 3),
+        epochs_per_s=round(epochs / timing.seconds, 2),
+    )
+    return result, timeline, loop
 
 
 # --------------------------------------------------------------------- #
 # measurement sections
 
 
-def bench_planner_scaling(sizes, repeat, legacy_cap):
+def bench_planner_scaling(sizes, repeat):
     app_work = dgemm_mflop(310)
     results = []
     for size in sizes:
         pool = NodePool.uniform_random(size, low=80, high=400, seed=7)
-        seconds, plan = best_of(
+        timing = timed(
             repeat,
             lambda: HeuristicPlanner(DEFAULT_PARAMS).plan(pool, app_work),
         )
-        extra = {
-            "throughput_req_s": round(plan.throughput, 3),
-            "nodes_used": plan.nodes_used,
-        }
-        if size <= legacy_cap:
-            legacy_seconds, legacy = best_of(
-                max(1, repeat // 2), _legacy_fixed_point_search, pool, app_work
-            )
-            extra["legacy_seconds"] = round(legacy_seconds, 6)
-            extra["speedup_vs_legacy"] = round(legacy_seconds / seconds, 2)
-            # The sweeps must agree on what they found.
-            assert abs(legacy[0] - plan.throughput) <= 1e-6 * plan.throughput
         results.append(
-            {
-                "name": "heuristic_plan",
-                "params": {"nodes": size},
-                "metric": "seconds",
-                "value": round(seconds, 6),
-                "extra": extra,
-            }
-        )
-        print(
-            f"  heuristic_plan nodes={size}: {seconds * 1000:.1f} ms"
-            + (
-                f"  (legacy {extra['legacy_seconds'] * 1000:.1f} ms, "
-                f"{extra['speedup_vs_legacy']}x)"
-                if "legacy_seconds" in extra
-                else ""
+            cell(
+                "heuristic_plan",
+                {"nodes": size},
+                timing,
+                throughput_req_s=round(timing.result.throughput, 3),
+                nodes_used=timing.result.nodes_used,
             )
         )
     return results
@@ -294,35 +279,27 @@ def bench_plan_many(quick):
         works = [dgemm_mflop(k) for k in (100, 200, 310, 400)]
         methods = ("heuristic", "star", "balanced", "chain", "homogeneous")
     grid = scenario_grid(pools, works, methods=methods)
-    serial_seconds, serial = best_of(
-        1, lambda: PlanningSession().plan_many(grid)
-    )
-    parallel_seconds, parallel = best_of(
+    serial = timed(1, lambda: PlanningSession().plan_many(grid))
+    parallel = timed(
         1, lambda: PlanningSession().plan_many(grid, parallel=True)
     )
-    assert [d.describe() for d in serial] == [d.describe() for d in parallel]
-    print(
-        f"  plan_many grid={len(grid)}: serial {serial_seconds:.2f} s, "
-        f"parallel {parallel_seconds:.2f} s"
-    )
+    assert [d.describe() for d in serial.result] == [
+        d.describe() for d in parallel.result
+    ]
     return [
-        {
-            "name": "plan_many_grid",
-            "params": {"requests": len(grid), "mode": "serial"},
-            "metric": "seconds",
-            "value": round(serial_seconds, 6),
-            "extra": {"requests_per_s": round(len(grid) / serial_seconds, 2)},
-        },
-        {
-            "name": "plan_many_grid",
-            "params": {"requests": len(grid), "mode": "parallel"},
-            "metric": "seconds",
-            "value": round(parallel_seconds, 6),
-            "extra": {
-                "requests_per_s": round(len(grid) / parallel_seconds, 2),
-                "workers": os.cpu_count(),
-            },
-        },
+        cell(
+            "plan_many_grid",
+            {"requests": len(grid), "mode": "serial"},
+            serial,
+            requests_per_s=round(len(grid) / serial.seconds, 2),
+        ),
+        cell(
+            "plan_many_grid",
+            {"requests": len(grid), "mode": "parallel"},
+            parallel,
+            requests_per_s=round(len(grid) / parallel.seconds, 2),
+            workers=os.cpu_count(),
+        ),
     ]
 
 
@@ -343,19 +320,16 @@ def bench_engine(quick):
         sim.run()
         return sim
 
-    seconds, sim = best_of(2, ping_pong)
+    timing = timed(2, ping_pong)
     results = [
-        {
-            "name": "engine_ping_pong",
-            "params": {"events": rounds},
-            "metric": "events_per_s",
-            "value": round(sim.events_processed / seconds, 1),
-            "extra": {"seconds": round(seconds, 6)},
-        }
+        cell(
+            "engine_ping_pong",
+            {"events": rounds},
+            timing,
+            "events_per_s",
+            round(timing.result.events_processed / timing.seconds, 1),
+        )
     ]
-    print(
-        f"  engine_ping_pong: {sim.events_processed / seconds:,.0f} events/s"
-    )
 
     def churn():
         sim = Simulator()
@@ -370,25 +344,19 @@ def bench_engine(quick):
         sim.run()
         return sim, peak, survivors
 
-    seconds, (sim, peak, survivors) = best_of(2, churn)
+    timing = timed(2, churn)
+    sim, peak, survivors = timing.result
     results.append(
-        {
-            "name": "engine_churn",
-            "params": {"events": rounds, "cancelled_pct": 90},
-            "metric": "events_per_s",
-            "value": round(rounds / seconds, 1),
-            "extra": {
-                "seconds": round(seconds, 6),
-                "peak_pending": peak,
-                "live_events": survivors,
-                "heap_compactions": sim.heap_compactions,
-            },
-        }
-    )
-    print(
-        f"  engine_churn: {rounds / seconds:,.0f} schedule+cancel/s, "
-        f"peak heap {peak} for {survivors} live events, "
-        f"{sim.heap_compactions} compactions"
+        cell(
+            "engine_churn",
+            {"events": rounds, "cancelled_pct": 90},
+            timing,
+            "events_per_s",
+            round(rounds / timing.seconds, 1),
+            peak_pending=peak,
+            live_events=survivors,
+            heap_compactions=sim.heap_compactions,
+        )
     )
 
     def serial_resource():
@@ -413,26 +381,21 @@ def bench_engine(quick):
         sim.run()
         return sim, resource
 
-    seconds, (sim, resource) = best_of(2, serial_resource)
+    timing = timed(2, serial_resource)
+    sim, resource = timing.result
+    seconds = timing.seconds
     results.append(
-        {
-            "name": "engine_serial_resource",
-            "params": {"tasks": resource.tasks_done},
-            "metric": "tasks_per_s",
-            "value": round(resource.tasks_done / seconds, 1),
-            "extra": {
-                "seconds": round(seconds, 6),
-                "preemptions": resource.preemptions,
-                "preemptions_per_s": round(resource.preemptions / seconds, 1),
-                "events": sim.events_processed,
-                "heap_compactions": sim.heap_compactions,
-            },
-        }
-    )
-    print(
-        f"  engine_serial_resource: {resource.tasks_done / seconds:,.0f} tasks/s, "
-        f"{resource.preemptions / seconds:,.0f} preemptions/s "
-        f"({resource.preemptions} preemptions over {resource.tasks_done} tasks)"
+        cell(
+            "engine_serial_resource",
+            {"tasks": resource.tasks_done},
+            timing,
+            "tasks_per_s",
+            round(resource.tasks_done / seconds, 1),
+            preemptions=resource.preemptions,
+            preemptions_per_s=round(resource.preemptions / seconds, 1),
+            events=sim.events_processed,
+            heap_compactions=sim.heap_compactions,
+        )
     )
     return results
 
@@ -445,112 +408,60 @@ def bench_kernels(quick):
 
     from repro.core.heuristic import supported_children
 
-    scalar_seconds, scalar = best_of(
+    scalar = timed(
         3,
         lambda: [
             supported_children(DEFAULT_PARAMS, p, target) for p in powers
         ],
     )
-    batch_seconds, batch = best_of(
+    batch = timed(
         3, lambda: supported_children_many(DEFAULT_PARAMS, powers, target)
     )
-    assert batch == scalar
-    ratio = scalar_seconds / batch_seconds
-    print(
-        f"  supported_children x{size}: scalar {scalar_seconds * 1e3:.2f} ms, "
-        f"batched {batch_seconds * 1e3:.2f} ms ({ratio:.1f}x)"
-    )
+    assert batch.result == scalar.result
+    # The cell's raw side is the batched call's; the scalar call keeps
+    # its own raw time next to it.
     return [
-        {
-            "name": "kernel_supported_children",
-            "params": {"nodes": size},
-            "metric": "ratio",
-            "value": round(ratio, 2),
-            "extra": {
-                "scalar_seconds": round(scalar_seconds, 6),
-                "batched_seconds": round(batch_seconds, 6),
-                "numpy": HAVE_NUMPY,
-            },
-        }
+        cell(
+            "kernel_supported_children",
+            {"nodes": size},
+            batch,
+            "ratio",
+            round(scalar.seconds / batch.seconds, 2),
+            scalar_seconds=round(scalar.seconds, 6),
+            batched_seconds=round(batch.seconds, 6),
+            scalar_raw_seconds=round(scalar.raw, 6),
+            numpy=HAVE_NUMPY,
+        )
     ]
 
 
 def bench_control(quick):
-    from repro.control import ControlLoop, flash_crowd
+    from repro.control import flash_crowd
 
     if quick:
-        pool_size, epochs, epoch_duration = 12, 8, 2.0
+        size = 12, 8, 2.0
         trace = flash_crowd(base=3, peak=20, at=6, rise=2, fall=6)
     else:
-        pool_size, epochs, epoch_duration = 32, 20, 4.0
+        size = 32, 20, 4.0
         trace = flash_crowd(base=5, peak=60, at=24, rise=4, fall=20)
-    pool = NodePool.uniform_random(pool_size, low=80, high=400, seed=7)
-    app_work = dgemm_mflop(200)
 
     results = []
     for policy in ("hold", "reactive"):
-        loop = ControlLoop(
-            pool,
-            app_work,
+        # Pinned to the legacy mechanism: this cell tracks the
+        # controller's adaptation overhead across PRs, so its scenario
+        # stays fixed; bench_live_migration covers the mode comparison.
+        result, timeline, _ = control_cell(
+            "control_loop",
+            {"policy": policy},
             trace,
+            size,
             policy=policy,
-            policy_options={"hysteresis": 1, "cooldown": 1}
-            if policy == "reactive"
-            else None,
-            epochs=epochs,
-            epoch_duration=epoch_duration,
-            initial_fraction=0.4,
-            # Pinned to the legacy mechanism: this cell tracks the
-            # controller's adaptation overhead across PRs, so its
-            # scenario stays fixed; bench_live_migration covers the
-            # mode comparison.
             migration="restart",
-            seed=3,
         )
-        # best_of would pair one run's wall time with another run's
-        # overhead telemetry; keep each (wall, overhead) pair together
-        # and report the fastest run's numbers.
-        best = None
-        for _ in range(2):
-            start = time.perf_counter()
-            timeline = loop.run()
-            wall = time.perf_counter() - start
-            if best is None or wall < best[0]:
-                best = (wall, loop.overhead_seconds, timeline)
-        seconds, overhead_seconds, timeline = best
-        results.append(
-            {
-                "name": "control_loop",
-                "params": {
-                    "policy": policy,
-                    "pool": pool_size,
-                    "epochs": epochs,
-                },
-                "metric": "seconds",
-                "value": round(seconds, 6),
-                "extra": {
-                    # Controller bookkeeping (observe/decide/plan/price)
-                    # vs. total wall: the adaptation overhead the control
-                    # plane adds on top of simulating the platform.
-                    "overhead_seconds": round(overhead_seconds, 6),
-                    "overhead_fraction": round(
-                        overhead_seconds / seconds, 4
-                    ),
-                    "served": timeline.total_served,
-                    "redeploys": timeline.redeploys,
-                    "migration_downtime_s": round(
-                        timeline.migration_downtime, 4
-                    ),
-                    "epochs_per_s": round(epochs / seconds, 2),
-                },
-            }
+        result["extra"]["migration_downtime_s"] = round(
+            timeline.migration_downtime, 4
         )
-        print(
-            f"  control_loop policy={policy}: {seconds:.3f} s "
-            f"({overhead_seconds * 1e3:.1f} ms adaptation overhead, "
-            f"{timeline.redeploys} redeploys, "
-            f"{timeline.total_served} served)"
-        )
+        results.append(result)
     return results
 
 
@@ -571,47 +482,30 @@ def bench_fluid_scale(quick, reference_seconds):
     bit-identical (tracing on), and at small scale the split run's
     served rate agrees with the all-discrete simulation.
     """
-    from repro.control import ControlLoop, from_spec
+    from repro.control import from_spec
 
     if quick:
-        pool_size, epochs, epoch_duration = 12, 8, 2.0
+        size = 12, 8, 2.0
         population, cohort = 10_000, 4
         spec = (
             "diurnal:base=4,peak=10,period=64,"
             f"population={population},cohort={cohort}"
         )
     else:
-        pool_size, epochs, epoch_duration = 16, 20, 4.0
+        size = 16, 20, 4.0
         population, cohort = 100_000, 8
         spec = (
             "diurnal:base=4,peak=10,period=160,"
             f"population={population},cohort={cohort}"
         )
-    pool = NodePool.uniform_random(pool_size, low=80, high=400, seed=7)
-    app_work = dgemm_mflop(200)
-    kwargs = dict(
-        policy="reactive",
-        policy_options={"hysteresis": 1, "cooldown": 1},
-        epochs=epochs,
-        epoch_duration=epoch_duration,
-        initial_fraction=0.4,
-        migration="restart",
-        seed=3,
+    label = {"population": population, "cohort": cohort}
+    result, timeline, _ = control_cell(
+        "fluid_scale", label, from_spec(spec), size, migration="restart"
     )
 
-    loop = ControlLoop(pool, app_work, from_spec(spec), **kwargs)
-    best = None
-    for _ in range(2):
-        start = time.perf_counter()
-        timeline = loop.run()
-        wall = time.perf_counter() - start
-        if best is None or wall < best[0]:
-            best = (wall, loop.overhead_seconds, timeline)
-    seconds, overhead_seconds, timeline = best
-
     # Tracing must not perturb the hybrid run (fluid state included).
-    traced = ControlLoop(
-        pool, app_work, from_spec(spec), obs=True, **kwargs
+    traced = control_scenario(
+        from_spec(spec), size, migration="restart", obs=True
     )
     assert traced.run() == timeline
 
@@ -623,17 +517,17 @@ def bench_fluid_scale(quick, reference_seconds):
         traces=("diurnal:base=4,peak=10,period=64,population=1000,cohort=4",),
         policies=("reactive",),
         seeds=(0, 1),
-        policy_options={"reactive": {"hysteresis": 1, "cooldown": 1}},
+        policy_options={"reactive": REACTIVE},
         epochs=5,
         epoch_duration=2.0,
         obs=True,
     )
     session = PlanningSession()
     serial = session.control_sweep(
-        sweep_pool, app_work, parallel=False, **sweep_kw
+        sweep_pool, dgemm_mflop(200), parallel=False, **sweep_kw
     )
     pooled = session.control_sweep(
-        sweep_pool, app_work, parallel=True, **sweep_kw
+        sweep_pool, dgemm_mflop(200), parallel=True, **sweep_kw
     )
     assert [c.timeline for c in serial] == [c.timeline for c in pooled]
     assert [c.trace_jsonl for c in serial] == [c.trace_jsonl for c in pooled]
@@ -642,13 +536,10 @@ def bench_fluid_scale(quick, reference_seconds):
     # load, the fluid approximation's served-rate curve must stay close
     # to the all-discrete run it replaces.
     base = "diurnal:base=4,peak=10,period=64"
-    agree_kw = dict(kwargs, epochs=6, epoch_duration=2.0)
-    discrete = ControlLoop(
-        sweep_pool, app_work, from_spec(base), **agree_kw
-    ).run()
-    split = ControlLoop(
-        sweep_pool, app_work, from_spec(base + ",cohort=4"), **agree_kw
-    ).run()
+    discrete, split = (
+        control_scenario(from_spec(s), (8, 6, 2.0), migration="restart").run()
+        for s in (base, base + ",cohort=4")
+    )
     agreement = split.mean_served_rate / discrete.mean_served_rate
     assert 0.65 <= agreement <= 1.35, (
         f"fluid/discrete served-rate ratio {agreement:.3f} out of band"
@@ -659,203 +550,77 @@ def bench_fluid_scale(quick, reference_seconds):
     # noise is a large fraction of ~0.3 s), so they get 2x headroom;
     # the full run asserts strictly faster.
     margin = 2.0 if quick else 1.0
-    assert seconds < reference_seconds * margin, (
-        f"fluid_scale took {seconds:.3f} s vs control_loop reference "
+    assert result["value"] < reference_seconds * margin, (
+        f"fluid_scale took {result['value']:.3f} s vs control_loop reference "
         f"{reference_seconds:.3f} s (margin {margin}x)"
     )
 
-    peak_clients = max(r.offered for r in timeline.records)
     fluid_total = timeline.records[-1].metrics.value("fluid_served_total")
-    result = {
-        "name": "fluid_scale",
-        "params": {
-            "pool": pool_size,
-            "epochs": epochs,
-            "population": population,
-            "cohort": cohort,
-        },
-        "metric": "seconds",
-        "value": round(seconds, 6),
-        "extra": {
-            "trace": spec,
-            "peak_clients": peak_clients,
-            "served": timeline.total_served,
-            "fluid_served_total": int(fluid_total),
-            "mean_served_rate": round(timeline.mean_served_rate, 3),
-            "overhead_seconds": round(overhead_seconds, 6),
-            "epochs_per_s": round(epochs / seconds, 2),
-            "reference_seconds": round(reference_seconds, 6),
-            "agreement_ratio": round(agreement, 4),
-            "timeline_identical_traced": True,
-            "sweep_identical_pooled": True,
-        },
-    }
-    print(
-        f"  fluid_scale peak={peak_clients:,} clients cohort={cohort}: "
-        f"{seconds:.3f} s wall vs {reference_seconds:.3f} s discrete "
-        f"reference, {timeline.total_served} served "
-        f"({int(fluid_total)} fluid), agreement {agreement:.2f}"
+    result["extra"].update(
+        trace=spec,
+        peak_clients=max(r.offered for r in timeline.records),
+        fluid_served_total=int(fluid_total),
+        reference_seconds=round(reference_seconds, 6),
+        agreement_ratio=round(agreement, 4),
+        timeline_identical_traced=True,
+        sweep_identical_pooled=True,
     )
     return [result]
 
 
 def bench_live_migration(quick):
-    from repro.control import ControlLoop, fixture
+    from repro.control import fixture
 
-    if quick:
-        # Short but still spanning the doors-open surge at t=20s, so
-        # both modes actually migrate.
-        pool_size, epochs, epoch_duration = 12, 12, 4.0
-    else:
-        pool_size, epochs, epoch_duration = 16, 30, 4.0
+    # Quick is short but still spans the doors-open surge at t=20s, so
+    # both modes actually migrate.
+    size = (12, 12, 4.0) if quick else (16, 30, 4.0)
     trace = fixture("black_friday")
-    pool = NodePool.uniform_random(pool_size, low=80, high=400, seed=7)
-    app_work = dgemm_mflop(200)
-
     results = []
     for mode in ("restart", "live"):
-        loop = ControlLoop(
-            pool,
-            app_work,
-            trace,
-            policy="reactive",
-            policy_options={"hysteresis": 1, "cooldown": 1},
-            epochs=epochs,
-            epoch_duration=epoch_duration,
-            initial_fraction=0.4,
-            migration=mode,
-            seed=3,
+        result, timeline, _ = control_cell(
+            "live_migration", {"mode": mode}, trace, size, migration=mode
         )
-        best = None
-        for _ in range(2):
-            start = time.perf_counter()
-            timeline = loop.run()
-            wall = time.perf_counter() - start
-            if best is None or wall < best[0]:
-                best = (wall, loop.overhead_seconds, timeline)
-        seconds, overhead_seconds, timeline = best
-        results.append(
-            {
-                "name": "live_migration",
-                "params": {
-                    "mode": mode,
-                    "pool": pool_size,
-                    "epochs": epochs,
-                },
-                "metric": "seconds",
-                "value": round(seconds, 6),
-                "extra": {
-                    "overhead_seconds": round(overhead_seconds, 6),
-                    "overhead_fraction": round(
-                        overhead_seconds / seconds, 4
-                    ),
-                    # Simulation-domain outcomes: deterministic for
-                    # fixed inputs, so a change here is behaviour, not
-                    # noise.  `downtime_seconds` is the effective
-                    # (service-weighted) outage; `migration_steps` the
-                    # itemized step count across the run.
-                    "served": timeline.total_served,
-                    "redeploys": timeline.redeploys,
-                    "downtime_seconds": round(
-                        timeline.migration_downtime, 4
-                    ),
-                    "migration_steps": timeline.migration_step_count,
-                    "epochs_per_s": round(epochs / seconds, 2),
-                },
-            }
+        # `downtime_seconds` is the effective (service-weighted)
+        # outage; `migration_steps` the itemized step count across the
+        # run.
+        result["extra"].update(
+            downtime_seconds=round(timeline.migration_downtime, 4),
+            migration_steps=timeline.migration_step_count,
         )
-        print(
-            f"  live_migration mode={mode}: {seconds:.3f} s wall, "
-            f"served {timeline.total_served}, "
-            f"{timeline.migration_downtime:.3f} s downtime over "
-            f"{timeline.migration_step_count} steps"
-        )
+        results.append(result)
     return results
 
 
 def bench_concurrent_migration(quick):
-    from repro.control import ControlLoop, fixture
+    from repro.control import fixture
 
-    if quick:
-        # Long enough to span the doors-open surge *and* the t=60s
-        # trough: the scale-down replan there drains several regions,
-        # which is what a concurrent schedule overlaps.
-        pool_size, epochs, epoch_duration = 16, 16, 4.0
-    else:
-        pool_size, epochs, epoch_duration = 16, 30, 4.0
-    trace = fixture("black_friday")
-    pool = NodePool.uniform_random(pool_size, low=80, high=400, seed=7)
-    app_work = dgemm_mflop(200)
-
+    # Quick is long enough to span the doors-open surge *and* the t=60s
+    # trough: the scale-down replan there drains several regions, which
+    # is what a concurrent schedule overlaps.
+    size = (16, 16, 4.0) if quick else (16, 30, 4.0)
     results = []
     timelines = {}
     for mode in ("live", "concurrent"):
-        loop = ControlLoop(
-            pool,
-            app_work,
-            trace,
-            policy="reactive",
-            policy_options={"hysteresis": 1, "cooldown": 1},
-            epochs=epochs,
-            epoch_duration=epoch_duration,
-            initial_fraction=0.4,
+        result, timeline, _ = control_cell(
+            "concurrent_migration",
+            {"mode": mode},
+            fixture("black_friday"),
+            size,
             migration=mode,
-            seed=3,
         )
-        best = None
-        for _ in range(2):
-            start = time.perf_counter()
-            timeline = loop.run()
-            wall = time.perf_counter() - start
-            if best is None or wall < best[0]:
-                best = (wall, loop.overhead_seconds, timeline)
-        seconds, overhead_seconds, timeline = best
         timelines[mode] = timeline
-        results.append(
-            {
-                "name": "concurrent_migration",
-                "params": {
-                    "mode": mode,
-                    "pool": pool_size,
-                    "epochs": epochs,
-                },
-                "metric": "seconds",
-                "value": round(seconds, 6),
-                "extra": {
-                    "overhead_seconds": round(overhead_seconds, 6),
-                    "overhead_fraction": round(
-                        overhead_seconds / seconds, 4
-                    ),
-                    # Simulation-domain outcomes, deterministic for
-                    # fixed inputs.  `migration_window_seconds` is the
-                    # wall (simulated) time spent inside migrations —
-                    # the number the concurrent schedule shrinks;
-                    # `downtime_seconds` (service-weighted outage) is
-                    # schedule-independent by construction, so it stays
-                    # comparable across the two modes.
-                    "served": timeline.total_served,
-                    "served_in_epochs": timeline.served_in_epochs,
-                    "mean_served_rate": round(
-                        timeline.mean_served_rate, 3
-                    ),
-                    "redeploys": timeline.redeploys,
-                    "downtime_seconds": round(
-                        timeline.migration_downtime, 4
-                    ),
-                    "migration_window_seconds": round(
-                        timeline.migration_window, 4
-                    ),
-                    "migration_steps": timeline.migration_step_count,
-                    "epochs_per_s": round(epochs / seconds, 2),
-                },
-            }
+        # `migration_window_seconds` is the wall (simulated) time spent
+        # inside migrations — the number the concurrent schedule
+        # shrinks; `downtime_seconds` (service-weighted outage) is
+        # schedule-independent by construction, so it stays comparable
+        # across the two modes.
+        result["extra"].update(
+            served_in_epochs=timeline.served_in_epochs,
+            downtime_seconds=round(timeline.migration_downtime, 4),
+            migration_window_seconds=round(timeline.migration_window, 4),
+            migration_steps=timeline.migration_step_count,
         )
-        print(
-            f"  concurrent_migration mode={mode}: {seconds:.3f} s wall, "
-            f"{timeline.mean_served_rate:.1f} req/s served mean, "
-            f"{timeline.migration_window:.3f} s migration window over "
-            f"{timeline.migration_step_count} steps"
-        )
+        results.append(result)
     # The tentpole claims, asserted on every run: same seed/trace/policy,
     # strictly shorter migration window, served throughput no worse.
     live, concurrent = timelines["live"], timelines["concurrent"]
@@ -878,74 +643,25 @@ def bench_distributed_epoch(quick):
     verifying acks must stay a small fraction of the run
     (``bench_diff`` budgets the regression at ~5%).
     """
-    from repro.control import ControlLoop, fixture
+    from repro.control import fixture
     from repro.control.protocol import EXECUTOR_KINDS
 
-    if quick:
-        pool_size, epochs, epoch_duration = 16, 16, 4.0
-    else:
-        pool_size, epochs, epoch_duration = 16, 30, 4.0
-    trace = fixture("black_friday")
-    pool = NodePool.uniform_random(pool_size, low=80, high=400, seed=7)
-    app_work = dgemm_mflop(200)
-
+    size = (16, 16, 4.0) if quick else (16, 30, 4.0)
     results = []
     timelines = {}
     registries = {}
     for kind in EXECUTOR_KINDS:
-        loop = ControlLoop(
-            pool,
-            app_work,
-            trace,
-            policy="reactive",
-            policy_options={"hysteresis": 1, "cooldown": 1},
-            epochs=epochs,
-            epoch_duration=epoch_duration,
-            initial_fraction=0.4,
+        result, timelines[kind], loop = control_cell(
+            "distributed_epoch",
+            {"executor": kind},
+            fixture("black_friday"),
+            size,
             migration="concurrent",
-            seed=3,
             executor=kind,
         )
-        best = None
-        for _ in range(2):
-            start = time.perf_counter()
-            timeline = loop.run()
-            wall = time.perf_counter() - start
-            if best is None or wall < best[0]:
-                best = (wall, loop.overhead_seconds, timeline)
-        seconds, overhead_seconds, timeline = best
-        timelines[kind] = timeline
         registries[kind] = loop.deployment_registry
-        results.append(
-            {
-                "name": "distributed_epoch",
-                "params": {
-                    "executor": kind,
-                    "pool": pool_size,
-                    "epochs": epochs,
-                },
-                "metric": "seconds",
-                "value": round(seconds, 6),
-                "extra": {
-                    "overhead_seconds": round(overhead_seconds, 6),
-                    "overhead_fraction": round(
-                        overhead_seconds / seconds, 4
-                    ),
-                    "served": timeline.total_served,
-                    "mean_served_rate": round(
-                        timeline.mean_served_rate, 3
-                    ),
-                    "redeploys": timeline.redeploys,
-                    "generations": len(registries[kind]),
-                    "epochs_per_s": round(epochs / seconds, 2),
-                },
-            }
-        )
-        print(
-            f"  distributed_epoch executor={kind}: {seconds:.3f} s wall, "
-            f"{overhead_seconds / seconds:.1%} controller overhead, "
-            f"{len(registries[kind])} registry generations"
-        )
+        result["extra"]["generations"] = len(registries[kind])
+        results.append(result)
     # The tentpole claim, asserted on every run: the protocol changes
     # *where* plans are applied, never *what* the controller computes.
     assert timelines["local"] == timelines["inline"]
@@ -959,78 +675,31 @@ def bench_distributed_epoch(quick):
 
 
 def bench_fault_recovery(quick):
-    from repro.control import ControlLoop, fixture
+    from repro.control import fixture
 
-    if quick:
-        # Long enough to cover the crash at t=18 and a few recovery
-        # epochs; the repair lands right as the doors-open surge hits.
-        pool_size, epochs, epoch_duration = 16, 10, 4.0
-    else:
-        pool_size, epochs, epoch_duration = 16, 30, 4.0
+    # Quick is long enough to cover the crash at t=18 and a few
+    # recovery epochs; the repair lands right as the doors-open surge
+    # hits.
+    size = (16, 10, 4.0) if quick else (16, 30, 4.0)
     trace = fixture("black_friday")
-    pool = NodePool.uniform_random(pool_size, low=80, high=400, seed=7)
-    app_work = dgemm_mflop(200)
-
     results = []
     timelines = {}
     for label, faults in (
         ("baseline", None),
         ("crash", "crash:target=busiest-child,at=18"),
     ):
-        loop = ControlLoop(
-            pool,
-            app_work,
-            trace,
-            policy="reactive",
-            policy_options={"hysteresis": 1, "cooldown": 1},
-            epochs=epochs,
-            epoch_duration=epoch_duration,
-            initial_fraction=0.4,
-            seed=3,
-            faults=faults,
+        result, timeline, _ = control_cell(
+            "fault_recovery", {"faults": label}, trace, size, faults=faults
         )
-        best = None
-        for _ in range(2):
-            start = time.perf_counter()
-            timeline = loop.run()
-            wall = time.perf_counter() - start
-            if best is None or wall < best[0]:
-                best = (wall, loop.overhead_seconds, timeline)
-        seconds, overhead_seconds, timeline = best
         timelines[label] = timeline
-        results.append(
-            {
-                "name": "fault_recovery",
-                "params": {
-                    "faults": label,
-                    "pool": pool_size,
-                    "epochs": epochs,
-                },
-                "metric": "seconds",
-                "value": round(seconds, 6),
-                "extra": {
-                    "overhead_seconds": round(overhead_seconds, 6),
-                    # Simulation-domain outcomes, deterministic for
-                    # fixed inputs: what the crash cost and how the
-                    # self-healing path absorbed it.
-                    "served": timeline.total_served,
-                    "mean_served_rate": round(
-                        timeline.mean_served_rate, 3
-                    ),
-                    "redeploys": timeline.redeploys,
-                    "faults_injected": timeline.fault_count,
-                    "dead_letters": timeline.dead_letters,
-                    "lost_conversations": timeline.lost_conversations,
-                    "epochs_per_s": round(epochs / seconds, 2),
-                },
-            }
+        # Simulation-domain outcomes, deterministic for fixed inputs:
+        # what the crash cost and how the self-healing path absorbed it.
+        result["extra"].update(
+            faults_injected=timeline.fault_count,
+            dead_letters=timeline.dead_letters,
+            lost_conversations=timeline.lost_conversations,
         )
-        print(
-            f"  fault_recovery faults={label}: {seconds:.3f} s wall, "
-            f"{timeline.total_served} served, "
-            f"{timeline.dead_letters} dead-lettered, "
-            f"{timeline.lost_conversations} lost"
-        )
+        results.append(result)
     # The self-healing claims, asserted on every run: the crash loses
     # no conversations, and the repaired platform stays within 10 % of
     # the no-fault throughput.
@@ -1042,74 +711,31 @@ def bench_fault_recovery(quick):
 
 
 def bench_fault_detection(quick):
-    from repro.control import ControlLoop, fixture
+    from repro.control import fixture
 
-    if quick:
-        pool_size, epochs, epoch_duration = 16, 10, 4.0
-    else:
-        pool_size, epochs, epoch_duration = 16, 30, 4.0
-    trace = fixture("black_friday")
-    pool = NodePool.uniform_random(pool_size, low=80, high=400, seed=7)
-    app_work = dgemm_mflop(200)
+    size = (16, 10, 4.0) if quick else (16, 30, 4.0)
     timeout, threshold = 0.5, 3
     detection = (
         f"timeout={timeout},retries=0,threshold={threshold},reserve=0.2"
     )
 
-    loop = ControlLoop(
-        pool,
-        app_work,
-        trace,
-        policy="reactive",
-        policy_options={"hysteresis": 1, "cooldown": 1, "repair": True},
-        epochs=epochs,
-        epoch_duration=epoch_duration,
-        initial_fraction=0.4,
-        seed=3,
+    result, timeline, _ = control_cell(
+        "fault_detection",
+        {"detection": detection},
+        fixture("black_friday"),
+        size,
+        policy_options={"repair": True},
         faults="crash:target=busiest-child,at=18",
         detection=detection,
     )
-    best = None
-    for _ in range(2):
-        start = time.perf_counter()
-        timeline = loop.run()
-        wall = time.perf_counter() - start
-        if best is None or wall < best[0]:
-            best = (wall, loop.overhead_seconds, timeline)
-    seconds, overhead_seconds, timeline = best
-    results = [
-        {
-            "name": "fault_detection",
-            "params": {
-                "detection": detection,
-                "pool": pool_size,
-                "epochs": epochs,
-            },
-            "metric": "seconds",
-            "value": round(seconds, 6),
-            "extra": {
-                "overhead_seconds": round(overhead_seconds, 6),
-                # Simulation-domain outcomes, deterministic for fixed
-                # inputs: how long the silent crash went unnoticed and
-                # what the inferred repair cost.
-                "served": timeline.total_served,
-                "mean_served_rate": round(timeline.mean_served_rate, 3),
-                "redeploys": timeline.redeploys,
-                "detections": timeline.detection_count,
-                "mean_detection_latency": round(
-                    timeline.mean_detection_latency, 4
-                ),
-                "dead_letters": timeline.dead_letters,
-                "lost_conversations": timeline.lost_conversations,
-                "epochs_per_s": round(epochs / seconds, 2),
-            },
-        }
-    ]
-    print(
-        f"  fault_detection: {seconds:.3f} s wall, "
-        f"{timeline.detection_count} confirmed by timeout, "
-        f"{timeline.mean_detection_latency:.2f} s detection latency, "
-        f"{timeline.lost_conversations} lost"
+    # Simulation-domain outcomes, deterministic for fixed inputs: how
+    # long the silent crash went unnoticed and what the inferred repair
+    # cost.
+    result["extra"].update(
+        detections=timeline.detection_count,
+        mean_detection_latency=round(timeline.mean_detection_latency, 4),
+        dead_letters=timeline.dead_letters,
+        lost_conversations=timeline.lost_conversations,
     )
     # The detection claims, asserted on every run: the silent crash is
     # confirmed (never announced), within the modelled bound, and the
@@ -1118,57 +744,37 @@ def bench_fault_detection(quick):
     assert (
         0.0
         < timeline.mean_detection_latency
-        <= threshold * timeout + epoch_duration + 1.0
+        <= threshold * timeout + size[2] + 1.0
     )
     assert timeline.lost_conversations == 0
-    return results
+    return [result]
 
 
 def bench_obs_overhead(quick):
-    from repro.control import ControlLoop, fixture
+    from repro.control import fixture
     from repro.obs import NULL_OBS, Obs
 
-    if quick:
-        pool_size, epochs, epoch_duration = 12, 10, 4.0
-    else:
-        pool_size, epochs, epoch_duration = 16, 24, 4.0
-    trace = fixture("black_friday")
-    pool = NodePool.uniform_random(pool_size, low=80, high=400, seed=7)
-    app_work = dgemm_mflop(200)
+    size = (12, 10, 4.0) if quick else (16, 24, 4.0)
 
-    def run(obs):
-        loop = ControlLoop(
-            pool,
-            app_work,
-            trace,
-            policy="reactive",
-            policy_options={"hysteresis": 1, "cooldown": 1},
-            epochs=epochs,
-            epoch_duration=epoch_duration,
-            initial_fraction=0.4,
-            seed=3,
+    def scenario(obs):
+        return control_scenario(
+            fixture("black_friday"),
+            size,
             faults="crash:target=busiest-child,at=18",
             detection="timeout=0.5,retries=1,threshold=3,grace=2",
             obs=obs,
         )
-        best = None
-        for _ in range(2):
-            start = time.perf_counter()
-            timeline = loop.run()
-            wall = time.perf_counter() - start
-            if best is None or wall < best[0]:
-                best = (wall, timeline)
-        return best + (loop,)
 
-    disabled_wall, disabled_timeline, _ = run(None)
     traced = Obs()
-    enabled_wall, enabled_timeline, _ = run(traced)
+    disabled = timed(2, scenario(None).run)
+    enabled = timed(2, scenario(traced).run)
+    disabled_timeline = disabled.result
 
     # The determinism half of the contract: tracing must not perturb the
     # run.  Records carry their metrics snapshots in both modes (the
     # registry is always live), so whole-timeline equality is the
     # strongest possible check.
-    assert enabled_timeline == disabled_timeline
+    assert enabled.result == disabled_timeline
 
     # The cost half: with tracing disabled every site is one attribute
     # check on the null probe.  Wall-clock A/B deltas of two ~second
@@ -1176,48 +782,44 @@ def bench_obs_overhead(quick):
     # first principles instead: microbenchmark the guard, multiply by a
     # deliberately generous count of guard evaluations (one per engine
     # event plus a per-epoch allowance — far more sites than actually
-    # exist), and compare against the measured baseline wall.
+    # exist), and compare against the measured baseline wall.  Both
+    # times are host-normalized, as they are taken at different moments.
     probe = NULL_OBS
     iterations = 1_000_000
-    start = time.perf_counter()
-    hits = 0
-    for _ in range(iterations):
-        if probe.enabled:  # the exact guard used at every disabled site
-            hits += 1
-    per_check = (time.perf_counter() - start) / iterations
-    assert hits == 0
+
+    def guards():
+        hits = 0
+        for _ in range(iterations):
+            if probe.enabled:  # the exact guard used at every disabled site
+                hits += 1
+        return hits
+
+    guard = timed(1, guards)
+    assert guard.result == 0
+    per_check = guard.seconds / iterations
     events = disabled_timeline.records[-1].metrics.value("engine_events")
-    guard_evaluations = events + 50 * epochs
-    estimated_fraction = per_check * guard_evaluations / disabled_wall
+    guard_evaluations = events + 50 * size[1]
+    estimated_fraction = per_check * guard_evaluations / disabled.seconds
     assert estimated_fraction <= 0.01, (
         f"disabled-mode obs overhead estimated at "
         f"{estimated_fraction:.2%} of the run (> 1% budget)"
     )
 
-    results = [
-        {
-            "name": "obs_overhead",
-            "params": {"pool": pool_size, "epochs": epochs},
-            "metric": "fraction",
-            "value": round(estimated_fraction, 6),
-            "extra": {
-                "disabled_wall_s": round(disabled_wall, 6),
-                "enabled_wall_s": round(enabled_wall, 6),
-                "per_check_ns": round(per_check * 1e9, 3),
-                "guard_evaluations": int(guard_evaluations),
-                "trace_records": len(traced.tracer),
-                "timeline_identical": True,
-            },
-        }
+    return [
+        cell(
+            "obs_overhead",
+            {"pool": size[0], "epochs": size[1]},
+            disabled,
+            "fraction",
+            round(estimated_fraction, 6),
+            disabled_wall_s=round(disabled.seconds, 6),
+            enabled_wall_s=round(enabled.seconds, 6),
+            per_check_ns=round(per_check * 1e9, 3),
+            guard_evaluations=int(guard_evaluations),
+            trace_records=len(traced.tracer),
+            timeline_identical=True,
+        )
     ]
-    print(
-        f"  obs_overhead: guard {per_check * 1e9:.1f} ns x "
-        f"{int(guard_evaluations)} sites = {estimated_fraction:.4%} of "
-        f"{disabled_wall:.3f} s (budget 1%); traced run "
-        f"{enabled_wall:.3f} s, {len(traced.tracer)} records, "
-        f"timelines identical"
-    )
-    return results
 
 
 # --------------------------------------------------------------------- #
@@ -1243,10 +845,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    if args.quick:
-        sizes, legacy_cap = (64, 256), 256
-    else:
-        sizes, legacy_cap = (64, 128, 256, 512, 1024, 2048), 1024
+    sizes = (64, 256) if args.quick else (64, 128, 256, 512, 1024, 2048)
 
     numpy_version = None
     if HAVE_NUMPY:
@@ -1256,7 +855,7 @@ def main(argv=None):
 
     print(f"perfsuite ({'quick' if args.quick else 'full'}):")
     results = []
-    results += bench_planner_scaling(sizes, args.repeat, legacy_cap)
+    results += bench_planner_scaling(sizes, args.repeat)
     results += bench_plan_many(args.quick)
     results += bench_engine(args.quick)
     results += bench_kernels(args.quick)
@@ -1280,6 +879,7 @@ def main(argv=None):
         "schema": "repro-bench/1",
         "suite": "planning",
         "quick": args.quick,
+        "host_ref_ms": hostspeed.REF_MS,
         "created_unix": int(time.time()),
         "python": platform.python_version(),
         "platform": platform.platform(),

@@ -21,20 +21,21 @@ bench_diff = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_diff)
 
 
-def payload(results, quick=False):
+def payload(results, quick=False, **top):
     return {
         "schema": "repro-bench/1",
         "suite": "planning",
         "quick": quick,
         "results": results,
+        **top,
     }
 
 
-def cell(name, value, overhead=None, params=None):
+def cell(name, value, overhead=None, params=None, metric="seconds"):
     entry = {
         "name": name,
         "params": params or {"pool": 16},
-        "metric": "seconds",
+        "metric": metric,
         "value": value,
         "extra": {},
     }
@@ -73,6 +74,67 @@ class TestWarnOnlyDefault:
         cur = write("cur.json", payload([cell("heuristic_plan", 2.0)]))
         assert bench_diff.main([base, cur]) == 0
         assert "!!" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "before, after, flagged",
+        [(0.0025, 0.009, True), (0.009, 0.0025, False)],
+    )
+    def test_fraction_cells_are_lower_is_better(
+        self, write, capsys, before, after, flagged
+    ):
+        # obs_overhead reports its disabled-tracing cost as a fraction:
+        # growing it is the regression, shrinking it the improvement.
+        base = write(
+            "base.json",
+            payload([cell("obs_overhead", before, metric="fraction")]),
+        )
+        cur = write(
+            "cur.json",
+            payload([cell("obs_overhead", after, metric="fraction")]),
+        )
+        assert bench_diff.main([base, cur]) == 0
+        assert ("!! obs_overhead" in capsys.readouterr().out) is flagged
+
+    def test_rates_stay_higher_is_better(self, write, capsys):
+        base = write(
+            "base.json",
+            payload([cell("engine_churn", 2.0, metric="events_per_s")]),
+        )
+        cur = write(
+            "cur.json",
+            payload([cell("engine_churn", 1.0, metric="events_per_s")]),
+        )
+        assert bench_diff.main([base, cur]) == 0
+        assert "!! engine_churn" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    def test_mixed_normalization_is_noted_not_failed(
+        self, write, capsys, strict
+    ):
+        # A file written before host normalization carries no
+        # host_ref_ms; comparing it with a normalized one is reported as
+        # not comparable, and still never fails the build.
+        base = write("base.json", payload([cell("control_loop", 1.0, 0.01)]))
+        cur = write(
+            "cur.json",
+            payload([cell("control_loop", 0.6, 0.01)], host_ref_ms=1.0),
+        )
+        assert bench_diff.main(strict + [base, cur]) == 0
+        out = capsys.readouterr().out
+        assert "host normalization" in out
+        assert "not comparable" in out
+
+    def test_equal_normalization_is_not_noted(self, write, capsys):
+        base = write(
+            "base.json",
+            payload([cell("control_loop", 1.0, 0.01)], host_ref_ms=1.0),
+        )
+        cur = write(
+            "cur.json",
+            payload([cell("control_loop", 1.0, 0.01)], host_ref_ms=1.0),
+        )
+        assert bench_diff.main([base, cur]) == 0
+        assert "host normalization" not in capsys.readouterr().out
 
 
 class TestStrictMode:
