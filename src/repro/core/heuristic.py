@@ -30,6 +30,15 @@ This module implements two strategies:
     agent + one server for tiny request grains (Step 6), a spanning star
     when service power never catches scheduling power.
 
+    The sweep skips work it can prove redundant, so the chosen tier and
+    its target are the same bits as solving every tier in full.  A tier
+    whose rho ceiling ``min(t_hi, max_k min(service(k), floor(k)))`` lies
+    strictly below the best rho so far (and, with a demand, below
+    ``demand - _REL_TOL``) can win neither selection rule, and is not
+    solved.  Inside a solve, the server count ``k(t)`` never increases
+    with ``t``, so once both bisection ends share one ``k`` every midpoint
+    has it, and the remaining steps need no slot count.
+
 ``incremental``
     A literal greedy reading of the pseudo-code: grow one node at a time,
     each step choosing between attaching a server and promoting the
@@ -345,32 +354,8 @@ class HeuristicPlanner:
     def _plan_fixed_point(
         self, ranked: list[Node], app_work: float, demand: float | None
     ) -> HeuristicPlan:
-        n = len(ranked)
-        # Per-node model constants, computed once and sliced per probe.
-        arrays = NodeArrays.for_nodes(self.params, ranked)
-        # Entries: (rho, used, n_agents, offset, target)
-        best: tuple[float, int, int, int, float] | None = None
-        cheapest: tuple[float, int, int, int, float] | None = None
-        max_agents = max(1, n // 2)
-        for n_agents in range(1, max_agents + 1):
-            for offset in self._agent_windows(n, n_agents):
-                solved = self._solve_for_agents(
-                    arrays, offset, n_agents, app_work, demand
-                )
-                if solved is None:
-                    continue
-                rho, n_servers, target = solved
-                used = n_agents + n_servers
-                entry = (rho, used, n_agents, offset, target)
-                if best is None or (rho, -used) > (best[0], -best[1]):
-                    best = entry
-                if demand is not None and rho >= demand - _REL_TOL:
-                    if cheapest is None or used < cheapest[1]:
-                        cheapest = entry
-        if best is None:
-            raise PlanningError("no feasible agent/server split found")
-        rho, used, n_agents, offset, target = (
-            cheapest if cheapest is not None else best
+        rho, used, n_agents, offset, target = self._sweep(
+            ranked, app_work, demand
         )
         agents = ranked[offset : offset + n_agents]
         candidates = ranked[:offset] + ranked[offset + n_agents :]
@@ -388,6 +373,45 @@ class HeuristicPlanner:
             demand=demand,
         )
 
+    def _sweep(
+        self, ranked: list[Node], app_work: float, demand: float | None
+    ) -> tuple[float, int, int, int, float]:
+        """The chosen ``(rho, used, n_agents, offset, target)`` tier.
+
+        The best tier maximizes ``(rho, -used)``; with a demand, the
+        cheapest tier meeting it wins instead.  ``bar`` is the rho a tier
+        must reach to win either rule; :meth:`_solve_for_agents` skips a
+        tier whose ceiling is strictly below it.
+        """
+        n = len(ranked)
+        # Per-node model constants, computed once and sliced per probe.
+        arrays = NodeArrays.for_nodes(self.params, ranked)
+        best: tuple[float, int, int, int, float] | None = None
+        cheapest: tuple[float, int, int, int, float] | None = None
+        bar = -math.inf
+        max_agents = max(1, n // 2)
+        for n_agents in range(1, max_agents + 1):
+            for offset in self._agent_windows(n, n_agents):
+                solved = self._solve_for_agents(
+                    arrays, offset, n_agents, app_work, demand, bar
+                )
+                if solved is None:
+                    continue
+                rho, n_servers, target = solved
+                used = n_agents + n_servers
+                entry = (rho, used, n_agents, offset, target)
+                if best is None or (rho, -used) > (best[0], -best[1]):
+                    best = entry
+                    # ceiling < bar  <=>  ceiling < best rho and (no
+                    # demand or ceiling < demand - _REL_TOL).
+                    bar = rho if demand is None else min(rho, demand - _REL_TOL)
+                if demand is not None and rho >= demand - _REL_TOL:
+                    if cheapest is None or used < cheapest[1]:
+                        cheapest = entry
+        if best is None:
+            raise PlanningError("no feasible agent/server split found")
+        return cheapest if cheapest is not None else best
+
     def _solve_for_agents(
         self,
         arrays: NodeArrays,
@@ -395,6 +419,7 @@ class HeuristicPlanner:
         n_agents: int,
         app_work: float,
         demand: float | None,
+        bar: float = -math.inf,
     ) -> tuple[float, int, float] | None:
         """Best (rho, n_servers, target_rate) for a fixed agent tier.
 
@@ -406,6 +431,23 @@ class HeuristicPlanner:
         all nodes used / minimum feasible servers).  All per-node rates
         come from the precomputed ``arrays``, so one probe is a few
         vector ops per bisection step.
+
+        Two exact shortcuts skip work without changing any result:
+
+        * Ceiling skip.  Every rho this solve can return is
+          ``min(t, service(k), floor(k))`` with ``t <= t_hi`` and
+          ``k_min <= k <= k_cap``, so it is at most ``min(t_hi, max_k
+          min(service(k), floor(k)))``, computed with the same operations
+          (``NodeArrays.service_ceiling``).  When that ceiling is strictly
+          below ``bar`` the tier can win neither the best nor the demand
+          rule of :meth:`_sweep`, and ``None`` is returned unsolved.
+        * Monotone k bracket.  ``server_slots(t)`` never increases with
+          ``t`` (every IEEE step of ``slot_total`` is monotone, and each
+          early exit either skips terms that are zero or lands on
+          ``k_cap`` after the clamp), so once both bisection ends share
+          one ``k``, every midpoint between them has it too.  The
+          bisection then runs the same midpoints and tests without
+          calling ``slot_total``, and ends on the same ``lo``.
         """
         params = self.params
         n = arrays.n
@@ -428,6 +470,8 @@ class HeuristicPlanner:
         if demand is not None:
             # No point scheduling faster than the demand.
             t_hi = min(t_hi, demand)
+        if t_hi < bar:
+            return None
 
         if offset == 0:
             cand_sel: slice | list[int] = slice(n_agents, n)
@@ -435,6 +479,10 @@ class HeuristicPlanner:
             cand_sel = list(range(offset)) + list(range(a_hi, n))
         cand_powers, _, _, cand_server_rate = arrays.select(cand_sel)
         prefix_power = arrays.prefix_powers(cand_powers)
+        if arrays.service_ceiling(
+            prefix_power, cand_server_rate, k_min, k_cap, app_work
+        ) < bar:
+            return None
 
         comm = params.service_comm
         wpre = params.wpre
@@ -452,45 +500,51 @@ class HeuristicPlanner:
         def floor_of(k: int) -> float:
             return float(cand_server_rate[k - 1])
 
-        def achievable(t: float) -> float | None:
-            """rho when targeting scheduling rate t, or None if infeasible."""
-            k = server_slots(t)
+        def cap_of(k: int) -> float:
+            """min(service, floor) with k servers; -inf when k is invalid."""
             if k < k_min:
-                return None
-            return min(t, service_of(k), floor_of(k))
+                return -math.inf
+            return min(service_of(k), floor_of(k))
 
-        hi_value = achievable(t_hi)
-        if hi_value is not None and hi_value >= t_hi - _REL_TOL:
+        # rho at target t with k = server_slots(t) is min(t, cap_of(k)); the
+        # target is feasible when that reaches t (within _REL_TOL).
+        k_hi = server_slots(t_hi)
+        if min(t_hi, cap_of(k_hi)) >= t_hi - _REL_TOL:
             # Service already exceeds the fastest feasible scheduling rate:
-            # shrink the server set to the cheapest one sustaining t_hi.
-            k = server_slots(t_hi)
+            # shrink the server set to the cheapest one sustaining t_hi
+            # (t_hi is already capped by the demand).
             k_best = self._min_servers(
-                k_min, k, t_hi if demand is None else min(t_hi, demand),
-                service_of, floor_of,
+                k_min, k_hi, t_hi, service_of, floor_of
             )
             rho = min(t_hi, service_of(k_best), floor_of(k_best))
             return float(rho), k_best, t_hi
 
         # Otherwise binary-search the crossing service(k(t)) == t.
         t_lo = t_hi
-        value = None
         for _ in range(200):
             t_lo /= 2.0
-            value = achievable(t_lo)
-            if value is not None and value >= t_lo - _REL_TOL:
+            k_lo = server_slots(t_lo)
+            cap_lo = cap_of(k_lo)
+            if min(t_lo, cap_lo) >= t_lo - _REL_TOL:
                 break
             if t_lo < 1e-12:
                 return None
-        assert value is not None
+        if k_lo < k_min:
+            # 200 halvings never reached a valid server count.
+            return None
         lo, hi = t_lo, t_hi
         for _ in range(64):
             mid = 0.5 * (lo + hi)
-            v = achievable(mid)
-            if v is not None and v >= mid - _REL_TOL:
-                lo = mid
+            if k_lo == k_hi:
+                k, cap = k_lo, cap_lo
             else:
-                hi = mid
-        k = server_slots(lo)
+                k = server_slots(mid)
+                cap = cap_of(k)
+            if min(mid, cap) >= mid - _REL_TOL:
+                lo, k_lo, cap_lo = mid, k, cap
+            else:
+                hi, k_hi = mid, k
+        k = k_lo
         rho = min(lo, service_of(k), floor_of(k))
         if demand is not None and rho > demand:
             k = self._min_servers(k_min, k, demand, service_of, floor_of)

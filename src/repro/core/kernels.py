@@ -15,7 +15,8 @@ planners probe over and over:
   ranking in one pass (the heuristic's ``service_of`` sweep);
 * :class:`NodeArrays` — per-node model constants for a ranked node list,
   precomputed once per (nodes, params) pair and sliced by the fixed-point
-  solver instead of re-deriving them per probe;
+  solver instead of re-deriving them per probe, plus the per-tier rho
+  ceiling that lets the solver skip tiers unsolved;
 * :class:`HierarchyEvaluator` — a memoizing replacement for repeated
   :func:`~repro.core.throughput.hierarchy_throughput` calls: per-node rates
   are cached by ``(power, degree)``, service rates by server-power tuple, so
@@ -376,6 +377,34 @@ class NodeArrays:
         slots = _np.where(budget < per, 0.0, _np.minimum(slots, float(clip)))
         # Each term is an integer in [0, clip]; the float sum is exact.
         return total + int(float(_np.sum(slots)))
+
+    def service_ceiling(
+        self, prefix_power, server_rate, k_min: int, k_cap: int, app_work: float
+    ) -> float:
+        """``max(min(service(k), server_rate[k-1]))`` over ``k_min..k_cap``.
+
+        ``service(k)`` is Eq. 15 over the ``k`` fastest candidates of a
+        ``prefix_powers`` selection, in the fixed-point solver's exact
+        operation order, so the result bounds every rho a solve over these
+        candidates can return bit for bit.  Both backends agree exactly.
+        """
+        comm = self.params.service_comm
+        wpre = self.params.wpre
+        if self._vectorized:
+            k = _np.arange(k_min, k_cap + 1, dtype=_np.float64)
+            pred = k * wpre / app_work
+            rate = prefix_power[k_min : k_cap + 1] / app_work
+            service = 1.0 / (comm + (1.0 + pred) / rate)
+            floor = server_rate[k_min - 1 : k_cap]
+            return float(_np.max(_np.minimum(service, floor)))
+        ceiling = -math.inf
+        for k in range(k_min, k_cap + 1):
+            pred = k * wpre / app_work
+            rate = prefix_power[k] / app_work
+            value = min(1.0 / (comm + (1.0 + pred) / rate), server_rate[k - 1])
+            if value > ceiling:
+                ceiling = value
+        return ceiling
 
     def prefix_powers(self, powers) -> Sequence[float]:
         """``[0, p0, p0+p1, ...]`` running sums of a power selection."""

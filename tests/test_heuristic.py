@@ -218,3 +218,49 @@ class TestRobustness:
         plan = planner.plan(pool, wapp)
         fresh = hierarchy_throughput(plan.hierarchy, p, wapp).throughput
         assert plan.throughput == pytest.approx(fresh)
+
+
+class TestSweepPruning:
+    """The fixed-point sweep's skip rule (exactness is property-tested
+    against a full sweep in test_properties_planner.py)."""
+
+    def test_bar_stays_below_demand_tolerance(self, p, monkeypatch):
+        """With a demand, a tier is skipped only below ``demand - 1e-9``:
+        a tier that could still meet the demand within tolerance (and be
+        cheaper) is always solved, even after the best rho reaches it."""
+        bars = []
+        solve = HeuristicPlanner._solve_for_agents
+
+        def spy(self, arrays, offset, n_agents, app_work, demand, bar):
+            bars.append(bar)
+            return solve(self, arrays, offset, n_agents, app_work, demand, bar)
+
+        monkeypatch.setattr(HeuristicPlanner, "_solve_for_agents", spy)
+        pool = NodePool.uniform_random(80, low=80, high=400, seed=3)
+        wapp = dgemm_mflop(310)
+        free = HeuristicPlanner(p).plan(pool, wapp)
+        demand = 0.5 * free.throughput
+        bars.clear()
+        plan = HeuristicPlanner(p).plan(pool, wapp, demand=demand)
+        assert plan.throughput >= demand - 1e-9
+        assert max(bars) == demand - 1e-9
+
+    def test_skips_tiers_without_demand(self, p, monkeypatch):
+        """Without a demand the bar is the best rho so far (the sweep's
+        closed-form rho, within an ulp of the evaluated plan), and the
+        service-bound tail of the sweep is skipped unsolved."""
+        bars = []
+        solve = HeuristicPlanner._solve_for_agents
+
+        def spy(self, arrays, offset, n_agents, app_work, demand, bar):
+            out = solve(self, arrays, offset, n_agents, app_work, demand, bar)
+            bars.append((bar, out))
+            return out
+
+        monkeypatch.setattr(HeuristicPlanner, "_solve_for_agents", spy)
+        pool = NodePool.uniform_random(120, low=80, high=400, seed=3)
+        plan = HeuristicPlanner(p).plan(pool, dgemm_mflop(310))
+        rising = [bar for bar, _ in bars]
+        assert rising == sorted(rising)
+        assert rising[-1] == pytest.approx(plan.throughput, rel=1e-12)
+        assert any(out is None for _, out in bars)

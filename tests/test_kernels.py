@@ -8,13 +8,18 @@ NumPy and pure-Python backends of each kernel agree exactly.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 import repro.core.kernels as kernels
 from repro.core.baselines import balanced_deployment, star_deployment
-from repro.core.heuristic import HeuristicPlanner, supported_children
+from repro.core.heuristic import (
+    HeuristicPlanner,
+    sort_nodes,
+    supported_children,
+)
 from repro.core.kernels import (
     HierarchyEvaluator,
     NodeArrays,
@@ -146,6 +151,33 @@ class TestBatchedKernels:
             service_throughput_prefixes(DEFAULT_PARAMS, [100.0], -1.0)
 
 
+def tier_ceiling(arrays, offset, n_agents, app_work, demand):
+    """``min(t_hi, service_ceiling)`` for one agent tier, built from the
+    same inputs as ``HeuristicPlanner._solve_for_agents``."""
+    n = arrays.n
+    k_min = 1 if n_agents == 1 else n_agents
+    k_cap = n - n_agents
+    t_hi = float(arrays.sched_deg1[offset])
+    if n_agents > 1:
+        t_hi = min(t_hi, arrays.min_sched_deg2(offset + 1, offset + n_agents))
+    if demand is not None:
+        t_hi = min(t_hi, demand)
+    if k_cap < k_min:
+        return t_hi
+    if offset == 0:
+        cand_sel = slice(n_agents, n)
+    else:
+        cand_sel = list(range(offset)) + list(range(offset + n_agents, n))
+    cand_powers, _, _, cand_server_rate = arrays.select(cand_sel)
+    prefix_power = arrays.prefix_powers(cand_powers)
+    return min(
+        t_hi,
+        arrays.service_ceiling(
+            prefix_power, cand_server_rate, k_min, k_cap, app_work
+        ),
+    )
+
+
 class TestNodeArrays:
     def test_slot_total_matches_scalar_sum(self, backend):
         rng = random.Random(29)
@@ -167,6 +199,112 @@ class TestNodeArrays:
                 # every caller clamps to the budget, so totals only have
                 # to agree below it.
                 assert total == reference or (total > n and reference > n)
+
+    def test_server_slots_non_increasing_in_target(self, backend):
+        """``slot_total`` clamped the way the fixed-point solver clamps it
+        never rises with the target rate: the premise of its bracketed
+        bisection.  Tiers under ``VECTOR_TIER`` take the scalar early-exit
+        loop, the wider ones the vector pass (NumPy backend)."""
+        rng = random.Random(37)
+        n = 2 * NodeArrays.VECTOR_TIER + 40
+        tiers = [(0, 1), (0, 3), (2, 40), (7, 7 + NodeArrays.VECTOR_TIER - 1),
+                 (5, 5 + NodeArrays.VECTOR_TIER + 10), (0, n // 2)]
+        for _ in range(4):
+            params = random_params(rng)
+            powers = sorted(random_powers(rng, n), reverse=True)
+            arrays = NodeArrays(params, powers)
+            fastest = agent_sched_throughput(params, powers[0], 1)
+            grid = {fastest * 2.0 ** (-e / 4) for e in range(120)}
+            # The exact rates where a node's supported degree steps, and
+            # their neighbouring floats.
+            for p in rng.sample(powers, 12):
+                fixed = params.agent_fixed_work / p + params.agent_comm_base
+                per_child = params.wsel / p + params.agent_child_comm
+                for degree in (1, 2, 3, 7, 50, n):
+                    grid.add(1.0 / (fixed + degree * per_child))
+            targets = set()
+            for t in grid:
+                targets.update((t, math.nextafter(t, 0.0),
+                                math.nextafter(t, math.inf)))
+            targets = sorted(targets)
+            for lo, hi in tiers:
+                n_agents = hi - lo
+                k_cap = n - n_agents
+                counts = [
+                    max(0, min(arrays.slot_total(lo, hi, t, n)
+                               - (n_agents - 1), k_cap))
+                    for t in targets
+                ]
+                assert all(a >= b for a, b in zip(counts, counts[1:]))
+                assert counts[0] == k_cap and counts[-1] == 0
+
+    def test_service_ceiling_bounds_every_solved_rho(self, backend):
+        """Every tier a full solve returns has ``rho <= min(t_hi,
+        service_ceiling)`` bit for bit, with no tolerance."""
+        rng = random.Random(41)
+        for trial in range(12):
+            params = random_params(rng) if trial % 2 else DEFAULT_PARAMS
+            n = rng.randrange(2, 60)
+            if trial % 3 == 0:
+                powers = [rng.uniform(5.0, 5000.0)] * n
+            else:
+                powers = random_powers(rng, n)
+            pool = NodePool.heterogeneous(powers)
+            app_work = rng.uniform(0.5, 5e3)
+            demand = None if trial % 4 < 2 else rng.uniform(0.01, 1e3)
+            planner = HeuristicPlanner(params, agent_selection="windowed")
+            ranked = sort_nodes(pool, params)
+            arrays = NodeArrays.for_nodes(params, ranked)
+            for n_agents in range(1, max(1, n // 2) + 1):
+                for offset in planner._agent_windows(n, n_agents):
+                    solved = planner._solve_for_agents(
+                        arrays, offset, n_agents, app_work, demand
+                    )
+                    if solved is None:
+                        continue
+                    ceiling = tier_ceiling(
+                        arrays, offset, n_agents, app_work, demand
+                    )
+                    assert solved[0] <= ceiling
+
+    def test_tier_at_its_ceiling_is_still_solved(self, backend):
+        """The planner skips a tier only when its ceiling is strictly
+        below the bar: at the ceiling itself the tier may still tie."""
+        pool = NodePool.uniform_random(60, low=80, high=400, seed=5)
+        ranked = sort_nodes(pool, DEFAULT_PARAMS)
+        arrays = NodeArrays.for_nodes(DEFAULT_PARAMS, ranked)
+        planner = HeuristicPlanner(DEFAULT_PARAMS)
+        app_work = dgemm_mflop(310)
+        for n_agents in (1, 4, 20):
+            full = planner._solve_for_agents(arrays, 0, n_agents, app_work, None)
+            ceiling = tier_ceiling(arrays, 0, n_agents, app_work, None)
+            assert planner._solve_for_agents(
+                arrays, 0, n_agents, app_work, None, ceiling
+            ) == full
+            assert planner._solve_for_agents(
+                arrays, 0, n_agents, app_work, None,
+                math.nextafter(ceiling, math.inf),
+            ) is None
+
+    @pytest.mark.skipif(not kernels.HAVE_NUMPY, reason="NumPy unavailable")
+    def test_service_ceiling_backends_agree(self, monkeypatch):
+        rng = random.Random(43)
+        for _ in range(10):
+            params = random_params(rng)
+            n = rng.randrange(2, 80)
+            powers = sorted(random_powers(rng, n), reverse=True)
+            app_work = rng.uniform(0.5, 5e3)
+            monkeypatch.setattr(kernels, "_USE_NUMPY", True)
+            vector = NodeArrays(params, powers)
+            monkeypatch.setattr(kernels, "_USE_NUMPY", False)
+            scalar = NodeArrays(params, powers)
+            for n_agents in range(1, max(1, n // 2) + 1):
+                for offset in sorted({0, 1, n - n_agents}):
+                    if offset > n - n_agents:
+                        continue
+                    assert tier_ceiling(
+                        vector, offset, n_agents, app_work, None
+                    ) == tier_ceiling(scalar, offset, n_agents, app_work, None)
 
     def test_rate_arrays_match_scalar(self, backend):
         rng = random.Random(31)

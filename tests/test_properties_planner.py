@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.kernels as kernels
 from repro.core.baselines import star_deployment
-from repro.core.heuristic import HeuristicPlanner
+from repro.core.heuristic import HeuristicPlanner, sort_nodes
 from repro.core.hierarchy import Role
+from repro.core.kernels import NodeArrays
 from repro.core.optimal import exhaustive_plan
 from repro.core.params import ModelParams
 from repro.core.throughput import hierarchy_throughput
+from repro.errors import PlanningError
 from repro.platforms.pool import NodePool
 
 PARAMS = ModelParams()
@@ -155,3 +158,199 @@ class TestDemandProperties:
         b = HeuristicPlanner(PARAMS).plan(pool, wapp)
         assert a.hierarchy.nodes == b.hierarchy.nodes
         assert a.throughput == b.throughput
+
+
+# ---------------------------------------------------------------------- #
+# exactness of the pruned fixed-point sweep
+
+_REL_TOL = 1e-9
+
+
+def reference_solve(planner, arrays, offset, n_agents, app_work, demand):
+    """One tier solved in full: the plain 64-step bisection, no pruning."""
+    n = arrays.n
+    if n - n_agents < 1:
+        return None
+    k_min = 1 if n_agents == 1 else n_agents
+    k_cap = n - n_agents
+    if k_cap < k_min:
+        return None
+    a_lo, a_hi = offset, offset + n_agents
+    t_hi = float(arrays.sched_deg1[a_lo])
+    if n_agents > 1:
+        t_hi = min(t_hi, arrays.min_sched_deg2(a_lo + 1, a_hi))
+    if demand is not None:
+        t_hi = min(t_hi, demand)
+    if offset == 0:
+        cand_sel = slice(n_agents, n)
+    else:
+        cand_sel = list(range(offset)) + list(range(a_hi, n))
+    cand_powers, _, _, cand_server_rate = arrays.select(cand_sel)
+    prefix_power = arrays.prefix_powers(cand_powers)
+    comm = planner.params.service_comm
+    wpre = planner.params.wpre
+
+    def server_slots(t):
+        slots = arrays.slot_total(a_lo, a_hi, t, n)
+        return max(0, min(slots - (n_agents - 1), k_cap))
+
+    def service_of(k):
+        pred = k * wpre / app_work
+        rate = prefix_power[k] / app_work
+        return 1.0 / (comm + (1.0 + pred) / rate)
+
+    def floor_of(k):
+        return float(cand_server_rate[k - 1])
+
+    def achievable(t):
+        k = server_slots(t)
+        if k < k_min:
+            return None
+        return min(t, service_of(k), floor_of(k))
+
+    hi_value = achievable(t_hi)
+    if hi_value is not None and hi_value >= t_hi - _REL_TOL:
+        k = planner._min_servers(
+            k_min, server_slots(t_hi), t_hi, service_of, floor_of
+        )
+        return float(min(t_hi, service_of(k), floor_of(k))), k, t_hi
+    t_lo = t_hi
+    value = None
+    for _ in range(200):
+        t_lo /= 2.0
+        value = achievable(t_lo)
+        if value is not None and value >= t_lo - _REL_TOL:
+            break
+        if t_lo < 1e-12:
+            return None
+    if value is None:
+        return None
+    lo, hi = t_lo, t_hi
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        v = achievable(mid)
+        if v is not None and v >= mid - _REL_TOL:
+            lo = mid
+        else:
+            hi = mid
+    k = server_slots(lo)
+    rho = min(lo, service_of(k), floor_of(k))
+    if demand is not None and rho > demand:
+        k = planner._min_servers(k_min, k, demand, service_of, floor_of)
+        rho = min(lo, service_of(k), floor_of(k))
+    return float(rho), k, lo
+
+
+def reference_sweep(planner, ranked, app_work, demand):
+    """The chosen ``(rho, used, n_agents, offset, target)``, every tier solved."""
+    n = len(ranked)
+    arrays = NodeArrays.for_nodes(planner.params, ranked)
+    best = cheapest = None
+    for n_agents in range(1, max(1, n // 2) + 1):
+        for offset in planner._agent_windows(n, n_agents):
+            solved = reference_solve(
+                planner, arrays, offset, n_agents, app_work, demand
+            )
+            if solved is None:
+                continue
+            rho, n_servers, target = solved
+            used = n_agents + n_servers
+            entry = (rho, used, n_agents, offset, target)
+            if best is None or (rho, -used) > (best[0], -best[1]):
+                best = entry
+            if demand is not None and rho >= demand - _REL_TOL:
+                if cheapest is None or used < cheapest[1]:
+                    cheapest = entry
+    if best is None:
+        raise PlanningError("no feasible agent/server split found")
+    return cheapest if cheapest is not None else best
+
+
+def edges(hierarchy):
+    return sorted(
+        (str(node), str(hierarchy.parent(node)), hierarchy.role(node).name)
+        for node in hierarchy
+    )
+
+
+@st.composite
+def exactness_cases(draw):
+    """Pools of every shape the sweep prunes differently.
+
+    Sizes past ``2 * NodeArrays.VECTOR_TIER`` put agent tiers on the
+    vectorized ``slot_total`` path; tied and homogeneous powers make
+    ranking ties and equal-rho tiers.
+    """
+    size = draw(
+        st.one_of(
+            st.integers(2, 40),
+            st.integers(41, 160),
+            st.integers(
+                2 * NodeArrays.VECTOR_TIER + 2, 2 * NodeArrays.VECTOR_TIER + 24
+            ),
+        )
+    )
+    kind = draw(st.sampled_from(["distinct", "tied", "homogeneous"]))
+    if kind == "distinct":
+        powers = draw(
+            st.lists(
+                st.floats(min_value=20.0, max_value=800.0),
+                min_size=size,
+                max_size=size,
+            )
+        )
+    elif kind == "tied":
+        levels = draw(
+            st.lists(
+                st.floats(min_value=20.0, max_value=800.0),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        powers = [levels[i % len(levels)] for i in range(size)]
+    else:
+        powers = [draw(st.floats(min_value=20.0, max_value=800.0))] * size
+    wapp = draw(app_works)
+    # A demand from far below to just above the pool's raw service power,
+    # so both the best and the cheapest-meeting-demand rule decide.
+    fraction = draw(st.none() | st.floats(min_value=1e-4, max_value=1.2))
+    demand = None if fraction is None else fraction * sum(powers) / wapp
+    selection = draw(st.sampled_from(["fastest", "windowed"]))
+    numpy_backend = draw(st.booleans()) and kernels.HAVE_NUMPY
+    return NodePool.heterogeneous(powers), wapp, demand, selection, numpy_backend
+
+
+class TestPrunedSweepExactness:
+    @given(exactness_cases())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_pruned_sweep_matches_full_sweep(self, case):
+        """Skipping ceiling-bounded tiers and bracketed bisection steps
+        picks the same tier, target and tree as solving every tier."""
+        pool, wapp, demand, selection, numpy_backend = case
+        saved = kernels._USE_NUMPY
+        kernels._USE_NUMPY = numpy_backend
+        try:
+            planner = HeuristicPlanner(PARAMS, agent_selection=selection)
+            ranked = sort_nodes(pool, PARAMS)
+            try:
+                expected = reference_sweep(planner, ranked, wapp, demand)
+            except PlanningError:
+                with pytest.raises(PlanningError):
+                    planner._sweep(ranked, wapp, demand)
+                return
+            chosen = planner._sweep(ranked, wapp, demand)
+            assert chosen == expected
+            if planner._early_exit(ranked, wapp, demand) is not None:
+                return
+            rho, used, n_agents, offset, target = expected
+            candidates = ranked[:offset] + ranked[offset + n_agents :]
+            reference_tree = planner._materialize(
+                ranked[offset : offset + n_agents],
+                candidates[: used - n_agents],
+                target,
+            )
+            planner._repair(reference_tree)
+            plan = planner.plan(pool, wapp, demand=demand)
+            assert edges(plan.hierarchy) == edges(reference_tree)
+        finally:
+            kernels._USE_NUMPY = saved
