@@ -1,7 +1,8 @@
 """Ablations on the planner's design choices (analytic model only).
 
-DESIGN.md calls out three load-bearing decisions in our Algorithm 1
-implementation; each gets an ablation at full 200-node paper scale:
+The ``HeuristicPlanner`` docstring (``repro.core.heuristic``) documents
+three load-bearing decisions in our Algorithm 1 implementation; each gets
+an ablation at full 200-node paper scale:
 
 1. **fixed-point vs incremental growth** — the interleaved while-loops of
    the pseudo-code read either as a balance-point computation (our

@@ -35,9 +35,13 @@ This module implements two strategies:
     whose rho ceiling ``min(t_hi, max_k min(service(k), floor(k)))`` lies
     strictly below the best rho so far (and, with a demand, below
     ``demand - _REL_TOL``) can win neither selection rule, and is not
-    solved.  Inside a solve, the server count ``k(t)`` never increases
-    with ``t``, so once both bisection ends share one ``k`` every midpoint
-    has it, and the remaining steps need no slot count.
+    solved.  Tier ceilings never rise with ``A`` at offset 0, so the
+    ``fastest`` sweep ends at the first tier skipped that way.  Inside a
+    solve, the server count ``k(t)`` never increases with ``t``, so once
+    both bisection ends share one ``k`` every midpoint has it, and the
+    remaining steps need no slot count.  Before that, each agent's own
+    slot term is monotone as well, so a midpoint re-sums only the agents
+    whose terms still differ between the two ends.
 
 ``incremental``
     A literal greedy reading of the pseudo-code: grow one node at a time,
@@ -45,7 +49,9 @@ This module implements two strategies:
     strongest server to an agent, with best-snapshot rollback.  Kept for
     ablation (benchmarks compare both).
 
-Interpretation choices are catalogued in DESIGN.md §3.
+The interpretation choices (the strategy, promotion and agent selection,
+each ablated in ``benchmarks/bench_ablation_planner.py``) are documented
+on :class:`HeuristicPlanner`.
 """
 
 from __future__ import annotations
@@ -159,6 +165,74 @@ def supported_children(
     if budget < per_child:
         return 0
     return int(math.floor(budget / per_child + _REL_TOL))
+
+
+#: :meth:`HeuristicPlanner._solve_for_agents` outcome for a tier skipped
+#: unsolved because its rho ceiling lies strictly below the sweep's bar
+#: (``None`` means the tier is infeasible).
+_BELOW_BAR = "below bar"
+
+
+class _LiveSlots:
+    """An agent tier's slot total between two bisection ends.
+
+    Every agent's ``NodeArrays.slot_terms`` term is non-increasing in the
+    target, so between two ends where it is equal it cannot change.  Those
+    agents are folded into ``base``.  Only the *live* agents, whose terms
+    differ between the ends, are re-summed at a midpoint, and each step
+    drops the live agents whose midpoint term equals the kept end's.
+    """
+
+    __slots__ = (
+        "arrays", "clip", "base", "live", "lo_terms", "hi_terms", "mid_terms"
+    )
+
+    def __init__(
+        self, arrays: NodeArrays, a_lo: int, a_hi: int,
+        t_lo: float, t_hi: float, clip: int,
+    ):
+        self.arrays = arrays
+        self.clip = clip
+        self.base = 0
+        self.live: list[int] = []
+        self.lo_terms: list[int] = []
+        self.hi_terms: list[int] = []
+        self.mid_terms: list[int] = []
+        agents = range(a_lo, a_hi)
+        for i, lo, hi in zip(
+            agents,
+            arrays.slot_terms(agents, t_lo, clip),
+            arrays.slot_terms(agents, t_hi, clip),
+        ):
+            if lo == hi:
+                self.base += lo
+            else:
+                self.live.append(i)
+                self.lo_terms.append(lo)
+                self.hi_terms.append(hi)
+
+    def total(self, target: float) -> int:
+        """The tier's slot total at a ``target`` between the two ends."""
+        self.mid_terms = self.arrays.slot_terms(self.live, target, self.clip)
+        return self.base + sum(self.mid_terms)
+
+    def settle(self, to_lo: bool) -> None:
+        """Make the last :meth:`total` target the low (``to_lo``) or the
+        high end, and fold the agents it settles into ``base``."""
+        kept_terms = self.hi_terms if to_lo else self.lo_terms
+        live, moved, kept = [], [], []
+        for i, mid, other in zip(self.live, self.mid_terms, kept_terms):
+            if mid == other:
+                self.base += mid
+            else:
+                live.append(i)
+                moved.append(mid)
+                kept.append(other)
+        self.live = live
+        if to_lo:
+            self.lo_terms, self.hi_terms = moved, kept
+        else:
+            self.lo_terms, self.hi_terms = kept, moved
 
 
 @dataclass(frozen=True)
@@ -382,32 +456,49 @@ class HeuristicPlanner:
         cheapest tier meeting it wins instead.  ``bar`` is the rho a tier
         must reach to win either rule; :meth:`_solve_for_agents` skips a
         tier whose ceiling is strictly below it.
+
+        With ``fastest`` selection over a power-descending ranking, the
+        first such skip ends the sweep.  Tier A's ceiling never rises with
+        A: ``t_hi`` is a minimum over a growing set, the candidates
+        ``ranked[A+1:]`` are element-wise no faster than ``ranked[A:]`` (and
+        the prefix sums, Eq. 15 and the server rates are IEEE-monotone in
+        them), and the k range ``[k_min, k_cap]`` only narrows.  ``bar``
+        never falls, so every later tier would be skipped as well.  An
+        infeasible tier (``None``) proves nothing and does not stop it.
         """
         n = len(ranked)
         # Per-node model constants, computed once and sliced per probe.
         arrays = NodeArrays.for_nodes(self.params, ranked)
+        stops = self.agent_selection == "fastest" and all(
+            a.power >= b.power for a, b in zip(ranked, ranked[1:])
+        )
         best: tuple[float, int, int, int, float] | None = None
         cheapest: tuple[float, int, int, int, float] | None = None
         bar = -math.inf
-        max_agents = max(1, n // 2)
-        for n_agents in range(1, max_agents + 1):
-            for offset in self._agent_windows(n, n_agents):
-                solved = self._solve_for_agents(
-                    arrays, offset, n_agents, app_work, demand, bar
-                )
-                if solved is None:
-                    continue
-                rho, n_servers, target = solved
-                used = n_agents + n_servers
-                entry = (rho, used, n_agents, offset, target)
-                if best is None or (rho, -used) > (best[0], -best[1]):
-                    best = entry
-                    # ceiling < bar  <=>  ceiling < best rho and (no
-                    # demand or ceiling < demand - _REL_TOL).
-                    bar = rho if demand is None else min(rho, demand - _REL_TOL)
-                if demand is not None and rho >= demand - _REL_TOL:
-                    if cheapest is None or used < cheapest[1]:
-                        cheapest = entry
+        tiers = (
+            (n_agents, offset)
+            for n_agents in range(1, max(1, n // 2) + 1)
+            for offset in self._agent_windows(n, n_agents)
+        )
+        for n_agents, offset in tiers:
+            solved = self._solve_for_agents(
+                arrays, offset, n_agents, app_work, demand, bar
+            )
+            if solved is _BELOW_BAR and stops:
+                break
+            if solved is None or solved is _BELOW_BAR:
+                continue
+            rho, n_servers, target = solved
+            used = n_agents + n_servers
+            entry = (rho, used, n_agents, offset, target)
+            if best is None or (rho, -used) > (best[0], -best[1]):
+                best = entry
+                # ceiling < bar  <=>  ceiling < best rho and (no
+                # demand or ceiling < demand - _REL_TOL).
+                bar = rho if demand is None else min(rho, demand - _REL_TOL)
+            if demand is not None and rho >= demand - _REL_TOL:
+                if cheapest is None or used < cheapest[1]:
+                    cheapest = entry
         if best is None:
             raise PlanningError("no feasible agent/server split found")
         return cheapest if cheapest is not None else best
@@ -420,7 +511,7 @@ class HeuristicPlanner:
         app_work: float,
         demand: float | None,
         bar: float = -math.inf,
-    ) -> tuple[float, int, float] | None:
+    ) -> tuple[float, int, float] | str | None:
         """Best (rho, n_servers, target_rate) for a fixed agent tier.
 
         The agent tier is ``ranked[offset : offset + n_agents]``; every
@@ -432,7 +523,10 @@ class HeuristicPlanner:
         come from the precomputed ``arrays``, so one probe is a few
         vector ops per bisection step.
 
-        Two exact shortcuts skip work without changing any result:
+        Returns ``None`` for an infeasible tier and ``_BELOW_BAR`` for one
+        skipped by the ceiling rule below.
+
+        Four exact shortcuts skip work without changing any result:
 
         * Ceiling skip.  Every rho this solve can return is
           ``min(t, service(k), floor(k))`` with ``t <= t_hi`` and
@@ -440,7 +534,10 @@ class HeuristicPlanner:
           min(service(k), floor(k)))``, computed with the same operations
           (``NodeArrays.service_ceiling``).  When that ceiling is strictly
           below ``bar`` the tier can win neither the best nor the demand
-          rule of :meth:`_sweep`, and ``None`` is returned unsolved.
+          rule of :meth:`_sweep`, and ``_BELOW_BAR`` is returned unsolved.
+        * Monotone early stop.  :meth:`_sweep` ends a ``fastest`` sweep at
+          the first ``_BELOW_BAR`` tier: its ceiling never rises with
+          ``n_agents`` and its bar never falls.
         * Monotone k bracket.  ``server_slots(t)`` never increases with
           ``t`` (every IEEE step of ``slot_total`` is monotone, and each
           early exit either skips terms that are zero or lands on
@@ -448,6 +545,11 @@ class HeuristicPlanner:
           one ``k``, every midpoint between them has it too.  The
           bisection then runs the same midpoints and tests without
           calling ``slot_total``, and ends on the same ``lo``.
+        * Live-agent bracket.  While the ends' ``k`` differ, each agent's
+          own slot term is non-increasing in ``t`` too, so only the agents
+          whose terms differ between the ends can change at a midpoint
+          (:class:`_LiveSlots`).  A midpoint re-sums just those, and
+          ``cap_of`` is memoized per ``k``.
         """
         params = self.params
         n = arrays.n
@@ -471,7 +573,7 @@ class HeuristicPlanner:
             # No point scheduling faster than the demand.
             t_hi = min(t_hi, demand)
         if t_hi < bar:
-            return None
+            return _BELOW_BAR
 
         if offset == 0:
             cand_sel: slice | list[int] = slice(n_agents, n)
@@ -482,7 +584,7 @@ class HeuristicPlanner:
         if arrays.service_ceiling(
             prefix_power, cand_server_rate, k_min, k_cap, app_work
         ) < bar:
-            return None
+            return _BELOW_BAR
 
         comm = params.service_comm
         wpre = params.wpre
@@ -500,11 +602,18 @@ class HeuristicPlanner:
         def floor_of(k: int) -> float:
             return float(cand_server_rate[k - 1])
 
+        caps: dict[int, float] = {}
+
         def cap_of(k: int) -> float:
             """min(service, floor) with k servers; -inf when k is invalid."""
-            if k < k_min:
-                return -math.inf
-            return min(service_of(k), floor_of(k))
+            cap = caps.get(k)
+            if cap is None:
+                cap = (
+                    -math.inf if k < k_min
+                    else min(service_of(k), floor_of(k))
+                )
+                caps[k] = cap
+            return cap
 
         # rho at target t with k = server_slots(t) is min(t, cap_of(k)); the
         # target is feasible when that reaches t (within _REL_TOL).
@@ -533,14 +642,21 @@ class HeuristicPlanner:
             # 200 halvings never reached a valid server count.
             return None
         lo, hi = t_lo, t_hi
+        live = (
+            None if k_lo == k_hi
+            else _LiveSlots(arrays, a_lo, a_hi, lo, hi, n)
+        )
         for _ in range(64):
             mid = 0.5 * (lo + hi)
             if k_lo == k_hi:
                 k, cap = k_lo, cap_lo
             else:
-                k = server_slots(mid)
+                k = max(0, min(live.total(mid) - (n_agents - 1), k_cap))
                 cap = cap_of(k)
-            if min(mid, cap) >= mid - _REL_TOL:
+            feasible = min(mid, cap) >= mid - _REL_TOL
+            if k_lo != k_hi:
+                live.settle(feasible)
+            if feasible:
                 lo, k_lo, cap_lo = mid, k, cap
             else:
                 hi, k_hi = mid, k

@@ -16,7 +16,8 @@ planners probe over and over:
 * :class:`NodeArrays` — per-node model constants for a ranked node list,
   precomputed once per (nodes, params) pair and sliced by the fixed-point
   solver instead of re-deriving them per probe, plus the per-tier rho
-  ceiling that lets the solver skip tiers unsolved;
+  ceiling that lets the solver skip tiers unsolved and the per-agent slot
+  terms its bisection re-sums;
 * :class:`HierarchyEvaluator` — a memoizing replacement for repeated
   :func:`~repro.core.throughput.hierarchy_throughput` calls: per-node rates
   are cached by ``(power, degree)``, service rates by server-power tuple, so
@@ -377,6 +378,31 @@ class NodeArrays:
         slots = _np.where(budget < per, 0.0, _np.minimum(slots, float(clip)))
         # Each term is an integer in [0, clip]; the float sum is exact.
         return total + int(float(_np.sum(slots)))
+
+    def slot_terms(
+        self, agents: Sequence[int], target_rate: float, clip: int
+    ) -> list[int]:
+        """Per-agent ``slot_total`` terms, ``min(supported_children, clip)``.
+
+        Each term runs the operation sequence of both ``slot_total`` paths,
+        without the early exits.  On a power-descending tier the sum of
+        ``slot_terms(range(lo, hi), t, clip)`` equals ``slot_total(lo, hi,
+        t, clip)`` up to ``clip`` and both exceed it together, so callers
+        that clamp to ``clip`` read the same count.  Each term is
+        non-increasing in ``target_rate``.  Scalar on both backends: past
+        its first steps, a bisection asks for a handful of agents.
+        """
+        inverse = 1.0 / target_rate
+        fixed = self._fixed_list
+        per_child = self._per_child_list
+        terms = []
+        for i in agents:
+            budget = inverse - fixed[i]
+            b = per_child[i]
+            terms.append(
+                0 if budget < b else min(int(budget / b + _REL_TOL), clip)
+            )
+        return terms
 
     def service_ceiling(
         self, prefix_power, server_rate, k_min: int, k_cap: int, app_work: float

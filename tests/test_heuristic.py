@@ -1,8 +1,11 @@
 """The deployment heuristic (Algorithm 1)."""
 
+import math
+
 import pytest
 
 from repro.core.heuristic import (
+    _BELOW_BAR,
     HeuristicPlanner,
     calc_hier_ser_pow,
     calc_sch_pow,
@@ -248,7 +251,9 @@ class TestSweepPruning:
     def test_skips_tiers_without_demand(self, p, monkeypatch):
         """Without a demand the bar is the best rho so far (the sweep's
         closed-form rho, within an ulp of the evaluated plan), and the
-        service-bound tail of the sweep is skipped unsolved."""
+        service-bound tail of the sweep is skipped unsolved: the first
+        tier whose ceiling falls below the bar reports ``_BELOW_BAR``, and
+        the ``fastest`` sweep ends on it."""
         bars = []
         solve = HeuristicPlanner._solve_for_agents
 
@@ -263,4 +268,78 @@ class TestSweepPruning:
         rising = [bar for bar, _ in bars]
         assert rising == sorted(rising)
         assert rising[-1] == pytest.approx(plan.throughput, rel=1e-12)
-        assert any(out is None for _, out in bars)
+        outcomes = [out for _, out in bars]
+        assert outcomes[-1] is _BELOW_BAR
+        assert all(out is not _BELOW_BAR for out in outcomes[:-1])
+        assert len(outcomes) < len(pool) // 2
+
+    def test_infeasible_tier_does_not_end_the_sweep(self, p, monkeypatch):
+        """Only a below-bar skip ends a ``fastest`` sweep: an infeasible
+        tier (``None``) bounds nothing after it.  A real sweep never meets
+        one (each tier's ``t_hi`` already gives every agent its minimum
+        children), so a stub reports it."""
+        seen = []
+        solve = HeuristicPlanner._solve_for_agents
+
+        def stub(self, arrays, offset, n_agents, app_work, demand, bar):
+            seen.append(n_agents)
+            if n_agents == 2:
+                return None
+            return solve(self, arrays, offset, n_agents, app_work, demand, bar)
+
+        monkeypatch.setattr(HeuristicPlanner, "_solve_for_agents", stub)
+        pool = NodePool.uniform_random(120, low=80, high=400, seed=3)
+        HeuristicPlanner(p).plan(pool, dgemm_mflop(310))
+        assert seen[:3] == [1, 2, 3]
+
+    def test_ranking_ties_out_of_power_order_keep_every_tier(
+        self, p, monkeypatch
+    ):
+        """Ranking keys can tie for powers a few ulps apart, and the name
+        tie-break may then rank the slower node first.  Tier ceilings are
+        only monotone over a power-descending ranking, so such a sweep
+        visits every tier."""
+        fast = 3e4
+        slow = math.nextafter(fast, 0.0)
+        assert calc_sch_pow(p, fast, 121) == calc_sch_pow(p, slow, 121)
+        powers = [fast, slow] + [
+            node.power
+            for node in NodePool.uniform_random(120, low=80, high=400, seed=3)
+        ]
+        pool = NodePool.heterogeneous(powers)
+        ranked = sort_nodes(pool, p)
+        assert ranked[0].power < ranked[1].power
+        outcomes = []
+        solve = HeuristicPlanner._solve_for_agents
+
+        def spy(self, arrays, offset, n_agents, app_work, demand, bar):
+            out = solve(self, arrays, offset, n_agents, app_work, demand, bar)
+            outcomes.append(out)
+            return out
+
+        monkeypatch.setattr(HeuristicPlanner, "_solve_for_agents", spy)
+        HeuristicPlanner(p).plan(pool, dgemm_mflop(310))
+        assert len(outcomes) == len(pool) // 2
+        assert any(out is _BELOW_BAR for out in outcomes[:-1])
+
+    def test_windowed_sweep_visits_every_tier(self, p, monkeypatch):
+        """Windowed offsets are not ordered by ceiling, so a below-bar
+        tier never ends a ``windowed`` sweep: every tier is visited."""
+        outcomes = []
+        solve = HeuristicPlanner._solve_for_agents
+
+        def spy(self, arrays, offset, n_agents, app_work, demand, bar):
+            out = solve(self, arrays, offset, n_agents, app_work, demand, bar)
+            outcomes.append(out)
+            return out
+
+        monkeypatch.setattr(HeuristicPlanner, "_solve_for_agents", spy)
+        pool = NodePool.uniform_random(120, low=80, high=400, seed=3)
+        planner = HeuristicPlanner(p, agent_selection="windowed")
+        planner.plan(pool, dgemm_mflop(310))
+        n = len(pool)
+        tiers = sum(
+            len(planner._agent_windows(n, a)) for a in range(1, n // 2 + 1)
+        )
+        assert len(outcomes) == tiers
+        assert any(out is _BELOW_BAR for out in outcomes[:-1])

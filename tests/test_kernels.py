@@ -13,9 +13,11 @@ import random
 
 import pytest
 
+import repro.core.heuristic as heuristic
 import repro.core.kernels as kernels
 from repro.core.baselines import balanced_deployment, star_deployment
 from repro.core.heuristic import (
+    _BELOW_BAR,
     HeuristicPlanner,
     sort_nodes,
     supported_children,
@@ -151,9 +153,10 @@ class TestBatchedKernels:
             service_throughput_prefixes(DEFAULT_PARAMS, [100.0], -1.0)
 
 
-def tier_ceiling(arrays, offset, n_agents, app_work, demand):
-    """``min(t_hi, service_ceiling)`` for one agent tier, built from the
-    same inputs as ``HeuristicPlanner._solve_for_agents``."""
+def tier_bounds(arrays, offset, n_agents, app_work, demand):
+    """``(t_hi, service_ceiling)`` for one agent tier, built from the same
+    inputs as ``HeuristicPlanner._solve_for_agents``; the service ceiling
+    is ``inf`` when the tier has no valid server count."""
     n = arrays.n
     k_min = 1 if n_agents == 1 else n_agents
     k_cap = n - n_agents
@@ -163,19 +166,21 @@ def tier_ceiling(arrays, offset, n_agents, app_work, demand):
     if demand is not None:
         t_hi = min(t_hi, demand)
     if k_cap < k_min:
-        return t_hi
+        return t_hi, math.inf
     if offset == 0:
         cand_sel = slice(n_agents, n)
     else:
         cand_sel = list(range(offset)) + list(range(offset + n_agents, n))
     cand_powers, _, _, cand_server_rate = arrays.select(cand_sel)
     prefix_power = arrays.prefix_powers(cand_powers)
-    return min(
-        t_hi,
-        arrays.service_ceiling(
-            prefix_power, cand_server_rate, k_min, k_cap, app_work
-        ),
+    return t_hi, arrays.service_ceiling(
+        prefix_power, cand_server_rate, k_min, k_cap, app_work
     )
+
+
+def tier_ceiling(arrays, offset, n_agents, app_work, demand):
+    """``min(t_hi, service_ceiling)`` for one agent tier."""
+    return min(tier_bounds(arrays, offset, n_agents, app_work, demand))
 
 
 class TestNodeArrays:
@@ -269,7 +274,9 @@ class TestNodeArrays:
 
     def test_tier_at_its_ceiling_is_still_solved(self, backend):
         """The planner skips a tier only when its ceiling is strictly
-        below the bar: at the ceiling itself the tier may still tie."""
+        below the bar: at the ceiling itself the tier may still tie.  The
+        skip is reported as ``_BELOW_BAR``, never as infeasible ``None``:
+        only a below-bar skip may end a ``fastest`` sweep."""
         pool = NodePool.uniform_random(60, low=80, high=400, seed=5)
         ranked = sort_nodes(pool, DEFAULT_PARAMS)
         arrays = NodeArrays.for_nodes(DEFAULT_PARAMS, ranked)
@@ -284,7 +291,92 @@ class TestNodeArrays:
             assert planner._solve_for_agents(
                 arrays, 0, n_agents, app_work, None,
                 math.nextafter(ceiling, math.inf),
-            ) is None
+            ) is _BELOW_BAR
+
+    @pytest.mark.parametrize("kind", ["distinct", "tied", "homogeneous"])
+    def test_offset_zero_bounds_never_rise_with_agents(self, backend, kind):
+        """At offset 0, ``t_hi`` and ``service_ceiling`` are non-increasing
+        in the tier size A, bit for bit: the premise that lets a
+        ``fastest`` sweep end at its first below-bar tier.  The pools are
+        wide enough for a tier of exactly ``VECTOR_TIER`` agents."""
+        rng = random.Random(47)
+        n = 2 * NodeArrays.VECTOR_TIER + 6
+        for trial in range(3):
+            params = random_params(rng) if trial else DEFAULT_PARAMS
+            if kind == "distinct":
+                powers = random_powers(rng, n)
+            elif kind == "tied":
+                levels = random_powers(rng, 3)
+                powers = [levels[i % 3] for i in range(n)]
+            else:
+                powers = [rng.uniform(5.0, 5000.0)] * n
+            ranked = sort_nodes(NodePool.heterogeneous(powers), params)
+            arrays = NodeArrays.for_nodes(params, ranked)
+            app_work = rng.uniform(0.5, 5e3)
+            demand = None if trial < 2 else rng.uniform(0.01, 1e3)
+            sizes = range(1, n // 2 + 1)
+            assert NodeArrays.VECTOR_TIER in sizes
+            bounds = [
+                tier_bounds(arrays, 0, a, app_work, demand) for a in sizes
+            ]
+            for (t_hi, ceiling), (next_t_hi, next_ceiling) in zip(
+                bounds, bounds[1:]
+            ):
+                assert next_t_hi <= t_hi
+                assert next_ceiling <= ceiling
+
+    def test_live_bracket_counts_what_slot_total_counts(
+        self, backend, monkeypatch
+    ):
+        """At every midpoint of real bisections, the live-agent bracket's
+        server count equals the clamped ``slot_total`` count, on tiers
+        below and above ``VECTOR_TIER``."""
+        tiers = {}
+        checked = []
+        init = heuristic._LiveSlots.__init__
+        total = heuristic._LiveSlots.total
+
+        def spy_init(self, arrays, a_lo, a_hi, t_lo, t_hi, clip):
+            tiers[id(self)] = (arrays, a_lo, a_hi, clip)
+            init(self, arrays, a_lo, a_hi, t_lo, t_hi, clip)
+
+        def spy_total(self, target):
+            slots = total(self, target)
+            checked.append((tiers[id(self)], target, slots))
+            return slots
+
+        monkeypatch.setattr(heuristic._LiveSlots, "__init__", spy_init)
+        monkeypatch.setattr(heuristic._LiveSlots, "total", spy_total)
+        rng = random.Random(53)
+        n = 2 * NodeArrays.VECTOR_TIER + 40
+        vt = NodeArrays.VECTOR_TIER
+        for trial in range(4):
+            params = DEFAULT_PARAMS if trial < 2 else random_params(rng)
+            # A narrow power band keeps wide tiers short of k_cap slots at
+            # t_hi, so they bisect across k jumps too.
+            if trial % 2:
+                powers = [rng.uniform(1000.0, 1100.0) for _ in range(n)]
+            else:
+                powers = random_powers(rng, n)
+            ranked = sort_nodes(NodePool.heterogeneous(powers), params)
+            arrays = NodeArrays.for_nodes(params, ranked)
+            planner = HeuristicPlanner(params)
+            for app_work in (2.0, 100.0, 1e3):
+                for n_agents in (1, 2, 9, 40, vt - 1, vt, vt + 1, vt + 20):
+                    for offset in (0, 3):
+                        planner._solve_for_agents(
+                            arrays, offset, n_agents, app_work, None
+                        )
+        sizes = set()
+        for (arrays, a_lo, a_hi, clip), target, slots in checked:
+            n_agents = a_hi - a_lo
+            k_cap = arrays.n - n_agents
+            reference = arrays.slot_total(a_lo, a_hi, target, clip)
+            assert max(0, min(slots - (n_agents - 1), k_cap)) == max(
+                0, min(reference - (n_agents - 1), k_cap)
+            )
+            sizes.add(n_agents)
+        assert min(sizes) < vt <= max(sizes)
 
     @pytest.mark.skipif(not kernels.HAVE_NUMPY, reason="NumPy unavailable")
     def test_service_ceiling_backends_agree(self, monkeypatch):

@@ -322,10 +322,12 @@ def exactness_cases(draw):
 
 class TestPrunedSweepExactness:
     @given(exactness_cases())
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     def test_pruned_sweep_matches_full_sweep(self, case):
-        """Skipping ceiling-bounded tiers and bracketed bisection steps
-        picks the same tier, target and tree as solving every tier."""
+        """Skipping ceiling-bounded tiers, ending a ``fastest`` sweep at
+        its first below-bar tier, and the bracketed and live-agent
+        bisection steps pick the same tier, target and tree as solving
+        every tier in full."""
         pool, wapp, demand, selection, numpy_backend = case
         saved = kernels._USE_NUMPY
         kernels._USE_NUMPY = numpy_backend
