@@ -11,7 +11,6 @@ record a *performance trajectory* across PRs.  It times
   cancellation-heavy churn storm that exercises heap compaction, and a
   ``SerialResource`` whose priority-1 work is preempted by priority-0
   arrivals (submit, preempt, complete);
-* the batched kernels against their scalar counterparts;
 * the online control plane: a full autoscaling run under a flash-crowd
   trace (reactive policy vs. the static ``hold`` baseline), separating
   total wall time from the controller's own adaptation overhead;
@@ -66,7 +65,7 @@ Output schema (``repro-bench/1``) — one JSON object::
       "quick": false,                # --quick runs are smaller, not comparable
       "host_ref_ms": 1.0,            # hostspeed.REF_MS, the values' host speed
       "created_unix": 1753...,       # seconds since epoch
-      "python": "3.12.1", "platform": "...", "numpy": "2.4.6" | null,
+      "python": "3.12.1", "platform": "...", "numpy": "2.4.6",
       "cpu_count": 8,
       "results": [                   # one entry per measurement
         {
@@ -97,6 +96,8 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -109,11 +110,6 @@ import hostspeed  # noqa: E402
 from repro.api import PlanningSession, scenario_grid  # noqa: E402
 from repro.core.heuristic import HeuristicPlanner  # noqa: E402
 from repro.core.params import DEFAULT_PARAMS  # noqa: E402
-from repro.core.throughput import agent_sched_throughput  # noqa: E402
-from repro.core.kernels import (  # noqa: E402
-    HAVE_NUMPY,
-    supported_children_many,
-)
 from repro.platforms.pool import NodePool  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
 from repro.sim.resources import SerialResource  # noqa: E402
@@ -398,41 +394,6 @@ def bench_engine(quick):
         )
     )
     return results
-
-
-def bench_kernels(quick):
-    size = 1024 if quick else 4096
-    pool = NodePool.uniform_random(size, low=80, high=400, seed=1)
-    powers = sorted(pool.powers, reverse=True)
-    target = agent_sched_throughput(DEFAULT_PARAMS, powers[0], 1) / 50.0
-
-    from repro.core.heuristic import supported_children
-
-    scalar = timed(
-        3,
-        lambda: [
-            supported_children(DEFAULT_PARAMS, p, target) for p in powers
-        ],
-    )
-    batch = timed(
-        3, lambda: supported_children_many(DEFAULT_PARAMS, powers, target)
-    )
-    assert batch.result == scalar.result
-    # The cell's raw side is the batched call's; the scalar call keeps
-    # its own raw time next to it.
-    return [
-        cell(
-            "kernel_supported_children",
-            {"nodes": size},
-            batch,
-            "ratio",
-            round(scalar.seconds / batch.seconds, 2),
-            scalar_seconds=round(scalar.seconds, 6),
-            batched_seconds=round(batch.seconds, 6),
-            scalar_raw_seconds=round(scalar.raw, 6),
-            numpy=HAVE_NUMPY,
-        )
-    ]
 
 
 def bench_control(quick):
@@ -847,18 +808,11 @@ def main(argv=None):
 
     sizes = (64, 256) if args.quick else (64, 128, 256, 512, 1024, 2048)
 
-    numpy_version = None
-    if HAVE_NUMPY:
-        import numpy
-
-        numpy_version = numpy.__version__
-
     print(f"perfsuite ({'quick' if args.quick else 'full'}):")
     results = []
     results += bench_planner_scaling(sizes, args.repeat)
     results += bench_plan_many(args.quick)
     results += bench_engine(args.quick)
-    results += bench_kernels(args.quick)
     control_results = bench_control(args.quick)
     results += control_results
     reference_seconds = next(
@@ -883,7 +837,7 @@ def main(argv=None):
         "created_unix": int(time.time()),
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
         "cpu_count": os.cpu_count(),
         "results": results,
     }

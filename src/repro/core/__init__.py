@@ -7,8 +7,8 @@ This package contains the paper's primary contribution:
   communication and computation time models (Eqs. 1–10);
 * :mod:`repro.core.throughput` — scheduling / service / platform throughput
   (Eqs. 11–16);
-* :mod:`repro.core.kernels` — batched/array versions of the throughput
-  kernels and the memoizing :class:`~repro.core.kernels.HierarchyEvaluator`
+* :mod:`repro.core.kernels` — the per-pool NumPy arrays of the fixed-point
+  solver and the memoizing :class:`~repro.core.kernels.HierarchyEvaluator`
   every planner's hot loop runs on;
 * :mod:`repro.core.hierarchy` — the deployment-tree data structure;
 * :mod:`repro.core.heuristic` — the heterogeneous deployment heuristic
@@ -32,13 +32,7 @@ from repro.core.throughput import (
 )
 from repro.core.heuristic import HeuristicPlanner
 from repro.core.homogeneous import HomogeneousPlanner
-from repro.core.kernels import (
-    HierarchyEvaluator,
-    agent_sched_throughput_many,
-    server_sched_throughput_many,
-    service_throughput_prefixes,
-    supported_children_many,
-)
+from repro.core.kernels import HierarchyEvaluator
 from repro.core.baselines import balanced_deployment, chain_deployment, star_deployment
 from repro.core.registry import (
     REGISTRY,
@@ -78,10 +72,6 @@ __all__ = [
     "hierarchy_throughput",
     "ThroughputReport",
     "HierarchyEvaluator",
-    "agent_sched_throughput_many",
-    "server_sched_throughput_many",
-    "service_throughput_prefixes",
-    "supported_children_many",
     "HeuristicPlanner",
     "HomogeneousPlanner",
     "star_deployment",

@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.core.hierarchy import Hierarchy, NodeId
-from repro.core.kernels import HierarchyEvaluator, NodeArrays
+from repro.core.kernels import _REL_TOL, HierarchyEvaluator, NodeArrays
 from repro.core.params import ModelParams
 from repro.core.throughput import (
     ThroughputReport,
@@ -82,7 +82,6 @@ __all__ = [
     "HeuristicPlanner",
 ]
 
-_REL_TOL = 1e-9
 STRATEGIES = ("fixed_point", "incremental")
 
 

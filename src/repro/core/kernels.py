@@ -1,18 +1,10 @@
-"""Batched throughput kernels and memoized hierarchy evaluation.
+"""Per-pool kernel arrays and memoized hierarchy evaluation.
 
 This is the performance layer under every planner.  The scalar model
 functions in :mod:`repro.core.throughput` stay the readable single-node
-reference (Eqs. 11–16); this module evaluates the same closed forms over
-whole node pools in one call and memoizes the per-node quantities the
+reference (Eqs. 11–16); this module memoizes the per-node quantities the
 planners probe over and over:
 
-* :func:`agent_sched_throughput_many` / :func:`server_sched_throughput_many`
-  / :func:`supported_children_many` — array-oriented versions of the Eq. 14
-  building blocks, NumPy-backed when available with a pure-Python fallback
-  that produces bit-identical results (both paths execute the same IEEE-754
-  operation sequence as the scalar functions);
-* :func:`service_throughput_prefixes` — Eq. 15 for every prefix of a server
-  ranking in one pass (the heuristic's ``service_of`` sweep);
 * :class:`NodeArrays` — per-node model constants for a ranked node list,
   precomputed once per (nodes, params) pair and sliced by the fixed-point
   solver instead of re-deriving them per probe, plus the per-tier rho
@@ -25,7 +17,9 @@ planners probe over and over:
 
 Every cached or vectorized quantity is defined by the *same* floating-point
 expression as its scalar counterpart, so planners wired through this layer
-return bit-identical deployments.
+return bit-identical deployments.  NumPy is a hard dependency: vector
+passes run on NumPy arrays, and the scalar paths read Python-list copies
+of the same values.
 """
 
 from __future__ import annotations
@@ -34,6 +28,8 @@ import math
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.hierarchy import Hierarchy, NodeId, Role
 from repro.core.params import ModelParams
 from repro.core.throughput import (
@@ -41,47 +37,24 @@ from repro.core.throughput import (
     resolve_app_work_list,
     service_throughput,
 )
-from repro.errors import ParameterError, PlanningError
+from repro.errors import ParameterError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.platforms.node import Node
 
-try:  # NumPy is an install-time dependency, but the kernels degrade cleanly.
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised via the _USE_NUMPY switch
-    _np = None
+__all__ = ["NodeArrays", "HierarchyEvaluator"]
 
-__all__ = [
-    "HAVE_NUMPY",
-    "agent_sched_throughput_many",
-    "server_sched_throughput_many",
-    "supported_children_many",
-    "service_throughput_prefixes",
-    "NodeArrays",
-    "HierarchyEvaluator",
-]
-
-HAVE_NUMPY = _np is not None
-
-#: Module switch for the backend; tests flip this to prove the NumPy and
-#: pure-Python paths agree bit-for-bit.
-_USE_NUMPY = HAVE_NUMPY
-
-_REL_TOL = 1e-9  # must match repro.core.heuristic._REL_TOL
-
-
-def _numpy_active() -> bool:
-    return _USE_NUMPY and _np is not None
+#: Relative tolerance of the supported-children floor and of the
+#: fixed-point solver's feasibility tests.
+_REL_TOL = 1e-9
 
 
 def _check_powers(powers: Sequence[float]) -> None:
     for power in powers:
-        if power <= 0.0:
-            raise ParameterError(f"power must be > 0, got {power}")
-
-
-# ---------------------------------------------------------------------- #
-# batched Eq. 11-14 building blocks
+        if not 0.0 < power < math.inf:
+            raise ParameterError(
+                f"power must be finite and > 0, got {power}"
+            )
 
 
 def _agent_rate_constants(params: ModelParams, degree: int) -> tuple[float, float]:
@@ -101,120 +74,6 @@ def _agent_rate_constants(params: ModelParams, degree: int) -> tuple[float, floa
     return work, comm
 
 
-def agent_sched_throughput_many(
-    params: ModelParams,
-    powers: Sequence[float],
-    degrees: int | Sequence[int],
-) -> list[float]:
-    """Eq. 14 agent operand for a whole pool: one rate per (power, degree).
-
-    ``degrees`` may be a single degree shared by every node or one degree
-    per node.  Matches :func:`repro.core.throughput.agent_sched_throughput`
-    bit-for-bit.
-    """
-    _check_powers(powers)
-    if isinstance(degrees, int):
-        work, comm = _agent_rate_constants(params, degrees)
-        if _numpy_active():
-            p = _np.asarray(powers, dtype=_np.float64)
-            return (1.0 / (work / p + comm)).tolist()
-        return [1.0 / (work / power + comm) for power in powers]
-    if len(degrees) != len(powers):
-        raise ParameterError(
-            f"got {len(powers)} powers but {len(degrees)} degrees"
-        )
-    constants = {}
-    for degree in degrees:
-        if degree not in constants:
-            constants[degree] = _agent_rate_constants(params, degree)
-    return [
-        1.0 / (constants[degree][0] / power + constants[degree][1])
-        for power, degree in zip(powers, degrees)
-    ]
-
-
-def server_sched_throughput_many(
-    params: ModelParams, powers: Sequence[float]
-) -> list[float]:
-    """Eq. 14 server operand for a whole pool.
-
-    Matches :func:`repro.core.throughput.server_sched_throughput`
-    bit-for-bit.
-    """
-    _check_powers(powers)
-    comm = params.server_comm
-    if _numpy_active():
-        p = _np.asarray(powers, dtype=_np.float64)
-        return (1.0 / (params.wpre / p + comm)).tolist()
-    return [1.0 / (params.wpre / power + comm) for power in powers]
-
-
-def supported_children_many(
-    params: ModelParams,
-    powers: Sequence[float],
-    target_rate: float,
-) -> list[int]:
-    """Largest degree each node sustains at ``target_rate``, pool at a time.
-
-    Matches :func:`repro.core.heuristic.supported_children` exactly.
-    """
-    if target_rate <= 0.0:
-        # PlanningError, matching the scalar supported_children.
-        raise PlanningError(f"target_rate must be > 0, got {target_rate}")
-    _check_powers(powers)
-    fixed_work = params.agent_fixed_work
-    base_comm = params.agent_comm_base
-    child_comm = params.agent_child_comm
-    inverse = 1.0 / target_rate
-    if _numpy_active():
-        p = _np.asarray(powers, dtype=_np.float64)
-        budget = inverse - (fixed_work / p + base_comm)
-        per_child = params.wsel / p + child_comm
-        slots = _np.floor(budget / per_child + _REL_TOL)
-        slots = _np.where(budget < per_child, 0.0, slots)
-        return [int(s) for s in slots]
-    result = []
-    for power in powers:
-        budget = inverse - (fixed_work / power + base_comm)
-        per_child = params.wsel / power + child_comm
-        if budget < per_child:
-            result.append(0)
-        else:
-            result.append(int(math.floor(budget / per_child + _REL_TOL)))
-    return result
-
-
-def service_throughput_prefixes(
-    params: ModelParams, powers: Sequence[float], app_work: float
-) -> list[float]:
-    """Eq. 15 for every prefix ``powers[:k]`` of a server ranking, k=1..n.
-
-    Uses the closed scalar-``Wapp`` form (``k`` identical prediction terms
-    collapse to ``k * Wpre / Wapp``); the per-prefix values agree with
-    :func:`repro.core.throughput.service_throughput` to ~1 ulp.
-    """
-    if app_work <= 0.0:
-        raise ParameterError(f"app_work must be > 0, got {app_work}")
-    _check_powers(powers)
-    comm = params.service_comm
-    wpre = params.wpre
-    if _numpy_active():
-        p = _np.asarray(powers, dtype=_np.float64)
-        prefix = _np.cumsum(p)
-        k = _np.arange(1, len(powers) + 1, dtype=_np.float64)
-        pred = k * wpre / app_work
-        rate = prefix / app_work
-        return (1.0 / (comm + (1.0 + pred) / rate)).tolist()
-    result = []
-    total = 0.0
-    for k, power in enumerate(powers, start=1):
-        total += power
-        pred = k * wpre / app_work
-        rate = total / app_work
-        result.append(1.0 / (comm + (1.0 + pred) / rate))
-    return result
-
-
 # ---------------------------------------------------------------------- #
 # per-pool constant arrays for the fixed-point solver
 
@@ -224,9 +83,8 @@ class NodeArrays:
 
     The fixed-point heuristic probes hundreds of agent/server splits of the
     same ranking; every probe needs the same five per-node quantities.  This
-    precomputes them as arrays (NumPy when available, lists otherwise) so a
-    probe is slicing plus a handful of vector ops instead of ``O(n)``
-    re-derivations per bisection step.
+    precomputes them as NumPy arrays so a probe is slicing plus a handful
+    of vector ops instead of ``O(n)`` re-derivations per bisection step.
 
     Attributes
     ----------
@@ -258,14 +116,12 @@ class NodeArrays:
         "server_rate",
         "_fixed_list",
         "_per_child_list",
-        "_vectorized",
     )
 
     def __init__(self, params: ModelParams, powers: Sequence[float]):
         _check_powers(powers)
         self.params = params
         self.n = len(powers)
-        self._vectorized = _numpy_active()
         work1, comm1 = _agent_rate_constants(params, 1)
         work2, comm2 = _agent_rate_constants(params, 2)
         fixed_work = params.agent_fixed_work
@@ -273,28 +129,24 @@ class NodeArrays:
         child_comm = params.agent_child_comm
         server_comm = params.server_comm
         # Python lists are the authoritative store (plain floats, exactly
-        # the scalar expressions); the NumPy views wrap the same values, so
-        # both backends read identical bits.
+        # the scalar expressions); the arrays wrap the same values, so the
+        # scalar and vector passes read identical bits.
         power_list = [float(p) for p in powers]
         self._fixed_list = [fixed_work / p + base_comm for p in power_list]
         self._per_child_list = [params.wsel / p + child_comm for p in power_list]
-        sched_deg1 = [1.0 / (work1 / p + comm1) for p in power_list]
-        sched_deg2 = [1.0 / (work2 / p + comm2) for p in power_list]
-        server_rate = [1.0 / (params.wpre / p + server_comm) for p in power_list]
-        if self._vectorized:
-            self.powers = _np.asarray(power_list, dtype=_np.float64)
-            self.sched_deg1 = _np.asarray(sched_deg1, dtype=_np.float64)
-            self.sched_deg2 = _np.asarray(sched_deg2, dtype=_np.float64)
-            self.fixed = _np.asarray(self._fixed_list, dtype=_np.float64)
-            self.per_child = _np.asarray(self._per_child_list, dtype=_np.float64)
-            self.server_rate = _np.asarray(server_rate, dtype=_np.float64)
-        else:
-            self.powers = power_list
-            self.sched_deg1 = sched_deg1
-            self.sched_deg2 = sched_deg2
-            self.fixed = self._fixed_list
-            self.per_child = self._per_child_list
-            self.server_rate = server_rate
+        self.powers = np.asarray(power_list, dtype=np.float64)
+        self.sched_deg1 = np.asarray(
+            [1.0 / (work1 / p + comm1) for p in power_list], dtype=np.float64
+        )
+        self.sched_deg2 = np.asarray(
+            [1.0 / (work2 / p + comm2) for p in power_list], dtype=np.float64
+        )
+        self.fixed = np.asarray(self._fixed_list, dtype=np.float64)
+        self.per_child = np.asarray(self._per_child_list, dtype=np.float64)
+        self.server_rate = np.asarray(
+            [1.0 / (params.wpre / p + server_comm) for p in power_list],
+            dtype=np.float64,
+        )
 
     @classmethod
     def for_nodes(cls, params: ModelParams, nodes: Sequence["Node"]) -> "NodeArrays":
@@ -304,35 +156,20 @@ class NodeArrays:
 
     def select(self, indices: Sequence[int] | slice):
         """(powers, fixed, per_child, server_rate) restricted to ``indices``."""
-        if self._vectorized and not isinstance(indices, slice):
-            idx = _np.asarray(indices, dtype=_np.intp)
-            return (
-                self.powers[idx],
-                self.fixed[idx],
-                self.per_child[idx],
-                self.server_rate[idx],
-            )
-        if isinstance(indices, slice):
-            return (
-                self.powers[indices],
-                self.fixed[indices],
-                self.per_child[indices],
-                self.server_rate[indices],
-            )
+        if not isinstance(indices, slice):
+            indices = np.asarray(indices, dtype=np.intp)
         return (
-            [self.powers[i] for i in indices],
-            [self.fixed[i] for i in indices],
-            [self.per_child[i] for i in indices],
-            [self.server_rate[i] for i in indices],
+            self.powers[indices],
+            self.fixed[indices],
+            self.per_child[indices],
+            self.server_rate[indices],
         )
 
     def min_sched_deg2(self, lo: int, hi: int) -> float:
         """``min(sched_deg2[lo:hi])`` (``inf`` on an empty range)."""
         if hi <= lo:
             return math.inf
-        if self._vectorized:
-            return float(_np.min(self.sched_deg2[lo:hi]))
-        return min(self.sched_deg2[lo:hi])
+        return float(np.min(self.sched_deg2[lo:hi]))
 
     def slot_total(
         self, lo: int, hi: int, target_rate: float, clip: int
@@ -343,8 +180,8 @@ class NodeArrays:
         with each term defined exactly as the scalar function.  Once the
         running total exceeds ``clip`` the exact remainder is irrelevant to
         every caller (they clamp to the candidate budget), so the scalar
-        path may return early; the vectorized path returns the full sum —
-        both land on the same value after the caller's clamp.
+        loop may return early; the vector pass returns the full sum — both
+        land on the same value after the caller's clamp.
         """
         inverse = 1.0 / target_rate
         fixed = self._fixed_list
@@ -353,7 +190,7 @@ class NodeArrays:
         # Peel the leading agents scalar-style: the ranking is
         # power-descending, so the strongest agents usually exhaust the
         # clip budget within a step or two — no vector dispatch needed.
-        peel = hi if (hi - lo) < self.VECTOR_TIER or not self._vectorized else lo + 2
+        peel = hi if (hi - lo) < self.VECTOR_TIER else lo + 2
         i = lo
         while i < peel:
             budget = inverse - fixed[i]
@@ -374,23 +211,23 @@ class NodeArrays:
             return total
         budget = inverse - self.fixed[i:hi]
         per = self.per_child[i:hi]
-        slots = _np.floor(budget / per + _REL_TOL)
-        slots = _np.where(budget < per, 0.0, _np.minimum(slots, float(clip)))
+        slots = np.floor(budget / per + _REL_TOL)
+        slots = np.where(budget < per, 0.0, np.minimum(slots, float(clip)))
         # Each term is an integer in [0, clip]; the float sum is exact.
-        return total + int(float(_np.sum(slots)))
+        return total + int(float(np.sum(slots)))
 
     def slot_terms(
         self, agents: Sequence[int], target_rate: float, clip: int
     ) -> list[int]:
         """Per-agent ``slot_total`` terms, ``min(supported_children, clip)``.
 
-        Each term runs the operation sequence of both ``slot_total`` paths,
-        without the early exits.  On a power-descending tier the sum of
-        ``slot_terms(range(lo, hi), t, clip)`` equals ``slot_total(lo, hi,
-        t, clip)`` up to ``clip`` and both exceed it together, so callers
-        that clamp to ``clip`` read the same count.  Each term is
-        non-increasing in ``target_rate``.  Scalar on both backends: past
-        its first steps, a bisection asks for a handful of agents.
+        Each term runs the operation sequence of both ``slot_total``
+        passes, without the early exits.  On a power-descending tier the
+        sum of ``slot_terms(range(lo, hi), t, clip)`` equals
+        ``slot_total(lo, hi, t, clip)`` up to ``clip`` and both exceed it
+        together, so callers that clamp to ``clip`` read the same count.
+        Each term is non-increasing in ``target_rate``.  Scalar: past its
+        first steps, a bisection asks for a handful of agents.
         """
         inverse = 1.0 / target_rate
         fixed = self._fixed_list
@@ -412,36 +249,22 @@ class NodeArrays:
         ``service(k)`` is Eq. 15 over the ``k`` fastest candidates of a
         ``prefix_powers`` selection, in the fixed-point solver's exact
         operation order, so the result bounds every rho a solve over these
-        candidates can return bit for bit.  Both backends agree exactly.
+        candidates can return bit for bit.
         """
         comm = self.params.service_comm
         wpre = self.params.wpre
-        if self._vectorized:
-            k = _np.arange(k_min, k_cap + 1, dtype=_np.float64)
-            pred = k * wpre / app_work
-            rate = prefix_power[k_min : k_cap + 1] / app_work
-            service = 1.0 / (comm + (1.0 + pred) / rate)
-            floor = server_rate[k_min - 1 : k_cap]
-            return float(_np.max(_np.minimum(service, floor)))
-        ceiling = -math.inf
-        for k in range(k_min, k_cap + 1):
-            pred = k * wpre / app_work
-            rate = prefix_power[k] / app_work
-            value = min(1.0 / (comm + (1.0 + pred) / rate), server_rate[k - 1])
-            if value > ceiling:
-                ceiling = value
-        return ceiling
+        k = np.arange(k_min, k_cap + 1, dtype=np.float64)
+        pred = k * wpre / app_work
+        rate = prefix_power[k_min : k_cap + 1] / app_work
+        service = 1.0 / (comm + (1.0 + pred) / rate)
+        floor = server_rate[k_min - 1 : k_cap]
+        return float(np.max(np.minimum(service, floor)))
 
-    def prefix_powers(self, powers) -> Sequence[float]:
+    def prefix_powers(self, powers) -> np.ndarray:
         """``[0, p0, p0+p1, ...]`` running sums of a power selection."""
-        if self._vectorized:
-            prefix = _np.empty(len(powers) + 1, dtype=_np.float64)
-            prefix[0] = 0.0
-            _np.cumsum(powers, out=prefix[1:])
-            return prefix
-        prefix = [0.0]
-        for power in powers:
-            prefix.append(prefix[-1] + power)
+        prefix = np.empty(len(powers) + 1, dtype=np.float64)
+        prefix[0] = 0.0
+        np.cumsum(powers, out=prefix[1:])
         return prefix
 
 

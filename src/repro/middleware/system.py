@@ -950,8 +950,8 @@ class MiddlewareSystem:
         fluid_rate` is updated (bookkeeping only; nothing enters a
         resource queue) and the ``(name, rate)`` pairs are returned in
         sorted name order.  Deterministic: pure arithmetic over the
-        current registry, summed with ``fsum`` so both kernel backends
-        agree bit for bit.
+        current registry, summed with ``fsum`` so the result does not
+        depend on summation order.
         """
         names = sorted(self.servers)
         if total_rate <= 0.0 or not names:

@@ -11,6 +11,7 @@ faithfully.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ParameterError
@@ -45,17 +46,19 @@ class Node:
     background_load: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
-        if self.power <= 0.0:
-            raise ParameterError(f"node power must be > 0, got {self.power}")
+        if not 0.0 < self.power < math.inf:
+            raise ParameterError(
+                f"node power must be finite and > 0, got {self.power}"
+            )
         if not (0.0 <= self.background_load < 1.0):
             raise ParameterError(
                 f"background_load must be in [0, 1), got {self.background_load}"
             )
         if self.base_power == 0.0:
             object.__setattr__(self, "base_power", self.power)
-        if self.base_power <= 0.0:
+        if not 0.0 < self.base_power < math.inf:
             raise ParameterError(
-                f"node base_power must be > 0, got {self.base_power}"
+                f"node base_power must be finite and > 0, got {self.base_power}"
             )
 
     def with_power(self, power: float) -> "Node":

@@ -23,17 +23,12 @@ is calibrated online by the control loop from the discrete cohort's
 measured per-client rate, so the fluid mass and the sampled clients can
 never drift onto different demand models.
 
-**Determinism and backends.**  Everything here is pure arithmetic over
-``(window, level function, unit_rate, capacity)`` — no RNG, no wall
-clock, no engine events — so hybrid timelines keep the determinism
-contract of :mod:`repro.workloads.loadgen` bit-for-bit.  The per-substep
-rate vector is evaluated through NumPy when the
-:mod:`repro.core.kernels` backend switch is on, with a pure-Python
-fallback that executes the same IEEE-754 operation sequence; both paths
-reduce with :func:`math.fsum` over the elementwise products (NumPy's
-pairwise ``sum`` would round differently), so the backends are
-bit-identical — the same contract, and the same test lever
-(``kernels._USE_NUMPY``), as every other kernel.
+**Determinism.**  Everything here is pure arithmetic over ``(window,
+level function, unit_rate, capacity)`` — no RNG, no wall clock, no
+engine events — so hybrid timelines keep the determinism contract of
+:mod:`repro.workloads.loadgen` bit-for-bit.  The per-substep rates are
+reduced with :func:`math.fsum` (a pairwise or running sum would round
+differently), so the served mass does not depend on summation order.
 
 Integer completions are attributed by **floor-carry**: the population
 keeps one cumulative served mass and each window reports
@@ -148,15 +143,7 @@ class FluidPopulation:
             max(0.0, float(level_fn(start + i * dt)))
             for i in range(self.substeps)
         ]
-        # Elementwise served-rate vector: identical IEEE-754 op sequence
-        # on both backends, reduced with fsum (see module docstring).
-        if _numpy_active():
-            import numpy as np
-
-            arr = np.asarray(levels, dtype=np.float64)
-            rates = np.minimum(arr * unit_rate, capacity).tolist()
-        else:
-            rates = [min(level * unit_rate, capacity) for level in levels]
+        rates = [min(level * unit_rate, capacity) for level in levels]
         served_mass = math.fsum(rate * dt for rate in rates)
         demand_mass = math.fsum(level * unit_rate * dt for level in levels)
         before = self._cumulative
@@ -173,10 +160,3 @@ class FluidPopulation:
             served_rate=served_mass / duration,
             demand_rate=demand_mass / duration,
         )
-
-
-def _numpy_active() -> bool:
-    """The shared kernel-backend switch (tests flip ``_USE_NUMPY``)."""
-    from repro.core import kernels
-
-    return kernels._numpy_active()

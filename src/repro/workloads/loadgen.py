@@ -34,10 +34,9 @@ anywhere between a workload description and a measurement:
 * the hybrid fluid population path
   (:class:`~repro.sim.fluid.FluidPopulation` driven by a
   :class:`~repro.control.traces.HybridTrace`) is pure arithmetic on
-  simulation state — no RNG, no wall clock, and a NumPy fast path that
-  performs the identical elementwise IEEE operations as the pure-Python
-  fallback — so a million-client fluid mass adds *nothing* stochastic
-  on top of the cohort's seeded conversations.
+  simulation state — no RNG, no wall clock — so a million-client fluid
+  mass adds *nothing* stochastic on top of the cohort's seeded
+  conversations.
 
 Same seeds ⇒ the same event sequence ⇒ bit-identical results, which is
 what lets the test suite compare whole experiment outputs by equality.

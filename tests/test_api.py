@@ -1,5 +1,7 @@
 """PlanRequest / PlanningSession — the typed planning API."""
 
+import math
+
 import pytest
 
 from repro.api import (
@@ -10,7 +12,7 @@ from repro.api import (
 )
 from repro.core.params import DEFAULT_PARAMS
 from repro.core.registry import HeuristicOptions
-from repro.errors import PlanningError
+from repro.errors import ParameterError, PlanningError
 from repro.extensions.multiapp import Application, MultiAppOptions
 from repro.platforms.pool import NodePool
 from repro.units import dgemm_mflop
@@ -122,6 +124,15 @@ class TestPlanningSession:
         with pytest.raises(PlanningError, match="heuristic"):
             PlanningSession().plan(
                 pool=pool, app_work=1.0, method="oracle"
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_power_pool_never_plans(self, bad):
+        with pytest.raises(ParameterError):
+            PlanningSession().plan(
+                pool=NodePool.heterogeneous([100.0, bad, 200.0, 150.0]),
+                app_work=50.0,
+                method="heuristic",
             )
 
 

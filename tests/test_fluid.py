@@ -11,9 +11,9 @@ Covers the three contracts the hybrid model ships with:
   at small scale a genuinely split hybrid run's served-rate curve stays
   within tolerance of the all-discrete simulation across seeds, traces
   and policies (hypothesis);
-* **determinism** — same-seed hybrid timelines are bit-identical across
-  kernel backends (NumPy vs pure Python), with tracing on or off, and
-  between serial and process-pool ``control_sweep`` execution;
+* **determinism** — same-seed hybrid timelines are bit-identical with
+  tracing on or off, and between serial and process-pool
+  ``control_sweep`` execution;
 * **merging** — :func:`repro.control.monitor.merge_fluid` folds the
   fluid window into the cohort observation over the *union* of both
   server sets, so a server spliced in mid-epoch keeps its fluid share.
@@ -32,7 +32,6 @@ from repro.analysis.report import render_timeline
 from repro.api import PlanningSession
 from repro.control import ControlLoop, HybridTrace, from_spec, hybrid
 from repro.control.monitor import WindowObservation, merge_fluid
-from repro.core import kernels
 from repro.errors import ControlError, SimulationError
 from repro.platforms.pool import NodePool
 from repro.sim.fluid import FluidPopulation
@@ -116,40 +115,6 @@ class TestFluidPopulation:
             FluidPopulation(substeps=0)
         with pytest.raises(SimulationError, match="bad fluid window"):
             FluidPopulation().advance(2.0, 2.0, lambda t: 1.0, 1.0, 1.0)
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMPY, reason="numpy not installed")
-class TestBackendBitIdentity:
-    def test_fluid_window_bit_identical_across_backends(self, monkeypatch):
-        # Awkward irrational-ish inputs: both backends must produce the
-        # exact same IEEE-754 result, not merely a close one.
-        def level(t):
-            return 17.3 * math.sin(t / 7.1) ** 2 + 0.123456789
-
-        def advance():
-            fluid = FluidPopulation(substeps=16)
-            return [
-                fluid.advance(
-                    i * 1.7, (i + 1) * 1.7, level, 0.377, 9.23
-                )
-                for i in range(6)
-            ]
-
-        monkeypatch.setattr(kernels, "_USE_NUMPY", True)
-        with_numpy = advance()
-        monkeypatch.setattr(kernels, "_USE_NUMPY", False)
-        pure = advance()
-        assert with_numpy == pure  # dataclass equality: bitwise floats
-
-    def test_hybrid_timeline_bit_identical_across_backends(
-        self, monkeypatch
-    ):
-        spec = "flash:base=3,peak=12,at=4,rise=2,fall=4,population=100,cohort=4"
-        monkeypatch.setattr(kernels, "_USE_NUMPY", True)
-        with_numpy = run_loop(from_spec(spec))
-        monkeypatch.setattr(kernels, "_USE_NUMPY", False)
-        pure = run_loop(from_spec(spec))
-        assert with_numpy == pure
 
 
 # ---------------------------------------------------------------------- #

@@ -36,9 +36,7 @@ second wave, so live plans drain several regions at once):
   ``evict_after``/``evict_fraction`` rule) and ``partition`` (an
   oracle-health partition and its heal, which recompute capacity over a
   dark subtree; ``restart`` rebuilds the platform and forgets the
-  partition, so the heal would not land there);
-* hybrid cells under both kernel backends (``kernels._USE_NUMPY``),
-  which must agree bit for bit.
+  partition, so the heal would not land there).
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ from pathlib import Path
 import pytest
 
 from repro.control import ControlLoop, MigrationCostModel, hybrid, piecewise
-from repro.core import kernels
 from repro.platforms.pool import NodePool
 from repro.units import dgemm_mflop
 
@@ -172,28 +169,14 @@ def load_golden() -> dict[str, dict[str, str]]:
 
 
 CORPUS = corpus()
-BACKENDS = ("numpy", "python")
-
-
-def _params():
-    for cell, spec in CORPUS.items():
-        if spec["scenario"] == "hybrid":
-            for backend in BACKENDS:
-                yield pytest.param(cell, backend, id=f"{cell}[{backend}]")
-        else:
-            yield pytest.param(cell, None, id=cell)
 
 
 def test_golden_file_covers_the_corpus():
     assert sorted(load_golden()) == sorted(CORPUS)
 
 
-@pytest.mark.parametrize("cell, backend", list(_params()))
-def test_timeline_matches_golden(cell, backend, monkeypatch):
-    if backend == "numpy" and not kernels.HAVE_NUMPY:
-        pytest.skip("NumPy not installed")
-    if backend is not None:
-        monkeypatch.setattr(kernels, "_USE_NUMPY", backend == "numpy")
+@pytest.mark.parametrize("cell", list(CORPUS))
+def test_timeline_matches_golden(cell):
     timeline = run_cell(**CORPUS[cell])
     assert timeline.lost_conversations == 0
     golden = load_golden()[cell]

@@ -1,9 +1,10 @@
-"""Batched kernels and memoized evaluation (`repro.core.kernels`).
+"""Kernel arrays and memoized evaluation (`repro.core.kernels`).
 
-The contract under test: every batched/cached quantity equals the scalar
-Eq. 11–16 reference — bit-for-bit where the expressions match, within
-1e-12 relative where a closed form replaces a sequential sum — and the
-NumPy and pure-Python backends of each kernel agree exactly.
+The contract under test: every array or cached quantity equals the
+scalar Eq. 11–16 reference bit for bit — ``NodeArrays`` against
+``core/throughput.py`` and ``heuristic.supported_children``, its service
+ceiling against a plain-Python loop over the same expressions, and
+``HierarchyEvaluator`` against cold ``hierarchy_throughput``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import random
 import pytest
 
 import repro.core.heuristic as heuristic
-import repro.core.kernels as kernels
 from repro.core.baselines import balanced_deployment, star_deployment
 from repro.core.heuristic import (
     _BELOW_BAR,
@@ -22,22 +22,14 @@ from repro.core.heuristic import (
     sort_nodes,
     supported_children,
 )
-from repro.core.kernels import (
-    HierarchyEvaluator,
-    NodeArrays,
-    agent_sched_throughput_many,
-    server_sched_throughput_many,
-    service_throughput_prefixes,
-    supported_children_many,
-)
+from repro.core.kernels import HierarchyEvaluator, NodeArrays
 from repro.core.params import DEFAULT_PARAMS, LevelSizes, ModelParams
 from repro.core.throughput import (
     agent_sched_throughput,
     hierarchy_throughput,
     server_sched_throughput,
-    service_throughput,
 )
-from repro.errors import ParameterError, PlanningError
+from repro.errors import ParameterError
 from repro.platforms.pool import NodePool
 from repro.units import dgemm_mflop
 
@@ -60,97 +52,6 @@ def random_params(rng: random.Random) -> ModelParams:
 
 def random_powers(rng: random.Random, count: int) -> list[float]:
     return [rng.uniform(5.0, 5000.0) for _ in range(count)]
-
-
-@pytest.fixture(params=["numpy", "python"])
-def backend(request, monkeypatch):
-    """Run each kernel test under both backends."""
-    if request.param == "numpy" and not kernels.HAVE_NUMPY:
-        pytest.skip("NumPy unavailable")
-    monkeypatch.setattr(kernels, "_USE_NUMPY", request.param == "numpy")
-    return request.param
-
-
-class TestBatchedKernels:
-    """Property-style: batched kernels == scalar Eqs. 11-16, randomized."""
-
-    def test_agent_rates_match_scalar_exactly(self, backend):
-        rng = random.Random(11)
-        for _ in range(20):
-            params = random_params(rng)
-            powers = random_powers(rng, rng.randrange(1, 40))
-            degree = rng.randrange(1, 30)
-            batch = agent_sched_throughput_many(params, powers, degree)
-            scalar = [
-                agent_sched_throughput(params, p, degree) for p in powers
-            ]
-            assert batch == scalar  # bit-identical, not merely close
-
-    def test_agent_rates_per_node_degrees(self, backend):
-        rng = random.Random(13)
-        params = random_params(rng)
-        powers = random_powers(rng, 25)
-        degrees = [rng.randrange(1, 12) for _ in powers]
-        batch = agent_sched_throughput_many(params, powers, degrees)
-        scalar = [
-            agent_sched_throughput(params, p, d)
-            for p, d in zip(powers, degrees)
-        ]
-        assert batch == scalar
-
-    def test_server_rates_match_scalar_exactly(self, backend):
-        rng = random.Random(17)
-        for _ in range(20):
-            params = random_params(rng)
-            powers = random_powers(rng, rng.randrange(1, 40))
-            batch = server_sched_throughput_many(params, powers)
-            scalar = [server_sched_throughput(params, p) for p in powers]
-            assert batch == scalar
-
-    def test_supported_children_match_scalar_exactly(self, backend):
-        rng = random.Random(19)
-        for _ in range(20):
-            params = random_params(rng)
-            powers = random_powers(rng, rng.randrange(1, 40))
-            # Sweep targets from far-too-fast to easily met.
-            fastest = max(
-                agent_sched_throughput(params, p, 1) for p in powers
-            )
-            for scale in (2.0, 1.0, 0.3, 0.01, 1e-4):
-                target = fastest * scale
-                batch = supported_children_many(params, powers, target)
-                scalar = [
-                    supported_children(params, p, target) for p in powers
-                ]
-                assert batch == scalar
-
-    def test_service_prefixes_match_eq15_within_1e12(self, backend):
-        rng = random.Random(23)
-        for _ in range(10):
-            params = random_params(rng)
-            powers = random_powers(rng, rng.randrange(1, 30))
-            app_work = rng.uniform(0.5, 5e4)
-            prefixes = service_throughput_prefixes(params, powers, app_work)
-            for k in range(1, len(powers) + 1):
-                reference = service_throughput(
-                    params, powers[:k], [app_work] * k
-                )
-                assert prefixes[k - 1] == pytest.approx(
-                    reference, rel=1e-12
-                )
-
-    def test_rejects_bad_inputs(self, backend):
-        with pytest.raises(ParameterError):
-            agent_sched_throughput_many(DEFAULT_PARAMS, [100.0], 0)
-        with pytest.raises(ParameterError):
-            server_sched_throughput_many(DEFAULT_PARAMS, [0.0])
-        with pytest.raises(PlanningError):
-            # PlanningError, like the scalar supported_children.
-            supported_children_many(DEFAULT_PARAMS, [100.0], 0.0)
-        with pytest.raises(ParameterError):
-            agent_sched_throughput_many(DEFAULT_PARAMS, [100.0, 50.0], [1])
-        with pytest.raises(ParameterError):
-            service_throughput_prefixes(DEFAULT_PARAMS, [100.0], -1.0)
 
 
 def tier_bounds(arrays, offset, n_agents, app_work, demand):
@@ -183,8 +84,36 @@ def tier_ceiling(arrays, offset, n_agents, app_work, demand):
     return min(tier_bounds(arrays, offset, n_agents, app_work, demand))
 
 
+def reference_service_ceiling(params, powers, offset, n_agents, app_work):
+    """``NodeArrays.service_ceiling`` of one tier as a plain-Python loop.
+
+    Builds the candidate ranking, its running power sums and its server
+    rates from the scalar model, then takes ``max(min(service(k),
+    server_rate[k-1]))`` over ``k_min..k_cap`` in the solver's operation
+    order (``inf`` when the tier has no valid server count)."""
+    n = len(powers)
+    k_min = 1 if n_agents == 1 else n_agents
+    k_cap = n - n_agents
+    if k_cap < k_min:
+        return math.inf
+    candidates = powers[:offset] + powers[offset + n_agents :]
+    prefix_power = [0.0]
+    for power in candidates:
+        prefix_power.append(prefix_power[-1] + power)
+    server_rate = [server_sched_throughput(params, p) for p in candidates]
+    comm = params.service_comm
+    ceiling = -math.inf
+    for k in range(k_min, k_cap + 1):
+        pred = k * params.wpre / app_work
+        rate = prefix_power[k] / app_work
+        value = min(1.0 / (comm + (1.0 + pred) / rate), server_rate[k - 1])
+        if value > ceiling:
+            ceiling = value
+    return ceiling
+
+
 class TestNodeArrays:
-    def test_slot_total_matches_scalar_sum(self, backend):
+    def test_slot_total_matches_scalar_sum(self):
         rng = random.Random(29)
         for _ in range(15):
             params = random_params(rng)
@@ -205,11 +134,11 @@ class TestNodeArrays:
                 # to agree below it.
                 assert total == reference or (total > n and reference > n)
 
-    def test_server_slots_non_increasing_in_target(self, backend):
+    def test_server_slots_non_increasing_in_target(self):
         """``slot_total`` clamped the way the fixed-point solver clamps it
         never rises with the target rate: the premise of its bracketed
         bisection.  Tiers under ``VECTOR_TIER`` take the scalar early-exit
-        loop, the wider ones the vector pass (NumPy backend)."""
+        loop, the wider ones the vector pass."""
         rng = random.Random(37)
         n = 2 * NodeArrays.VECTOR_TIER + 40
         tiers = [(0, 1), (0, 3), (2, 40), (7, 7 + NodeArrays.VECTOR_TIER - 1),
@@ -243,7 +172,7 @@ class TestNodeArrays:
                 assert all(a >= b for a, b in zip(counts, counts[1:]))
                 assert counts[0] == k_cap and counts[-1] == 0
 
-    def test_service_ceiling_bounds_every_solved_rho(self, backend):
+    def test_service_ceiling_bounds_every_solved_rho(self):
         """Every tier a full solve returns has ``rho <= min(t_hi,
         service_ceiling)`` bit for bit, with no tolerance."""
         rng = random.Random(41)
@@ -272,7 +201,7 @@ class TestNodeArrays:
                     )
                     assert solved[0] <= ceiling
 
-    def test_tier_at_its_ceiling_is_still_solved(self, backend):
+    def test_tier_at_its_ceiling_is_still_solved(self):
         """The planner skips a tier only when its ceiling is strictly
         below the bar: at the ceiling itself the tier may still tie.  The
         skip is reported as ``_BELOW_BAR``, never as infeasible ``None``:
@@ -294,7 +223,7 @@ class TestNodeArrays:
             ) is _BELOW_BAR
 
     @pytest.mark.parametrize("kind", ["distinct", "tied", "homogeneous"])
-    def test_offset_zero_bounds_never_rise_with_agents(self, backend, kind):
+    def test_offset_zero_bounds_never_rise_with_agents(self, kind):
         """At offset 0, ``t_hi`` and ``service_ceiling`` are non-increasing
         in the tier size A, bit for bit: the premise that lets a
         ``fastest`` sweep end at its first below-bar tier.  The pools are
@@ -325,9 +254,7 @@ class TestNodeArrays:
                 assert next_t_hi <= t_hi
                 assert next_ceiling <= ceiling
 
-    def test_live_bracket_counts_what_slot_total_counts(
-        self, backend, monkeypatch
-    ):
+    def test_live_bracket_counts_what_slot_total_counts(self, monkeypatch):
         """At every midpoint of real bisections, the live-agent bracket's
         server count equals the clamped ``slot_total`` count, on tiers
         below and above ``VECTOR_TIER``."""
@@ -378,27 +305,30 @@ class TestNodeArrays:
             sizes.add(n_agents)
         assert min(sizes) < vt <= max(sizes)
 
-    @pytest.mark.skipif(not kernels.HAVE_NUMPY, reason="NumPy unavailable")
-    def test_service_ceiling_backends_agree(self, monkeypatch):
+    def test_service_ceiling_matches_scalar_reference(self):
         rng = random.Random(43)
         for _ in range(10):
             params = random_params(rng)
             n = rng.randrange(2, 80)
             powers = sorted(random_powers(rng, n), reverse=True)
             app_work = rng.uniform(0.5, 5e3)
-            monkeypatch.setattr(kernels, "_USE_NUMPY", True)
-            vector = NodeArrays(params, powers)
-            monkeypatch.setattr(kernels, "_USE_NUMPY", False)
-            scalar = NodeArrays(params, powers)
+            arrays = NodeArrays(params, powers)
             for n_agents in range(1, max(1, n // 2) + 1):
                 for offset in sorted({0, 1, n - n_agents}):
                     if offset > n - n_agents:
                         continue
-                    assert tier_ceiling(
-                        vector, offset, n_agents, app_work, None
-                    ) == tier_ceiling(scalar, offset, n_agents, app_work, None)
+                    assert tier_bounds(
+                        arrays, offset, n_agents, app_work, None
+                    )[1] == reference_service_ceiling(
+                        params, powers, offset, n_agents, app_work
+                    )
 
-    def test_rate_arrays_match_scalar(self, backend):
+    def test_rejects_bad_powers(self):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                NodeArrays(DEFAULT_PARAMS, [100.0, bad])
+
+    def test_rate_arrays_match_scalar(self):
         rng = random.Random(31)
         params = random_params(rng)
         powers = sorted(random_powers(rng, 30), reverse=True)
@@ -458,25 +388,3 @@ class TestHierarchyEvaluator:
         with pytest.raises(ParameterError):
             HierarchyEvaluator(DEFAULT_PARAMS).evaluate(lonely, 100.0)
 
-
-class TestPlannerBackendParity:
-    """The planner output is bit-identical on the NumPy and Python paths."""
-
-    @pytest.mark.skipif(not kernels.HAVE_NUMPY, reason="NumPy unavailable")
-    @pytest.mark.parametrize("n,seed", [(24, 0), (90, 4), (201, 7)])
-    def test_fixed_point_plan_identical(self, monkeypatch, n, seed):
-        pool = NodePool.uniform_random(n, low=80, high=400, seed=seed)
-        app_work = dgemm_mflop(310)
-        vec = HeuristicPlanner(DEFAULT_PARAMS).plan(pool, app_work)
-        monkeypatch.setattr(kernels, "_USE_NUMPY", False)
-        scalar = HeuristicPlanner(DEFAULT_PARAMS).plan(pool, app_work)
-        assert vec.report.throughput == scalar.report.throughput
-        assert vec.report.sched == scalar.report.sched
-        assert vec.report.service == scalar.report.service
-        assert dict(vec.report.node_rates) == dict(scalar.report.node_rates)
-        assert sorted(
-            (str(x), str(vec.hierarchy.parent(x))) for x in vec.hierarchy
-        ) == sorted(
-            (str(x), str(scalar.hierarchy.parent(x)))
-            for x in scalar.hierarchy
-        )

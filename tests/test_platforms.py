@@ -1,5 +1,7 @@
 """Platform substrate: nodes, pools, network, background load, rating."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,15 @@ class TestNode:
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ParameterError):
             Node(power=0.0, name="n")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_power(self, bad):
+        with pytest.raises(ParameterError, match="power"):
+            Node(power=bad, name="n")
+        with pytest.raises(ParameterError, match="base_power"):
+            Node(power=100.0, name="n", base_power=bad)
+        with pytest.raises(ParameterError):
+            Node(power=100.0, name="n").with_power(bad)
 
     def test_loaded_scales_power(self):
         node = Node(power=200.0, name="n")
@@ -55,6 +66,11 @@ class TestNodePool:
         assert pool[0].power == 10.0
         assert pool["node-1"].power == 20.0
         assert "node-0" in pool
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_heterogeneous_rejects_nonfinite_power(self, bad):
+        with pytest.raises(ParameterError):
+            NodePool.heterogeneous([100.0, bad, 200.0, 150.0])
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ParameterError):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.kernels as kernels
 from repro.core.baselines import star_deployment
 from repro.core.heuristic import HeuristicPlanner, sort_nodes
 from repro.core.hierarchy import Role
@@ -316,8 +315,7 @@ def exactness_cases(draw):
     fraction = draw(st.none() | st.floats(min_value=1e-4, max_value=1.2))
     demand = None if fraction is None else fraction * sum(powers) / wapp
     selection = draw(st.sampled_from(["fastest", "windowed"]))
-    numpy_backend = draw(st.booleans()) and kernels.HAVE_NUMPY
-    return NodePool.heterogeneous(powers), wapp, demand, selection, numpy_backend
+    return NodePool.heterogeneous(powers), wapp, demand, selection
 
 
 class TestPrunedSweepExactness:
@@ -328,31 +326,26 @@ class TestPrunedSweepExactness:
         its first below-bar tier, and the bracketed and live-agent
         bisection steps pick the same tier, target and tree as solving
         every tier in full."""
-        pool, wapp, demand, selection, numpy_backend = case
-        saved = kernels._USE_NUMPY
-        kernels._USE_NUMPY = numpy_backend
+        pool, wapp, demand, selection = case
+        planner = HeuristicPlanner(PARAMS, agent_selection=selection)
+        ranked = sort_nodes(pool, PARAMS)
         try:
-            planner = HeuristicPlanner(PARAMS, agent_selection=selection)
-            ranked = sort_nodes(pool, PARAMS)
-            try:
-                expected = reference_sweep(planner, ranked, wapp, demand)
-            except PlanningError:
-                with pytest.raises(PlanningError):
-                    planner._sweep(ranked, wapp, demand)
-                return
-            chosen = planner._sweep(ranked, wapp, demand)
-            assert chosen == expected
-            if planner._early_exit(ranked, wapp, demand) is not None:
-                return
-            rho, used, n_agents, offset, target = expected
-            candidates = ranked[:offset] + ranked[offset + n_agents :]
-            reference_tree = planner._materialize(
-                ranked[offset : offset + n_agents],
-                candidates[: used - n_agents],
-                target,
-            )
-            planner._repair(reference_tree)
-            plan = planner.plan(pool, wapp, demand=demand)
-            assert edges(plan.hierarchy) == edges(reference_tree)
-        finally:
-            kernels._USE_NUMPY = saved
+            expected = reference_sweep(planner, ranked, wapp, demand)
+        except PlanningError:
+            with pytest.raises(PlanningError):
+                planner._sweep(ranked, wapp, demand)
+            return
+        chosen = planner._sweep(ranked, wapp, demand)
+        assert chosen == expected
+        if planner._early_exit(ranked, wapp, demand) is not None:
+            return
+        rho, used, n_agents, offset, target = expected
+        candidates = ranked[:offset] + ranked[offset + n_agents :]
+        reference_tree = planner._materialize(
+            ranked[offset : offset + n_agents],
+            candidates[: used - n_agents],
+            target,
+        )
+        planner._repair(reference_tree)
+        plan = planner.plan(pool, wapp, demand=demand)
+        assert edges(plan.hierarchy) == edges(reference_tree)

@@ -3,13 +3,24 @@
 Examples and benchmark files are exercised manually / by the benchmark
 runner; this guard keeps them from silently rotting when the library API
 moves (compile + import-resolution check, no execution).  Library modules
-are documented, and only the engine touches its own event heap."""
+are documented, only the engine touches its own event heap, and the
+package metadata in ``pyproject.toml`` matches the code: its version is
+``repro.__version__`` and it declares every third-party import."""
 
 import ast
 import py_compile
+import re
+import sys
 from pathlib import Path
 
 import pytest
+
+import repro
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10
+    tomllib = None
 
 REPO = Path(__file__).resolve().parent.parent
 SCRIPT_DIRS = ("examples", "benchmarks")
@@ -90,3 +101,64 @@ def test_only_the_engine_touches_its_heap():
                     f"{path.relative_to(REPO)}:{node.lineno}: .{node.attr}"
                 )
     assert not offenders, f"engine internals used outside the engine: {offenders}"
+
+
+needs_tomllib = pytest.mark.skipif(
+    tomllib is None, reason="tomllib needs Python >= 3.11"
+)
+
+
+def _project() -> dict:
+    return tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
+
+
+def _names(requirements) -> set[str]:
+    return {re.split(r"[\s<>=!~;\[]", req, maxsplit=1)[0] for req in requirements}
+
+
+@needs_tomllib
+def test_pyproject_version_is_the_package_version():
+    assert _project()["version"] == repro.__version__
+
+
+def _third_party_imports() -> tuple[set[str], set[str]]:
+    """(module-level, function-local) third-party top-level imports."""
+    eager: set[str] = set()
+    lazy: set[str] = set()
+
+    def visit(node, in_function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            in_function = True
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            modules = []
+        for module in modules:
+            top = module.split(".")[0]
+            if top != "repro" and top not in sys.stdlib_module_names:
+                (lazy if in_function else eager).add(top)
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_function)
+
+    for path in (REPO / "src" / "repro").rglob("*.py"):
+        visit(ast.parse(path.read_text()), False)
+    return eager, lazy
+
+
+@needs_tomllib
+def test_third_party_imports_are_declared():
+    """A module-level import needs a dependency; one made inside a
+    function may be an optional extra instead."""
+    project = _project()
+    required = _names(project["dependencies"])
+    optional = set()
+    for extra in project.get("optional-dependencies", {}).values():
+        optional |= _names(extra)
+    eager, lazy = _third_party_imports()
+    assert "numpy" in eager
+    assert eager <= required, f"undeclared dependencies: {eager - required}"
+    assert lazy <= required | optional, (
+        f"undeclared optional dependencies: {lazy - required - optional}"
+    )
