@@ -37,6 +37,12 @@ second wave, so live plans drain several regions at once):
   oracle-health partition and its heal, which recompute capacity over a
   dark subtree; ``restart`` rebuilds the platform and forgets the
   partition, so the heal would not land there).
+
+Every cell above runs the ``reactive`` policy.  Five ``live``, seed-0
+cells pin the other built-in policies' decisions: ``predictive`` and
+``predictive_ewma`` on the ``crash`` and ``evict`` scenarios (their
+shared repair and eviction gates, plus their own improve and replan
+rules), and ``oracle`` with no faults.
 """
 
 from __future__ import annotations
@@ -69,10 +75,25 @@ DETECTION = "timeout=0.5,retries=0,threshold=3,reserve=0.2"
 DEGRADE = "degrade:target=busiest-server,at=10,factor=0.03"
 #: The heal names its target: by then ``busiest-child`` is a lit sibling.
 PARTITION = "partition:target=busiest-child,at=14;heal:target=node-00,at=24"
+#: Options per policy; ``oracle`` has no cooldown, repair or eviction.
+POLICY_OPTIONS = {
+    "reactive": {"hysteresis": 1, "cooldown": 1, "repair": True},
+    "predictive": {"cooldown": 1, "repair": True},
+    "predictive_ewma": {"cooldown": 1, "repair": True},
+    "oracle": {},
+}
+#: The non-reactive policies' cells, all ``live`` at seed 0.
+POLICY_CELLS = (
+    ("predictive", "crash"),
+    ("predictive", "evict"),
+    ("predictive_ewma", "crash"),
+    ("predictive_ewma", "evict"),
+    ("oracle", "none"),
+)
 
 
 def corpus() -> dict[str, dict]:
-    """Cell id -> ``(mode, scenario, seed, drain_seconds)`` spec."""
+    """Cell id -> ``(mode, scenario, seed, drain_seconds[, policy])``."""
     cells = {}
     for mode in MODES:
         for scenario in SCENARIOS:
@@ -94,14 +115,25 @@ def corpus() -> dict[str, dict]:
                 cells[f"{mode}/{scenario}/seed{seed}"] = dict(
                     mode=mode, scenario=scenario, seed=seed, drain=None
                 )
+    for policy, scenario in POLICY_CELLS:
+        cells[f"live/{scenario}/seed0/{policy}"] = dict(
+            mode="live", scenario=scenario, seed=0, drain=None,
+            policy=policy,
+        )
     return cells
 
 
-def run_cell(mode: str, scenario: str, seed: int, drain: float | None):
+def run_cell(
+    mode: str,
+    scenario: str,
+    seed: int,
+    drain: float | None,
+    policy: str = "reactive",
+):
     """One corpus cell's timeline."""
     trace = piecewise(STEPS)
     options: dict = {}
-    policy_options = {"hysteresis": 1, "cooldown": 1, "repair": True}
+    policy_options = dict(POLICY_OPTIONS[policy])
     if scenario in ("crash", "silent"):
         options["faults"] = CRASH
     if scenario in ("silent", "evict"):
@@ -119,7 +151,7 @@ def run_cell(mode: str, scenario: str, seed: int, drain: float | None):
         NodePool.uniform_random(16, low=80, high=400, seed=7),
         dgemm_mflop(310),
         trace,
-        policy="reactive",
+        policy=policy,
         policy_options=policy_options,
         epochs=18,
         epoch_duration=2.0,
