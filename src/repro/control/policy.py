@@ -236,20 +236,30 @@ class ControlPolicy:
     :class:`PolicyOptions` dataclass, possibly field-less) and get
     typed, eagerly-validated option handling through
     :func:`make_policy`, sharing the planner registry's coercion
-    machinery.
+    machinery.  That dataclass is the only declaration of a policy's
+    options: the constructor takes exactly its fields as keywords,
+    validates them by building it, and copies each field onto the
+    instance.  A policy without an ``options_type`` takes no options.
     """
 
     name = "abstract"
     #: Typed option dataclass; :func:`register_policy` requires one.
     options_type: "type[PolicyOptions] | None" = None
 
+    def __init__(self, **options: object) -> None:
+        if self.options_type is None:
+            if options:
+                raise TypeError(
+                    f"{type(self).__name__} takes no options, "
+                    f"got {sorted(options)}"
+                )
+            return
+        resolved = self.options_type(**options)
+        for spec in dataclasses.fields(resolved):
+            setattr(self, spec.name, getattr(resolved, spec.name))
+
     def decide(self, ctx: ControlContext) -> ControlDecision:
         raise NotImplementedError  # pragma: no cover
-
-    def _apply_options(self, options: "PolicyOptions") -> None:
-        """Copy every option field onto the instance (validated already)."""
-        for spec in dataclasses.fields(options):
-            setattr(self, spec.name, getattr(options, spec.name))
 
     def describe(self) -> str:
         options = ", ".join(
@@ -300,8 +310,9 @@ def register_policy(cls: type) -> type:
     """Class decorator registering a policy under ``cls.name``.
 
     The class must declare an ``options_type``: a :class:`PolicyOptions`
-    dataclass whose fields are exactly its constructor's keyword
-    arguments (a field-less subclass for a policy without options).
+    dataclass (a field-less subclass for a policy without options).  The
+    inherited :class:`ControlPolicy` constructor takes its fields as
+    keywords, so the two cannot drift apart.
     """
     name = getattr(cls, "name", None)
     if not name or not isinstance(name, str):
@@ -317,9 +328,9 @@ def register_policy(cls: type) -> type:
     ):
         raise ControlError(
             f"policy {name!r} needs an `options_type`: declare a frozen "
-            "PolicyOptions dataclass with one field per constructor "
-            "option (an empty subclass if it takes none) and set it as "
-            "the class attribute `options_type`"
+            "PolicyOptions dataclass with one field per policy option "
+            "(an empty subclass if it takes none) and set it as the "
+            "class attribute `options_type`"
         )
     if name in _POLICIES:
         raise ControlError(f"policy {name!r} is already registered")
@@ -332,14 +343,19 @@ def available_policies() -> tuple[str, ...]:
     return tuple(sorted(_POLICIES))
 
 
-def accepted_options(policy: str) -> frozenset[str]:
-    """Option names policy ``policy`` accepts: its options' fields."""
+def _policy_class(policy: str) -> type:
+    """The class registered as ``policy``; unknown names are errors."""
     if policy not in _POLICIES:
         raise ControlError(
             f"unknown control policy {policy!r}; "
             f"available policies: {', '.join(available_policies())}"
         )
-    options_type = _POLICIES[policy].options_type
+    return _POLICIES[policy]
+
+
+def accepted_options(policy: str) -> frozenset[str]:
+    """Option names policy ``policy`` accepts: its options' fields."""
+    options_type = _policy_class(policy).options_type
     return frozenset(f.name for f in dataclasses.fields(options_type))
 
 
@@ -360,12 +376,7 @@ def make_policy(
                 "name, not as an instance"
             )
         return policy
-    if policy not in _POLICIES:
-        raise ControlError(
-            f"unknown control policy {policy!r}; "
-            f"available policies: {', '.join(available_policies())}"
-        )
-    cls = _POLICIES[policy]
+    cls = _policy_class(policy)
     resolved = cls.options_type.coerce(options or {})
     return cls(
         **{
@@ -421,27 +432,10 @@ class MigrationCostModel:
     drain_seconds: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.restart_seconds < 0.0:
-            raise ControlError(
-                f"restart_seconds must be >= 0, got {self.restart_seconds}"
-            )
-        if self.config_mb < 0.0:
-            raise ControlError(
-                f"config_mb must be >= 0, got {self.config_mb}"
-            )
-        if self.control_round_trips < 0:
-            raise ControlError(
-                "control_round_trips must be >= 0, "
-                f"got {self.control_round_trips}"
-            )
-        if self.launch_seconds < 0.0:
-            raise ControlError(
-                f"launch_seconds must be >= 0, got {self.launch_seconds}"
-            )
-        if self.drain_seconds < 0.0:
-            raise ControlError(
-                f"drain_seconds must be >= 0, got {self.drain_seconds}"
-            )
+        for spec in dataclasses.fields(self):
+            value = getattr(self, spec.name)
+            if value < 0:
+                raise ControlError(f"{spec.name} must be >= 0, got {value}")
 
     @staticmethod
     def touched_nodes(old: Hierarchy | None, new: Hierarchy) -> int:
@@ -638,17 +632,6 @@ def _failure_decision(
     )
 
 
-def _validate_evict(evict_after: int, evict_fraction: float) -> None:
-    if evict_after < 0:
-        raise ControlError(
-            f"evict_after must be >= 0 (0 disables), got {evict_after}"
-        )
-    if not (0.0 < evict_fraction < 1.0):
-        raise ControlError(
-            f"evict_fraction must be in (0, 1), got {evict_fraction}"
-        )
-
-
 def _eviction_decision(
     ctx: ControlContext, evict_after: int, evict_fraction: float
 ) -> ControlDecision | None:
@@ -708,22 +691,37 @@ def _eviction_decision(
     )
 
 
+def _self_healing_decision(
+    policy: "ControlPolicy", ctx: ControlContext
+) -> ControlDecision | None:
+    """The scaling policies' first gate: a due repair, else a due eviction.
+
+    Runs :func:`_failure_decision` if ``policy.repair`` is set, then
+    :func:`_eviction_decision` if ``policy.evict_after`` is; ``None``
+    when neither fires.
+    """
+    if policy.repair:
+        healing = _failure_decision(ctx, policy.restructure)
+        if healing is not None:
+            return healing
+    if policy.evict_after:
+        return _eviction_decision(
+            ctx, policy.evict_after, policy.evict_fraction
+        )
+    return None
+
+
 @dataclass(frozen=True)
 class HoldOptions(PolicyOptions):
     """The static baseline takes no options."""
 
 
 @dataclass(frozen=True)
-class ReactiveOptions(PolicyOptions):
-    """Options of the threshold policy (validated eagerly)."""
+class _ScalingOptions(PolicyOptions):
+    """Options every scaling policy shares (validated eagerly)."""
 
-    up_utilization: float = 0.90
-    up_fraction: float = 0.90
-    down_fraction: float = 0.40
-    hysteresis: int = 2
     cooldown: int = 2
-    headroom: float = 1.3
-    #: When saturation persists with every pool node deployed, propose a
+    #: When pressure persists with every pool node deployed, propose a
     #: same-nodes restructuring replan (shape, not size); the loop only
     #: applies it if the reshaped tree raises modeled capacity and the
     #: migration price amortizes.
@@ -738,7 +736,32 @@ class ReactiveOptions(PolicyOptions):
     evict_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        _validate_evict(self.evict_after, self.evict_fraction)
+        if self.evict_after < 0:
+            raise ControlError(
+                "evict_after must be >= 0 (0 disables), "
+                f"got {self.evict_after}"
+            )
+        if not (0.0 < self.evict_fraction < 1.0):
+            raise ControlError(
+                "evict_fraction must be in (0, 1), "
+                f"got {self.evict_fraction}"
+            )
+        if self.cooldown < 0:
+            raise ControlError(f"cooldown must be >= 0, got {self.cooldown}")
+
+
+@dataclass(frozen=True)
+class ReactiveOptions(_ScalingOptions):
+    """Options of the threshold policy (validated eagerly)."""
+
+    up_utilization: float = 0.90
+    up_fraction: float = 0.90
+    down_fraction: float = 0.40
+    hysteresis: int = 2
+    headroom: float = 1.3
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if not (0.0 < self.up_utilization <= 1.0):
             raise ControlError(
                 f"up_utilization must be in (0, 1], got {self.up_utilization}"
@@ -752,34 +775,21 @@ class ReactiveOptions(PolicyOptions):
             raise ControlError(
                 f"hysteresis must be >= 1, got {self.hysteresis}"
             )
-        if self.cooldown < 0:
-            raise ControlError(f"cooldown must be >= 0, got {self.cooldown}")
         if self.headroom < 1.0:
             raise ControlError(f"headroom must be >= 1, got {self.headroom}")
 
 
 @dataclass(frozen=True)
-class PredictiveOptions(PolicyOptions):
+class PredictiveOptions(_ScalingOptions):
     """Options of the trend-extrapolation policy (validated eagerly)."""
 
     lookahead: int = 2
     window: int = 3
     headroom: float = 1.25
     down_fraction: float = 0.4
-    cooldown: int = 2
-    #: As in :class:`ReactiveOptions`: propose a same-nodes reshaped
-    #: plan when the predicted requirement exceeds capacity and no
-    #: spares remain.
-    restructure: bool = True
-    #: Self-healing: answer observed node failures and fresh partitions
-    #: with a ``repair`` decision, ahead of every other gate.
-    repair: bool = True
-    #: Straggler eviction, as in :class:`ReactiveOptions`.  0 disables.
-    evict_after: int = 0
-    evict_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        _validate_evict(self.evict_after, self.evict_fraction)
+        super().__post_init__()
         if self.lookahead < 1:
             raise ControlError(
                 f"lookahead must be >= 1, got {self.lookahead}"
@@ -792,8 +802,6 @@ class PredictiveOptions(PolicyOptions):
             raise ControlError(
                 f"down_fraction must be in (0, 1), got {self.down_fraction}"
             )
-        if self.cooldown < 0:
-            raise ControlError(f"cooldown must be >= 0, got {self.cooldown}")
 
 
 @dataclass(frozen=True)
@@ -851,45 +859,11 @@ class ReactivePolicy(ControlPolicy):
     name = "reactive"
     options_type = ReactiveOptions
 
-    def __init__(
-        self,
-        up_utilization: float = 0.90,
-        up_fraction: float = 0.90,
-        down_fraction: float = 0.40,
-        hysteresis: int = 2,
-        cooldown: int = 2,
-        headroom: float = 1.3,
-        restructure: bool = True,
-        repair: bool = True,
-        evict_after: int = 0,
-        evict_fraction: float = 0.5,
-    ):
-        self._apply_options(
-            ReactiveOptions(
-                up_utilization=up_utilization,
-                up_fraction=up_fraction,
-                down_fraction=down_fraction,
-                hysteresis=hysteresis,
-                cooldown=cooldown,
-                headroom=headroom,
-                restructure=restructure,
-                repair=repair,
-                evict_after=evict_after,
-                evict_fraction=evict_fraction,
-            )
-        )
 
     def decide(self, ctx: ControlContext) -> ControlDecision:
-        if self.repair:
-            healing = _failure_decision(ctx, self.restructure)
-            if healing is not None:
-                return healing
-        if self.evict_after:
-            evicting = _eviction_decision(
-                ctx, self.evict_after, self.evict_fraction
-            )
-            if evicting is not None:
-                return evicting
+        healing = _self_healing_decision(self, ctx)
+        if healing is not None:
+            return healing
         if len(ctx.observations) < self.hysteresis:
             return ControlDecision.hold("warming up")
         if ctx.redeploys > 0 and ctx.epochs_since_redeploy < self.cooldown:
@@ -966,43 +940,11 @@ class PredictivePolicy(ControlPolicy):
     name = "predictive"
     options_type = PredictiveOptions
 
-    def __init__(
-        self,
-        lookahead: int = 2,
-        window: int = 3,
-        headroom: float = 1.25,
-        down_fraction: float = 0.4,
-        cooldown: int = 2,
-        restructure: bool = True,
-        repair: bool = True,
-        evict_after: int = 0,
-        evict_fraction: float = 0.5,
-    ):
-        self._apply_options(
-            PredictiveOptions(
-                lookahead=lookahead,
-                window=window,
-                headroom=headroom,
-                down_fraction=down_fraction,
-                cooldown=cooldown,
-                restructure=restructure,
-                repair=repair,
-                evict_after=evict_after,
-                evict_fraction=evict_fraction,
-            )
-        )
 
     def decide(self, ctx: ControlContext) -> ControlDecision:
-        if self.repair:
-            healing = _failure_decision(ctx, self.restructure)
-            if healing is not None:
-                return healing
-        if self.evict_after:
-            evicting = _eviction_decision(
-                ctx, self.evict_after, self.evict_fraction
-            )
-            if evicting is not None:
-                return evicting
+        healing = _self_healing_decision(self, ctx)
+        if healing is not None:
+            return healing
         if len(ctx.observations) < self.window or ctx.demand_unit <= 0.0:
             return ControlDecision.hold("warming up")
         if ctx.redeploys > 0 and ctx.epochs_since_redeploy < self.cooldown:
@@ -1041,7 +983,7 @@ class PredictivePolicy(ControlPolicy):
 
 
 @dataclass(frozen=True)
-class SeasonalPredictiveOptions(PolicyOptions):
+class SeasonalPredictiveOptions(_ScalingOptions):
     """Options of the EWMA/seasonal predictor (validated eagerly)."""
 
     #: Level smoothing factor (EWMA weight of the newest window).
@@ -1057,17 +999,11 @@ class SeasonalPredictiveOptions(PolicyOptions):
     lookahead: int = 2
     headroom: float = 1.25
     down_fraction: float = 0.4
-    cooldown: int = 2
     #: Observations required before the smoothed forecast is trusted.
     warmup: int = 3
-    restructure: bool = True
-    repair: bool = True
-    #: Straggler eviction, as in :class:`ReactiveOptions`.  0 disables.
-    evict_after: int = 0
-    evict_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        _validate_evict(self.evict_after, self.evict_fraction)
+        super().__post_init__()
         for name in ("alpha", "beta", "gamma"):
             value = getattr(self, name)
             if not (0.0 < value <= 1.0):
@@ -1086,8 +1022,6 @@ class SeasonalPredictiveOptions(PolicyOptions):
             raise ControlError(
                 f"down_fraction must be in (0, 1), got {self.down_fraction}"
             )
-        if self.cooldown < 0:
-            raise ControlError(f"cooldown must be >= 0, got {self.cooldown}")
         if self.warmup < 2:
             raise ControlError(f"warmup must be >= 2, got {self.warmup}")
 
@@ -1112,39 +1046,6 @@ class SeasonalPredictivePolicy(ControlPolicy):
     name = "predictive_ewma"
     options_type = SeasonalPredictiveOptions
 
-    def __init__(
-        self,
-        alpha: float = 0.5,
-        beta: float = 0.3,
-        gamma: float = 0.3,
-        season: int = 0,
-        lookahead: int = 2,
-        headroom: float = 1.25,
-        down_fraction: float = 0.4,
-        cooldown: int = 2,
-        warmup: int = 3,
-        restructure: bool = True,
-        repair: bool = True,
-        evict_after: int = 0,
-        evict_fraction: float = 0.5,
-    ):
-        self._apply_options(
-            SeasonalPredictiveOptions(
-                alpha=alpha,
-                beta=beta,
-                gamma=gamma,
-                season=season,
-                lookahead=lookahead,
-                headroom=headroom,
-                down_fraction=down_fraction,
-                cooldown=cooldown,
-                warmup=warmup,
-                restructure=restructure,
-                repair=repair,
-                evict_after=evict_after,
-                evict_fraction=evict_fraction,
-            )
-        )
 
     def _forecast(self, offered: "list[int]") -> float:
         """Holt(-Winters additive) forecast ``lookahead`` steps ahead."""
@@ -1174,16 +1075,9 @@ class SeasonalPredictivePolicy(ControlPolicy):
         return max(0.0, level + trend * self.lookahead + season_term)
 
     def decide(self, ctx: ControlContext) -> ControlDecision:
-        if self.repair:
-            healing = _failure_decision(ctx, self.restructure)
-            if healing is not None:
-                return healing
-        if self.evict_after:
-            evicting = _eviction_decision(
-                ctx, self.evict_after, self.evict_fraction
-            )
-            if evicting is not None:
-                return evicting
+        healing = _self_healing_decision(self, ctx)
+        if healing is not None:
+            return healing
         if len(ctx.observations) < self.warmup or ctx.demand_unit <= 0.0:
             return ControlDecision.hold("warming up")
         if ctx.redeploys > 0 and ctx.epochs_since_redeploy < self.cooldown:
@@ -1231,11 +1125,6 @@ class OraclePolicy(ControlPolicy):
 
     name = "oracle"
     options_type = OracleOptions
-
-    def __init__(self, headroom: float = 1.2, tolerance: float = 0.15):
-        self._apply_options(
-            OracleOptions(headroom=headroom, tolerance=tolerance)
-        )
 
     def decide(self, ctx: ControlContext) -> ControlDecision:
         if ctx.demand_unit <= 0.0:

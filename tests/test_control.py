@@ -367,16 +367,61 @@ class TestTypedPolicyOptions:
             PredictiveOptions,
             ReactiveOptions,
         )
-        from repro.control.policy import _POLICIES
+        from repro.control.policy import _POLICIES, SeasonalPredictiveOptions
 
         expected = {
             "hold": HoldOptions,
             "reactive": ReactiveOptions,
             "predictive": PredictiveOptions,
+            "predictive_ewma": SeasonalPredictiveOptions,
             "oracle": OracleOptions,
         }
         for name, options_type in expected.items():
             assert _POLICIES[name].options_type is options_type
+
+    def test_constructor_takes_exactly_the_options_fields(self):
+        # The options dataclass is the one declaration: the inherited
+        # constructor copies every field onto the instance, defaults
+        # included, and refuses any keyword it does not declare.
+        from dataclasses import asdict
+
+        from repro.control.policy import _POLICIES
+
+        for name in available_policies():
+            cls = _POLICIES[name]
+            assert vars(cls()) == asdict(cls.options_type())
+            with pytest.raises(TypeError, match="vibes"):
+                cls(vibes=1)
+        tuned = make_policy("predictive_ewma", {"season": "4"})
+        assert (tuned.season, tuned.warmup) == (4, 3)
+
+    def test_policy_without_options_type_takes_no_options(self):
+        from repro.control.policy import ControlPolicy
+
+        class BarePolicy(ControlPolicy):
+            name = "bare-test"
+
+            def decide(self, ctx):
+                return ControlDecision.hold()
+
+        assert vars(BarePolicy()) == {}
+        with pytest.raises(TypeError, match="takes no options"):
+            BarePolicy(strict=True)
+
+    def test_scaling_policies_share_option_validation(self):
+        from repro.control.policy import (
+            PredictivePolicy,
+            SeasonalPredictivePolicy,
+        )
+
+        for cls in (ReactivePolicy, PredictivePolicy, SeasonalPredictivePolicy):
+            for bad, message in (
+                (dict(cooldown=-1), "cooldown must be >= 0"),
+                (dict(evict_after=-1), "evict_after must be >= 0"),
+                (dict(evict_fraction=1.0), "evict_fraction must be in"),
+            ):
+                with pytest.raises(ControlError, match=message):
+                    cls(**bad)
 
     def test_options_validate_eagerly(self):
         from repro.control import ReactiveOptions
