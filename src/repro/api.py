@@ -50,7 +50,7 @@ import math
 import os
 import threading
 from collections.abc import Iterable, Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.core.params import ModelParams
@@ -379,38 +379,62 @@ class PlanningSession:
         process-pool spin-up costs hundreds of milliseconds, which a
         handful of ~ms planner calls can never amortize (measured nil
         gain — 6.8 serial vs 6.2 req/s parallel on a small host).
-        Two situations fall back to a thread pool (the pre-process-pool
-        behaviour): sessions with a custom registry, and planners that were
-        registered into the global registry at runtime — a worker process
-        re-imports :mod:`repro`, so under spawn/forkserver start methods it
-        only sees import-time registrations.
+        Two more situations plan serially: sessions with a custom
+        registry, which worker processes cannot see, and planners that
+        were registered into the global registry at runtime — a worker
+        process re-imports :mod:`repro`, so under spawn/forkserver start
+        methods it only sees import-time registrations.
 
         ``chunksize`` overrides the per-worker batch size (default: unique
-        requests split roughly 4 ways per worker).
+        requests split roughly 4 ways per worker).  ``max_workers`` and
+        ``chunksize``, when given, must be at least 1.
         """
+        if max_workers is not None and max_workers < 1:
+            raise PlanningError(
+                f"plan_many needs max_workers >= 1, got {max_workers} "
+                "(omit it to use the CPU count)"
+            )
+        if chunksize is not None and chunksize < 1:
+            raise PlanningError(
+                f"plan_many needs chunksize >= 1, got {chunksize} "
+                "(omit it for the default batch size)"
+            )
         requests = [self._with_session_params(r) for r in requests]
-        if not requests:
-            return []
         workers = max_workers if max_workers is not None else os.cpu_count() or 1
-        if not parallel or workers <= 1 or len(requests) == 1:
-            return [self.plan(request) for request in requests]
-        if self.registry is not REGISTRY:
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                return list(executor.map(self.plan, requests))
+        if (
+            parallel
+            and workers > 1
+            and len(requests) > 1
+            and self.registry is REGISTRY
+        ):
+            planned = self._plan_parallel(requests, workers, chunksize)
+            if planned is not None:
+                return planned
+        return [self.plan(request) for request in requests]
+
+    def _plan_parallel(
+        self,
+        requests: list[PlanRequest],
+        workers: int,
+        chunksize: int | None,
+    ) -> list[Deployment] | None:
+        """:meth:`plan_many`'s process fan-out; None to plan serially.
+
+        None when too few unique requests miss the cache to amortize
+        pool spin-up, or when the workers cannot see a planner.
+        """
+
         def chunk_for(count: int) -> int:
             if chunksize is not None:
                 return chunksize
             return max(1, math.ceil(count / (workers * 4)))
+
         if not self._cache_enabled:
             # Mirror the serial no-cache semantics exactly: every request
             # planned independently (no dedup aliasing), no hit/miss stats.
             if len(requests) < _PARALLEL_MIN_UNIQUE:
-                return [self.plan(request) for request in requests]
-            planned = self._fan_out(requests, workers, chunk_for(len(requests)))
-            if planned is None:
-                with ThreadPoolExecutor(max_workers=workers) as executor:
-                    return list(executor.map(self.plan, requests))
-            return planned
+                return None
+            return self._fan_out(requests, workers, chunk_for(len(requests)))
         keys = [request.cache_key() for request in requests]
         with self._lock:
             resolved: dict[tuple, Deployment] = {
@@ -426,13 +450,12 @@ class PlanningSession:
             # Too few unique misses to amortize pool spin-up; the plain
             # serial path replays the cache and keeps hit/miss accounting
             # identical to a cold serial run.
-            return [self.plan(request) for request in requests]
+            return None
         if pending:
             todo = list(pending.values())
             planned = self._fan_out(todo, workers, chunk_for(len(todo)))
             if planned is None:
-                with ThreadPoolExecutor(max_workers=workers) as executor:
-                    return list(executor.map(self.plan, requests))
+                return None
             resolved.update(zip(pending, planned))
             with self._lock:
                 self._hits += len(requests) - len(pending)
@@ -452,7 +475,7 @@ class PlanningSession:
 
         A child process that cannot resolve a request's planner (it was
         registered at runtime, after import) makes the whole fan-out
-        unusable — the caller then retries on threads, where the parent's
+        unusable — the caller then plans serially, where the parent's
         registry is visible.  Any other planning error propagates.
         """
         try:
@@ -463,7 +486,7 @@ class PlanningSession:
         except PlanningError as error:
             # Match the registry's lookup error only ("unknown planner
             # 'name'; ..."), not e.g. "unknown planner options: [...]" —
-            # option errors would just fail again on threads.
+            # option errors would just fail again serially.
             if str(error).startswith("unknown planner '"):
                 return None
             raise

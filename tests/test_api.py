@@ -204,7 +204,6 @@ class TestScenarioGrid:
             raise AssertionError("executor must not start for max_workers=1")
 
         monkeypatch.setattr(api_module, "ProcessPoolExecutor", boom)
-        monkeypatch.setattr(api_module, "ThreadPoolExecutor", boom)
         grid = scenario_grid(
             pools=[pool], app_works=[dgemm_mflop(100)], methods=("star",)
         )
@@ -243,7 +242,6 @@ class TestScenarioGrid:
         assert len(grid) < api_module._PARALLEL_MIN_UNIQUE
         serial = PlanningSession().plan_many(grid)
         monkeypatch.setattr(api_module, "ProcessPoolExecutor", boom)
-        monkeypatch.setattr(api_module, "ThreadPoolExecutor", boom)
         small = PlanningSession().plan_many(
             grid, parallel=True, max_workers=4
         )
@@ -312,25 +310,91 @@ class TestScenarioGrid:
         assert first.describe() == second.describe()
         assert session.cache_info() == {"hits": 0, "misses": 0, "size": 0}
 
-    def test_plan_many_falls_back_to_threads_without_worker_planners(
+    def test_plan_many_falls_back_to_serial_without_worker_planners(
         self, pool, monkeypatch
     ):
         # A planner registered at runtime is invisible to spawned workers;
-        # the session must retry on threads instead of failing the batch.
+        # the session must plan serially instead of failing the batch.
+        import repro.api as api_module
+
+        attempts: list[int] = []
+
+        def no_planners(requests, workers, chunk):
+            attempts.append(len(requests))
+            return None
+
         monkeypatch.setattr(
-            PlanningSession, "_fan_out", staticmethod(lambda *a: None)
+            PlanningSession, "_fan_out", staticmethod(no_planners)
         )
         grid = scenario_grid(
-            pools=[pool], app_works=[dgemm_mflop(100)],
+            pools=[pool],
+            app_works=[
+                dgemm_mflop(100), dgemm_mflop(200),
+                dgemm_mflop(310), dgemm_mflop(400),
+            ],
             methods=("star", "heuristic"),
         )
+        assert len(grid) >= api_module._PARALLEL_MIN_UNIQUE
         serial = PlanningSession().plan_many(grid)
-        fallback = PlanningSession().plan_many(
-            grid, parallel=True, max_workers=2
+        for cache in (True, False):
+            session = PlanningSession(cache=cache)
+            fallback = session.plan_many(grid, parallel=True, max_workers=2)
+            assert [d.describe() for d in serial] == [
+                d.describe() for d in fallback
+            ]
+        assert attempts == [len(grid), len(grid)]
+
+    def test_plan_many_custom_registry_plans_serially(self, pool, monkeypatch):
+        # Worker processes only see the global registry, so a session
+        # with its own registry never starts a pool, and returns exactly
+        # what its serial path returns.
+        import repro.api as api_module
+
+        from repro.core.registry import REGISTRY, PlannerRegistry
+
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a custom registry must not fan out")
+
+        registry = PlannerRegistry()
+        for name in ("star", "heuristic"):
+            registry.register(REGISTRY.get(name))
+        grid = scenario_grid(
+            pools=[pool],
+            app_works=[
+                dgemm_mflop(100), dgemm_mflop(200),
+                dgemm_mflop(310), dgemm_mflop(400),
+            ],
+            methods=("star", "heuristic"),
         )
-        assert [d.describe() for d in serial] == [
-            d.describe() for d in fallback
+        serial = PlanningSession(registry=registry).plan_many(grid)
+        monkeypatch.setattr(api_module, "ProcessPoolExecutor", boom)
+        session = PlanningSession(registry=registry)
+        parallel = session.plan_many(grid, parallel=True, max_workers=2)
+        assert [d.describe() for d in parallel] == [
+            d.describe() for d in serial
         ]
+        assert [d.hierarchy.describe() for d in parallel] == [
+            d.hierarchy.describe() for d in serial
+        ]
+        assert session.cache_info()["misses"] == len(grid)
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_plan_many_rejects_bad_max_workers(self, pool, bad):
+        request = PlanRequest(pool=pool, app_work=dgemm_mflop(100))
+        for parallel in (False, True):
+            with pytest.raises(PlanningError, match="max_workers >= 1"):
+                PlanningSession().plan_many(
+                    [request, request], parallel=parallel, max_workers=bad
+                )
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_plan_many_rejects_bad_chunksize(self, pool, bad):
+        request = PlanRequest(pool=pool, app_work=dgemm_mflop(100))
+        with pytest.raises(PlanningError, match="chunksize >= 1"):
+            PlanningSession().plan_many(
+                [request, request], parallel=True, max_workers=2,
+                chunksize=bad,
+            )
 
     def test_plan_many_deduplicates_and_caches_across_calls(self, pool):
         session = PlanningSession()
