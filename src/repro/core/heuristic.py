@@ -85,6 +85,27 @@ __all__ = [
 STRATEGIES = ("fixed_point", "incremental")
 
 
+def check_heuristic_options(
+    strategy: str, patience: int, agent_selection: str
+) -> None:
+    """Validate the heuristic's options; raise :class:`PlanningError`.
+
+    The one home of these checks: :class:`HeuristicPlanner` and the
+    registry's ``HeuristicOptions`` both call it.
+    """
+    if strategy not in STRATEGIES:
+        raise PlanningError(
+            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
+        )
+    if patience < 1:
+        raise PlanningError(f"patience must be >= 1, got {patience}")
+    if agent_selection not in ("fastest", "windowed"):
+        raise PlanningError(
+            f"unknown agent_selection {agent_selection!r}; "
+            "expected 'fastest' or 'windowed'"
+        )
+
+
 def calc_sch_pow(params: ModelParams, power: float, children: int) -> float:
     """Scheduling power of a node acting as an agent with ``children`` children.
 
@@ -316,17 +337,7 @@ class HeuristicPlanner:
         allow_promotion: bool = True,
         agent_selection: str = "fastest",
     ):
-        if strategy not in STRATEGIES:
-            raise PlanningError(
-                f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-            )
-        if patience < 1:
-            raise PlanningError(f"patience must be >= 1, got {patience}")
-        if agent_selection not in ("fastest", "windowed"):
-            raise PlanningError(
-                f"unknown agent_selection {agent_selection!r}; "
-                "expected 'fastest' or 'windowed'"
-            )
+        check_heuristic_options(strategy, patience, agent_selection)
         self.params = params
         self.strategy = strategy
         self.patience = patience

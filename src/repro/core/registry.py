@@ -68,7 +68,7 @@ from repro.core.baselines import (
     chain_deployment,
     star_deployment,
 )
-from repro.core.heuristic import STRATEGIES, HeuristicPlanner
+from repro.core.heuristic import HeuristicPlanner, check_heuristic_options
 from repro.core.hierarchy import Hierarchy
 from repro.core.homogeneous import HomogeneousPlanner
 from repro.core.optimal import exhaustive_plan
@@ -265,20 +265,9 @@ class HeuristicOptions(PlannerOptions):
     agent_selection: str = "fastest"
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise PlanningError(
-                f"unknown strategy {self.strategy!r}; "
-                f"expected one of {STRATEGIES}"
-            )
-        if self.patience < 1:
-            raise PlanningError(
-                f"patience must be >= 1, got {self.patience}"
-            )
-        if self.agent_selection not in ("fastest", "windowed"):
-            raise PlanningError(
-                f"unknown agent_selection {self.agent_selection!r}; "
-                "expected 'fastest' or 'windowed'"
-            )
+        check_heuristic_options(
+            self.strategy, self.patience, self.agent_selection
+        )
 
 
 @dataclass(frozen=True)

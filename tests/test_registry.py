@@ -116,6 +116,23 @@ class TestTypedOptions:
         with pytest.raises(PlanningError, match="agent"):
             ChainOptions(agents=0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"strategy": "bogus"},
+            {"patience": 0},
+            {"agent_selection": "slowest"},
+        ],
+    )
+    def test_heuristic_options_and_planner_reject_alike(self, bad):
+        from repro.core.heuristic import HeuristicPlanner
+
+        with pytest.raises(PlanningError) as from_options:
+            HeuristicOptions(**bad)
+        with pytest.raises(PlanningError) as from_planner:
+            HeuristicPlanner(DEFAULT_PARAMS, **bad)
+        assert str(from_options.value) == str(from_planner.value)
+
     def test_coerce_converts_cli_strings(self):
         options = HeuristicOptions.coerce(
             {"strategy": "incremental", "patience": "2",
