@@ -100,6 +100,57 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_control_args(parser: argparse.ArgumentParser) -> None:
+    """The control-run arguments ``control`` and ``trace`` share."""
+    parser.add_argument(
+        "--policy", choices=available_policies(), default="reactive",
+        help="autoscaling policy (default reactive)",
+    )
+    parser.add_argument(
+        "--migration", choices=MIGRATION_MODES, default="live",
+        help="redeploy mechanism: live subtree migration (default), "
+        "concurrent wave-parallel drains, or stop-the-world restart",
+    )
+    parser.add_argument(
+        "--executor", choices=EXECUTOR_KINDS, default="inline",
+        help="act-stage executor: inline direct apply (default), "
+        "local in-process daemons over the wire protocol, or pool "
+        "per-region daemon processes — the timeline is bit-identical "
+        "across all three; in an exported trace, local and pool add "
+        "per-region command/ack spans",
+    )
+    parser.add_argument(
+        "--executor-workers", type=int, default=None, metavar="N",
+        help="process count for --executor pool (default: pool default)",
+    )
+    parser.add_argument(
+        "--epochs", type=int, default=30,
+        help="number of control epochs (default 30)",
+    )
+    parser.add_argument(
+        "--epoch-duration", type=float, default=5.0,
+        help="simulated seconds per epoch (default 5)",
+    )
+    parser.add_argument(
+        "--faults", type=str, default=None, metavar="SPEC",
+        help="fault schedule injected into the run, e.g. "
+        "'crash:target=busiest-child,at=45' or "
+        "'degrade:target=node-3,at=20,factor=0.25;"
+        "heal:target=node-3,at=60' (kinds: crash, degrade, partition, "
+        "heal, storm, subtree-storm; targets: node names or "
+        "busiest-child / busiest-server)",
+    )
+    parser.add_argument(
+        "--detection", type=str, default=None, metavar="SPEC",
+        help="switch from oracle health to timeout-modelled failure "
+        "detection, e.g. 'timeout=0.5,retries=1,backoff=2,threshold=3,"
+        "grace=2,reserve=0.2' — faults land silently, agents watch "
+        "their children with retry ladders, and the controller only "
+        "acts on suspicions the grace window confirms (reserve= holds "
+        "that fraction of the pool back from scale-ups for repairs)",
+    )
+
+
 def _pool_from_args(
     args: argparse.Namespace, prefix: str = "node"
 ) -> NodePool:
@@ -463,8 +514,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     timeline = session.control_run(
         pool,
         app_work,
-        trace=from_spec(args.trace[0] if isinstance(args.trace, list)
-                        else args.trace),
+        trace=from_spec(args.trace),
         policy=args.policy,
         epochs=args.epochs,
         epoch_duration=args.epoch_duration,
@@ -638,29 +688,10 @@ def build_parser() -> argparse.ArgumentParser:
         "'wikipedia_flash' (types: constant, ramp, diurnal, burst, "
         "flash, piecewise, fixture); repeatable with --sweep",
     )
-    p_control.add_argument(
-        "--policy", choices=available_policies(), default="reactive",
-        help="autoscaling policy (default reactive)",
-    )
+    _add_control_args(p_control)
     p_control.add_argument(
         "--policy-opt", action="append", metavar="KEY=VALUE",
         help="policy option (repeatable), e.g. hysteresis=1",
-    )
-    p_control.add_argument(
-        "--migration", choices=MIGRATION_MODES, default="live",
-        help="redeploy mechanism: live subtree migration (default), "
-        "concurrent wave-parallel drains, or stop-the-world restart",
-    )
-    p_control.add_argument(
-        "--executor", choices=EXECUTOR_KINDS, default="inline",
-        help="act-stage executor: inline direct apply (default), "
-        "local in-process daemons over the wire protocol, or pool "
-        "per-region daemon processes — the timeline is bit-identical "
-        "across all three",
-    )
-    p_control.add_argument(
-        "--executor-workers", type=int, default=None, metavar="N",
-        help="process count for --executor pool (default: pool default)",
     )
     p_control.add_argument(
         "--sweep", action="store_true",
@@ -682,14 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="process-pool size for --sweep (default: CPU count)",
     )
     p_control.add_argument(
-        "--epochs", type=int, default=30,
-        help="number of control epochs (default 30)",
-    )
-    p_control.add_argument(
-        "--epoch-duration", type=float, default=5.0,
-        help="simulated seconds per epoch (default 5)",
-    )
-    p_control.add_argument(
         "--base-method", choices=REGISTRY.available(), default="heuristic",
         help="planner for the initial deployment and replans",
     )
@@ -700,24 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_control.add_argument(
         "--think-time", type=float, default=0.0,
         help="client think time between requests (default 0)",
-    )
-    p_control.add_argument(
-        "--faults", type=str, default=None, metavar="SPEC",
-        help="fault schedule injected into the run, e.g. "
-        "'crash:target=busiest-child,at=45' or "
-        "'degrade:target=node-3,at=20,factor=0.25;"
-        "heal:target=node-3,at=60' (kinds: crash, degrade, partition, "
-        "heal, storm, subtree-storm; targets: node names or "
-        "busiest-child / busiest-server)",
-    )
-    p_control.add_argument(
-        "--detection", type=str, default=None, metavar="SPEC",
-        help="switch from oracle health to timeout-modelled failure "
-        "detection, e.g. 'timeout=0.5,retries=1,backoff=2,threshold=3,"
-        "grace=2,reserve=0.2' — faults land silently, agents watch "
-        "their children with retry ladders, and the controller only "
-        "acts on suspicions the grace window confirms (reserve= holds "
-        "that fraction of the pool back from scale-ups for repairs)",
     )
     p_control.set_defaults(func=_cmd_control)
 
@@ -731,41 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", type=str, required=True,
         help="workload trace spec (same grammar as 'control --trace')",
     )
-    p_trace.add_argument(
-        "--policy", choices=available_policies(), default="reactive",
-        help="autoscaling policy (default reactive)",
-    )
-    p_trace.add_argument(
-        "--migration", choices=MIGRATION_MODES, default="live",
-        help="redeploy mechanism (default live)",
-    )
-    p_trace.add_argument(
-        "--executor", choices=EXECUTOR_KINDS, default="inline",
-        help="act-stage executor (same choices as 'control "
-        "--executor'); local/pool add per-region command/ack spans "
-        "to the exported trace",
-    )
-    p_trace.add_argument(
-        "--executor-workers", type=int, default=None, metavar="N",
-        help="process count for --executor pool (default: pool default)",
-    )
-    p_trace.add_argument(
-        "--epochs", type=int, default=30,
-        help="number of control epochs (default 30)",
-    )
-    p_trace.add_argument(
-        "--epoch-duration", type=float, default=5.0,
-        help="simulated seconds per epoch (default 5)",
-    )
-    p_trace.add_argument(
-        "--faults", type=str, default=None, metavar="SPEC",
-        help="fault schedule spec (same grammar as 'control --faults')",
-    )
-    p_trace.add_argument(
-        "--detection", type=str, default=None, metavar="SPEC",
-        help="timeout-modelled detection spec (same grammar as "
-        "'control --detection')",
-    )
+    _add_control_args(p_trace)
     p_trace.add_argument(
         "--output", type=str, default="trace.json", metavar="FILE",
         help="Chrome trace-event JSON output (default trace.json; "
