@@ -247,14 +247,7 @@ class ControlPolicy:
     options_type: "type[PolicyOptions] | None" = None
 
     def __init__(self, **options: object) -> None:
-        if self.options_type is None:
-            if options:
-                raise TypeError(
-                    f"{type(self).__name__} takes no options, "
-                    f"got {sorted(options)}"
-                )
-            return
-        resolved = self.options_type(**options)
+        resolved = (self.options_type or PolicyOptions)(**options)
         for spec in dataclasses.fields(resolved):
             setattr(self, spec.name, getattr(resolved, spec.name))
 
