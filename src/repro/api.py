@@ -402,39 +402,25 @@ class PlanningSession:
         requests = [self._with_session_params(r) for r in requests]
         workers = max_workers if max_workers is not None else os.cpu_count() or 1
         if (
-            parallel
-            and workers > 1
-            and len(requests) > 1
-            and self.registry is REGISTRY
+            not parallel
+            or workers <= 1
+            or len(requests) <= 1
+            or self.registry is not REGISTRY
         ):
-            planned = self._plan_parallel(requests, workers, chunksize)
-            if planned is not None:
-                return planned
-        return [self.plan(request) for request in requests]
-
-    def _plan_parallel(
-        self,
-        requests: list[PlanRequest],
-        workers: int,
-        chunksize: int | None,
-    ) -> list[Deployment] | None:
-        """:meth:`plan_many`'s process fan-out; None to plan serially.
-
-        None when too few unique requests miss the cache to amortize
-        pool spin-up, or when the workers cannot see a planner.
-        """
-
+            return [self.plan(request) for request in requests]
         def chunk_for(count: int) -> int:
             if chunksize is not None:
                 return chunksize
             return max(1, math.ceil(count / (workers * 4)))
-
         if not self._cache_enabled:
             # Mirror the serial no-cache semantics exactly: every request
             # planned independently (no dedup aliasing), no hit/miss stats.
             if len(requests) < _PARALLEL_MIN_UNIQUE:
-                return None
-            return self._fan_out(requests, workers, chunk_for(len(requests)))
+                return [self.plan(request) for request in requests]
+            planned = self._fan_out(requests, workers, chunk_for(len(requests)))
+            if planned is None:
+                return [self.plan(request) for request in requests]
+            return planned
         keys = [request.cache_key() for request in requests]
         with self._lock:
             resolved: dict[tuple, Deployment] = {
@@ -450,12 +436,12 @@ class PlanningSession:
             # Too few unique misses to amortize pool spin-up; the plain
             # serial path replays the cache and keeps hit/miss accounting
             # identical to a cold serial run.
-            return None
+            return [self.plan(request) for request in requests]
         if pending:
             todo = list(pending.values())
             planned = self._fan_out(todo, workers, chunk_for(len(todo)))
             if planned is None:
-                return None
+                return [self.plan(request) for request in requests]
             resolved.update(zip(pending, planned))
             with self._lock:
                 self._hits += len(requests) - len(pending)
