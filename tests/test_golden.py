@@ -2,7 +2,7 @@
 
 Same seed ⇒ bit-identical :class:`~repro.control.ControlTimeline` holds
 within one run by construction; this module holds it *across commits*.
-``tests/golden/control_timelines.json`` pins two digests per cell of a
+``tests/golden/control_timelines.json`` pins three digests per cell of a
 small corpus, and the tests recompute every one:
 
 * ``full`` — sha256 of ``repr(timeline) + repr(timeline.records)``, the
@@ -11,7 +11,12 @@ small corpus, and the tests recompute every one:
   ``engine_heap_compactions`` counter removed from every record's
   metrics.  That counter records how the engine keeps its heap, not
   what fires, so a change to heap bookkeeping alone moves ``full`` and
-  leaves this one fixed.
+  leaves this one fixed;
+* ``engine_blind`` — ``compaction_blind`` with the ``engine_events``
+  counter removed too.  That counter records how many callbacks the
+  engine fired to reach the timeline, so a change that merges or
+  elides events without changing what any of them does moves the
+  other two digests and leaves this one fixed.
 
 A refactor that claims "same behaviour" passes unchanged; a change that
 alters timelines on purpose regenerates the file and says why in
@@ -162,8 +167,10 @@ def run_cell(
     ).run()
 
 
-#: The one metric that records heap bookkeeping rather than firing.
+#: The metric that records heap bookkeeping rather than firing.
 HEAP_BOOKKEEPING = "engine_heap_compactions"
+#: The metric that counts engine callbacks rather than what they did.
+ENGINE_EVENTS = "engine_events"
 
 
 def _sha256(timeline, records) -> str:
@@ -175,8 +182,8 @@ def timeline_digest(timeline) -> str:
     return _sha256(timeline, timeline.records)
 
 
-def compaction_blind_digest(timeline) -> str:
-    """:func:`timeline_digest` without ``engine_heap_compactions``."""
+def _digest_without(timeline, dropped: frozenset[str]) -> str:
+    """:func:`timeline_digest` with the ``dropped`` counters removed."""
     records = tuple(
         record
         if record.metrics is None
@@ -187,13 +194,23 @@ def compaction_blind_digest(timeline) -> str:
                 counters=tuple(
                     counter
                     for counter in record.metrics.counters
-                    if counter[0] != HEAP_BOOKKEEPING
+                    if counter[0] not in dropped
                 ),
             ),
         )
         for record in timeline.records
     )
     return _sha256(timeline, records)
+
+
+def compaction_blind_digest(timeline) -> str:
+    """:func:`timeline_digest` without ``engine_heap_compactions``."""
+    return _digest_without(timeline, frozenset((HEAP_BOOKKEEPING,)))
+
+
+def engine_blind_digest(timeline) -> str:
+    """:func:`compaction_blind_digest` without ``engine_events`` too."""
+    return _digest_without(timeline, frozenset((HEAP_BOOKKEEPING, ENGINE_EVENTS)))
 
 
 def load_golden() -> dict[str, dict[str, str]]:
@@ -216,8 +233,11 @@ def test_timeline_matches_golden(cell):
         "if intended, regenerate with `python tests/test_golden.py "
         "--write` and explain in CHANGES.md"
     )
-    assert compaction_blind_digest(timeline) == golden["compaction_blind"], (
+    assert engine_blind_digest(timeline) == golden["engine_blind"], (
         f"{cell}: timeline changed; {hint}"
+    )
+    assert compaction_blind_digest(timeline) == golden["compaction_blind"], (
+        f"{cell}: only engine_events changed; {hint}"
     )
     assert timeline_digest(timeline) == golden["full"], (
         f"{cell}: only engine_heap_compactions changed; {hint}"
@@ -232,10 +252,12 @@ def write_golden() -> None:
         cells[cell] = {
             "full": timeline_digest(timeline),
             "compaction_blind": compaction_blind_digest(timeline),
+            "engine_blind": engine_blind_digest(timeline),
         }
         print(
             f"{cell}: {cells[cell]['full'][:16]} "
-            f"{cells[cell]['compaction_blind'][:16]}",
+            f"{cells[cell]['compaction_blind'][:16]} "
+            f"{cells[cell]['engine_blind'][:16]}",
             flush=True,
         )
     GOLDEN.parent.mkdir(exist_ok=True)
@@ -247,6 +269,9 @@ def write_golden() -> None:
                     "compaction_blind": (
                         "the same, with engine_heap_compactions removed "
                         "from every record's metrics counters"
+                    ),
+                    "engine_blind": (
+                        "the same, with engine_events removed too"
                     ),
                 },
                 "cells": cells,
