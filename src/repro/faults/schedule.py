@@ -36,6 +36,7 @@ members fail together rather than independently.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterable
 
@@ -77,15 +78,15 @@ class FaultEvent:
             raise FaultError(
                 f"unknown fault kind {kind!r}; expected one of {FAULT_KINDS}"
             )
-        if at < 0.0:
-            raise FaultError(f"fault time must be >= 0, got {at}")
+        if not 0.0 <= at < math.inf:
+            raise FaultError(f"fault time must be finite and >= 0, got {at}")
         target = str(target).strip()
         if not target:
             raise FaultError("fault target must be a non-empty node name")
         if kind == "degrade":
-            if factor <= 0.0:
+            if not 0.0 < factor < math.inf:
                 raise FaultError(
-                    f"degrade factor must be > 0, got {factor} "
+                    f"degrade factor must be finite and > 0, got {factor} "
                     "(use crash to remove the node outright)"
                 )
         elif factor != 1.0:

@@ -62,6 +62,7 @@ analogue of the paper's mathematical bottleneck analysis.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from collections.abc import Callable
 from itertools import islice
@@ -225,9 +226,9 @@ class SerialResource:
         they start.  ``set_rate(1.0)`` on an idle, never-degraded
         resource is a bit-exact no-op.
         """
-        if not rate > 0.0:
+        if not 0.0 < rate < math.inf:
             raise SimulationError(
-                f"{self.name}: rate must be > 0, got {rate} "
+                f"{self.name}: rate must be finite and > 0, got {rate} "
                 "(use halt() to stop the resource)"
             )
         if self._halted:

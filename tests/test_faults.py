@@ -14,6 +14,8 @@ Locks down the failure layer's contracts:
   lost conversations.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +97,19 @@ class TestFaultEvent:
         with pytest.raises(FaultError):
             FaultEvent(1.0, "degrade", "s0", factor=0.0)
 
+    @pytest.mark.parametrize("at", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, at):
+        # A NaN time compares false with every clock reading, so the
+        # fault would silently never fire.
+        with pytest.raises(FaultError, match="finite"):
+            FaultEvent(at, "crash", "s0")
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf])
+    def test_non_finite_factor_rejected(self, factor):
+        # Otherwise the run dies mid-way in the resource's re-timing.
+        with pytest.raises(FaultError, match="finite"):
+            FaultEvent(1.0, "degrade", "s0", factor=factor)
+
     def test_equality_and_hash(self):
         a = FaultEvent(3.0, "degrade", "s1", factor=0.25)
         b = FaultEvent(3.0, "degrade", "s1", factor=0.25)
@@ -155,6 +170,10 @@ class TestSpecRoundTrip:
             "crash:target=s0,at=soon",
             "crash:garbage",
             "crash:at=1",  # missing target
+            "crash:target=busiest-child,at=nan",
+            "crash:target=s0,at=inf",
+            "degrade:target=s0,at=1,factor=inf",
+            "degrade:target=s0,at=1,factor=nan",
         ):
             with pytest.raises(FaultError):
                 from_spec(bad)

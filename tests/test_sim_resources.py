@@ -186,7 +186,7 @@ class TestHalt:
 class TestRate:
     def test_rejects_non_positive_and_nan_rates(self, sim, res):
         res.submit(1.0, "compute")
-        for rate in (0.0, -1.0, math.nan):
+        for rate in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(SimulationError):
                 res.set_rate(rate)
         assert res.rate == 1.0
