@@ -12,6 +12,15 @@ A server participates in both phases of every request:
 All activity serializes on the node's M(r,s,w) resource, so prediction
 work, service work and message transfers contend exactly as the paper's
 model assumes.
+
+The scheduling phase is declared as one recv -> predict -> send chain,
+which the resource runs as a single engine event when nothing can see
+its middle (:meth:`~repro.sim.resources.SerialResource.submit_chain`).
+The prediction's bookkeeping then runs at the reply's end, so the
+readers of what it touches split the chain first: ``receive_service``
+before it commits work to the estimate, and ``predictions_done``.  A
+traced server runs the chain one step at a time, each step recorded at
+its own time.
 """
 
 from __future__ import annotations
@@ -51,7 +60,7 @@ class ServerElement:
         "resource",
         "parent",
         "trace",
-        "predictions_done",
+        "_predictions_done",
         "services_done",
         "pending_service_work",
         "reachable",
@@ -78,7 +87,7 @@ class ServerElement:
         self.resource = SerialResource(sim, name)
         self.parent = None  # set by MiddlewareSystem wiring
         self.trace = trace
-        self.predictions_done = 0
+        self._predictions_done = 0
         self.services_done = 0
         # Seconds of committed service work (accepted but not finished) —
         # the quantity the availability prediction reports.
@@ -94,6 +103,13 @@ class ServerElement:
         self.fluid_rate = 0.0
 
     @property
+    def predictions_done(self) -> int:
+        """Predictions computed (a fused chain counts its own once its
+        compute segment has ended)."""
+        self.resource.unfuse()
+        return self._predictions_done
+
+    @property
     def in_flight(self) -> int:
         """Whether service work is still committed (drain-quiet signal)."""
         return 1 if self.pending_service_work > 0.0 else 0
@@ -102,7 +118,7 @@ class ServerElement:
     # scheduling phase
 
     def receive_schedule(self, request_id: int, reply_to=None) -> None:
-        """Parent finished sending: absorb the message, then predict.
+        """Parent finished sending: absorb the message, predict, reply.
 
         ``reply_to`` is the agent the prediction reply belongs to,
         captured by the sender at fan-out time; the default falls back
@@ -110,54 +126,58 @@ class ServerElement:
         conversations intact while a live migration re-homes this server.
         """
         params = self.params
-        recv_time = params.server_sizes.sreq / self.bandwidth
+        sizes = params.server_sizes
+        trace = self.trace
+        estimate = 0.0
 
-        def after_recv() -> None:
-            if self.trace is not None:
-                self.trace.emit(
-                    self.sim.now, "msg_recv", self.name,
-                    request_id=request_id,
-                    size_mb=params.server_sizes.sreq, msg="sched_req",
-                )
-            self.resource.submit(
-                params.wpre / self.power, "compute",
-                self._reply_factory(request_id, reply_to),
-            )
-
-        self.resource.submit(recv_time, "recv", after_recv)
-
-    def _reply_factory(self, request_id: int, reply_to=None) -> Callable[[], None]:
         def after_predict() -> None:
-            self.predictions_done += 1
+            nonlocal estimate
+            self._predictions_done += 1
             # The estimate DIET's FAST-like predictor would return: how
             # long until this node could start new service work, i.e. the
             # service work it has already accepted.  Relative (not an
             # absolute timestamp) so servers probed at slightly different
             # times during the fan-out compare fairly.
             estimate = self.pending_service_work
-            if self.trace is not None:
-                self.trace.emit(
+            if trace is not None:
+                trace.emit(
                     self.sim.now, "compute", self.name,
                     request_id=request_id,
-                    duration=self.params.wpre / self.power, what="prediction",
-                )
-            send_time = self.params.server_sizes.srep / self.bandwidth
-
-            def after_send() -> None:
-                if self.trace is not None:
-                    self.trace.emit(
-                        self.sim.now, "msg_sent", self.name,
-                        request_id=request_id,
-                        size_mb=self.params.server_sizes.srep, msg="sched_rep",
-                    )
-                target = reply_to if reply_to is not None else self.parent
-                target.receive_reply(
-                    request_id, self.name, estimate, sender=self.name
+                    duration=params.wpre / self.power, what="prediction",
                 )
 
-            self.resource.submit(send_time, "send", after_send)
+        def after_send() -> None:
+            if trace is not None:
+                trace.emit(
+                    self.sim.now, "msg_sent", self.name,
+                    request_id=request_id,
+                    size_mb=sizes.srep, msg="sched_rep",
+                )
+            target = reply_to if reply_to is not None else self.parent
+            target.receive_reply(
+                request_id, self.name, estimate, sender=self.name
+            )
 
-        return after_predict
+        recv = sizes.sreq / self.bandwidth
+        predict = params.wpre / self.power
+        send = sizes.srep / self.bandwidth
+        if trace is None:
+            self.resource.submit_chain(
+                recv, predict, send, None, after_predict, after_send
+            )
+            return
+
+        def after_recv() -> None:
+            trace.emit(
+                self.sim.now, "msg_recv", self.name,
+                request_id=request_id,
+                size_mb=sizes.sreq, msg="sched_req",
+            )
+
+        # A traced run records every step at its own time: no fusion.
+        self.resource.submit_steps(
+            recv, predict, send, after_recv, after_predict, after_send
+        )
 
     # ------------------------------------------------------------------ #
     # service phase
@@ -166,6 +186,9 @@ class ServerElement:
         self, request_id: int, on_complete: Callable[[], None]
     ) -> None:
         """Client invokes the application on this server."""
+        # A pending scheduling chain's prediction reads the committed
+        # work as it stood at its compute segment's end.
+        self.resource.unfuse()
         params = self.params
         recv_time = params.service_sizes.sreq / self.bandwidth
         chain_work = (

@@ -59,6 +59,17 @@ it would otherwise throw away:
   :meth:`~Simulator.schedule`, the one entry point that every new
   heap entry passes.
 
+Three more let the serial resource run a chain of segments as one
+event (see :mod:`repro.sim.resources`) and split it back exactly:
+
+* :meth:`Simulator.watch` names the chain's boundary times: scheduling
+  or resuming any event at one of them first calls the chain's split
+  hook, before the event takes its sequence number;
+* :meth:`Simulator.passed` tells whether a boundary keyed
+  ``(time, sequence)`` would have fired by now;
+* :meth:`Simulator.rekey` moves the chain's pending event to an earlier
+  boundary under its own sequence number.
+
 One private loop fires events: it pops the heap top, skips cancelled
 entries, drops or re-keys carriers, stops at the horizon, checks that
 time never goes backwards and fires.  :meth:`Simulator.run`,
@@ -76,6 +87,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Callable
+from itertools import compress
 
 from repro.errors import SimulationError
 
@@ -169,6 +181,14 @@ class Simulator:
         self._events_processed: int = 0
         self._cancelled_in_heap: int = 0
         self._compactions: int = 0
+        # Where the clock rests within the instant ``now``: one past
+        # every number taken when a run stopped at a horizon, 0 once
+        # firing resumes.  See :meth:`passed`.
+        self._position: int = 0
+        # Watched boundary times of fused chains -> the split hook of
+        # the chain that owns them.  See :meth:`watch`.
+        self._watched: dict[float, Callable[[], None]] = {}
+        self._watch_limit: int = self.COMPACT_MIN_SIZE
 
     # ------------------------------------------------------------------ #
 
@@ -197,6 +217,8 @@ class Simulator:
                 "owned by another simulator"
             )
         time = self.now + delay
+        if time in self._watched:
+            self._watched[time]()
         if sequence is None:
             sequence = self._sequence = self._sequence + 1
         else:
@@ -260,6 +282,8 @@ class Simulator:
         if event.callback is None or event.sequence != 0:
             raise SimulationError(f"cannot resume {event!r}: not suspended")
         time = self.now + delay
+        if time in self._watched:
+            self._watched[time]()
         if sequence is None:
             sequence = self._sequence = self._sequence + 1
         else:
@@ -276,6 +300,65 @@ class Simulator:
             callback = event.callback
             event.cancel()
             event = Event(time, sequence, callback, self)
+        heapq.heappush(self._heap, (time, sequence, event))
+        return event
+
+    def watch(self, times, split: Callable[[], None]) -> None:
+        """Call ``split()`` before any event is scheduled or resumed at
+        one of ``times``: the boundary times of a fused chain (see the
+        module docstring).
+
+        A watch is not withdrawn, so ``split`` must do nothing once its
+        chain has ended; watches on times the clock has passed, which
+        nothing can be keyed at any more, are dropped in bulk.  A time
+        another ``split`` watches calls that one first and changes
+        hands, so no two pending chains ever share a time.
+        """
+        watched = self._watched
+        if not watched.keys().isdisjoint(times):
+            for time in times:
+                other = watched.get(time, split)
+                if other is not split:
+                    other()
+        watched.update(dict.fromkeys(times, split))
+        if len(watched) > self._watch_limit:
+            self._watched = watched = dict(
+                compress(watched.items(), map(float(self.now).__le__, watched))
+            )
+            self._watch_limit = 2 * len(watched) + self.COMPACT_MIN_SIZE
+
+    def passed(self, time: float, sequence: int) -> bool:
+        """Whether a fused chain's boundary keyed ``(time, sequence)``
+        would have fired by now.
+
+        The clock is past ``time``, or at it after a run stopped there
+        with every event due fired, before ``sequence`` was taken.
+        Anywhere else in the instant — an event firing, or a run
+        stopped by its condition — the boundary is still to come: every
+        event keyed at a watched time after the chain started split it,
+        so the one at hand was keyed before ``sequence``.
+        """
+        now = self.now
+        return time < now or (time == now and sequence < self._position)
+
+    def rekey(
+        self, event: Event, time: float, callback: Callable[[], None]
+    ) -> Event:
+        """Make pending ``event`` fire ``callback`` at ``time``, no later
+        than it was due, under its own sequence number.
+
+        Returns the event that will fire: ``event`` itself when ``time``
+        is its own, else a fresh one (``event`` is cancelled).  The
+        watch is not consulted: the key is the event's own, moved.
+        """
+        if event.callback is None or event.sequence == 0 or time > event.time:
+            raise SimulationError(f"cannot rekey {event!r} to t={time}")
+        if time == event.time:
+            event.callback = callback
+            return event
+        sequence = event.sequence
+        event.cancel()
+        event = Event(time, sequence, callback, self)
         heapq.heappush(self._heap, (time, sequence, event))
         return event
 
@@ -364,6 +447,7 @@ class Simulator:
         heap = self._heap
         heappop = heapq.heappop
         budget = -1 if max_events is None else max_events
+        self._position = 0
         fired = 0
         while heap:
             time, sequence, event = heap[0]
@@ -415,7 +499,13 @@ class Simulator:
                 f"cannot run to the past: {time} < now={self.now}"
             )
         self._fire(time, None, max_events)
-        self.now = time
+        self._stop_at(time)
+
+    def _stop_at(self, horizon: float) -> None:
+        """Rest the clock at ``horizon`` with every event due by it fired:
+        the position is past every sequence number taken so far."""
+        self.now = horizon
+        self._position = self._sequence + 1
 
     def run_until_condition(
         self,
@@ -446,5 +536,5 @@ class Simulator:
             return True
         if self._fire(deadline, condition, max_events):
             return True
-        self.now = deadline
+        self._stop_at(deadline)
         return False

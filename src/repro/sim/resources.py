@@ -55,6 +55,50 @@ and a fired completion event is re-armed for the next item rather
 than replaced.  Events fire at exactly the times and in exactly the
 order cancel-and-reschedule gives them.
 
+**Fused scheduling chains.**  A server answers a scheduling request
+with three priority-0 items in a row — receive it, compute the
+prediction, send the reply — each submitted from the completion
+callback of the one before (:meth:`SerialResource.submit_steps`).
+:meth:`SerialResource.submit_chain` runs the same chain as *one*
+completion event, due at the send's end, when it can start at once: no
+priority-0 work runs (so none is queued), whether the resource is idle
+or a priority-1 item runs, which the chain preempts as its recv would.
+That event does, in order, what the three completions would have done:
+it banks each segment's busy and kind time, counts the tasks, runs the
+recv's and compute's callbacks, counts the two forfeited restarts of a
+waiting priority-1 item (with its nominal -> wall -> nominal round
+trips off rate 1.0) and then completes the send like any item.
+
+Anything that could see the chain's middle first splits it back into
+ordinary per-segment events (:meth:`SerialResource.unfuse`), at the
+boundary an unfused run is at: the passed segments are banked and the
+one in progress gets an ordinary completion.  The triggers:
+
+* a :meth:`~SerialResource.submit` of either priority, or another chain;
+* :meth:`~SerialResource.set_rate` and :meth:`~SerialResource.halt`;
+* reading :meth:`~SerialResource.kind_time`,
+  :attr:`~SerialResource.tasks_done`,
+  :attr:`~SerialResource.preemptions` or
+  :attr:`~SerialResource.busy_time`, or
+  :attr:`~SerialResource.backlog` off rate 1.0 with an item waiting;
+  :meth:`~SerialResource.busy_seconds` is answered with the additions an
+  unfused run has made instead, in the same order;
+* the server's own readers: ``receive_service``, before it commits new
+  work to the estimate the prediction reports, and
+  ``predictions_done``;
+* any event scheduled or resumed at exactly one of a pending chain's
+  three boundary times (:meth:`~repro.sim.engine.Simulator.watch`).
+
+The last keeps firing order exact by construction.  The fused event
+takes the recv segment's own sequence number, and a split re-keys the
+segment in progress to its end under that number
+(:meth:`~repro.sim.engine.Simulator.rekey`).  An event at a boundary
+time keyed before the chain began fires before the boundary either
+way; one keyed later splits the chain before it takes its number.  So
+nothing keyed at a boundary time ever sits between the chain's number
+and the one an unfused run would have given the segment, and the
+recv's number orders every segment as that one would.
+
 Per-kind busy-time accounting feeds utilization reports, which is how
 experiment harnesses identify the bottleneck node — the simulated
 analogue of the paper's mathematical bottleneck analysis.
@@ -73,6 +117,10 @@ from repro.sim.engine import Event, Simulator
 __all__ = ["SerialResource"]
 
 _KINDS = ("send", "recv", "compute")
+
+#: ``_current`` while a fused chain runs: a priority-0 item.  Every
+#: reader of the in-progress item splits the chain first.
+_FUSED = (0.0, "recv", None, 0)
 
 
 class SerialResource:
@@ -98,9 +146,13 @@ class SerialResource:
         "_spare",
         "_deferred",
         "_on_complete",
-        "busy_time",
-        "tasks_done",
-        "preemptions",
+        "_chain",
+        "_chain_times",
+        "_on_chain",
+        "_unfuse",
+        "_busy_time",
+        "_tasks_done",
+        "_preemptions",
         "_busy_since",
         "_kind_time",
         "_rate",
@@ -129,9 +181,16 @@ class SerialResource:
         # completion callback runs; 0 otherwise.
         self._deferred = 0
         self._on_complete = self._complete
-        self.busy_time = 0.0
-        self.tasks_done = 0
-        self.preemptions = 0
+        # The fused chain in progress — ``(recv, compute, send,
+        # on_received, on_computed, on_sent)`` and its three segments'
+        # end times — or None; ``_completion`` is then its one event.
+        self._chain: tuple | None = None
+        self._chain_times: tuple[float, float, float] = (0.0, 0.0, 0.0)
+        self._on_chain = self._complete_chain
+        self._unfuse = self.unfuse
+        self._busy_time = 0.0
+        self._tasks_done = 0
+        self._preemptions = 0
         self._busy_since = 0.0
         self._kind_time = {kind: 0.0 for kind in _KINDS}
         # Speed multiplier (fault injection's straggler model): wall
@@ -141,6 +200,20 @@ class SerialResource:
         self._halted = False
 
     # ------------------------------------------------------------------ #
+
+    def _check(self, duration: float, kind: str, priority: int) -> None:
+        if not duration >= 0.0:
+            raise SimulationError(
+                f"{self.name}: task duration must be >= 0, got {duration}"
+            )
+        if kind not in _KINDS:
+            raise SimulationError(
+                f"{self.name}: unknown task kind {kind!r}; expected {_KINDS}"
+            )
+        if priority != 0 and priority != 1:
+            raise SimulationError(
+                f"{self.name}: priority must be 0 or 1, got {priority}"
+            )
 
     def submit(
         self,
@@ -156,24 +229,18 @@ class SerialResource:
         when the item completes.  Priority-0 items preempt a priority-1
         item in progress (work-conserving).
         """
-        if not duration >= 0.0:
-            raise SimulationError(
-                f"{self.name}: task duration must be >= 0, got {duration}"
-            )
-        if kind not in _KINDS:
-            raise SimulationError(
-                f"{self.name}: unknown task kind {kind!r}; expected {_KINDS}"
-            )
-        if priority != 0 and priority != 1:
-            raise SimulationError(
-                f"{self.name}: priority must be 0 or 1, got {priority}"
-            )
+        if not duration >= 0.0 or kind not in _KINDS or (
+            priority != 0 and priority != 1
+        ):
+            self._check(duration, kind, priority)
         if self._halted:
             # A crashed node is a black hole: valid work vanishes,
             # callbacks never fire.  Failure surfacing is the
             # middleware's job (dead-letter + resubmit), not the
             # resource's.
             return
+        if self._chain is not None:
+            self.unfuse()
         if self._busy:
             if priority:
                 self._low_queue.append((duration, kind, on_done))
@@ -201,6 +268,106 @@ class SerialResource:
         )
         self._spare = None
 
+    def submit_steps(
+        self,
+        recv: float,
+        compute: float,
+        send: float,
+        on_received: Callable[[], None] | None,
+        on_computed: Callable[[], None] | None,
+        on_sent: Callable[[], None] | None,
+    ) -> None:
+        """Receive a message, compute, send a reply: three priority-0
+        items, each submitted as the one before completes, right after
+        its callback (``on_received``, ``on_computed``, ``on_sent``)."""
+        self.submit(
+            recv, "recv",
+            self._then(
+                on_received, compute, "compute",
+                self._then(on_computed, send, "send", on_sent),
+            ),
+        )
+
+    def submit_chain(
+        self,
+        recv: float,
+        compute: float,
+        send: float,
+        on_received: Callable[[], None] | None,
+        on_computed: Callable[[], None] | None,
+        on_sent: Callable[[], None] | None,
+    ) -> None:
+        """Run :meth:`submit_steps`'s chain, as one fused completion event
+        when it can start at once (see the module docstring).
+
+        A fused chain runs ``on_received`` and ``on_computed`` at its
+        end, so they must only update state whose readers split the
+        chain first.
+        """
+        if not (recv >= 0.0 and compute >= 0.0 and send >= 0.0):
+            for duration in (recv, compute, send):
+                self._check(duration, "send", 0)
+        if self._halted:
+            return
+        busy = self._busy
+        sim = self.sim
+        rate = self._rate
+        now = sim.now
+        received = now + recv / rate
+        computed = received + compute / rate
+        end = computed + send / rate
+        delay = end - now
+        if (busy and self._current[3] == 0) or now + delay != end:
+            # Priority-0 work runs (a fused chain included), so the chain
+            # queues; or its one event cannot land on its end exactly.
+            self.submit_steps(recv, compute, send, on_received, on_computed, on_sent)
+            return
+        if busy:
+            self._preempt()
+        elif self._deferred:
+            self._forfeit()
+        self._busy = True
+        self._busy_since = now
+        self._current = _FUSED
+        self._completion = sim.schedule(delay, self._on_chain, self._spare)
+        self._spare = None
+        self._chain = (recv, compute, send, on_received, on_computed, on_sent)
+        self._chain_times = times = (received, computed, end)
+        sim.watch(times, self._unfuse)
+
+    def unfuse(self) -> int:
+        """Split the fused chain in progress, if any, into ordinary
+        per-segment events, at the boundary an unfused run is at now.
+
+        Returns the number of segment boundaries already passed.
+        """
+        chain = self._chain
+        if chain is None:
+            return 0
+        recv, compute, send, on_received, on_computed, on_sent = chain
+        times = self._chain_times
+        event = self._completion
+        passed = self._passed(event.sequence)
+        self._chain = None
+        if passed:
+            self._pass(chain, passed)
+            self._busy_since = times[passed - 1]
+        if passed == 0:
+            current = (recv, "recv", self._then(
+                on_received, compute, "compute",
+                self._then(on_computed, send, "send", on_sent),
+            ))
+        elif passed == 1:
+            current = (compute, "compute", self._then(
+                on_computed, send, "send", on_sent
+            ))
+        else:
+            current = (send, "send", on_sent)
+        duration, kind, on_done = current
+        self._current = (duration / self._rate, kind, on_done, 0)
+        self._completion = self.sim.rekey(event, times[passed], self._on_complete)
+        return passed
+
     # ------------------------------------------------------------------ #
 
     @property
@@ -215,6 +382,24 @@ class SerialResource:
     @property
     def is_halted(self) -> bool:
         return self._halted
+
+    @property
+    def busy_time(self) -> float:
+        """Busy seconds of finished work, preempted parts included."""
+        self.unfuse()
+        return self._busy_time
+
+    @property
+    def tasks_done(self) -> int:
+        """Work items completed."""
+        self.unfuse()
+        return self._tasks_done
+
+    @property
+    def preemptions(self) -> int:
+        """Priority-1 items interrupted by priority-0 work."""
+        self.unfuse()
+        return self._preemptions
 
     def set_rate(self, rate: float) -> None:
         """Change the speed multiplier mid-run (straggler injection).
@@ -235,6 +420,7 @@ class SerialResource:
             raise SimulationError(f"{self.name}: cannot re-rate a halted resource")
         if rate == self._rate:
             return
+        self.unfuse()
         if self._deferred:
             self._restart(self._deferred)
         if self._busy:
@@ -242,7 +428,7 @@ class SerialResource:
             wall, kind, on_done, priority = self._current
             elapsed = self.sim.now - self._busy_since
             remaining_wall = max(0.0, wall - elapsed)
-            self.busy_time += elapsed
+            self._busy_time += elapsed
             self._kind_time[kind] += elapsed
             self._completion.cancel()
             new_wall = remaining_wall * self._rate / rate
@@ -265,6 +451,7 @@ class SerialResource:
         """
         if self._halted:
             return 0
+        self.unfuse()
         if self._deferred:
             self._restart(self._deferred)
         dropped = len(self._queue) + len(self._low_queue)
@@ -272,7 +459,7 @@ class SerialResource:
             assert self._current is not None and self._completion is not None
             _, kind, _, _ = self._current
             elapsed = self.sim.now - self._busy_since
-            self.busy_time += elapsed
+            self._busy_time += elapsed
             self._kind_time[kind] += elapsed
             self._completion.cancel()
             dropped += 1
@@ -295,6 +482,9 @@ class SerialResource:
     @property
     def backlog(self) -> float:
         """Total queued work in seconds (excluding the one in progress)."""
+        if self._chain is not None and self._rate != 1.0 and self._low_queue:
+            # Each passed boundary re-times the preempted item.
+            self.unfuse()
         waiting = islice(self._low_queue, self._deferred != 0, None)
         return sum(item[0] for item in self._queue) + sum(
             item[0] for item in waiting
@@ -313,9 +503,20 @@ class SerialResource:
         :meth:`utilization` cannot provide.
         """
         end = self.sim.now if horizon is None else horizon
-        busy = self.busy_time
+        busy = self._busy_time
         if self._busy:
-            busy += max(0.0, min(end, self.sim.now) - self._busy_since)
+            since = self._busy_since
+            chain = self._chain
+            if chain is not None:
+                # A fused chain answers with the additions an unfused
+                # run has made by now, in the same order.
+                passed = self._passed(self._completion.sequence)
+                if passed:
+                    busy += chain[0] / self._rate
+                    if passed == 2:
+                        busy += chain[1] / self._rate
+                    since = self._chain_times[passed - 1]
+            busy += max(0.0, min(end, self.sim.now) - since)
         return busy
 
     def utilization(self, horizon: float | None = None) -> float:
@@ -329,6 +530,7 @@ class SerialResource:
         """Cumulative busy seconds spent on one task kind."""
         if kind not in _KINDS:
             raise SimulationError(f"unknown task kind {kind!r}")
+        self.unfuse()
         return self._kind_time[kind]
 
     # ------------------------------------------------------------------ #
@@ -358,7 +560,7 @@ class SerialResource:
         preemption the restart would have met.  The item keeps its place
         and its parked completion, if any."""
         self._deferred = 0
-        self.preemptions += 1
+        self._preemptions += 1
         rate = self._rate
         if rate != 1.0:
             # The requeue of a started item: nominal -> wall -> nominal.
@@ -374,9 +576,9 @@ class SerialResource:
         remaining = duration - elapsed
         self.sim.suspend(self._completion)
         self._parked = self._completion
-        self.busy_time += elapsed
+        self._busy_time += elapsed
         self._kind_time[kind] += elapsed
-        self.preemptions += 1
+        self._preemptions += 1
         # Front of the low queue: the item resumes before later service
         # work.  Requeued as nominal work (wall remainder * rate), so a
         # later rate change re-times it correctly; exact identity at 1.0.
@@ -389,9 +591,9 @@ class SerialResource:
 
     def _complete(self) -> None:
         duration, kind, on_done, _ = self._current
-        self.busy_time += duration
+        self._busy_time += duration
         self._kind_time[kind] += duration
-        self.tasks_done += 1
+        self._tasks_done += 1
         if self._queue:
             # Start the next priority-0 item, re-arming the fired event.
             next_duration, next_kind, next_done = self._queue.popleft()
@@ -424,9 +626,76 @@ class SerialResource:
         if on_done is not None:
             on_done()
 
+    # ------------------------------------------------------------------ #
+    # fused chains
+
+    def _then(
+        self,
+        on_done: Callable[[], None] | None,
+        duration: float,
+        kind: str,
+        next_done: Callable[[], None] | None,
+    ) -> Callable[[], None]:
+        """A completion callback: ``on_done``, then submit the next
+        priority-0 item."""
+
+        def step() -> None:
+            if on_done is not None:
+                on_done()
+            self.submit(duration, kind, next_done)
+
+        return step
+
+    def _passed(self, sequence: int) -> int:
+        """How many of the fused chain's two inner boundaries an unfused
+        run has passed by now; the chain's event holds ``sequence``."""
+        received, computed, _ = self._chain_times
+        passed = self.sim.passed
+        if not passed(received, sequence):
+            return 0
+        return 2 if passed(computed, sequence) else 1
+
+    def _pass(self, chain: tuple, count: int) -> None:
+        """Do what the first ``count`` (1 or 2) segment completions of
+        the fused chain do in an unfused run: bank each segment and run
+        its callback; each also forfeits the restart of a waiting
+        priority-1 item to the next segment (see :meth:`_forfeit`)."""
+        recv, compute, _, on_received, on_computed, _ = chain
+        rate = self._rate
+        kind_time = self._kind_time
+        wall = recv / rate
+        self._busy_time += wall
+        kind_time["recv"] += wall
+        if on_received is not None:
+            on_received()
+        if count == 2:
+            wall = compute / rate
+            self._busy_time += wall
+            kind_time["compute"] += wall
+            if on_computed is not None:
+                on_computed()
+        self._tasks_done += count
+        low_queue = self._low_queue
+        if low_queue:
+            self._preemptions += count
+            if rate != 1.0:
+                duration, kind, on_done = low_queue[0]
+                for _ in range(count):
+                    duration = max(0.0, duration / rate) * rate
+                low_queue[0] = (duration, kind, on_done)
+
+    def _complete_chain(self) -> None:
+        """The fused chain's event: both inner boundaries, then the send
+        segment's ordinary completion."""
+        chain = self._chain
+        self._chain = None
+        self._pass(chain, 2)
+        self._current = (chain[2] / self._rate, "send", chain[5], 0)
+        self._complete()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "busy" if self.is_busy else "idle"
         return (
             f"SerialResource({self.name!r}, {state}, "
-            f"queued={self.queue_length}, done={self.tasks_done})"
+            f"queued={self.queue_length}, done={self._tasks_done})"
         )

@@ -9,6 +9,7 @@ from repro.core.params import ModelParams
 from repro.core.throughput import hierarchy_throughput
 from repro.errors import SimulationError
 from repro.middleware.client import ClosedLoopClient
+from repro.middleware.server import ServerElement
 from repro.middleware.system import MiddlewareSystem
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
@@ -267,6 +268,90 @@ class TestSchedulingRaces:
         assert rounds[1].selected_server == survivor
         assert system.total_completed() == 1
         assert system.lost_conversations == 0
+
+
+class TestFusedSchedulingChain:
+    """An untraced server runs its recv -> predict -> send chain as one
+    engine event; a traced one runs it one event per step.  Nothing but
+    the engine's event count may tell them apart."""
+
+    @staticmethod
+    def closed_loop(p, trace):
+        sim = Simulator()
+        system = MiddlewareSystem(sim, two_level(), p, app_work=50.0, trace=trace)
+        done = []
+
+        def again(request):
+            done.append(
+                (request.request_id, request.selected_server,
+                 request.scheduled_at, request.completed_at)
+            )
+            system.submit(request.client_name, on_complete=again)
+
+        for index in range(6):
+            system.submit(f"c{index}", on_complete=again)
+        sim.run_until(3.0)
+        elements = {**system.agents, **system.servers}
+        counters = {
+            name: (
+                element.resource.tasks_done,
+                element.resource.preemptions,
+                element.resource.busy_time,
+                tuple(element.resource.kind_time(k) for k in ("send", "recv", "compute")),
+                element.resource.busy_seconds(),
+            )
+            for name, element in elements.items()
+        }
+        predictions = {
+            name: server.predictions_done for name, server in system.servers.items()
+        }
+        return done, counters, predictions, sim.events_processed
+
+    def test_traced_and_fused_runs_agree(self, p):
+        *fused, fused_events = self.closed_loop(p, None)
+        *stepped, stepped_events = self.closed_loop(p, TraceRecorder())
+        assert fused == stepped
+        assert len(fused[0]) > 20
+        assert fused_events < stepped_events
+
+    @staticmethod
+    def reply_with_service_mid_chain(p, trace, service_at):
+        sim = Simulator()
+        server = ServerElement(sim, "s0", 265.0, p, app_work=50.0, trace=trace)
+        replies = []
+
+        class Parent:
+            def receive_reply(self, request_id, server_name, estimate, sender=None):
+                replies.append((request_id, estimate, sim.now))
+
+        server.receive_schedule(1, Parent())
+        sim.schedule(service_at, lambda: server.receive_service(2, lambda: None))
+        sim.run_until(service_at)
+        predictions = server.predictions_done
+        sim.run()
+        return replies, predictions, sim.events_processed
+
+    @pytest.mark.parametrize("step", [0.5, 1.5, 2.5])
+    def test_a_service_request_mid_chain_leaves_the_estimate_alone(self, p, step):
+        # Service arriving during the recv, the prediction or the reply
+        # send: the estimate is the work committed when the prediction
+        # ended, so the last one is left out of it.
+        recv = p.server_sizes.sreq / p.bandwidth
+        predict = p.wpre / 265.0
+        send = p.server_sizes.srep / p.bandwidth
+        ends = (recv, recv + predict, recv + predict + send)
+        index = int(step)
+        service_at = ends[index] - (ends[index] - (ends[index - 1] if index else 0.0)) / 2
+        fused, fused_predictions, fused_events = self.reply_with_service_mid_chain(
+            p, None, service_at
+        )
+        stepped, stepped_predictions, stepped_events = (
+            self.reply_with_service_mid_chain(p, TraceRecorder(), service_at)
+        )
+        assert fused == stepped
+        assert fused_predictions == stepped_predictions == (index == 2)
+        assert (fused[0][1] > 0.0) == (index < 2)
+        assert fused_events <= stepped_events
 
 
 class TestScheduleInstrumentation:

@@ -14,7 +14,11 @@ The load-bearing invariants of the DES:
 * a resource that parks preempted completions, defers restarts past
   completion callbacks and re-arms fired events behaves exactly like the
   cancel-and-reschedule algorithm it replaced — every engine event fires
-  at the same time in the same order, whatever the callbacks do.
+  at the same time in the same order, whatever the callbacks do;
+* a declared recv -> compute -> send chain, fused into one event or
+  split back at any trigger, is indistinguishable from the same chain
+  run one event per segment: only the engine's event count differs, by
+  exactly the boundaries the fusion elided.
 """
 
 import math
@@ -728,6 +732,27 @@ class ReferenceSerialResource:
             if not self._busy:
                 self._start_next()
 
+    def submit_chain(self, recv, compute, send, on_received, on_computed, on_sent):
+        """A declared chain, one completion event per segment."""
+
+        def received():
+            if on_received is not None:
+                on_received()
+            self.submit(compute, "compute", computed)
+
+        def computed():
+            if on_computed is not None:
+                on_computed()
+            self.submit(send, "send", on_sent)
+
+        self.submit(recv, "recv", received)
+
+    def busy_seconds(self):
+        busy = self.busy_time
+        if self._busy:
+            busy += max(0.0, self.sim.now - self._busy_since)
+        return busy
+
     def set_rate(self, rate):
         if rate == self._rate:
             return
@@ -812,12 +837,16 @@ KINDS = ("send", "recv", "compute")
 arrivals = st.sampled_from((0.0, 0.0, 0.25, 0.5, 1.0, 2.5))
 durations = st.sampled_from((0.0, 0.0, 0.1, 0.25, 1.0, 1.5))
 rates = st.sampled_from((0.5, 0.7, 1.0, 2.0))
+#: The recv, compute and send durations of a declared chain.
+chain_work = st.tuples(durations, durations, durations)
 # What a completion callback does, in order, before it returns: submit
-# priority-0 or priority-1 work (the first submit carries the rest of the
-# chain as its callback), submit work with no callback, schedule an
-# unrelated engine event, re-rate or halt the resource.
+# priority-0 or priority-1 work or a declared chain (the first submit
+# carries the rest of the chain as its callback), submit work with no
+# callback, schedule an unrelated engine event, re-rate or halt the
+# resource.
 callback_actions = st.one_of(
     st.tuples(st.sampled_from(("p0", "p0", "p1")), durations),
+    st.tuples(st.just("chain"), chain_work),
     st.tuples(st.just("quiet"), durations, st.integers(min_value=0, max_value=1)),
     st.tuples(st.just("tick"), st.sampled_from((0.0, 0.0, 0.1))),
     st.tuples(st.just("rate"), rates),
@@ -837,8 +866,16 @@ resource_steps = st.one_of(
         st.sampled_from(KINDS),
         st.lists(chain_links, max_size=3),
     ),
+    st.tuples(
+        st.just("chain"), arrivals, chain_work, st.lists(chain_links, max_size=2)
+    ),
     st.tuples(st.just("rate"), arrivals, rates),
     st.tuples(st.just("halt"), arrivals),
+    # An engine event that schedules another ``delay`` later.
+    st.tuples(
+        st.just("tick"), arrivals, st.sampled_from((0.0, 0.125, 0.25, 0.5, 0.625))
+    ),
+    st.tuples(st.just("read"), arrivals, st.sampled_from(("busy", "kinds", "counts"))),
 )
 resource_programs = st.lists(resource_steps, min_size=1, max_size=30)
 
@@ -856,25 +893,52 @@ def observe(resource):
     )
 
 
+def read(resource, what):
+    """A reading that a fused chain answers (``busy``) or splits for."""
+    if what == "busy":
+        return resource.busy_seconds()
+    if what == "kinds":
+        return tuple(resource.kind_time(kind) for kind in KINDS)
+    return resource.tasks_done, resource.preemptions, resource.busy_time
+
+
 def play_resource(resource_class, program):
     """Run ``program`` on a fresh ``resource_class``; returns everything
     observable about the run.
 
-    Every engine callback notes the clock, how many events fired so far
-    (which places it in the firing order) and the resource's observable
-    state: a completion through its callback, the rest directly.
+    Every engine callback notes the clock, how many events an unfused
+    run has fired so far (which places it in the firing order) and the
+    resource's observable state: a completion through its callback, the
+    rest directly.  A :class:`ChainProbe` adds the chain boundaries its
+    fused events elided to the engine's count.
     """
     sim = Simulator()
     resource = resource_class(sim, "node")
     fired: list[tuple] = []
+    elided = getattr(resource, "boundaries_passed", lambda: 0)
 
     def note(*what):
-        fired.append((sim.now, sim.events_processed, *what, observe(resource)))
+        fired.append(
+            (sim.now, sim.events_processed + elided(), *what, observe(resource))
+        )
+
+    def declare(index, work, rest):
+        """Submit a declared chain whose end runs ``rest``; its inner
+        callbacks only count, and the end notes the count."""
+        seen = [0]
+
+        def boundary():
+            seen[0] += 1
+
+        sent = link(index, rest)
+        resource.submit_chain(
+            *work, boundary, boundary, lambda: sent(("sent", seen[0]))
+        )
 
     def link(index, chain):
         """The callback of a submit whose completion runs ``chain``."""
-        def on_done():
-            note("done", index)
+        def on_done(what=("done",)):
+            note(*what, index)
             if not chain:
                 return
             actions = chain[0]
@@ -892,6 +956,9 @@ def play_resource(resource_class, program):
                         priority=priority,
                     )
                     rest = ()
+                elif kind == "chain":
+                    declare(index, action[1], rest)
+                    rest = ()
                 elif kind == "quiet":
                     resource.submit(action[1], "recv", priority=action[2])
                 elif kind == "tick":
@@ -908,6 +975,10 @@ def play_resource(resource_class, program):
         note("submit", index)
         resource.submit(duration, kind, link(index, chain), priority=priority)
 
+    def chain(index, work, rest):
+        note("chain", index)
+        declare(index, work, rest)
+
     def rate(value):
         note("rate", value)
         if not resource.is_halted:
@@ -917,11 +988,22 @@ def play_resource(resource_class, program):
         note("halt")
         resource.halt()
 
+    def tick(index, delay):
+        note("tick", index)
+        sim.schedule(delay, lambda: note("tock", index))
+
+    steps = {"submit": submit, "chain": chain, "tick": tick}
     for index, (kind, arrival, *args) in enumerate(program):
-        if kind == "submit":
-            sim.schedule(arrival, lambda i=index, a=args: submit(i, *a))
+        if kind in steps:
+            sim.schedule(
+                arrival, lambda s=steps[kind], i=index, a=args: s(i, *a)
+            )
         elif kind == "rate":
             sim.schedule(arrival, lambda r=args[0]: rate(r))
+        elif kind == "read":
+            sim.schedule(
+                arrival, lambda w=args[0]: note("read", w, read(resource, w))
+            )
         else:
             sim.schedule(arrival, halt)
     sim.run()
@@ -931,9 +1013,45 @@ def play_resource(resource_class, program):
         tuple(resource.kind_time(kind) for kind in KINDS),
         resource.tasks_done,
         resource.preemptions,
-        sim.events_processed,
+        sim.events_processed + elided(),
         sim.now,
     )
+
+
+class ChainProbe(SerialResource):
+    """Records what fusion does with each declared chain, and counts the
+    segment boundaries its fused events elided."""
+
+    def __init__(self, sim, name):
+        super().__init__(sim, name)
+        self.cases = []
+        self.elided = 0
+
+    def submit_chain(self, *work):
+        halted = self._halted
+        super().submit_chain(*work)
+        if not halted:
+            self.cases.append("fused" if self._chain is not None else "steps")
+
+    def unfuse(self):
+        pending = self._chain is not None
+        passed = super().unfuse()
+        if pending:
+            self.cases.append(f"split after {passed}")
+            self.elided += passed
+        return passed
+
+    def _complete_chain(self):
+        self.elided += 2
+        self.cases.append("completed fused")
+        super()._complete_chain()
+
+    def boundaries_passed(self):
+        """Boundaries an unfused run has fired by now that no event
+        fired here."""
+        if self._chain is None:
+            return self.elided
+        return self.elided + self._passed(self._completion.sequence)
 
 
 class ProbedResource(SerialResource):
@@ -1015,6 +1133,51 @@ QUIET_COMPLETION = [
     ("submit", 0.0, 1.0, 1, "compute", [[("quiet", 0.5, 1), ("quiet", 0.1, 1)]]),
 ]
 
+#: A service item the chains below start over, and a chain at t=0 with
+#: boundaries at 0.25 (recv), 0.5 (compute) and 1.0 (send).
+SERVICE = ("submit", 0.0, 2.0, 1, "compute", [])
+CHAIN = ("chain", 0.0, (0.25, 0.25, 0.5), [])
+#: Nothing sees the chain's middle: one event for three segments.
+CHAIN_FUSED_OVER_SERVICE = [SERVICE, ("chain", 0.25, (0.25, 0.25, 0.5), [])]
+#: Each split trigger, landing mid-chain.
+CHAIN_SPLIT_BY_P0 = [SERVICE, CHAIN, ("submit", 0.375, 0.25, 0, "send", [])]
+CHAIN_SPLIT_BY_P1 = [SERVICE, CHAIN, ("submit", 0.75, 0.25, 1, "compute", [])]
+CHAIN_SPLIT_BY_RATE = [SERVICE, CHAIN, ("rate", 0.125, 0.7)]
+CHAIN_SPLIT_BY_HALT = [SERVICE, CHAIN, ("halt", 0.375)]
+#: A read keyed at the compute boundary itself, before the chain began:
+#: the boundary is still to come.
+CHAIN_SPLIT_BY_KIND_READ = [SERVICE, CHAIN, ("read", 0.5, "kinds")]
+CHAIN_SPLIT_BY_COUNT_READ = [SERVICE, CHAIN, ("read", 0.75, "counts")]
+#: busy_seconds is answered mid-chain without a split, at and between
+#: boundaries.
+CHAIN_ANSWERS_BUSY_READS = [
+    SERVICE, CHAIN,
+    ("read", 0.25, "busy"), ("read", 0.375, "busy"), ("read", 0.75, "busy"),
+]
+#: An event scheduled mid-chain at exactly a pending boundary: after the
+#: recv boundary at the compute one, and before the compute boundary at
+#: the send one.
+CHAIN_SPLIT_BY_EVENT_AT_A_BOUNDARY = [SERVICE, CHAIN, ("tick", 0.375, 0.125)]
+CHAIN_SPLIT_BY_EVENT_AT_ITS_END = [SERVICE, CHAIN, ("tick", 0.375, 0.625)]
+#: A fused chain over a preempted item at a rate whose nominal -> wall
+#: -> nominal round trip is inexact.
+CHAIN_OVER_PREEMPTED_AT_RATE_07 = [
+    ("rate", 0.0, 0.7),
+    ("submit", 0.0, 1.5, 1, "compute", []),
+    ("chain", 0.25, (0.25, 0.25, 0.5), []),
+]
+#: A chain declared inside a completion callback forfeits the deferred
+#: restart and fuses.
+CHAIN_FROM_A_CALLBACK = [
+    SERVICE, ("submit", 0.25, 0.125, 0, "recv", [[("chain", (0.25, 0.25, 0.5))]]),
+]
+#: Priority-0 work runs, so the chain queues one item per segment.
+CHAIN_QUEUED_BEHIND_P0 = [
+    ("submit", 0.0, 0.5, 0, "compute", []), ("chain", 0.25, (0.25, 0.25, 0.5), []),
+]
+#: All three boundaries at one time.
+CHAIN_OF_ZERO_DURATIONS = [SERVICE, ("chain", 0.25, (0.0, 0.0, 0.0), [])]
+
 
 class TestParkedPreemptionMatchesReference:
     @given(resource_programs)
@@ -1026,11 +1189,25 @@ class TestParkedPreemptionMatchesReference:
     @example(RATE_INSIDE_THE_CALLBACK)
     @example(HALT_INSIDE_THE_CALLBACK)
     @example(QUIET_COMPLETION)
-    @settings(max_examples=120, deadline=None)
+    @example(CHAIN_FUSED_OVER_SERVICE)
+    @example(CHAIN_SPLIT_BY_P0)
+    @example(CHAIN_SPLIT_BY_P1)
+    @example(CHAIN_SPLIT_BY_RATE)
+    @example(CHAIN_SPLIT_BY_HALT)
+    @example(CHAIN_SPLIT_BY_KIND_READ)
+    @example(CHAIN_SPLIT_BY_COUNT_READ)
+    @example(CHAIN_ANSWERS_BUSY_READS)
+    @example(CHAIN_SPLIT_BY_EVENT_AT_A_BOUNDARY)
+    @example(CHAIN_SPLIT_BY_EVENT_AT_ITS_END)
+    @example(CHAIN_OVER_PREEMPTED_AT_RATE_07)
+    @example(CHAIN_FROM_A_CALLBACK)
+    @example(CHAIN_QUEUED_BEHIND_P0)
+    @example(CHAIN_OF_ZERO_DURATIONS)
+    @settings(max_examples=200, deadline=None)
     def test_same_completions_and_counters_as_cancel_and_reschedule(
         self, program
     ):
-        assert play_resource(SerialResource, program) == play_resource(
+        assert play_resource(ChainProbe, program) == play_resource(
             ReferenceSerialResource, program
         )
 
@@ -1074,3 +1251,46 @@ class TestParkedPreemptionMatchesReference:
         assert [entry[:2] for entry in restarted_done] == [
             ("done", 0), ("tick", 1),
         ]
+
+    def test_pinned_chain_programs_reach_their_cases(self):
+        def cases(program):
+            probe = {}
+
+            def make(sim, name):
+                probe["resource"] = ChainProbe(sim, name)
+                return probe["resource"]
+
+            play_resource(make, program)
+            return probe["resource"].cases
+
+        fused = ["fused", "completed fused"]
+        assert cases(CHAIN_FUSED_OVER_SERVICE) == fused
+        assert cases(CHAIN_ANSWERS_BUSY_READS) == fused
+        assert cases(CHAIN_OVER_PREEMPTED_AT_RATE_07) == fused
+        assert cases(CHAIN_FROM_A_CALLBACK) == fused
+        assert cases(CHAIN_OF_ZERO_DURATIONS) == fused
+        assert cases(CHAIN_QUEUED_BEHIND_P0) == ["steps"]
+        for program, passed in (
+            (CHAIN_SPLIT_BY_P0, 1),
+            (CHAIN_SPLIT_BY_P1, 2),
+            (CHAIN_SPLIT_BY_RATE, 0),
+            (CHAIN_SPLIT_BY_HALT, 1),
+            (CHAIN_SPLIT_BY_KIND_READ, 1),
+            (CHAIN_SPLIT_BY_COUNT_READ, 2),
+            (CHAIN_SPLIT_BY_EVENT_AT_A_BOUNDARY, 1),
+            (CHAIN_SPLIT_BY_EVENT_AT_ITS_END, 1),
+        ):
+            assert cases(program)[:2] == ["fused", f"split after {passed}"]
+
+    def test_a_fused_chain_elides_two_events(self):
+        # Two arrivals, the recv, compute and send completions and the
+        # service completion; the fused chain fires one event for three.
+        reference = play_resource(ReferenceSerialResource, CHAIN_FUSED_OVER_SERVICE)
+        assert reference[-2] == 6
+        assert play_resource(SerialResource, CHAIN_FUSED_OVER_SERVICE)[-2] == 4
+        sim = Simulator()
+        resource = SerialResource(sim, "node")
+        resource.submit(2.0, "compute", priority=1)
+        resource.submit_chain(0.25, 0.25, 0.5, None, None, None)
+        sim.run()
+        assert sim.events_processed == 2

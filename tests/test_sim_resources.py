@@ -268,3 +268,88 @@ class TestDeferredRestart:
         sim.run()
         assert res.tasks_done == 100
         assert len(created) == 1
+
+
+class TestFusedChain:
+    """A recv -> compute -> send chain runs as one event when it can
+    start at once, and splits back wherever an unfused run would be."""
+
+    WORK = (1.0, 2.0, 4.0)  # boundaries at 1, 3 and 7 s
+
+    def run(self, fused, drive, before=None):
+        """Start the chain over a service item, after ``before`` keyed its
+        events; let ``drive`` advance the engine and read the resource.
+        Returns what it read, the callbacks seen and the end state."""
+        sim = Simulator()
+        res = SerialResource(sim, "node")
+        if before is not None:
+            before(sim)
+        seen = []
+        res.submit(10.0, "compute", lambda: seen.append(("service", sim.now)), priority=1)
+        submit = res.submit_chain if fused else res.submit_steps
+        submit(
+            *self.WORK,
+            lambda: seen.append("received"),
+            lambda: seen.append("computed"),
+            lambda: seen.append(("sent", sim.now)),
+        )
+        readings = drive(sim, res)
+        sim.run()
+        end = (res.tasks_done, res.preemptions, res.busy_time, res.kind_time("recv"))
+        return readings, seen, end, sim.events_processed
+
+    def both(self, drive, before=None):
+        fused = self.run(True, drive, before)
+        stepped = self.run(False, drive, before)
+        assert fused[:3] == stepped[:3]
+        return fused, stepped
+
+    def test_one_event_for_the_chain(self):
+        fused, stepped = self.both(lambda sim, res: None)
+        assert fused[1] == ["received", "computed", ("sent", 7.0), ("service", 17.0)]
+        assert (fused[3], stepped[3]) == (2, 4)
+
+    @pytest.mark.parametrize("horizon", [0.5, 1.0, 2.0, 3.0, 5.0, 7.0])
+    def test_a_horizon_stop_reads_what_an_unfused_run_holds(self, horizon):
+        # A run stopped at a boundary has fired it; busy_seconds is
+        # answered without a split, the other readers split.
+        def drive(sim, res):
+            sim.run_until(horizon)
+            return (res.busy_seconds(), res.utilization(), res.is_busy,
+                    res.queue_length, res.kind_time("compute"), res.tasks_done)
+
+        self.both(drive)
+
+    def test_a_condition_stop_at_a_boundary_has_not_reached_it(self):
+        # An event keyed at the compute boundary before the chain began
+        # fires first: the compute segment is still in progress.
+        def drive(sim, res):
+            sim.run_until_condition(10.0, lambda: sim.now >= 3.0)
+            return sim.now, res.busy_seconds(), res.kind_time("compute")
+
+        fused, _ = self.both(drive, lambda sim: sim.schedule(3.0, lambda: None))
+        assert fused[0] == (3.0, 3.0, 0.0)
+
+    def test_an_event_scheduled_mid_chain_at_its_end_fires_first(self):
+        # Scheduled before the compute boundary, it precedes the send's
+        # completion at 7 s in an unfused run.
+        def drive(sim, res):
+            order = []
+            sim.run_until(2.0)
+            sim.schedule(5.0, lambda: order.append(("tick", res.tasks_done)))
+            sim.run_until(7.0)
+            return order
+
+        fused, _ = self.both(drive)
+        assert fused[0] == [("tick", 2)]
+
+    def test_a_halted_resource_drops_chains(self, sim, res):
+        res.halt()
+        res.submit_chain(1.0, 1.0, 1.0, None, None, lambda: pytest.fail("ran"))
+        sim.run()
+        assert res.tasks_done == 0
+
+    @pytest.mark.parametrize("work", [(-1.0, 1.0, 1.0), (1.0, math.nan, 1.0)])
+    def test_rejects_bad_durations(self, res, work):
+        with pytest.raises(SimulationError, match="duration"):
+            res.submit_chain(*work, None, None, None)
