@@ -354,6 +354,20 @@ class TestFusedSchedulingChain:
         assert fused_events <= stepped_events
 
 
+    def test_predictions_count_once_the_prediction_ends(self, p):
+        # Read between the prediction's end and the reply's: a fused
+        # chain has fired no event yet, and still counts it.
+        def predictions(trace):
+            sim = Simulator()
+            server = ServerElement(sim, "s0", 265.0, p, app_work=50.0, trace=trace)
+            server.receive_schedule(1)
+            predicted = p.server_sizes.sreq / p.bandwidth + p.wpre / 265.0
+            sim.run_until(predicted + p.server_sizes.srep / p.bandwidth / 2)
+            return server.predictions_done
+
+        assert predictions(None) == predictions(TraceRecorder()) == 1
+
+
 class TestScheduleInstrumentation:
     def test_every_fired_event_passes_the_counted_entry_point(self, p):
         """Profilers count events by wrapping ``Simulator.schedule`` on

@@ -343,6 +343,36 @@ class TestFusedChain:
         fused, _ = self.both(drive)
         assert fused[0] == [("tick", 2)]
 
+    def test_busy_seconds_repeats_the_unfused_additions(self):
+        # Inexact durations after a preempted stretch of service: the
+        # answer must round exactly as banking segment by segment does.
+        def drive(sim, res):
+            readings = []
+            for horizon in (0.45, 0.5, 1.1, 1.35, 1.4):
+                sim.run_until(horizon)
+                readings.append(res.busy_seconds())
+            return readings
+
+        self.WORK = (0.1, 0.7, 0.3)
+        self.both(drive, lambda sim: sim.run_until(0.3))
+
+    def test_a_resume_at_another_chains_boundary_splits_it(self):
+        # A service item parked on a second node restarts at t=0.75 and
+        # is due at 7 s, the chain's end: an unfused run keys the send
+        # later (at 3 s), so the service completes first.
+        def order(fused):
+            sim = Simulator()
+            node, other = SerialResource(sim, "node"), SerialResource(sim, "other")
+            seen = []
+            submit = node.submit_chain if fused else node.submit_steps
+            submit(1.0, 2.0, 4.0, None, None, lambda: seen.append("sent"))
+            other.submit(6.5, "compute", lambda: seen.append("service"), priority=1)
+            sim.schedule(0.25, lambda: other.submit(0.5, "recv", lambda: None))
+            sim.run()
+            return seen, sim.now
+
+        assert order(True) == order(False) == (["service", "sent"], 7.0)
+
     def test_a_halted_resource_drops_chains(self, sim, res):
         res.halt()
         res.submit_chain(1.0, 1.0, 1.0, None, None, lambda: pytest.fail("ran"))
