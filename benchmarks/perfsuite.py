@@ -229,6 +229,9 @@ def control_cell(name, label, trace, size, **kw):
         served=timeline.total_served,
         redeploys=timeline.redeploys,
         mean_served_rate=round(timeline.mean_served_rate, 3),
+        # Engine callbacks fired over the run: deterministic, so a
+        # change in how the simulator elides events shows as a count.
+        engine_events=timeline.records[-1].metrics.value("engine_events"),
         epochs_per_s=round(epochs / timing.seconds, 2),
     )
     return result, timeline, loop

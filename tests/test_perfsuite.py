@@ -72,7 +72,7 @@ def test_quick_control_cells(capsys):
         assert extra["overhead_fraction"] == pytest.approx(
             extra["overhead_seconds"] / extra["raw_seconds"], abs=1e-4
         )
-        for field in ("served", "redeploys", "mean_served_rate"):
+        for field in ("served", "redeploys", "mean_served_rate", "engine_events"):
             assert field in extra
         assert extra["epochs_per_s"] > 0
     # The scenario the control-cell defaults build (pool seed 7, loop
