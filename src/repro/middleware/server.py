@@ -57,6 +57,7 @@ class ServerElement:
         "params",
         "bandwidth",
         "app_work",
+        "schedule_work",
         "resource",
         "parent",
         "trace",
@@ -84,6 +85,12 @@ class ServerElement:
         # Per-node access-link bandwidth; see AgentElement.bandwidth.
         self.bandwidth = params.bandwidth if bandwidth is None else bandwidth
         self.app_work = app_work
+        # Seconds of the scheduling chain's recv, prediction and reply.
+        self.schedule_work = (
+            params.server_sizes.sreq / self.bandwidth,
+            params.wpre / power,
+            params.server_sizes.srep / self.bandwidth,
+        )
         self.resource = SerialResource(sim, name)
         self.parent = None  # set by MiddlewareSystem wiring
         self.trace = trace
@@ -125,9 +132,6 @@ class ServerElement:
         to the current parent.  Capturing it keeps in-flight scheduling
         conversations intact while a live migration re-homes this server.
         """
-        params = self.params
-        sizes = params.server_sizes
-        trace = self.trace
         estimate = 0.0
 
         def after_predict() -> None:
@@ -139,39 +143,37 @@ class ServerElement:
             # absolute timestamp) so servers probed at slightly different
             # times during the fan-out compare fairly.
             estimate = self.pending_service_work
-            if trace is not None:
-                trace.emit(
+            if self.trace is not None:
+                self.trace.emit(
                     self.sim.now, "compute", self.name,
                     request_id=request_id,
-                    duration=params.wpre / self.power, what="prediction",
+                    duration=self.params.wpre / self.power, what="prediction",
                 )
 
         def after_send() -> None:
-            if trace is not None:
-                trace.emit(
+            if self.trace is not None:
+                self.trace.emit(
                     self.sim.now, "msg_sent", self.name,
                     request_id=request_id,
-                    size_mb=sizes.srep, msg="sched_rep",
+                    size_mb=self.params.server_sizes.srep, msg="sched_rep",
                 )
             target = reply_to if reply_to is not None else self.parent
             target.receive_reply(
                 request_id, self.name, estimate, sender=self.name
             )
 
-        recv = sizes.sreq / self.bandwidth
-        predict = params.wpre / self.power
-        send = sizes.srep / self.bandwidth
-        if trace is None:
+        recv, predict, send = self.schedule_work
+        if self.trace is None:
             self.resource.submit_chain(
                 recv, predict, send, None, after_predict, after_send
             )
             return
 
         def after_recv() -> None:
-            trace.emit(
+            self.trace.emit(
                 self.sim.now, "msg_recv", self.name,
                 request_id=request_id,
-                size_mb=sizes.sreq, msg="sched_req",
+                size_mb=self.params.server_sizes.sreq, msg="sched_req",
             )
 
         # A traced run records every step at its own time: no fusion.
