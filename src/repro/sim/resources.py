@@ -239,9 +239,9 @@ class SerialResource:
             # middleware's job (dead-letter + resubmit), not the
             # resource's.
             return
-        if self._chain is not None:
-            self.unfuse()
         if self._busy:
+            if self._chain is not None:
+                self.unfuse()
             if priority:
                 self._low_queue.append((duration, kind, on_done))
                 return
