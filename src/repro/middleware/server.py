@@ -57,7 +57,7 @@ class ServerElement:
         "params",
         "bandwidth",
         "app_work",
-        "schedule_work",
+        "_schedule_work",
         "resource",
         "parent",
         "trace",
@@ -86,7 +86,7 @@ class ServerElement:
         self.bandwidth = params.bandwidth if bandwidth is None else bandwidth
         self.app_work = app_work
         # Seconds of the scheduling chain's recv, prediction and reply.
-        self.schedule_work = (
+        self._schedule_work = (
             params.server_sizes.sreq / self.bandwidth,
             params.wpre / power,
             params.server_sizes.srep / self.bandwidth,
@@ -162,7 +162,7 @@ class ServerElement:
                 request_id, self.name, estimate, sender=self.name
             )
 
-        recv, predict, send = self.schedule_work
+        recv, predict, send = self._schedule_work
         if self.trace is None:
             self.resource.submit_chain(
                 recv, predict, send, None, after_predict, after_send

@@ -320,7 +320,9 @@ class SerialResource:
         if (busy and self._current[3] == 0) or now + delay != end:
             # Priority-0 work runs (a fused chain included), so the chain
             # queues; or its one event cannot land on its end exactly.
-            self.submit_steps(recv, compute, send, on_received, on_computed, on_sent)
+            self.submit_steps(
+                recv, compute, send, on_received, on_computed, on_sent
+            )
             return
         if busy:
             self._preempt()
