@@ -354,19 +354,18 @@ class SerialResource:
         if passed:
             self._pass(chain, passed)
             self._busy_since = times[passed - 1]
+        rate = self._rate
         if passed == 0:
-            current = (recv, "recv", self._then(
+            self._current = (recv / rate, "recv", self._then(
                 on_received, compute, "compute",
                 self._then(on_computed, send, "send", on_sent),
-            ))
+            ), 0)
         elif passed == 1:
-            current = (compute, "compute", self._then(
+            self._current = (compute / rate, "compute", self._then(
                 on_computed, send, "send", on_sent
-            ))
+            ), 0)
         else:
-            current = (send, "send", on_sent)
-        duration, kind, on_done = current
-        self._current = (duration / self._rate, kind, on_done, 0)
+            self._current = (send / rate, "send", on_sent, 0)
         self._completion = self.sim.rekey(event, times[passed], self._on_complete)
         return passed
 
