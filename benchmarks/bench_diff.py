@@ -8,6 +8,8 @@ Usage::
 
 Loads two ``repro-bench/1`` files, matches measurement cells by
 ``(name, params)``, and prints the relative change per common cell.
+Cells present in only one of the files (a cell added, renamed or
+deleted since the baseline) are named in a section of their own.
 ``seconds`` and ``fraction`` cells are lower-is-better, every other
 metric (``events_per_s``, ``tasks_per_s``, ``ratio``) higher-is-better.
 Cells whose regression exceeds ``--threshold`` (default 25 %) are
@@ -137,6 +139,7 @@ def _compare(args: argparse.Namespace) -> int:
     common = sorted(set(base_cells) & set(cur_cells))
     if not common:
         print("bench-diff: no common measurement cells; nothing to compare")
+        _report_unmatched(base_cells, cur_cells, args)
         return _budget_exit(current, args)
 
     print(
@@ -173,7 +176,25 @@ def _compare(args: argparse.Namespace) -> int:
             f"bench-diff: {flagged} cell(s) regressed beyond "
             f"{args.threshold:.0%} — worth a look (not failing the build)"
         )
+    _report_unmatched(base_cells, cur_cells, args)
     return _budget_exit(current, args)
+
+
+def _report_unmatched(
+    base_cells: dict, cur_cells: dict, args: argparse.Namespace
+) -> None:
+    """Name the cells only one file has; they cannot be compared."""
+    for side, path, keys in (
+        ("baseline", args.baseline, set(base_cells) - set(cur_cells)),
+        ("current", args.current, set(cur_cells) - set(base_cells)),
+    ):
+        if keys:
+            print(
+                f"bench-diff: {len(keys)} cell(s) only in the {side} "
+                f"({path}); not compared:"
+            )
+            for key in sorted(keys):
+                print(f"     {_format_key(key)}")
 
 
 #: Measurement families whose `extra.overhead_fraction` is controller

@@ -308,20 +308,19 @@ class PlanningSession:
     registry:
         Planner registry; defaults to the global
         :data:`~repro.core.registry.REGISTRY`.
-    cache:
-        Memoize results by :meth:`PlanRequest.cache_key` (planning is
-        deterministic, so repeated cells of a grid are free).
+
+    Results are memoized by :meth:`PlanRequest.cache_key` (planning is
+    deterministic, so repeated cells of a grid are free);
+    :meth:`clear_cache` empties the memo.
     """
 
     def __init__(
         self,
         params: ModelParams | None = None,
         registry: PlannerRegistry | None = None,
-        cache: bool = True,
     ):
         self.params = params
         self.registry = registry if registry is not None else REGISTRY
-        self._cache_enabled = cache
         self._cache: dict[tuple, Deployment] = {}
         self._lock = threading.Lock()
         self._hits = 0
@@ -338,8 +337,6 @@ class PlanningSession:
         elif kwargs:
             request = request.replace(**kwargs)
         request = self._with_session_params(request)
-        if not self._cache_enabled:
-            return self.registry.plan(request)
         key = request.cache_key()
         with self._lock:
             cached = self._cache.get(key)
@@ -358,7 +355,6 @@ class PlanningSession:
         requests: Iterable[PlanRequest],
         parallel: bool = False,
         max_workers: int | None = None,
-        chunksize: int | None = None,
     ) -> list[Deployment]:
         """Execute a batch of requests, preserving order.
 
@@ -385,19 +381,14 @@ class PlanningSession:
         process re-imports :mod:`repro`, so under spawn/forkserver start
         methods it only sees import-time registrations.
 
-        ``chunksize`` overrides the per-worker batch size (default: unique
-        requests split roughly 4 ways per worker).  ``max_workers`` and
-        ``chunksize``, when given, must be at least 1.
+        Unique requests go to the workers in chunks of roughly a quarter
+        of each worker's share.  ``max_workers``, when given, must be at
+        least 1.
         """
         if max_workers is not None and max_workers < 1:
             raise PlanningError(
                 f"plan_many needs max_workers >= 1, got {max_workers} "
                 "(omit it to use the CPU count)"
-            )
-        if chunksize is not None and chunksize < 1:
-            raise PlanningError(
-                f"plan_many needs chunksize >= 1, got {chunksize} "
-                "(omit it for the default batch size)"
             )
         requests = [self._with_session_params(r) for r in requests]
         workers = max_workers if max_workers is not None else os.cpu_count() or 1
@@ -408,19 +399,6 @@ class PlanningSession:
             or self.registry is not REGISTRY
         ):
             return [self.plan(request) for request in requests]
-        def chunk_for(count: int) -> int:
-            if chunksize is not None:
-                return chunksize
-            return max(1, math.ceil(count / (workers * 4)))
-        if not self._cache_enabled:
-            # Mirror the serial no-cache semantics exactly: every request
-            # planned independently (no dedup aliasing), no hit/miss stats.
-            if len(requests) < _PARALLEL_MIN_UNIQUE:
-                return [self.plan(request) for request in requests]
-            planned = self._fan_out(requests, workers, chunk_for(len(requests)))
-            if planned is None:
-                return [self.plan(request) for request in requests]
-            return planned
         keys = [request.cache_key() for request in requests]
         with self._lock:
             resolved: dict[tuple, Deployment] = {
@@ -439,7 +417,8 @@ class PlanningSession:
             return [self.plan(request) for request in requests]
         if pending:
             todo = list(pending.values())
-            planned = self._fan_out(todo, workers, chunk_for(len(todo)))
+            chunk = max(1, math.ceil(len(todo) / (workers * 4)))
+            planned = self._fan_out(todo, workers, chunk)
             if planned is None:
                 return [self.plan(request) for request in requests]
             resolved.update(zip(pending, planned))
@@ -600,7 +579,11 @@ class PlanningSession:
         planners registered here are usable as ``base_method``.  Extra
         keyword arguments go straight to
         :class:`repro.control.loop.ControlLoop` (``cost_model``,
-        ``recorder``, ``think_time``, ...).
+        ``recorder``, ``think_time``, ...).  The master checks every
+        live plan over the command protocol before it applies it;
+        ``executor="pool"`` runs the region daemons in a process pool
+        instead of in this process (``"local"``, the default), with the
+        same timeline.
         """
         from repro.control.loop import ControlLoop
 
@@ -661,6 +644,12 @@ class PlanningSession:
         and pooled execution of the same grid.  ``obs`` must be a bool
         here; a shared ``Obs`` instance would be cleared by every cell.
 
+        ``executor`` is a kind string like everything else in a cell.
+        Each cell checks its live plans over the command protocol; a
+        ``"pool"`` cell inside a pooled sweep cannot fork from its
+        daemonic worker, so it runs its region daemons in-process, with
+        the same timeline.
+
         Returns one :class:`ControlCell` per grid point, in
         trace-major, then policy, then seed order.
         """
@@ -716,16 +705,15 @@ class PlanningSession:
 
             parse_detection(control_kwargs["detection"])
         if "executor" in control_kwargs:
-            # Act-stage executors must travel as kind strings: an
-            # executor *instance* owns process state (a pool) that
-            # neither pickles nor may be shared across cells.
+            # And for the act-stage executor kind: an unknown one fails
+            # here, not in every worker.
             from repro.control.protocol import EXECUTOR_KINDS
 
             if control_kwargs["executor"] not in EXECUTOR_KINDS:
                 raise PlanningError(
-                    "control_sweep executor must be one of "
-                    f"{EXECUTOR_KINDS} (a kind string — instances don't "
-                    f"pickle), got {control_kwargs['executor']!r}"
+                    "control_sweep executor must be a kind string, one "
+                    f"of {EXECUTOR_KINDS}, got "
+                    f"{control_kwargs['executor']!r}"
                 )
         grid = [
             (spec, policy, seed)

@@ -112,16 +112,11 @@ def _add_control_args(parser: argparse.ArgumentParser) -> None:
         "concurrent wave-parallel drains, or stop-the-world restart",
     )
     parser.add_argument(
-        "--executor", choices=EXECUTOR_KINDS, default="inline",
-        help="act-stage executor: inline direct apply (default), "
-        "local in-process daemons over the wire protocol, or pool "
-        "per-region daemon processes — the timeline is bit-identical "
-        "across all three; in an exported trace, local and pool add "
-        "per-region command/ack spans",
-    )
-    parser.add_argument(
-        "--executor-workers", type=int, default=None, metavar="N",
-        help="process count for --executor pool (default: pool default)",
+        "--executor", choices=EXECUTOR_KINDS, default="local",
+        help="where the act stage's region daemons run: local, in the "
+        "master's process (default), or pool, fanned out to a process "
+        "pool; the master checks every live plan over the wire protocol "
+        "either way, and the timeline is bit-identical across both",
     )
     parser.add_argument(
         "--epochs", type=int, default=30,
@@ -444,7 +439,6 @@ def _cmd_control(args: argparse.Namespace) -> int:
             migration=args.migration,
             think_time=args.think_time,
             executor=args.executor,
-            executor_workers=args.executor_workers,
             **({"faults": args.faults} if args.faults else {}),
             **({"detection": args.detection} if args.detection else {}),
         )
@@ -494,7 +488,6 @@ def _cmd_control(args: argparse.Namespace) -> int:
         seed=args.seed,
         faults=args.faults,
         executor=args.executor,
-        executor_workers=args.executor_workers,
         **({"detection": args.detection} if args.detection else {}),
     )
     print(render_timeline(timeline))
@@ -522,7 +515,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         seed=args.seed,
         obs=obs,
         executor=args.executor,
-        executor_workers=args.executor_workers,
         **({"faults": args.faults} if args.faults else {}),
         **({"detection": args.detection} if args.detection else {}),
     )

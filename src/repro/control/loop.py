@@ -617,22 +617,16 @@ class ControlLoop:
         heal with.  A ``reserve=`` key in a detection spec string
         overrides this argument.
     executor:
-        How the act stage realizes live migration plans — one of
-        :data:`~repro.control.protocol.EXECUTOR_KINDS` (``"inline"``,
-        ``"local"``, ``"pool"``) or a ready-made executor object with
-        ``execute(snapshot, wires)`` / ``close()``.  ``"inline"`` (the
-        default) applies plans directly, exactly as before the
-        master/daemon split.  ``"local"`` and ``"pool"`` serialize each
-        plan into versioned :class:`~repro.control.protocol
-        .MigrationCommand` batches, execute them through stateless
-        per-region daemons (in-process or in a process pool) that
-        rebuild the deployment from a :class:`~repro.control.registry
-        .DeploymentRegistry` snapshot, and verify the acked digests
-        before the simulated apply — the timeline is bit-identical
-        across all three kinds (asserted by ``tests/test_protocol.py``).
-    executor_workers:
-        Process count for the ``"pool"`` executor (``None`` for the
-        pool default); ignored by the other kinds.
+        Where the act stage's per-region daemons run — one of
+        :data:`~repro.control.protocol.EXECUTOR_KINDS`: ``"local"``
+        (the default, in the master's process) or ``"pool"`` (a
+        process pool).  Either way the master serializes each live plan
+        into versioned :class:`~repro.control.protocol.MigrationCommand`
+        batches, the stateless daemons rebuild the deployment from a
+        :class:`~repro.control.registry.DeploymentRegistry` snapshot and
+        apply them, and the master verifies the acked digests before the
+        simulated apply — the timeline is bit-identical across both
+        kinds (asserted by ``tests/test_protocol.py``).
     obs:
         Observability handle.  ``None``/``False`` (default) runs with
         the shared null handle — disabled instrumentation costs one
@@ -668,8 +662,7 @@ class ControlLoop:
         detection: DetectionParams | str | None = None,
         spare_reserve: float = 0.0,
         obs: Obs | bool | None = None,
-        executor: str | object = "inline",
-        executor_workers: int | None = None,
+        executor: str = "local",
     ):
         if len(pool) < 2:
             raise ControlError(
@@ -739,22 +732,10 @@ class ControlLoop:
                 f"obs must be an Obs handle or a bool, got "
                 f"{type(obs).__name__}"
             )
-        if isinstance(executor, str):
-            if executor not in EXECUTOR_KINDS:
-                raise ControlError(
-                    f"unknown executor kind {executor!r}; "
-                    f"expected one of {EXECUTOR_KINDS}"
-                )
-        elif not (
-            hasattr(executor, "execute") and hasattr(executor, "close")
-        ):
+        if executor not in EXECUTOR_KINDS:
             raise ControlError(
-                "executor must be an EXECUTOR_KINDS string or an object "
-                f"with execute()/close(), got {type(executor).__name__}"
-            )
-        if executor_workers is not None and executor_workers < 1:
-            raise ControlError(
-                f"executor_workers must be >= 1, got {executor_workers}"
+                f"unknown executor kind {executor!r}; "
+                f"expected one of {EXECUTOR_KINDS}"
             )
         self.pool = pool
         self.app_work = float(app_work)
@@ -778,9 +759,8 @@ class ControlLoop:
         self.faults = faults
         self.detection = detection
         self.executor = executor
-        self.executor_workers = executor_workers
-        # The live run's executor instance (None in inline mode); owned
-        # and closed by :meth:`run` when built from a kind string.
+        # The live run's executor instance, built and closed by
+        # :meth:`run`.
         self._executor = None
         self.spare_reserve = float(spare_reserve)
         # Reserve size in nodes, fixed at construction: a fraction of
@@ -829,26 +809,18 @@ class ControlLoop:
 
     def run(self) -> ControlTimeline:
         """Run every epoch's stages (see the module docstring)."""
-        if isinstance(self.executor, str):
-            executor = make_executor(self.executor, self.executor_workers)
-            owns_executor = True
-        else:
-            executor, owns_executor = self.executor, False
+        executor = make_executor(self.executor)
         # Spin the executor up (process-pool workers included) before
         # the run, *outside* the overhead stopwatch: worker spawn is
         # one-time infrastructure, not per-epoch controller bookkeeping,
         # and charging it to the first dispatch would make the
         # adaptation-overhead budget lie about steady state.
-        if executor is not None:
-            warm = getattr(executor, "warm", None)
-            if warm is not None:
-                warm()
+        executor.warm()
         self._executor = executor
         try:
             return self._run_loop()
         finally:
-            if owns_executor and executor is not None:
-                executor.close()
+            executor.close()
             self._executor = None
 
     def _new_run(self) -> _Run:
@@ -1159,14 +1131,13 @@ class ControlLoop:
             # mode, dependency waves in concurrent mode).  Clients keep
             # looping and the undrained part of the platform keeps
             # serving.
-            # With an executor configured, the plan first runs the
-            # master/daemon protocol: serialized commands out, acked
-            # digests back, and the wire-round-tripped plan is what the
-            # simulated apply below executes — so serialization is
-            # load-bearing, not decorative.  (Restart plans bypass the
-            # protocol: stop-the-world is a rebuild, not a command
-            # batch.)
-            if self._executor is not None and plan.regions:
+            # The plan first runs the master/daemon protocol:
+            # serialized commands out, acked digests back, and the
+            # wire-round-tripped plan is what the simulated apply below
+            # executes — so serialization is load-bearing, not
+            # decorative.  (Restart plans bypass the protocol:
+            # stop-the-world is a rebuild, not a command batch.)
+            if plan.regions:
                 with self._overhead:
                     plan, epoch.dispatched = self._dispatch_commands(
                         plan, candidate, epoch.index

@@ -24,15 +24,13 @@ rebuilds the deployment from the registry every call — the same path a
 restarted daemon takes to rejoin, so the durability story is exercised
 on every single dispatch, not just in a recovery test.
 
-Three executor kinds (:data:`EXECUTOR_KINDS`):
+Two executor kinds (:data:`EXECUTOR_KINDS`), and the master checks
+every live plan over the wire whichever one runs it:
 
-``inline``
-    No protocol at all — the loop applies its plan directly, exactly
-    as before this module existed.  The bit-identity baseline.
 ``local``
-    :class:`InProcessExecutor`: full wire round-trip (commands and
-    reports pass through ``json.dumps``/``loads``), executed serially
-    in the master's process.
+    :class:`InProcessExecutor` (the default): full wire round-trip
+    (commands and reports pass through ``json.dumps``/``loads``),
+    executed serially in the master's process.
 ``pool``
     :class:`ProcessExecutor`: the same wire exchange, fanned out to a
     ``ProcessPoolExecutor`` — region commands of one plan really do
@@ -45,8 +43,8 @@ Determinism contract: executors only compute *structural* results
 (trees and digests) that the master verifies and then discards in
 favour of its own simulated apply — so the
 :class:`~repro.control.loop.ControlTimeline` is bit-identical across
-all three kinds, which ``tests/test_protocol.py`` asserts with faults
-and detection enabled.
+both kinds, which ``tests/test_protocol.py`` asserts with faults and
+detection enabled.
 """
 
 from __future__ import annotations
@@ -86,12 +84,11 @@ __all__ = [
 #: reject versions they do not understand.
 PROTOCOL_VERSION = 1
 
-#: Recognized act-stage executor kinds, in increasing distribution:
-#: ``inline`` (no protocol — the pre-split direct apply), ``local``
-#: (wire round-trip, in-process), ``pool`` (wire round-trip, process
+#: Recognized act-stage executor kinds: ``local`` (wire round-trip,
+#: in-process; the default) and ``pool`` (wire round-trip, process
 #: pool).  Module-level like MIGRATION_MODES so the CLI can offer
 #: ``choices=`` without importing the heavy loop machinery.
-EXECUTOR_KINDS = ("inline", "local", "pool")
+EXECUTOR_KINDS = ("local", "pool")
 
 _COMMAND_FIELDS = frozenset(
     {
@@ -396,8 +393,6 @@ class InProcessExecutor:
     process — the first rung of the distribution ladder.
     """
 
-    kind = "local"
-
     def execute(self, snapshot: dict, wires) -> tuple:
         """Run every command of the batch; returns wire-form reports."""
         snapshot_json = json.dumps(snapshot, sort_keys=True)
@@ -425,10 +420,7 @@ class ProcessExecutor:
     is bit-identical either way.
     """
 
-    kind = "pool"
-
-    def __init__(self, workers: int | None = None) -> None:
-        self._workers = workers
+    def __init__(self) -> None:
         self._pool: ProcessPoolExecutor | None = None
         self._fallback = False
 
@@ -437,7 +429,7 @@ class ProcessExecutor:
             return None
         if self._pool is None:
             try:
-                self._pool = ProcessPoolExecutor(max_workers=self._workers)
+                self._pool = ProcessPoolExecutor()
             except (OSError, ValueError, RuntimeError, AssertionError):
                 self._fallback = True
                 return None
@@ -491,18 +483,12 @@ class ProcessExecutor:
             self._pool = None
 
 
-def make_executor(kind: str, workers: int | None = None):
-    """Build the executor for ``kind`` (``None`` for ``inline``).
-
-    ``inline`` means "no protocol" — the loop applies plans directly —
-    so it maps to no executor object at all.
-    """
-    if kind == "inline":
-        return None
+def make_executor(kind: str):
+    """Build the executor for ``kind``, one of :data:`EXECUTOR_KINDS`."""
     if kind == "local":
         return InProcessExecutor()
     if kind == "pool":
-        return ProcessExecutor(workers=workers)
+        return ProcessExecutor()
     raise ProtocolError(
         f"unknown executor kind {kind!r}; expected one of {EXECUTOR_KINDS}"
     )

@@ -124,8 +124,8 @@ class RegistryEntry:
     as ``replan``/``improve``/``repair``/``evict``, or ``crash`` /
     ``detection`` for fault adoptions); ``epoch`` the control epoch it
     landed in (``-1`` for the initial deployment); ``command_ids`` the
-    protocol commands that realized it (empty for inline-mode applies
-    and non-plan transitions).
+    protocol commands that realized it (empty for stop-the-world
+    restarts and non-plan transitions).
     """
 
     generation: int

@@ -96,10 +96,6 @@ class TestPlanningSession:
         assert info["misses"] == 1
 
     def test_cache_can_be_disabled_and_cleared(self, pool):
-        session = PlanningSession(cache=False)
-        first = session.plan(pool=pool, app_work=dgemm_mflop(200))
-        second = session.plan(pool=pool, app_work=dgemm_mflop(200))
-        assert first is not second
         cached = PlanningSession()
         cached.plan(pool=pool, app_work=dgemm_mflop(200))
         cached.clear_cache()
@@ -248,12 +244,6 @@ class TestScenarioGrid:
         assert [d.describe() for d in small] == [
             d.describe() for d in serial
         ]
-        uncached = PlanningSession(cache=False).plan_many(
-            grid, parallel=True, max_workers=4
-        )
-        assert [d.describe() for d in uncached] == [
-            d.describe() for d in serial
-        ]
 
     def test_plan_many_small_batch_counts_unique_requests(
         self, pool, monkeypatch
@@ -296,20 +286,6 @@ class TestScenarioGrid:
         PlanningSession().plan_many(varied, parallel=True, max_workers=2)
         assert calls == [len(varied)]
 
-    def test_plan_many_uncached_session_matches_serial_semantics(self, pool):
-        request = PlanRequest(
-            pool=pool, app_work=dgemm_mflop(100), method="star"
-        )
-        batch = [request, request.replace(label="twin")]
-        session = PlanningSession(cache=False)
-        first, second = session.plan_many(
-            batch, parallel=True, max_workers=2
-        )
-        # Like the serial no-cache path: independent objects, no stats.
-        assert first is not second
-        assert first.describe() == second.describe()
-        assert session.cache_info() == {"hits": 0, "misses": 0, "size": 0}
-
     def test_plan_many_falls_back_to_serial_without_worker_planners(
         self, pool, monkeypatch
     ):
@@ -336,13 +312,13 @@ class TestScenarioGrid:
         )
         assert len(grid) >= api_module._PARALLEL_MIN_UNIQUE
         serial = PlanningSession().plan_many(grid)
-        for cache in (True, False):
-            session = PlanningSession(cache=cache)
-            fallback = session.plan_many(grid, parallel=True, max_workers=2)
-            assert [d.describe() for d in serial] == [
-                d.describe() for d in fallback
-            ]
-        assert attempts == [len(grid), len(grid)]
+        fallback = PlanningSession().plan_many(
+            grid, parallel=True, max_workers=2
+        )
+        assert [d.describe() for d in serial] == [
+            d.describe() for d in fallback
+        ]
+        assert attempts == [len(grid)]
 
     def test_plan_many_custom_registry_plans_serially(self, pool, monkeypatch):
         # Worker processes only see the global registry, so a session
@@ -386,15 +362,6 @@ class TestScenarioGrid:
                 PlanningSession().plan_many(
                     [request, request], parallel=parallel, max_workers=bad
                 )
-
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_plan_many_rejects_bad_chunksize(self, pool, bad):
-        request = PlanRequest(pool=pool, app_work=dgemm_mflop(100))
-        with pytest.raises(PlanningError, match="chunksize >= 1"):
-            PlanningSession().plan_many(
-                [request, request], parallel=True, max_workers=2,
-                chunksize=bad,
-            )
 
     def test_plan_many_deduplicates_and_caches_across_calls(self, pool):
         session = PlanningSession()

@@ -136,6 +136,25 @@ class TestWarnOnlyDefault:
         assert bench_diff.main([base, cur]) == 0
         assert "host normalization" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    def test_one_sided_cells_are_named_not_dropped(
+        self, write, capsys, strict
+    ):
+        # A deleted cell and a new one: neither can be compared, both
+        # are listed, and the exit code is unchanged.
+        shared = cell("control_loop", 1.0, 0.01)
+        gone = cell("kernel_supported_children", 1.0, params={"nodes": 4096})
+        new = cell("engine_churn", 2.0, metric="events_per_s")
+        base = write("base.json", payload([shared, gone]))
+        cur = write("cur.json", payload([shared, new]))
+        assert bench_diff.main(strict + [base, cur]) == 0
+        out = capsys.readouterr().out
+        assert "1 common cell(s)" in out
+        assert f"only in the baseline ({base})" in out
+        assert "     kernel_supported_children[nodes=4096]" in out
+        assert f"only in the current ({cur})" in out
+        assert "     engine_churn[pool=16]" in out
+
 
 class TestStrictMode:
     def test_budget_breach_fails_the_build(self, write, capsys):

@@ -373,6 +373,35 @@ class TestControlCommand:
         assert code == 2
         assert "--sweep" in capsys.readouterr().err
 
+    def test_control_pool_executor_prints_the_default_timeline(self, capsys):
+        argv = [
+            "control", "--random", "8", "--seed", "2",
+            "--dgemm", "200", "--trace", "wikipedia_flash",
+            "--epochs", "4", "--epoch-duration", "2",
+            "--migration", "concurrent",
+            "--policy-opt", "hysteresis=1", "--policy-opt", "cooldown=1",
+        ]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        # The run migrates, so the act stage dispatched a command batch.
+        assert "1 redeploys" in default
+        assert main([*argv, "--executor", "pool"]) == 0
+        assert capsys.readouterr().out == default
+
+    @pytest.mark.parametrize(
+        "flag", [["--executor", "inline"], ["--executor-workers", "2"]]
+    )
+    def test_removed_executor_flags_are_argparse_errors(self, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            main(
+                [
+                    "control", "--nodes", "6", "--dgemm", "200",
+                    "--trace", "constant:level=3", *flag,
+                ]
+            )
+        assert info.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
 
 class TestPoolValidation:
     def test_zero_nodes_reports_positive_pool_error(self, capsys):

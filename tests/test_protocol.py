@@ -10,11 +10,13 @@ The PR's distribution contracts:
   refused, and "registry truth == middleware truth" after surgery;
 * executors — stateless daemons reject stale generations, the
   in-process and process-pool executors produce identical acks, and a
-  full controller run is **bit-identical** across ``inline``/``local``/
-  ``pool`` with faults and detection enabled (traces included);
-* the API edge — ``control_sweep`` refuses executor instances (they
-  do not pickle) and sweeps stay serial-vs-pool deterministic with a
-  protocol executor configured.
+  full controller run is **bit-identical** across ``local``/``pool``
+  with faults and detection enabled (traces included);
+* the master's ack checks — a short report batch, a wrong ack, a
+  digest mismatch or a batch that misses the decided tree each stop the
+  run with a :class:`~repro.errors.ProtocolError`;
+* the API edge — ``control_sweep`` refuses anything but a kind string
+  and sweeps stay serial-vs-pool deterministic.
 """
 
 import json
@@ -339,7 +341,7 @@ class TestExecutors:
         registry, _, _, wires = self.make_batch(trees)
         snapshot = registry.snapshot()
         local = InProcessExecutor()
-        pool = ProcessExecutor(workers=2)
+        pool = ProcessExecutor()
         try:
             serial = local.execute(snapshot, wires)
             fanned = pool.execute(snapshot, wires)
@@ -351,15 +353,15 @@ class TestExecutors:
         )
 
     def test_make_executor_kinds(self):
-        assert make_executor("inline") is None
         local = make_executor("local")
         assert isinstance(local, InProcessExecutor)
-        pool = make_executor("pool", workers=1)
+        pool = make_executor("pool")
         assert isinstance(pool, ProcessExecutor)
         pool.close()
-        with pytest.raises(ProtocolError, match="unknown executor"):
-            make_executor("carrier-pigeon")
-        assert set(EXECUTOR_KINDS) == {"inline", "local", "pool"}
+        for bad in ("carrier-pigeon", "inline"):
+            with pytest.raises(ProtocolError, match="unknown executor"):
+                make_executor(bad)
+        assert EXECUTOR_KINDS == ("local", "pool")
 
 
 # ------------------------------------------------------------------ #
@@ -369,16 +371,15 @@ class TestExecutors:
 class TestLoopBitIdentity:
     def test_timeline_identical_across_all_executor_kinds(self):
         """Same seed ⇒ bit-identical timeline, faults and detection on."""
-        timelines = {
-            kind: faulty_loop(executor=kind).run() for kind in EXECUTOR_KINDS
-        }
-        assert timelines["local"] == timelines["inline"]
-        assert timelines["pool"] == timelines["inline"]
+        local = faulty_loop(executor="local").run()
+        pool = faulty_loop(executor="pool").run()
+        assert pool == local
+        assert faulty_loop().run() == local  # "local" is the default
 
     def test_timeline_identical_for_live_migration_mode(self):
-        inline = faulty_loop(migration="live", executor="inline").run()
         local = faulty_loop(migration="live", executor="local").run()
-        assert local == inline
+        pool = faulty_loop(migration="live", executor="pool").run()
+        assert pool == local
 
     def test_registry_records_the_run(self):
         loop = faulty_loop(executor="local")
@@ -405,28 +406,6 @@ class TestLoopBitIdentity:
         # Snapshot/restore of the finished run's registry is exact.
         assert DeploymentRegistry.restore(registry.snapshot()) == registry
 
-    def test_inline_registry_matches_protocol_registry(self):
-        """Same generations, causes, and trees — with or without the
-        protocol in the act path.  (``command_ids`` differ by design:
-        inline mode dispatches no commands.)"""
-        inline = faulty_loop(executor="inline")
-        local = faulty_loop(executor="local")
-        inline.run()
-        local.run()
-
-        def shape(registry):
-            return [
-                (e.generation, e.cause, e.epoch, e.tree, e.digest)
-                for e in registry.entries
-            ]
-
-        assert shape(inline.deployment_registry) == shape(
-            local.deployment_registry
-        )
-        assert all(
-            not e.command_ids for e in inline.deployment_registry.entries
-        )
-
     def test_local_and_pool_traces_byte_identical(self):
         local = faulty_loop(executor="local", obs=True)
         pool = faulty_loop(executor="pool", obs=True)
@@ -450,24 +429,82 @@ class TestLoopBitIdentity:
             {r["args"]["command_id"] for r in acks}
         )
 
-    def test_inline_mode_emits_no_protocol_records(self):
-        loop = faulty_loop(executor="inline", obs=True)
-        loop.run()
-        records = [
-            json.loads(line)
-            for line in loop.obs.tracer.to_jsonl().splitlines()
-        ]
-        assert not [r for r in records if r.get("cat") == "protocol"]
-
     def test_loop_validates_executor_arguments(self):
         from repro.errors import ControlError
 
-        with pytest.raises(ControlError, match="unknown executor"):
-            faulty_loop(executor="smoke-signals")
-        with pytest.raises(ControlError, match="execute"):
-            faulty_loop(executor=object())
-        with pytest.raises(ControlError, match="executor_workers"):
-            faulty_loop(executor="pool", executor_workers=0)
+        for bad in ("smoke-signals", "inline", object(), InProcessExecutor()):
+            with pytest.raises(ControlError, match="unknown executor") as info:
+                faulty_loop(executor=bad)
+            assert "('local', 'pool')" in str(info.value)
+
+
+class TestMasterAckChecks:
+    """Each ack check in ``ControlLoop._dispatch_commands`` stops the run.
+
+    The daemons are made to lie by wrapping the real
+    ``InProcessExecutor.execute``; the first live plan the run
+    dispatches then has to raise from :meth:`ControlLoop.run`.
+    """
+
+    @staticmethod
+    def lie(monkeypatch, forge):
+        real = InProcessExecutor.execute
+
+        def lying(self, snapshot, wires):
+            return forge(list(real(self, snapshot, wires)))
+
+        monkeypatch.setattr(InProcessExecutor, "execute", lying)
+
+    def test_short_report_batch(self, monkeypatch):
+        self.lie(monkeypatch, lambda reports: reports[:-1])
+        with pytest.raises(ProtocolError, match=r"returned \d+ report\(s\)"):
+            faulty_loop().run()
+
+    @pytest.mark.parametrize(
+        "field, forged",
+        [
+            ("command_id", "g0e0r99"),
+            ("root", "nowhere"),
+            ("generation", -7),
+            ("status", "failed"),
+        ],
+    )
+    def test_bad_ack(self, monkeypatch, field, forged):
+        self.lie(
+            monkeypatch,
+            lambda reports: [{**reports[0], field: forged}] + reports[1:],
+        )
+        with pytest.raises(ProtocolError, match="bad ack for g"):
+            faulty_loop().run()
+
+    def test_digest_mismatch(self, monkeypatch):
+        def flip(reports):
+            head = reports[0]
+            return [{**head, "digest": head["digest"][::-1]}] + reports[1:]
+
+        self.lie(monkeypatch, flip)
+        with pytest.raises(ProtocolError, match="digest mismatch on g"):
+            faulty_loop().run()
+
+    def test_batch_that_misses_the_decided_tree(self, monkeypatch):
+        # Hollow out the last command on the master side: daemons and
+        # master replay the same (short) batch, so every ack agrees, and
+        # only the final-tree check can notice.
+        import dataclasses
+
+        import repro.control.loop as loop_module
+
+        real = loop_module.plan_commands
+
+        def hollow(plan, generation, epoch):
+            *head, last = real(plan, generation, epoch)
+            return (*head, dataclasses.replace(last, steps=()))
+
+        monkeypatch.setattr(loop_module, "plan_commands", hollow)
+        with pytest.raises(
+            ProtocolError, match="does not reproduce the decided deployment"
+        ):
+            faulty_loop().run()
 
 
 # ------------------------------------------------------------------ #
