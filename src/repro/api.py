@@ -52,6 +52,7 @@ import threading
 from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.params import ModelParams
 from repro.core.registry import (
@@ -236,6 +237,48 @@ def scenario_grid(
 _PARALLEL_MIN_UNIQUE = 8
 
 
+def _pool_workers(
+    caller: str,
+    parallel: bool,
+    max_workers: int | None,
+    n_items: int,
+    registry: PlannerRegistry,
+) -> int:
+    """Worker processes for a fan-out of ``n_items``; 0 means run serially.
+
+    ``max_workers``, when given, must be at least 1; ``None`` means the
+    CPU count.  The work stays serial when ``parallel`` is off, with at
+    most one worker or one item, and for a custom ``registry``: a worker
+    process re-imports :mod:`repro` and sees only the global one.
+    """
+    if max_workers is not None and max_workers < 1:
+        raise PlanningError(
+            f"{caller} needs max_workers >= 1, got {max_workers} "
+            "(omit it to use the CPU count)"
+        )
+    workers = max_workers if max_workers is not None else os.cpu_count() or 1
+    if (
+        not parallel
+        or workers <= 1
+        or n_items <= 1
+        or registry is not REGISTRY
+    ):
+        return 0
+    return workers
+
+
+def _pool_map(fn, items: list, workers: int) -> list:
+    """``[fn(item) for item in items]`` on a pool of ``workers`` processes.
+
+    Items go to the workers in chunks of roughly a quarter of each
+    worker's share; ``fn`` must be module-level so it pickles by
+    reference.
+    """
+    chunk = max(1, math.ceil(len(items) / (workers * 4)))
+    with ProcessPoolExecutor(max_workers=workers) as executor:
+        return list(executor.map(fn, items, chunksize=chunk))
+
+
 def _plan_request(request: PlanRequest) -> Deployment:
     """Process-pool worker: plan one request against the global registry.
 
@@ -243,6 +286,80 @@ def _plan_request(request: PlanRequest) -> Deployment:
     :mod:`repro` and resolves the same registered planners.
     """
     return REGISTRY.plan(request)
+
+
+def _control_loop(
+    pool: NodePool,
+    app_work: float,
+    trace: object,
+    params: ModelParams | None,
+    registry: PlannerRegistry | None,
+    loop_kwargs: Mapping[str, object],
+):
+    """Build one run's :class:`~repro.control.loop.ControlLoop`.
+
+    The only loop this module builds: :meth:`PlanningSession.control_run`
+    and every :meth:`PlanningSession.control_sweep` cell come through
+    here, so the loop's signature alone declares a run's keywords and
+    their defaults.
+    """
+    from repro.control.loop import ControlLoop
+
+    return ControlLoop(
+        pool, app_work, trace, params=params, registry=registry,
+        **loop_kwargs,
+    )
+
+
+#: Loop keywords a sweep sets per cell, and where a caller sets them.
+_SWEEP_OWNED = {
+    "trace": "traces=",
+    "policy": "policies=",
+    "seed": "seeds=",
+    "params": "PlanningSession(params=...)",
+    "registry": "PlanningSession(registry=...)",
+}
+
+
+class _SweepCell(NamedTuple):
+    """The inputs of one sweep cell, picklable by value.
+
+    The trace travels as a ``from_spec`` string; ``registry`` is
+    ``None`` (the global registry) whenever the cell may run in a worker
+    process.
+    """
+
+    pool: NodePool
+    app_work: float
+    trace: str
+    params: ModelParams | None
+    registry: PlannerRegistry | None
+    loop_kwargs: Mapping[str, object]
+
+    def loop(self):
+        """The cell's control loop, built (and so validated) afresh."""
+        from repro.control.traces import from_spec
+
+        return _control_loop(
+            self.pool, self.app_work, from_spec(self.trace), self.params,
+            self.registry, self.loop_kwargs,
+        )
+
+
+def _control_cell(cell: _SweepCell) -> tuple:
+    """Run one sweep cell, in this process or in a pool worker.
+
+    Returns ``(timeline, trace_jsonl)``; the trace export is ``None``
+    unless the cell ran with ``obs=True``, in which case the loop built
+    its own :class:`repro.obs.Obs`, so serial and pooled cells export
+    byte-identical traces.
+    """
+    loop = cell.loop()
+    timeline = loop.run()
+    trace_jsonl = (
+        loop.obs.tracer.to_jsonl() if loop.obs.enabled else None
+    )
+    return timeline, trace_jsonl
 
 
 @dataclass(frozen=True)
@@ -266,36 +383,6 @@ class ControlCell:
     @property
     def label(self) -> str:
         return f"{self.trace}/{self.policy}/s{self.seed}"
-
-
-def _control_cell(args: tuple) -> tuple:
-    """Process-pool worker: run one controller cell.
-
-    Traces travel as ``from_spec`` strings and policies as
-    ``(name, options)`` pairs, so every argument pickles by value; the
-    child rebuilds the loop against the global registry.  Returns
-    ``(timeline, trace_jsonl)`` — the trace export is ``None`` unless
-    the cell ran with ``obs=True``.
-    """
-    (pool, app_work, trace_spec, policy, policy_options, params,
-     control_kwargs) = args
-    from repro.control.loop import ControlLoop
-    from repro.control.traces import from_spec
-
-    loop = ControlLoop(
-        pool=pool,
-        app_work=app_work,
-        trace=from_spec(trace_spec),
-        policy=policy,
-        params=params,
-        policy_options=dict(policy_options) if policy_options else None,
-        **control_kwargs,
-    )
-    timeline = loop.run()
-    trace_jsonl = (
-        loop.obs.tracer.to_jsonl() if loop.obs.enabled else None
-    )
-    return timeline, trace_jsonl
 
 
 class PlanningSession:
@@ -385,19 +472,11 @@ class PlanningSession:
         of each worker's share.  ``max_workers``, when given, must be at
         least 1.
         """
-        if max_workers is not None and max_workers < 1:
-            raise PlanningError(
-                f"plan_many needs max_workers >= 1, got {max_workers} "
-                "(omit it to use the CPU count)"
-            )
         requests = [self._with_session_params(r) for r in requests]
-        workers = max_workers if max_workers is not None else os.cpu_count() or 1
-        if (
-            not parallel
-            or workers <= 1
-            or len(requests) <= 1
-            or self.registry is not REGISTRY
-        ):
+        workers = _pool_workers(
+            "plan_many", parallel, max_workers, len(requests), self.registry
+        )
+        if not workers:
             return [self.plan(request) for request in requests]
         keys = [request.cache_key() for request in requests]
         with self._lock:
@@ -416,9 +495,7 @@ class PlanningSession:
             # identical to a cold serial run.
             return [self.plan(request) for request in requests]
         if pending:
-            todo = list(pending.values())
-            chunk = max(1, math.ceil(len(todo) / (workers * 4)))
-            planned = self._fan_out(todo, workers, chunk)
+            planned = self._fan_out(list(pending.values()), workers)
             if planned is None:
                 return [self.plan(request) for request in requests]
             resolved.update(zip(pending, planned))
@@ -434,7 +511,7 @@ class PlanningSession:
 
     @staticmethod
     def _fan_out(
-        requests: list[PlanRequest], workers: int, chunk: int
+        requests: list[PlanRequest], workers: int
     ) -> list[Deployment] | None:
         """Plan ``requests`` on a process pool; None if workers lack planners.
 
@@ -444,10 +521,7 @@ class PlanningSession:
         registry is visible.  Any other planning error propagates.
         """
         try:
-            with ProcessPoolExecutor(max_workers=workers) as executor:
-                return list(
-                    executor.map(_plan_request, requests, chunksize=chunk)
-                )
+            return _pool_map(_plan_request, requests, workers)
         except PlanningError as error:
             # Match the registry's lookup error only ("unknown planner
             # 'name'; ..."), not e.g. "unknown planner options: [...]" —
@@ -546,64 +620,24 @@ class PlanningSession:
         return ranked
 
     def control_run(
-        self,
-        pool: NodePool,
-        app_work: float,
-        trace: object,
-        policy: str | object = "reactive",
-        epochs: int = 30,
-        epoch_duration: float = 5.0,
-        base_method: str = "heuristic",
-        initial_fraction: float = 0.5,
-        policy_options: Mapping[str, object] | None = None,
-        migration: str = "live",
-        seed: int = 0,
+        self, pool: NodePool, app_work: float, trace: object,
         **loop_kwargs: object,
     ):
         """Run the online autoscaling control loop over the simulator.
 
-        Plans an initial deployment for a fraction of ``pool`` with
-        ``base_method``, then drives it through ``epochs`` control
-        epochs under ``trace`` (a :class:`repro.control.traces.Trace`),
-        letting ``policy`` (a registered policy name or a
-        :class:`repro.control.policy.ControlPolicy` instance) grow,
-        shrink or hold it.  ``migration`` selects how redeploys are
-        realized: ``"live"`` (subtree-granular migration inside the
-        running simulation, one region at a time), ``"concurrent"``
-        (the same, with independent regions drained in parallel) or
-        ``"restart"`` (stop-the-world rebuild).
-        Returns the structured
+        Builds a :class:`repro.control.loop.ControlLoop` over ``pool``,
+        ``app_work`` and ``trace`` (a :class:`repro.control.traces.Trace`)
+        with the session's default params and registry, so custom
+        planners registered here are usable as ``base_method``, and runs
+        it.  Every other keyword goes straight to the loop; its
+        docstring documents them (``policy``, ``epochs``, ``migration``,
+        ``seed``, ``faults``, ``executor``, ...) and its signature holds
+        their defaults.  Returns the structured
         :class:`repro.control.loop.ControlTimeline`.
-
-        The session's default params and registry apply, so custom
-        planners registered here are usable as ``base_method``.  Extra
-        keyword arguments go straight to
-        :class:`repro.control.loop.ControlLoop` (``cost_model``,
-        ``recorder``, ``think_time``, ...).  The master checks every
-        live plan over the command protocol before it applies it;
-        ``executor="pool"`` runs the region daemons in a process pool
-        instead of in this process (``"local"``, the default), with the
-        same timeline.
         """
-        from repro.control.loop import ControlLoop
-
-        loop = ControlLoop(
-            pool=pool,
-            app_work=app_work,
-            trace=trace,
-            policy=policy,
-            params=self.params,
-            registry=self.registry,
-            epochs=epochs,
-            epoch_duration=epoch_duration,
-            base_method=base_method,
-            initial_fraction=initial_fraction,
-            policy_options=dict(policy_options) if policy_options else None,
-            migration=migration,
-            seed=seed,
-            **loop_kwargs,
-        )
-        return loop.run()
+        return _control_loop(
+            pool, app_work, trace, self.params, self.registry, loop_kwargs
+        ).run()
 
     def control_sweep(
         self,
@@ -624,8 +658,12 @@ class PlanningSession:
         ``"wikipedia_flash"``) — strings rather than ``Trace`` objects
         so cells pickle into worker processes.  ``policy_options`` maps
         policy names to their option mappings.  Extra keyword arguments
-        go to every cell's :class:`~repro.control.loop.ControlLoop`
-        (``epochs``, ``epoch_duration``, ``migration``, ...).
+        go to every cell's :class:`~repro.control.loop.ControlLoop`,
+        which documents them; the keywords the sweep sets per cell
+        (``trace``, ``policy``, ``seed``) and the session's own
+        (``params``, ``registry``) are refused.  Every cell's loop is
+        built before any cell runs, so a bad keyword or spec fails here,
+        not deep inside a worker process with a half-finished grid.
 
         With ``parallel=True`` (the default) the grid fans out in
         chunks over a :class:`~concurrent.futures.ProcessPoolExecutor`,
@@ -645,25 +683,16 @@ class PlanningSession:
         here; a shared ``Obs`` instance would be cleared by every cell.
 
         ``executor`` is a kind string like everything else in a cell.
-        Each cell checks its live plans over the command protocol; a
-        ``"pool"`` cell inside a pooled sweep cannot fork from its
+        A ``"pool"`` cell inside a pooled sweep cannot fork from its
         daemonic worker, so it runs its region daemons in-process, with
         the same timeline.
 
         Returns one :class:`ControlCell` per grid point, in
         trace-major, then policy, then seed order.
         """
-        from repro.control.policy import make_policy
-        from repro.control.traces import from_spec
-
         if not traces or not policies or not seeds:
             raise PlanningError(
                 "control_sweep needs at least one trace, policy and seed"
-            )
-        if max_workers is not None and max_workers < 1:
-            raise PlanningError(
-                f"control_sweep needs max_workers >= 1, got {max_workers} "
-                "(omit it to use the CPU count)"
             )
         for spec in traces:
             if not isinstance(spec, str):
@@ -671,42 +700,29 @@ class PlanningSession:
                     "control_sweep traces must be from_spec strings "
                     f"(picklable grid cells), got {type(spec).__name__}"
                 )
-            from_spec(spec)  # validate eagerly, before any fan-out
         policy_options = dict(policy_options or {})
         unknown = sorted(set(policy_options) - set(policies))
         if unknown:
             raise PlanningError(
                 f"policy_options given for unswept policies: {unknown}"
             )
-        for policy in policies:
-            # Validate names and options eagerly too: an unknown policy
-            # or a bad option should fail here, not deep inside a worker
-            # process with a half-finished grid.
-            make_policy(policy, policy_options.get(policy))
-        if isinstance(control_kwargs.get("faults"), str):
-            # Same eager-validation courtesy for a fault-schedule spec —
-            # it stays a string in the cell args (picklable), but a
-            # malformed spec fails here, not in a worker.
-            from repro.faults import from_spec as fault_spec
-
-            fault_spec(control_kwargs["faults"])
+        for key, owner in _SWEEP_OWNED.items():
+            if key in control_kwargs:
+                raise PlanningError(
+                    f"control_sweep sets {key}= for every cell itself; "
+                    f"pass {owner} instead"
+                )
         if not isinstance(control_kwargs.get("obs", False), bool):
             # Tracers are per-run state: a single shared Obs would be
             # cleared by every cell in turn and could not cross process
-            # boundaries anyway.  The sweep builds one per cell.
+            # boundaries anyway.  Each cell's loop builds its own.
             raise PlanningError(
                 "control_sweep obs must be a bool (each cell builds its "
                 "own tracer); pass obs=True and read cell.trace_jsonl"
             )
-        if isinstance(control_kwargs.get("detection"), str):
-            # And for a detection spec ("timeout=0.5,retries=1,..."):
-            # malformed timeout grammar fails eagerly, not mid-grid.
-            from repro.middleware.detection import parse_detection
-
-            parse_detection(control_kwargs["detection"])
         if "executor" in control_kwargs:
-            # And for the act-stage executor kind: an unknown one fails
-            # here, not in every worker.
+            # The loop checks the kind too; a sweep names its own error,
+            # since its cells carry kind strings, never executor objects.
             from repro.control.protocol import EXECUTOR_KINDS
 
             if control_kwargs["executor"] not in EXECUTOR_KINDS:
@@ -721,62 +737,30 @@ class PlanningSession:
             for policy in policies
             for seed in seeds
         ]
-        cell_args = [
-            (
-                pool,
-                app_work,
-                spec,
-                policy,
-                policy_options.get(policy),
-                self.params,
-                {**control_kwargs, "seed": seed},
+        workers = _pool_workers(
+            "control_sweep", parallel, max_workers, len(grid), self.registry
+        )
+        # Pooled cells resolve planners in the worker's global registry;
+        # only a custom one (which keeps the sweep serial) rides along.
+        registry = None if self.registry is REGISTRY else self.registry
+        cells = [
+            _SweepCell(
+                pool, app_work, spec, self.params, registry,
+                {
+                    **control_kwargs,
+                    "policy": policy,
+                    "policy_options": policy_options.get(policy),
+                    "seed": seed,
+                },
             )
             for spec, policy, seed in grid
         ]
-        workers = (
-            max_workers if max_workers is not None else os.cpu_count() or 1
-        )
-        serial = (
-            not parallel
-            or workers <= 1
-            or len(grid) == 1
-            or self.registry is not REGISTRY
-        )
-        if serial:
-            # The in-process path goes through control_run, so a custom
-            # session registry applies (it cannot transport to workers).
-            # Each traced cell still gets a fresh Obs, mirroring what a
-            # worker process would build, so serial and pooled sweeps
-            # export byte-identical traces.
-            from repro.obs import Obs
-
-            traced = bool(control_kwargs.get("obs", False))
-            serial_kwargs = {
-                k: v for k, v in control_kwargs.items() if k != "obs"
-            }
-            results = []
-            for spec, policy, seed in grid:
-                cell_obs = Obs() if traced else None
-                timeline = self.control_run(
-                    pool,
-                    app_work,
-                    trace=from_spec(spec),
-                    policy=policy,
-                    policy_options=policy_options.get(policy),
-                    seed=seed,
-                    obs=cell_obs,
-                    **serial_kwargs,
-                )
-                results.append((
-                    timeline,
-                    cell_obs.tracer.to_jsonl() if traced else None,
-                ))
+        for cell in cells:
+            cell.loop()  # the loop validates its inputs: fail before fan-out
+        if workers:
+            results = _pool_map(_control_cell, cells, workers)
         else:
-            chunk = max(1, math.ceil(len(grid) / (workers * 4)))
-            with ProcessPoolExecutor(max_workers=workers) as executor:
-                results = list(
-                    executor.map(_control_cell, cell_args, chunksize=chunk)
-                )
+            results = [_control_cell(cell) for cell in cells]
         return [
             ControlCell(
                 trace=spec, policy=policy, seed=seed,

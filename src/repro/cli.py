@@ -146,6 +146,25 @@ def _add_control_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+#: The :class:`~repro.control.loop.ControlLoop` keywords the ``control``
+#: and ``trace`` subcommands set from their flags; a flag a subcommand
+#: lacks, or an unset ``--faults``/``--detection``, keeps the loop's
+#: default.
+_LOOP_ARGS = (
+    "policy", "migration", "executor", "epochs", "epoch_duration", "seed",
+    "base_method", "initial_fraction", "think_time", "faults", "detection",
+)
+
+
+def _loop_kwargs(args: argparse.Namespace) -> dict[str, object]:
+    """The control-loop keywords ``args`` sets (see :data:`_LOOP_ARGS`)."""
+    return {
+        name: getattr(args, name)
+        for name in _LOOP_ARGS
+        if getattr(args, name, None) is not None
+    }
+
+
 def _pool_from_args(
     args: argparse.Namespace, prefix: str = "node"
 ) -> NodePool:
@@ -411,14 +430,18 @@ def _cmd_control(args: argparse.Namespace) -> int:
         args, attribute="policy_opt", flag="--policy-opt"
     )
     session = PlanningSession()
+    loop_kwargs = _loop_kwargs(args)
     if args.sweep:
+        # The sweep sets these per cell; the flags are its defaults.
+        policy = loop_kwargs.pop("policy")
+        seed = loop_kwargs.pop("seed")
         policies = tuple(
             p.strip() for p in args.policies.split(",") if p.strip()
-        ) or (args.policy,)
+        ) or (policy,)
         try:
             seeds = tuple(
                 int(s) for s in args.seeds.split(",") if s.strip()
-            ) or (args.seed,)
+            ) or (seed,)
         except ValueError as exc:
             raise ReproError(
                 f"--seeds expects comma-separated integers, "
@@ -432,15 +455,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
             seeds=seeds,
             policy_options=_sweep_policy_options(policies, policy_options),
             max_workers=args.workers,
-            epochs=args.epochs,
-            epoch_duration=args.epoch_duration,
-            base_method=args.base_method,
-            initial_fraction=args.initial_fraction,
-            migration=args.migration,
-            think_time=args.think_time,
-            executor=args.executor,
-            **({"faults": args.faults} if args.faults else {}),
-            **({"detection": args.detection} if args.detection else {}),
+            **loop_kwargs,
         )
         print(
             ascii_table(
@@ -477,18 +492,8 @@ def _cmd_control(args: argparse.Namespace) -> int:
         pool,
         app_work,
         trace=from_spec(args.trace[0]),
-        policy=args.policy,
-        epochs=args.epochs,
-        epoch_duration=args.epoch_duration,
-        base_method=args.base_method,
-        initial_fraction=args.initial_fraction,
         policy_options=policy_options,
-        migration=args.migration,
-        think_time=args.think_time,
-        seed=args.seed,
-        faults=args.faults,
-        executor=args.executor,
-        **({"detection": args.detection} if args.detection else {}),
+        **loop_kwargs,
     )
     print(render_timeline(timeline))
     return 0
@@ -505,18 +510,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     obs = Obs()
     session = PlanningSession()
     timeline = session.control_run(
-        pool,
-        app_work,
-        trace=from_spec(args.trace),
-        policy=args.policy,
-        epochs=args.epochs,
-        epoch_duration=args.epoch_duration,
-        migration=args.migration,
-        seed=args.seed,
-        obs=obs,
-        executor=args.executor,
-        **({"faults": args.faults} if args.faults else {}),
-        **({"detection": args.detection} if args.detection else {}),
+        pool, app_work, trace=from_spec(args.trace), obs=obs,
+        **_loop_kwargs(args),
     )
     output = Path(args.output)
     output.write_text(obs.tracer.to_chrome(), encoding="utf-8")

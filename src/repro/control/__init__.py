@@ -93,59 +93,4 @@ def __dir__():
     return sorted(set(globals()) | set(_EXPORTS))
 
 
-__all__ = [
-    "MIGRATION_MODES",
-    "PROTOCOL_VERSION",
-    "EXECUTOR_KINDS",
-    "MigrationCommand",
-    "RegionReport",
-    "plan_commands",
-    "commands_to_plan",
-    "parse_command",
-    "parse_report",
-    "execute_command",
-    "InProcessExecutor",
-    "ProcessExecutor",
-    "make_executor",
-    "SCHEMA_VERSION",
-    "DeploymentRegistry",
-    "RegistryEntry",
-    "serialize_tree",
-    "restore_tree",
-    "tree_digest",
-    "ControlLoop",
-    "ControlTimeline",
-    "EpochRecord",
-    "MigrationStepRecord",
-    "SLOMonitor",
-    "WindowObservation",
-    "ControlContext",
-    "ControlDecision",
-    "ControlPolicy",
-    "MigrationCostModel",
-    "PolicyOptions",
-    "HoldOptions",
-    "ReactiveOptions",
-    "PredictiveOptions",
-    "OracleOptions",
-    "StaticPolicy",
-    "ReactivePolicy",
-    "PredictivePolicy",
-    "OraclePolicy",
-    "register_policy",
-    "available_policies",
-    "make_policy",
-    "Trace",
-    "HybridTrace",
-    "constant",
-    "piecewise",
-    "ramp",
-    "diurnal",
-    "burst",
-    "flash_crowd",
-    "replay",
-    "fixture",
-    "fixtures",
-    "hybrid",
-    "from_spec",
-]
+__all__ = list(_EXPORTS)

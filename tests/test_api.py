@@ -255,9 +255,9 @@ class TestScenarioGrid:
         calls: list[int] = []
         real_fan_out = PlanningSession._fan_out
 
-        def recording(requests, workers, chunk):
+        def recording(requests, workers):
             calls.append(len(requests))
-            return real_fan_out(requests, workers, chunk)
+            return real_fan_out(requests, workers)
 
         monkeypatch.setattr(
             PlanningSession, "_fan_out", staticmethod(recording)
@@ -295,7 +295,7 @@ class TestScenarioGrid:
 
         attempts: list[int] = []
 
-        def no_planners(requests, workers, chunk):
+        def no_planners(requests, workers):
             attempts.append(len(requests))
             return None
 

@@ -1,6 +1,7 @@
 """Online control plane: traces, monitor, policies, control loop."""
 
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -527,6 +528,108 @@ class TestControlSweep:
                 policies=("hold",),
                 policy_options={"reactive": {"hysteresis": 1}},
             )
+
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize(
+        "key, owner",
+        [
+            ("seed", "seeds="),
+            ("trace", "traces="),
+            ("policy", "policies="),
+            ("params", "PlanningSession(params=...)"),
+            ("registry", "PlanningSession(registry=...)"),
+        ],
+    )
+    def test_rejects_keywords_the_sweep_sets(
+        self, monkeypatch, parallel, key, owner
+    ):
+        # Both modes refuse a keyword the sweep sets per cell (or takes
+        # from the session), with the same typed error, before any cell
+        # runs or any worker starts.
+        import repro.api as api_module
+        from repro.errors import PlanningError
+
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("no worker may start for a bad keyword")
+
+        monkeypatch.setattr(api_module, "ProcessPoolExecutor", boom)
+        with pytest.raises(PlanningError, match=re.escape(f"pass {owner}")):
+            PlanningSession().control_sweep(
+                self.POOL, WORK, traces=("constant:level=4",),
+                seeds=(0, 1), parallel=parallel, max_workers=2,
+                **{key: 7}, **self.KW,
+            )
+
+    def test_every_cell_is_validated_before_fan_out(self, monkeypatch):
+        import repro.api as api_module
+
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("no worker may start for a bad cell")
+
+        monkeypatch.setattr(api_module, "ProcessPoolExecutor", boom)
+        with pytest.raises(ControlError, match="epochs must be >= 1"):
+            PlanningSession().control_sweep(
+                self.POOL, WORK, traces=("constant:level=4",),
+                seeds=(0, 1), max_workers=2, epochs=0,
+            )
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_cell_equals_control_run(self, parallel):
+        # A sweep cell is the control run of its (trace, policy, seed):
+        # the sweep adds no keyword of its own, serial or pooled.
+        session = PlanningSession()
+        cells = session.control_sweep(
+            self.POOL, WORK, traces=("wikipedia_flash",),
+            policies=("reactive",), seeds=(3, 4),
+            policy_options={"reactive": {"hysteresis": 1}},
+            parallel=parallel, max_workers=2, **self.KW,
+        )
+        for cell in cells:
+            assert cell.timeline == session.control_run(
+                self.POOL, WORK, from_spec(cell.trace), policy=cell.policy,
+                policy_options={"hysteresis": 1}, seed=cell.seed,
+                **self.KW,
+            )
+
+    def test_control_run_defaults_are_the_loops(self):
+        # control_run declares no default of its own: with no keywords
+        # it runs exactly the loop ControlLoop's signature describes.
+        pool = NodePool.uniform_random(6, low=80, high=400, seed=7)
+        trace = constant(3)
+        assert PlanningSession().control_run(pool, WORK, trace) == (
+            ControlLoop(pool, WORK, trace).run()
+        )
+
+
+class TestPackageExports:
+    def test_every_export_resolves(self):
+        import repro.control
+
+        assert repro.control.__all__
+        for name in repro.control.__all__:
+            assert getattr(repro.control, name) is not None, name
+
+    def test_import_stays_lazy(self):
+        # The exports resolve on first access, so importing the package
+        # loads neither the loop nor the simulator.
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        code = (
+            "import sys, repro.control; "
+            "print(sorted(m for m in ('repro.control.loop', 'repro.sim') "
+            "if m in sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            cwd=Path(repro.__file__).resolve().parents[1],
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestMigrationCostModel:

@@ -5,7 +5,8 @@ runner; this guard keeps them from silently rotting when the library API
 moves (compile + import-resolution check, no execution).  Library modules
 are documented, only the engine touches its own event heap, and the
 package metadata in ``pyproject.toml`` matches the code: its version is
-``repro.__version__`` and it declares every third-party import."""
+``repro.__version__`` and it declares every third-party import.  CI's
+pinned hypothesis step names every test module that uses hypothesis."""
 
 import ast
 import py_compile
@@ -162,3 +163,24 @@ def test_third_party_imports_are_declared():
     assert lazy <= required | optional, (
         f"undeclared optional dependencies: {lazy - required - optional}"
     )
+
+
+def test_ci_pins_every_hypothesis_module():
+    """Every test module that imports hypothesis runs in CI's step with
+    the pinned, derandomized profile (``HYPOTHESIS_PROFILE: ci``)."""
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    steps = [
+        step
+        for step in ci.split("\n      - ")
+        if "HYPOTHESIS_PROFILE: ci" in step
+    ]
+    assert len(steps) == 1, "expected one pinned hypothesis step"
+    pinned = set(re.findall(r"tests/(test_\w+\.py)", steps[0]))
+    uses = re.compile(r"^\s*(from|import) hypothesis\b", re.MULTILINE)
+    users = {
+        path.name
+        for path in (REPO / "tests").glob("test_*.py")
+        if uses.search(path.read_text())
+    }
+    assert users, "no test module imports hypothesis"
+    assert users <= pinned, f"not in the pinned step: {sorted(users - pinned)}"
