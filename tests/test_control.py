@@ -529,7 +529,6 @@ class TestControlSweep:
                 policy_options={"reactive": {"hysteresis": 1}},
             )
 
-
     @pytest.mark.parametrize("parallel", [False, True])
     @pytest.mark.parametrize(
         "key, owner",
