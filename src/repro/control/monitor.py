@@ -227,10 +227,7 @@ class SLOMonitor:
         for name in deployed:
             self._confirmed.pop(name, None)
         self._snapshot_time = system.sim.now
-        self._busy_snapshot = {
-            name: element.resource.busy_seconds()
-            for name, element in self._elements(system)
-        }
+        self._busy_snapshot = self._busy_now(system)
         self._served_snapshot = {
             name: server.services_done
             for name, server in system.servers.items()
@@ -241,19 +238,30 @@ class SLOMonitor:
         yield from system.agents.items()
         yield from system.servers.items()
 
+    @classmethod
+    def _busy_now(cls, system: MiddlewareSystem) -> dict[str, float]:
+        """Every element's cumulative busy seconds as of now."""
+        return {
+            name: element.resource.busy_seconds()
+            for name, element in cls._elements(system)
+        }
+
     def window_utilization(self) -> dict[str, float]:
         """Per-node busy fraction since the last attach/observe snapshot."""
         if self._system is None:
             raise ControlError("monitor is not attached to a system")
+        return self._utilization(self._busy_now(self._system))
+
+    def _utilization(self, busy_now: dict[str, float]) -> dict[str, float]:
+        """Per-node busy fraction of the window that ends at ``busy_now``."""
         elapsed = self._system.sim.now - self._snapshot_time
         if elapsed <= 0.0:
-            return {name: 0.0 for name, _ in self._elements(self._system)}
-        report = {}
-        for name, element in self._elements(self._system):
-            before = self._busy_snapshot.get(name, 0.0)
-            busy = element.resource.busy_seconds() - before
-            report[name] = min(1.0, max(0.0, busy / elapsed))
-        return report
+            return dict.fromkeys(busy_now, 0.0)
+        before = self._busy_snapshot
+        return {
+            name: min(1.0, max(0.0, (busy - before.get(name, 0.0)) / elapsed))
+            for name, busy in busy_now.items()
+        }
 
     def observe(
         self, index: int, start: float, end: float, offered: int
@@ -268,10 +276,9 @@ class SLOMonitor:
         if end <= start:
             raise ControlError(f"bad observation window: ({start}, {end})")
         system = self._system
-        utilization = self.window_utilization()
-        agent_utils = {
-            name: utilization[name] for name in system.agents
-        }
+        busy_now = self._busy_now(system)
+        utilization = self._utilization(busy_now)
+        agent_utils = [utilization[name] for name in system.agents]
         server_utils = [utilization[name] for name in system.servers]
         busiest = max(utilization, key=lambda k: (utilization[k], k))
         served = self.completions.count_in(start, end)
@@ -279,25 +286,19 @@ class SLOMonitor:
             element.resource.queue_length
             for _, element in self._elements(system)
         )
-        # Roll the snapshot forward for the next window.
+        # Roll the snapshots forward for the next window.
         self._snapshot_time = system.sim.now
-        self._busy_snapshot = {
-            name: element.resource.busy_seconds()
-            for name, element in self._elements(system)
-        }
+        self._busy_snapshot = busy_now
         duration = end - start
-        server_rates = tuple(
-            (
-                name,
-                (server.services_done - self._served_snapshot.get(name, 0))
-                / duration,
-            )
-            for name, server in sorted(system.servers.items())
-        )
+        served_before = self._served_snapshot
         self._served_snapshot = {
             name: server.services_done
             for name, server in system.servers.items()
         }
+        server_rates = tuple(
+            (name, (done - served_before.get(name, 0)) / duration)
+            for name, done in sorted(self._served_snapshot.items())
+        )
         if self._detection is None:
             new_failed = tuple(sorted(system.failed_nodes - self._failed_seen))
             self._failed_seen.update(system.failed_nodes)
@@ -319,9 +320,7 @@ class SLOMonitor:
             offered=offered,
             served=served,
             served_rate=served / (end - start),
-            agent_utilization=(
-                max(agent_utils.values()) if agent_utils else 0.0
-            ),
+            agent_utilization=max(agent_utils, default=0.0),
             server_utilization=(
                 sum(server_utils) / len(server_utils) if server_utils else 0.0
             ),

@@ -228,35 +228,32 @@ class Hierarchy:
 
     def __iter__(self) -> Iterator[NodeId]:
         """Iterate over nodes in breadth-first order from the root."""
-        if self._root is None:
-            return
-        queue: list[NodeId] = [self._root]
-        index = 0
-        while index < len(queue):
-            node = queue[index]
-            index += 1
-            yield node
-            queue.extend(self._children[node])
+        return iter(self.nodes)
 
     @property
     def nodes(self) -> list[NodeId]:
         """All node ids in breadth-first order."""
-        return list(self)
+        if self._root is None:
+            return []
+        return self.subtree(self._root)
 
     @property
     def agents(self) -> list[NodeId]:
         """All agent ids in breadth-first order."""
-        return [n for n in self if self._role[n] is Role.AGENT]
+        role, agent = self._role, Role.AGENT
+        return [n for n in self.nodes if role[n] is agent]
 
     @property
     def servers(self) -> list[NodeId]:
         """All server ids in breadth-first order."""
-        return [n for n in self if self._role[n] is Role.SERVER]
+        role, server = self._role, Role.SERVER
+        return [n for n in self.nodes if role[n] is server]
 
     @property
     def agent_count(self) -> int:
         """Number of agents (no traversal)."""
-        return sum(1 for role in self._role.values() if role is Role.AGENT)
+        agent = Role.AGENT
+        return sum(1 for role in self._role.values() if role is agent)
 
     @property
     def server_count(self) -> int:
@@ -304,10 +301,11 @@ class Hierarchy:
     def subtree(self, node: NodeId) -> list[NodeId]:
         """Nodes of the subtree rooted at ``node`` in BFS order."""
         queue = [node]
-        index = 0
-        while index < len(queue):
-            queue.extend(self._children[queue[index]])
-            index += 1
+        children = self._children
+        # The loop also visits what it appends: a list iterator re-reads
+        # the length at every step.
+        for member in queue:
+            queue.extend(children[member])
         return queue
 
     # ------------------------------------------------------------------ #
@@ -324,28 +322,36 @@ class Hierarchy:
         """
         if self._root is None:
             raise HierarchyError("hierarchy is empty")
-        seen = list(self)
+        seen = self.nodes
         if len(seen) != len(self._power):
             raise HierarchyError("hierarchy contains unreachable nodes")
+        role_of, children, parent_of = self._role, self._children, self._parent
+        root, agent, server = self._root, Role.AGENT, Role.SERVER
+        has_server = False
+        # First non-root agent with fewer than two children; reported
+        # only by the strict check, after the structural ones.
+        thin = None
         for node in seen:
-            role = self._role[node]
-            if role is Role.SERVER and self._children[node]:
-                raise HierarchyError(f"server {node!r} has children")
-            parent = self._parent[node]
-            if parent is not None and self._role[parent] is not Role.AGENT:
+            if role_of[node] is server:
+                has_server = True
+                if children[node]:
+                    raise HierarchyError(f"server {node!r} has children")
+            elif thin is None and node != root and len(children[node]) < 2:
+                thin = node
+            parent = parent_of[node]
+            if parent is not None and role_of[parent] is not agent:
                 raise HierarchyError(f"node {node!r} has a server parent")
         if not strict:
             return
-        if not self._children[self._root]:
+        if not children[root]:
             raise HierarchyError("root agent has no children")
-        if not self.servers:
+        if not has_server:
             raise HierarchyError("deployment has no servers")
-        for node in self.agents:
-            if node != self._root and len(self._children[node]) < 2:
-                raise HierarchyError(
-                    f"non-root agent {node!r} has "
-                    f"{len(self._children[node])} child(ren); needs >= 2"
-                )
+        if thin is not None:
+            raise HierarchyError(
+                f"non-root agent {thin!r} has "
+                f"{len(children[thin])} child(ren); needs >= 2"
+            )
 
     def adjacency_matrix(self) -> tuple[np.ndarray, list[NodeId]]:
         """The paper's ``plot_hierarchy`` output.

@@ -380,6 +380,7 @@ class HierarchyEvaluator:
         children_map = hierarchy._children
         agent_rates = self._agent_rates
         server_rates = self._server_rates
+        agent = Role.AGENT  # an enum member lookup per node is not free
         rates: dict[NodeId, float] = {}
         server_nodes: list[NodeId] = []
         server_powers: list[float] = []
@@ -394,7 +395,7 @@ class HierarchyEvaluator:
             node = queue[index]
             index += 1
             power = power_map[node]
-            if role_map[node] is Role.AGENT:
+            if role_map[node] is agent:
                 children = children_map[node]
                 queue.extend(children)
                 key = (power, len(children))
@@ -480,6 +481,7 @@ class HierarchyEvaluator:
         children_map = hierarchy._children
         agent_rates = self._agent_rates
         server_rates = self._server_rates
+        agent = Role.AGENT  # an enum member lookup per node is not free
         server_nodes: list[NodeId] = []
         server_powers: list[float] = []
         queue: list[NodeId] = [hierarchy.root]
@@ -490,7 +492,7 @@ class HierarchyEvaluator:
             node = queue[index]
             index += 1
             power = power_map[node]
-            if role_map[node] is Role.AGENT:
+            if role_map[node] is agent:
                 children = children_map[node]
                 queue.extend(children)
                 key = (power, len(children))

@@ -144,8 +144,9 @@ def sched_throughput(
 ) -> tuple[float, NodeId, dict[NodeId, float]]:
     """Eq. 14 over a hierarchy: (min rate, limiting node, per-node rates)."""
     rates: dict[NodeId, float] = {}
+    agent = Role.AGENT
     for node in hierarchy:
-        if hierarchy.role(node) is Role.AGENT:
+        if hierarchy.role(node) is agent:
             rates[node] = agent_sched_throughput(
                 params, hierarchy.power(node), hierarchy.degree(node)
             )
@@ -172,11 +173,12 @@ def hierarchy_throughput(
         mapping.
     """
     hierarchy.validate(strict=False)
-    if not hierarchy.servers:
+    servers = hierarchy.servers
+    if not servers:
         raise ParameterError("deployment has no servers; throughput undefined")
     sched, limiting, rates = sched_throughput(hierarchy, params)
-    powers = [hierarchy.power(s) for s in hierarchy.servers]
-    works = resolve_app_work(hierarchy, app_work)
+    powers = [hierarchy.power(s) for s in servers]
+    works = resolve_app_work_list(servers, app_work)
     service = service_throughput(params, powers, works)
     if sched <= service:
         bottleneck = "scheduling"

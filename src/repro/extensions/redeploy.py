@@ -47,10 +47,8 @@ from dataclasses import dataclass, field
 
 from repro.core.hierarchy import Hierarchy, NodeId, Role
 from repro.core.params import ModelParams
-from repro.core.throughput import (
-    agent_sched_throughput,
-    hierarchy_throughput,
-)
+from repro.core.kernels import HierarchyEvaluator
+from repro.core.throughput import ThroughputReport
 from repro.errors import PlanningError
 from repro.platforms.node import Node
 
@@ -93,49 +91,53 @@ class ImprovementResult:
 
 
 def _headroom_agent(
-    hierarchy: Hierarchy, params: ModelParams, exclude: NodeId | None = None
+    hierarchy: Hierarchy,
+    agents: list[NodeId],
+    evaluator: HierarchyEvaluator,
+    exclude: NodeId | None = None,
 ) -> NodeId:
-    """Agent whose post-attach scheduling rate would be the highest."""
-    agents = [a for a in hierarchy.agents if a != exclude]
-    if not agents:
-        agents = hierarchy.agents
+    """Agent whose post-attach scheduling rate would be the highest;
+    ``agents`` lists the hierarchy's agents."""
     return max(
-        agents,
+        [a for a in agents if a != exclude] or agents,
         key=lambda a: (
-            agent_sched_throughput(
-                params, hierarchy.power(a), hierarchy.degree(a) + 1
-            ),
+            evaluator.agent_rate(hierarchy.power(a), hierarchy.degree(a) + 1),
             str(a),
         ),
     )
 
 
 def _evaluate(
-    candidate: Hierarchy, params: ModelParams, app_work: float
-) -> tuple[float, float] | None:
-    """(throughput, sched power) of a candidate, or None if invalid."""
+    candidate: Hierarchy, evaluator: HierarchyEvaluator, app_work: float
+) -> ThroughputReport | None:
+    """Throughput report of a candidate, or None if invalid."""
     try:
         candidate.validate(strict=True)
     except Exception:
         return None
-    report = hierarchy_throughput(candidate, params, app_work)
-    return report.throughput, report.sched
+    return evaluator.evaluate(candidate, app_work, validate=False)
 
 
 def _best_move(
     hierarchy: Hierarchy,
+    report: ThroughputReport,
     spares: list[Node],
-    params: ModelParams,
+    evaluator: HierarchyEvaluator,
     app_work: float,
-) -> tuple[Hierarchy, ImprovementAction, list[Node]] | None:
-    report = hierarchy_throughput(hierarchy, params, app_work)
+) -> tuple[Hierarchy, ImprovementAction, list[Node], ThroughputReport] | None:
+    """The best move from ``hierarchy``, whose throughput is ``report``."""
     rho = report.throughput
     sched_now = report.sched
-    # Entries: (value, sched, unblocking, trial, action, remaining_spares).
+    # Entries: (value, sched, unblocking, trial, action, remaining_spares,
+    # trial report).
     candidates: list[
-        tuple[float, float, bool, Hierarchy, ImprovementAction, list[Node]]
+        tuple[
+            float, float, bool, Hierarchy, ImprovementAction, list[Node],
+            ThroughputReport,
+        ]
     ] = []
     spare = max(spares, default=None)
+    agents = hierarchy.agents
 
     def consider(
         move: str,
@@ -145,24 +147,25 @@ def _best_move(
         remaining: list[Node],
         unblocking: bool,
     ) -> None:
-        result = _evaluate(trial, params, app_work)
+        result = _evaluate(trial, evaluator, app_work)
         if result is None:
             return
-        value, sched = result
+        value = result.throughput
         candidates.append(
             (
                 value,
-                sched,
+                result.sched,
                 unblocking,
                 trial,
                 ImprovementAction(move, node, target, rho, value),
                 remaining,
+                result,
             )
         )
 
     # Move: add-server (service-bound, or as a generic option).
     if spare is not None:
-        target = _headroom_agent(hierarchy, params)
+        target = _headroom_agent(hierarchy, agents, evaluator)
         trial = hierarchy.copy()
         trial.add_server(spare.name, spare.power, target)
         remaining = [s for s in spares if s.name != spare.name]
@@ -174,9 +177,7 @@ def _best_move(
     # bottleneck label flips every step, but a split that raises sched
     # power is exactly what lets the next add-server pay off; the
     # acceptance rules below keep unhelpful candidates out.
-    limiting = min(
-        hierarchy.agents, key=lambda a: (report.node_rates[a], str(a))
-    )
+    limiting = min(agents, key=lambda a: (report.node_rates[a], str(a)))
     children = list(hierarchy.children(limiting))
     # Move: split-agent — a spare becomes a sibling agent and takes
     # half the children.  Unblocking: raises sched power even when
@@ -211,8 +212,10 @@ def _best_move(
             list(spares), True,
         )
     # Move: rebalance — shift one child to the roomiest other agent.
-    if len(children) >= 3 and len(hierarchy.agents) > 1:
-        receiver = _headroom_agent(hierarchy, params, exclude=limiting)
+    if len(children) >= 3 and len(agents) > 1:
+        receiver = _headroom_agent(
+            hierarchy, agents, evaluator, exclude=limiting
+        )
         if receiver != limiting:
             moved = children[-1]
             if receiver not in hierarchy.subtree(moved):
@@ -248,7 +251,7 @@ def _best_move(
     improving = [c for c in candidates if c[0] > rho * (1.0 + _REL_TOL)]
     if improving:
         best = max(improving, key=lambda c: c[0])
-        return best[3], best[4], best[5]
+        return best[3], best[4], best[5], best[6]
     # Plateau: accept an unblocking move that keeps rho and strictly
     # raises scheduling power, enabling the next add-server to pay off.
     unblockers = [
@@ -260,7 +263,7 @@ def _best_move(
     ]
     if unblockers:
         best = max(unblockers, key=lambda c: c[1])
-        return best[3], best[4], best[5]
+        return best[3], best[4], best[5], best[6]
     return None
 
 
@@ -304,20 +307,23 @@ def improve_deployment(
 
     current = hierarchy.copy()
     remaining = sorted(spares, key=lambda s: (s.power, s.name), reverse=True)
-    initial = hierarchy_throughput(current, params, app_work).throughput
+    # Candidates share node and service rates, so one evaluator (whose
+    # reports equal hierarchy_throughput's bit for bit) prices them all.
+    evaluator = HierarchyEvaluator(params)
+    report = evaluator.evaluate(current, app_work, validate=False)
+    initial = report.throughput
     actions: list[ImprovementAction] = []
     for _ in range(max_iterations):
-        step = _best_move(current, remaining, params, app_work)
+        step = _best_move(current, report, remaining, evaluator, app_work)
         if step is None:
             break
-        current, action, remaining = step
+        current, action, remaining, report = step
         actions.append(action)
-    final = hierarchy_throughput(current, params, app_work).throughput
     return ImprovementResult(
         hierarchy=current,
         actions=tuple(actions),
         initial_throughput=initial,
-        final_throughput=final,
+        final_throughput=report.throughput,
         spares_left=tuple(remaining),
     )
 

@@ -167,6 +167,24 @@ class TestValidation:
         with pytest.raises(HierarchyError):
             h.validate(strict=True)
 
+    def test_missing_servers_reported_before_thin_agents(self):
+        h = Hierarchy()
+        h.set_root("root", 1.0)
+        h.add_agent("a", 1.0, "root")
+        h.add_agent("b", 1.0, "a")  # "a" is thin and no server exists
+        with pytest.raises(HierarchyError, match="no servers"):
+            h.validate(strict=True)
+
+    def test_first_thin_agent_in_bfs_order_is_reported(self):
+        h = Hierarchy()
+        h.set_root("root", 1.0)
+        for agent in ("a", "b"):
+            h.add_agent(agent, 1.0, "root")
+            h.add_server(f"{agent}-s", 1.0, agent)
+        with pytest.raises(HierarchyError, match="agent 'a' has 1 child"):
+            h.validate(strict=True)
+        h.validate(strict=False)
+
 
 class TestExports:
     def test_adjacency_matrix(self):

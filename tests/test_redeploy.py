@@ -129,6 +129,23 @@ class TestLoopProperties:
         scratch = HeuristicPlanner(PARAMS).plan(all_nodes, wapp)
         assert improved.final_throughput >= 0.85 * scratch.throughput
 
+    @pytest.mark.parametrize("size", [100, 310, 1000])
+    def test_reported_throughputs_equal_cold_model(self, size):
+        """Candidates are priced by one shared evaluator; every reported
+        throughput still equals cold Eq. 16 bit for bit."""
+        pool = NodePool.uniform_random(12, low=80, high=400, seed=11)
+        h = star_deployment(pool.take(5))
+        wapp = dgemm_mflop(size)
+        result = improve_deployment(h, list(pool)[5:], PARAMS, wapp)
+        assert result.actions
+        assert result.initial_throughput == hierarchy_throughput(
+            h, PARAMS, wapp
+        ).throughput
+        assert result.final_throughput == hierarchy_throughput(
+            result.hierarchy, PARAMS, wapp
+        ).throughput
+        assert result.actions[-1].throughput_after == result.final_throughput
+
     def test_improvement_factor_property(self):
         pool = NodePool.homogeneous(3, 265.0)
         result = improve_deployment(
