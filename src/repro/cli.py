@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import sys
 from pathlib import Path
 
@@ -101,33 +102,37 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_control_args(parser: argparse.ArgumentParser) -> None:
-    """The control-run arguments ``control`` and ``trace`` share."""
+    """The control-run arguments ``control`` and ``trace`` share.
+
+    A flag left out keeps the :class:`~repro.control.loop.ControlLoop`
+    default, so the loop's signature is the only place those defaults
+    are written.
+    """
     parser.add_argument(
-        "--policy", choices=available_policies(), default="reactive",
-        help="autoscaling policy (default reactive)",
+        "--policy", choices=available_policies(),
+        help="autoscaling policy",
     )
     parser.add_argument(
-        "--migration", choices=MIGRATION_MODES, default="live",
-        help="redeploy mechanism: live subtree migration (default), "
-        "concurrent wave-parallel drains, or stop-the-world restart",
+        "--migration", choices=MIGRATION_MODES,
+        help="redeploy mechanism: live subtree migration, concurrent "
+        "wave-parallel drains, or stop-the-world restart",
     )
     parser.add_argument(
-        "--executor", choices=EXECUTOR_KINDS, default="local",
+        "--executor", choices=EXECUTOR_KINDS,
         help="where the act stage's region daemons run: local, in the "
-        "master's process (default), or pool, fanned out to a process "
-        "pool; the master checks every live plan over the wire protocol "
-        "either way, and the timeline is bit-identical across both",
+        "master's process, or pool, fanned out to a process pool; the "
+        "master checks every live plan over the wire protocol either "
+        "way, and the timeline is bit-identical across both",
     )
     parser.add_argument(
-        "--epochs", type=int, default=30,
-        help="number of control epochs (default 30)",
+        "--epochs", type=int, help="number of control epochs",
     )
     parser.add_argument(
-        "--epoch-duration", type=float, default=5.0,
-        help="simulated seconds per epoch (default 5)",
+        "--epoch-duration", type=float,
+        help="simulated seconds per epoch",
     )
     parser.add_argument(
-        "--faults", type=str, default=None, metavar="SPEC",
+        "--faults", type=str, metavar="SPEC",
         help="fault schedule injected into the run, e.g. "
         "'crash:target=busiest-child,at=45' or "
         "'degrade:target=node-3,at=20,factor=0.25;"
@@ -136,7 +141,7 @@ def _add_control_args(parser: argparse.ArgumentParser) -> None:
         "busiest-child / busiest-server)",
     )
     parser.add_argument(
-        "--detection", type=str, default=None, metavar="SPEC",
+        "--detection", type=str, metavar="SPEC",
         help="switch from oracle health to timeout-modelled failure "
         "detection, e.g. 'timeout=0.5,retries=1,backoff=2,threshold=3,"
         "grace=2,reserve=0.2' — faults land silently, agents watch "
@@ -147,13 +152,19 @@ def _add_control_args(parser: argparse.ArgumentParser) -> None:
 
 
 #: The :class:`~repro.control.loop.ControlLoop` keywords the ``control``
-#: and ``trace`` subcommands set from their flags; a flag a subcommand
-#: lacks, or an unset ``--faults``/``--detection``, keeps the loop's
-#: default.
+#: and ``trace`` subcommands set from their flags; a flag left out keeps
+#: the loop's default.
 _LOOP_ARGS = (
     "policy", "migration", "executor", "epochs", "epoch_duration", "seed",
     "base_method", "initial_fraction", "think_time", "faults", "detection",
 )
+
+
+#: ``control --sweep``'s policies when neither ``--policies`` nor
+#: ``--policy`` is given: :meth:`PlanningSession.control_sweep`'s own.
+_SWEEP_POLICIES = inspect.signature(
+    PlanningSession.control_sweep
+).parameters["policies"].default
 
 
 def _loop_kwargs(args: argparse.Namespace) -> dict[str, object]:
@@ -221,7 +232,10 @@ def _options_from_args(
             raise ReproError(
                 f"{flag} expects key=value, got {item!r}"
             )
-        options[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in options:
+            raise ReproError(f"{flag} {key!r} given twice")
+        options[key] = value.strip()
     return options
 
 
@@ -432,12 +446,13 @@ def _cmd_control(args: argparse.Namespace) -> int:
     session = PlanningSession()
     loop_kwargs = _loop_kwargs(args)
     if args.sweep:
-        # The sweep sets these per cell; the flags are its defaults.
-        policy = loop_kwargs.pop("policy")
+        # The sweep sets these per cell; the flags are its defaults,
+        # and with neither --policies nor --policy the sweep's own.
+        policy = loop_kwargs.pop("policy", None)
         seed = loop_kwargs.pop("seed")
         policies = tuple(
             p.strip() for p in args.policies.split(",") if p.strip()
-        ) or (policy,)
+        ) or ((policy,) if policy is not None else _SWEEP_POLICIES)
         try:
             seeds = tuple(
                 int(s) for s in args.seeds.split(",") if s.strip()
@@ -478,7 +493,8 @@ def _cmd_control(args: argparse.Namespace) -> int:
                 ],
                 title=(
                     f"Control sweep ({len(cells)} cells, "
-                    f"{args.migration} migration) on {pool.describe()}"
+                    f"{cells[0].timeline.migration} migration) on "
+                    f"{pool.describe()}"
                 ),
             )
         )
@@ -688,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_control.add_argument(
         "--policies", type=str, default="",
         help="comma-separated policy names for --sweep "
-        "(default: the --policy value)",
+        "(default: the --policy value, else the sweep's default)",
     )
     p_control.add_argument(
         "--seeds", type=str, default="",
@@ -700,16 +716,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="process-pool size for --sweep (default: CPU count)",
     )
     p_control.add_argument(
-        "--base-method", choices=REGISTRY.available(), default="heuristic",
+        "--base-method", choices=REGISTRY.available(),
         help="planner for the initial deployment and replans",
     )
     p_control.add_argument(
-        "--initial-fraction", type=float, default=0.5,
-        help="fraction of the pool deployed initially (default 0.5)",
+        "--initial-fraction", type=float,
+        help="fraction of the pool deployed initially",
     )
     p_control.add_argument(
-        "--think-time", type=float, default=0.0,
-        help="client think time between requests (default 0)",
+        "--think-time", type=float,
+        help="client think time between requests",
     )
     p_control.set_defaults(func=_cmd_control)
 

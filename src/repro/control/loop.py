@@ -136,6 +136,12 @@ _REL_TOL = 1e-9
 #: Modes that realize redeploys as in-place subtree migrations.
 _LIVE_MODES = ("live", "concurrent")
 
+#: Scale-up gate: the modeled throughput gain must repay the migration
+#: downtime within this many epochs.  Live migrations are priced at
+#: their service-weighted outage, so the gate lets policies act far
+#: more aggressively in live mode.
+_AMORTIZE_EPOCHS = 4
+
 
 def _hierarchy_without(hierarchy: Hierarchy, names: set[str]) -> Hierarchy:
     """Copy of ``hierarchy`` with every node in ``names`` pruned out.
@@ -574,11 +580,6 @@ class ControlLoop:
         regions in parallel and shrinking the migration window;
         ``"restart"`` keeps the legacy stop-the-world rebuild for
         comparison.
-    amortize_epochs:
-        Scale-up gate: the modeled throughput gain must repay the
-        migration downtime within this many epochs.  Live migrations
-        are priced at their service-weighted outage, so the gate lets
-        policies act far more aggressively in live mode.
     recorder:
         Optional :class:`~repro.sim.trace.TraceRecorder` wired into
         every generation of the platform (spanning redeploys).  Leave
@@ -608,14 +609,12 @@ class ControlLoop:
         death — at which point the subtree is excised and a
         :class:`DetectionRecord` (with measured detection latency)
         lands in the timeline.  ``None`` keeps the oracle health model
-        bit-exactly.
-    spare_reserve:
-        Fraction of the pool (rounded to a node count) held back from
-        scale-ups as a repair reserve.  ``improve`` decisions only see
-        the scalable remainder; ``repair`` and ``evict`` draw on the
-        whole spare set, so a damaged platform always has material to
-        heal with.  A ``reserve=`` key in a detection spec string
-        overrides this argument.
+        bit-exactly.  A spec string's ``reserve=`` key (e.g.
+        ``"timeout=0.5,reserve=0.2"``) holds that fraction of the pool
+        (rounded to a node count) back from scale-ups as a repair
+        reserve: ``improve`` decisions only see the scalable remainder,
+        while ``repair`` and ``evict`` draw on the whole spare set, so
+        a damaged platform always has material to heal with.
     executor:
         Where the act stage's per-region daemons run — one of
         :data:`~repro.control.protocol.EXECUTOR_KINDS`: ``"local"``
@@ -654,13 +653,11 @@ class ControlLoop:
         policy_options: dict[str, object] | None = None,
         cost_model: MigrationCostModel | None = None,
         migration: str = "live",
-        amortize_epochs: int = 4,
         recorder: TraceRecorder | None = None,
         think_time: float = 0.0,
         seed: int = 0,
         faults: FaultSchedule | str | None = None,
         detection: DetectionParams | str | None = None,
-        spare_reserve: float = 0.0,
         obs: Obs | bool | None = None,
         executor: str = "local",
     ):
@@ -688,10 +685,6 @@ class ControlLoop:
             )
         if min_nodes < 2:
             raise ControlError(f"min_nodes must be >= 2, got {min_nodes}")
-        if amortize_epochs < 1:
-            raise ControlError(
-                f"amortize_epochs must be >= 1, got {amortize_epochs}"
-            )
         if migration not in MIGRATION_MODES:
             raise ControlError(
                 f"unknown migration mode {migration!r}; "
@@ -708,20 +701,15 @@ class ControlLoop:
                 "faults must be a FaultSchedule or a fault-spec string, "
                 f"got {type(faults).__name__}"
             )
+        reserve = None
         if isinstance(detection, str):
-            detection, spec_reserve = parse_detection(detection)
-            if spec_reserve is not None:
-                spare_reserve = spec_reserve
+            detection, reserve = parse_detection(detection)
         if detection is not None and not isinstance(
             detection, DetectionParams
         ):
             raise ControlError(
                 "detection must be DetectionParams or a spec string, "
                 f"got {type(detection).__name__}"
-            )
-        if not 0.0 <= spare_reserve < 1.0:
-            raise ControlError(
-                f"spare_reserve must be in [0, 1), got {spare_reserve}"
             )
         if obs is None or obs is False:
             obs = NULL_OBS
@@ -752,7 +740,6 @@ class ControlLoop:
             cost_model if cost_model is not None else MigrationCostModel()
         )
         self.migration = migration
-        self.amortize_epochs = amortize_epochs
         self.recorder = recorder
         self.think_time = float(think_time)
         self.seed = seed
@@ -762,10 +749,9 @@ class ControlLoop:
         # The live run's executor instance, built and closed by
         # :meth:`run`.
         self._executor = None
-        self.spare_reserve = float(spare_reserve)
         # Reserve size in nodes, fixed at construction: a fraction of
         # the *full* pool, so attrition cannot silently shrink it.
-        self._reserve_target = int(round(self.spare_reserve * len(pool)))
+        self._reserve_target = round((reserve or 0.0) * len(pool))
         #: The observability handle (the shared null handle when none
         #: was configured); callers read traces back from
         #: ``loop.obs.tracer`` after :meth:`run`.
@@ -1962,7 +1948,7 @@ class ControlLoop:
         priced = self._price(current, candidate, reason, rho)
         plan = priced.plan
         lost_requests = priced.cost * observation.served_rate
-        horizon = self.amortize_epochs * self.epoch_duration
+        horizon = _AMORTIZE_EPOCHS * self.epoch_duration
         if plan is not None and plan.is_live:
             # The gain only accrues once the migration window closes, so
             # the amortization horizon shrinks by the window of the
@@ -1980,7 +1966,7 @@ class ControlLoop:
             return _Realized.skip(
                 reason,
                 f"vetoed: migration loses {lost_requests:.0f} requests vs "
-                f"{gained_requests:.0f} gained over {self.amortize_epochs} "
+                f"{gained_requests:.0f} gained over {_AMORTIZE_EPOCHS} "
                 "epochs",
             )
         return priced

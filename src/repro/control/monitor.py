@@ -246,12 +246,6 @@ class SLOMonitor:
             for name, element in cls._elements(system)
         }
 
-    def window_utilization(self) -> dict[str, float]:
-        """Per-node busy fraction since the last attach/observe snapshot."""
-        if self._system is None:
-            raise ControlError("monitor is not attached to a system")
-        return self._utilization(self._busy_now(self._system))
-
     def _utilization(self, busy_now: dict[str, float]) -> dict[str, float]:
         """Per-node busy fraction of the window that ends at ``busy_now``."""
         elapsed = self._system.sim.now - self._snapshot_time

@@ -188,9 +188,10 @@ class ControlContext:
         Redeploy accounting, the raw material of cooldown gates.
     repair_spares:
         Spares available to *repairs and evictions* specifically.  With
-        a ``spare_reserve`` in force this exceeds ``spares`` (which
-        counts only what scale-ups may consume); without one the loop
-        leaves it 0 and repairs fall back to ``spares``.
+        a repair reserve in force (a detection spec's ``reserve=`` key)
+        this exceeds ``spares`` (which counts only what scale-ups may
+        consume); without one the loop leaves it 0 and repairs fall
+        back to ``spares``.
     server_shares:
         ``(name, share)`` per deployed server — its power as a fraction
         of total deployed server power, i.e. the service share the model

@@ -535,7 +535,10 @@ def from_spec(spec: str) -> Trace:
                     f"trace spec expects key=value items, got {item!r}"
                 )
             # Accept dashed keys like every other key=value CLI surface.
-            kwargs[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in kwargs:
+                raise ControlError(f"duplicate trace spec key {key!r}")
+            kwargs[key] = value.strip()
     # Hybrid keys are grammar-wide, not per-builder: pop them before any
     # builder sees (and rejects) them.
     raw_population = kwargs.pop("population", None)

@@ -15,17 +15,12 @@ which is all the throughput model needs.  Mutating operations keep the
 structure a tree at all times; the stricter "non-root agents have >= 2
 children" rule only applies to finished deployments and is checked by
 :meth:`Hierarchy.validate`.
-
-The adjacency-matrix export reproduces the paper's ``plot_hierarchy``
-procedure and feeds the XML writer used by the (simulated) GoDIET launcher.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterator, Mapping
 from enum import Enum
-
-import numpy as np
 
 from repro.errors import HierarchyError
 
@@ -256,11 +251,6 @@ class Hierarchy:
         return sum(1 for role in self._role.values() if role is agent)
 
     @property
-    def server_count(self) -> int:
-        """Number of servers (no traversal)."""
-        return len(self._role) - self.agent_count
-
-    @property
     def powers(self) -> Mapping[NodeId, float]:
         """Read-only view of node powers (MFlop/s)."""
         return dict(self._power)
@@ -352,35 +342,6 @@ class Hierarchy:
                 f"non-root agent {thin!r} has "
                 f"{len(children[thin])} child(ren); needs >= 2"
             )
-
-    def adjacency_matrix(self) -> tuple[np.ndarray, list[NodeId]]:
-        """The paper's ``plot_hierarchy`` output.
-
-        Returns
-        -------
-        (matrix, order):
-            ``matrix[i, j] == 1`` iff ``order[i]`` is the parent of
-            ``order[j]``; ``order`` lists nodes in BFS order.
-        """
-        order = self.nodes
-        index = {node: i for i, node in enumerate(order)}
-        matrix = np.zeros((len(order), len(order)), dtype=np.int8)
-        for node in order:
-            for child in self._children[node]:
-                matrix[index[node], index[child]] = 1
-        return matrix, order
-
-    def to_networkx(self):
-        """Export as a :class:`networkx.DiGraph` with role/power attributes."""
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        for node in self:
-            graph.add_node(node, role=self._role[node].value, power=self._power[node])
-        for node in self:
-            for child in self._children[node]:
-                graph.add_edge(node, child)
-        return graph
 
     def to_dot(self, title: str = "deployment") -> str:
         """Export as a Graphviz DOT digraph.

@@ -348,6 +348,8 @@ def _parse_event(item: str) -> FaultSchedule:
                 f"unknown fault option {key!r} for {name!r}; "
                 f"valid options: {sorted(fields)}"
             )
+        if key in kwargs:
+            raise FaultError(f"duplicate fault option {key!r} for {name!r}")
         try:
             kwargs[key] = fields[key](value.strip())
         except ValueError as exc:

@@ -43,6 +43,7 @@ params rather than stored on them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ControlError
@@ -90,26 +91,28 @@ class DetectionParams:
     grace: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.timeout > 0.0:
+        # Chained bounds reject NaN too; an infinite timeout, backoff or
+        # grace would be a watchdog that never fires.
+        if not 0.0 < self.timeout < math.inf:
             raise DetectionError(
-                f"timeout must be > 0, got {self.timeout!r}"
+                f"timeout must be finite and > 0, got {self.timeout!r}"
             )
         if self.retries < 0:
             raise DetectionError(
                 f"retries must be >= 0, got {self.retries!r}"
             )
-        if not self.backoff >= 1.0:
+        if not 1.0 <= self.backoff < math.inf:
             raise DetectionError(
-                f"backoff must be >= 1, got {self.backoff!r}"
+                f"backoff must be finite and >= 1, got {self.backoff!r}"
             )
         if self.suspicion_threshold < 1:
             raise DetectionError(
                 "suspicion_threshold must be >= 1, got "
                 f"{self.suspicion_threshold!r}"
             )
-        if self.grace < 0.0:
+        if not 0.0 <= self.grace < math.inf:
             raise DetectionError(
-                f"grace must be >= 0, got {self.grace!r}"
+                f"grace must be finite and >= 0, got {self.grace!r}"
             )
 
     @property
@@ -191,10 +194,6 @@ class DetectionState:
     def get(self, name: str) -> NodeLiveness | None:
         return self._nodes.get(name)
 
-    def forget(self, name: str) -> None:
-        """Drop a node's evidence (it was excised from the deployment)."""
-        self._nodes.pop(name, None)
-
     def items(self) -> list[tuple[str, NodeLiveness]]:
         """Name-sorted snapshot — deterministic iteration for the monitor."""
         return sorted(self._nodes.items())
@@ -223,7 +222,7 @@ def parse_detection(spec: str) -> tuple[DetectionParams, float | None]:
     """Parse ``timeout=…,retries=…,…[,reserve=…]`` into params + reserve.
 
     Returns ``(params, reserve)`` where ``reserve`` is the
-    ``spare_reserve`` fraction if the spec carried one, else ``None``.
+    repair-reserve fraction if the spec carried one, else ``None``.
     ``DetectionParams.spec`` round-trips exactly (``reserve`` is loop
     state and intentionally not part of the canonical params spec).
     """
@@ -244,6 +243,8 @@ def parse_detection(spec: str) -> tuple[DetectionParams, float | None]:
         key = key.strip().lower()
         value = value.strip()
         if key == "reserve":
+            if reserve is not None:
+                raise DetectionError(f"duplicate detection spec key {key!r}")
             try:
                 reserve = float(value)
             except ValueError:

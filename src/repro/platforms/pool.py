@@ -162,14 +162,6 @@ class NodePool:
             raise ParameterError(f"unknown node names: {sorted(unknown)}")
         return NodePool(n for n in self._nodes if n.name not in excluded)
 
-    def replace_node(self, node: Node) -> "NodePool":
-        """This pool with the same-named node swapped for ``node``."""
-        if node.name not in self._by_name:
-            raise ParameterError(f"unknown node name: {node.name!r}")
-        return NodePool(
-            node if n.name == node.name else n for n in self._nodes
-        )
-
     @property
     def total_power(self) -> float:
         return float(sum(n.power for n in self._nodes))

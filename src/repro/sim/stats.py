@@ -85,20 +85,3 @@ class WindowedRate:
         )
         centers = 0.5 * (edges[:-1] + edges[1:])
         return centers, counts / self.width
-
-    def steady_rate(
-        self, start: float, end: float, trim_fraction: float = 0.0
-    ) -> float:
-        """Mean rate over the window, optionally trimming edge buckets.
-
-        ``trim_fraction`` drops that fraction of buckets from each side
-        before averaging — a simple guard against boundary effects.
-        """
-        _, rates = self.series(start, end)
-        if rates.size == 0:
-            return 0.0
-        if trim_fraction > 0.0:
-            trim = int(len(rates) * trim_fraction)
-            if trim > 0 and len(rates) > 2 * trim:
-                rates = rates[trim:-trim]
-        return float(rates.mean())

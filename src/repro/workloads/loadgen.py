@@ -18,11 +18,9 @@ flows from an explicit integer seed — there is no hidden global RNG
 anywhere between a workload description and a measurement:
 
 * the platform's tie-breaking randomness is seeded through
-  :class:`~repro.middleware.system.MiddlewareSystem` (``seed=``);
-* the ramp's only randomness, the optional client start-time jitter
-  below, is drawn from ``random.Random(seed)`` and is off (bit-identical
-  to the paper's exact 1-client-per-interval protocol) unless
-  ``start_jitter > 0``;
+  :class:`~repro.middleware.system.MiddlewareSystem` (``seed=``); the
+  ramp itself draws no random numbers, starting exactly one client per
+  interval as the paper does;
 * the control plane's trace generators follow the same rule
   (:meth:`repro.control.traces.Trace.jittered` *requires* a seed);
 * live migrations extend the contract to mid-run reconfiguration: a
@@ -44,7 +42,6 @@ what lets the test suite compare whole experiment outputs by equality.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +51,11 @@ from repro.middleware.client import ClosedLoopClient
 from repro.middleware.system import MiddlewareSystem
 
 __all__ = ["ClientRamp", "RampResult"]
+
+#: A ramp bucket counts as progress only if its rate beats the best seen
+#: by this relative margin; ``plateau_buckets`` buckets without progress
+#: freeze the ramp.
+_PLATEAU_TOLERANCE = 0.02
 
 
 @dataclass(frozen=True)
@@ -99,23 +101,11 @@ class ClientRamp:
         Measurement bucket width in seconds.
     plateau_buckets:
         The ramp freezes when the mean rate of this many recent buckets
-        fails to improve on the best seen by ``plateau_tolerance``.
-    plateau_tolerance:
-        Relative improvement threshold.
+        fails to improve on the best seen by 2 % (relative).
     hold_duration:
         Seconds to keep running at frozen load (600 in the paper).
     think_time:
         Client think time between requests (0 in the paper).
-    start_jitter:
-        Relative jitter on the interval between client starts: each
-        interval is scaled by ``1 + U(-start_jitter, +start_jitter)``.
-        0 (the default) reproduces the paper's exact
-        one-client-per-interval protocol; > 0 models operators launching
-        load scripts by hand.
-    seed:
-        Seed for the start-jitter draws (the ramp's only randomness).
-        Explicit per the module's determinism contract; unused when
-        ``start_jitter`` is 0.
     """
 
     def __init__(
@@ -124,11 +114,8 @@ class ClientRamp:
         max_clients: int = 200,
         window: float = 1.0,
         plateau_buckets: int = 5,
-        plateau_tolerance: float = 0.02,
         hold_duration: float = 30.0,
         think_time: float = 0.0,
-        start_jitter: float = 0.0,
-        seed: int = 0,
     ):
         if client_interval <= 0.0:
             raise SimulationError(
@@ -146,26 +133,18 @@ class ClientRamp:
             raise SimulationError(
                 f"hold_duration must be > 0, got {hold_duration}"
             )
-        if not (0.0 <= start_jitter < 1.0):
-            raise SimulationError(
-                f"start_jitter must be in [0, 1), got {start_jitter}"
-            )
         self.client_interval = client_interval
         self.max_clients = max_clients
         self.window = window
         self.plateau_buckets = plateau_buckets
-        self.plateau_tolerance = plateau_tolerance
         self.hold_duration = hold_duration
         self.think_time = think_time
-        self.start_jitter = start_jitter
-        self.seed = seed
 
     # ------------------------------------------------------------------ #
 
     def run(self, system: MiddlewareSystem) -> RampResult:
         """Execute the protocol on ``system`` (drives its simulator)."""
         sim = system.sim
-        start_time = sim.now
         clients: list[ClosedLoopClient] = []
         bucket_clients: list[int] = []
         bucket_rates: list[float] = []
@@ -177,10 +156,6 @@ class ClientRamp:
             end = sim.now
             return system.completions.rate(end - self.window, end)
 
-        jitter_rng = (
-            random.Random(self.seed) if self.start_jitter > 0.0 else None
-        )
-
         # The ramp controller runs once per client interval: record the
         # last bucket, check the plateau, maybe start a client.
         while not frozen and len(clients) < self.max_clients:
@@ -189,16 +164,11 @@ class ClientRamp:
             )
             clients.append(client)
             client.start()
-            interval = self.client_interval
-            if jitter_rng is not None:
-                interval *= 1.0 + jitter_rng.uniform(
-                    -self.start_jitter, self.start_jitter
-                )
-            sim.run_until(sim.now + interval)
+            sim.run_until(sim.now + self.client_interval)
             rate = bucket_edge_rate()
             bucket_clients.append(len(clients))
             bucket_rates.append(rate)
-            if rate > best_rate * (1.0 + self.plateau_tolerance):
+            if rate > best_rate * (1.0 + _PLATEAU_TOLERANCE):
                 best_rate = rate
                 stale = 0
             else:
@@ -215,7 +185,6 @@ class ClientRamp:
             bucket_rates.append(bucket_edge_rate())
         max_sustained = system.completions.rate(hold_start, hold_end)
 
-        del start_time  # bucket series already spans the whole run
         return RampResult(
             clients=np.asarray(bucket_clients, dtype=int),
             rates=np.asarray(bucket_rates, dtype=float),

@@ -478,3 +478,130 @@ class TestRegistryDrivenCli:
         )
         assert code == 0
         assert "redeploy" in capsys.readouterr().out
+
+
+BOTH = ("control", "trace")
+CONTROL = ("control",)
+
+
+class TestControlLoopDefaultsDeclaredOnce:
+    """A loop flag left out keeps :class:`ControlLoop`'s default."""
+
+    def test_control_without_loop_flags_prints_the_default_loop(self, capsys):
+        from repro import NodePool, dgemm_mflop
+        from repro.analysis.report import render_timeline
+        from repro.control.loop import ControlLoop
+        from repro.control.traces import from_spec
+
+        spec = "constant:level=3"
+        code = main(
+            ["control", "--random", "8", "--dgemm", "200", "--trace", spec]
+        )
+        assert code == 0
+        pool = NodePool.uniform_random(8, low=50.0, high=400.0, seed=0)
+        timeline = ControlLoop(pool, dgemm_mflop(200), from_spec(spec)).run()
+        assert capsys.readouterr().out == render_timeline(timeline) + "\n"
+
+    @pytest.mark.parametrize("command", ["control", "trace"])
+    def test_no_loop_flag_given_forwards_only_the_seed(self, command):
+        from repro.cli import _loop_kwargs
+
+        args = build_parser().parse_args(
+            [command, "--nodes", "4", "--dgemm", "100", "--trace", "x"]
+        )
+        # --seed is also the pool's seed, so it always has a value.
+        assert _loop_kwargs(args) == {"seed": 0}
+
+    @pytest.mark.parametrize(
+        "commands, flag, value, keyword, expected",
+        [
+            (BOTH, "--policy", "hold", "policy", "hold"),
+            (BOTH, "--migration", "restart", "migration", "restart"),
+            (BOTH, "--executor", "pool", "executor", "pool"),
+            (BOTH, "--epochs", "7", "epochs", 7),
+            (BOTH, "--epoch-duration", "2.5", "epoch_duration", 2.5),
+            (BOTH, "--seed", "3", "seed", 3),
+            (BOTH, "--faults", "crash:target=s0,at=1", "faults",
+             "crash:target=s0,at=1"),
+            (BOTH, "--detection", "timeout=0.5", "detection", "timeout=0.5"),
+            (CONTROL, "--base-method", "star", "base_method", "star"),
+            (CONTROL, "--initial-fraction", "0.3", "initial_fraction", 0.3),
+            (CONTROL, "--think-time", "0.1", "think_time", 0.1),
+        ],
+    )
+    def test_each_given_loop_flag_is_forwarded(
+        self, commands, flag, value, keyword, expected
+    ):
+        from repro.cli import _loop_kwargs
+
+        for command in commands:
+            args = build_parser().parse_args(
+                [command, "--nodes", "4", "--dgemm", "100", "--trace", "x",
+                 flag, value]
+            )
+            assert _loop_kwargs(args) == {"seed": 0, keyword: expected}
+
+    def test_sweep_without_policy_flags_uses_the_sweep_default(self, capsys):
+        code = main(
+            [
+                "control", "--random", "8", "--dgemm", "200",
+                "--trace", "constant:level=3", "--sweep", "--workers", "1",
+                "--epochs", "2", "--epoch-duration", "2",
+                "--policy-opt", "hysteresis=1",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "Control sweep (1 cells, live migration)" in out
+        assert "| reactive |" in out
+
+    def test_sweep_defaults_are_the_loop_defaults(self):
+        import inspect
+
+        from repro.api import PlanningSession
+        from repro.control.loop import ControlLoop
+
+        loop = inspect.signature(ControlLoop.__init__).parameters
+        sweep = inspect.signature(PlanningSession.control_sweep).parameters
+        assert sweep["policies"].default == (loop["policy"].default,)
+        assert sweep["seeds"].default == (loop["seed"].default,)
+
+    def test_import_does_not_load_the_loop(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        code = (
+            "import sys, repro.cli; "
+            "print('repro.control.loop' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            cwd=Path(repro.__file__).resolve().parents[1],
+        )
+        assert result.stdout.strip() == "False"
+
+
+class TestDuplicateOptionKeys:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["plan", "--nodes", "12", "--dgemm", "200",
+              "--opt", "patience=1", "--opt", "patience=2"], "--opt"),
+            (["control", "--nodes", "6", "--dgemm", "200",
+              "--trace", "constant:level=3", "--epochs", "2",
+              "--policy-opt", "hysteresis=1",
+              "--policy-opt", "hysteresis=2"], "--policy-opt"),
+            (["control", "--nodes", "6", "--dgemm", "200",
+              "--trace", "constant:level=3", "--epochs", "2",
+              "--policy-opt", "cool-down=1",
+              "--policy-opt", "cool_down=2"], "--policy-opt"),
+        ],
+    )
+    def test_a_key_given_twice_is_an_error(self, capsys, argv, flag):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "given twice" in err

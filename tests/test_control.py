@@ -193,6 +193,21 @@ class TestTraceSpec:
         with pytest.raises(ControlError, match="time/level"):
             from_spec("piecewise:steps=0-4")
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ("constant:level=20,level=30", "level"),
+            ("flash:base=4,peak=40,peak=50,at=10,rise=5,fall=10", "peak"),
+            ("ramp:start-level=0,start_level=1,end_level=10,t_start=0,"
+             "t_end=10", "start_level"),
+            ("constant:level=20,population=10,population=20", "population"),
+            ("fixture:name=black_friday,scale=1,scale=2", "scale"),
+        ],
+    )
+    def test_duplicate_key_is_refused(self, spec, key):
+        with pytest.raises(ControlError, match=f"duplicate.*'{key}'"):
+            from_spec(spec)
+
     def test_piecewise_rejects_extra_segments(self):
         # A mistyped separator must not silently drop a step.
         with pytest.raises(ControlError, match="time/level"):

@@ -16,7 +16,7 @@ Locks down the PR's robustness contracts:
   measured detection latency on the timeline; transient stragglers are
   re-integrated with zero evictions and zero lost conversations;
   persistently degraded servers are drained-and-replaced by ``evict``;
-  ``spare_reserve`` holds nodes back from scale-ups;
+  a detection spec's ``reserve=`` key holds nodes back from scale-ups;
 * determinism — detection runs are bit-identical per seed, including
   across ``control_sweep`` process pools.
 """
@@ -111,6 +111,25 @@ class TestDetectionParams:
         with pytest.raises(DetectionError):
             DetectionParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"timeout": float("inf")}, "timeout must be finite and > 0"),
+            ({"timeout": float("nan")}, "timeout must be finite and > 0"),
+            ({"backoff": float("inf")}, "backoff must be finite and >= 1"),
+            ({"backoff": float("nan")}, "backoff must be finite and >= 1"),
+            ({"grace": float("inf")}, "grace must be finite and >= 0"),
+            ({"grace": float("nan")}, "grace must be finite and >= 0"),
+        ],
+    )
+    def test_non_finite_params_raise(self, kwargs, message):
+        with pytest.raises(DetectionError, match=message):
+            DetectionParams(**kwargs)
+
+    def test_duplicate_reserve_key_is_refused(self):
+        with pytest.raises(DetectionError, match="duplicate.*'reserve'"):
+            parse_detection("timeout=0.5,reserve=0.1,reserve=0.2")
+
     def test_worst_case_round_sums_the_ladder(self):
         params = DetectionParams(timeout=1.0, retries=2, backoff=2.0)
         assert params.worst_case_round == pytest.approx(1.0 + 2.0 + 4.0)
@@ -149,6 +168,8 @@ class TestDetectionParams:
             "timeout=0.5,timeout=0.6",
             "reserve=1.0",
             "reserve=-0.1",
+            # 1e309 parses to inf: a watchdog that could never fire.
+            "timeout=1e309",
         ],
     )
     def test_bad_specs_raise(self, spec):
@@ -420,11 +441,11 @@ class TestDetectionLoop:
         injected_at = 22.0
         loop = _loop(
             faults=f"crash:target=busiest-child,at={injected_at}",
-            detection=DetectionParams(
-                timeout=timeout, retries=0, suspicion_threshold=threshold
-            ),
             # Hold spares back from scale-ups so the repair has stock.
-            spare_reserve=0.25,
+            detection=(
+                f"timeout={timeout},retries=0,threshold={threshold},"
+                "reserve=0.25"
+            ),
         )
         timeline = loop.run()
         assert timeline.detection_count == 1
@@ -483,10 +504,7 @@ class TestDetectionLoop:
             },
             epochs=14,
             faults="degrade:target=busiest-server,at=12,factor=0.03",
-            detection=DetectionParams(
-                timeout=0.5, retries=0, suspicion_threshold=3
-            ),
-            spare_reserve=0.2,
+            detection="timeout=0.5,retries=0,threshold=3,reserve=0.2",
         )
         timeline = loop.run()
         assert timeline.eviction_count == 1
@@ -501,9 +519,13 @@ class TestDetectionLoop:
     def test_spare_reserve_is_held_back_from_scale_ups(self):
         pool_size, reserve = 12, 0.25
         reserved = round(pool_size * reserve)
-        greedy = _loop(pool_size=pool_size, epochs=10).run()
+        greedy = _loop(
+            pool_size=pool_size, epochs=10, detection="timeout=0.5"
+        ).run()
         held = _loop(
-            pool_size=pool_size, epochs=10, spare_reserve=reserve
+            pool_size=pool_size,
+            epochs=10,
+            detection=f"timeout=0.5,reserve={reserve}",
         ).run()
         cap = pool_size - reserved
         assert max(r.deployed_nodes for r in held.records) <= cap
@@ -512,13 +534,9 @@ class TestDetectionLoop:
             > max(r.deployed_nodes for r in held.records)
         )
 
-    def test_reserve_spec_key_overrides_the_argument(self):
-        loop = _loop(detection="timeout=0.5,reserve=0.25", spare_reserve=0.0)
-        assert loop.spare_reserve == 0.25
-
     def test_bad_reserve_raises(self):
         with pytest.raises(ControlError):
-            _loop(spare_reserve=1.0)
+            _loop(detection="timeout=0.5,reserve=1.0")
 
     def test_oracle_runs_record_no_detections(self):
         timeline = _loop(

@@ -161,6 +161,19 @@ class TestSpecRoundTrip:
             "busiest-child", 45.0
         )
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ("crash:target=s3,at=40,at=50", "at"),
+            ("degrade:target=s0,at=1,factor=0.5,factor=0.2", "factor"),
+            ("partition:target=a1,target=a2,at=30", "target"),
+            ("heal:target=a1,at=60;crash:target=s3,at=4,at=5", "at"),
+        ],
+    )
+    def test_duplicate_option_is_refused(self, spec, key):
+        with pytest.raises(FaultError, match=f"duplicate.*'{key}'"):
+            from_spec(spec)
+
     def test_errors(self):
         for bad in (
             "",

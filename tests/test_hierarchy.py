@@ -1,6 +1,5 @@
 """Deployment hierarchy structure."""
 
-import numpy as np
 import pytest
 
 from repro.core.hierarchy import Hierarchy, Role
@@ -187,30 +186,6 @@ class TestValidation:
 
 
 class TestExports:
-    def test_adjacency_matrix(self):
-        h = build_sample()
-        matrix, order = h.adjacency_matrix()
-        index = {n: i for i, n in enumerate(order)}
-        assert matrix.shape == (5, 5)
-        assert matrix.sum() == 4  # n - 1 edges
-        assert matrix[index["root"], index["s1"]] == 1
-        assert matrix[index["a1"], index["s2"]] == 1
-        assert matrix[index["s1"], index["root"]] == 0
-
-    def test_adjacency_column_sums_are_parent_counts(self):
-        matrix, order = build_sample().adjacency_matrix()
-        col_sums = matrix.sum(axis=0)
-        # Every node except the root has exactly one parent.
-        assert sorted(col_sums.tolist()) == [0, 1, 1, 1, 1]
-        assert np.trace(matrix) == 0
-
-    def test_to_networkx(self):
-        graph = build_sample().to_networkx()
-        assert graph.number_of_nodes() == 5
-        assert graph.number_of_edges() == 4
-        assert graph.nodes["root"]["role"] == "agent"
-        assert graph.nodes["s1"]["power"] == 90.0
-
     def test_copy_is_independent(self):
         h = build_sample()
         clone = h.copy()

@@ -114,12 +114,6 @@ class TestNodePool:
         with pytest.raises(ParameterError):
             NodePool.homogeneous(3, 1.0).take(4)
 
-    def test_replace_node(self):
-        pool = NodePool.homogeneous(3, 100.0)
-        swapped = pool.replace_node(pool[1].with_power(55.0))
-        assert swapped["node-1"].power == 55.0
-        assert pool["node-1"].power == 100.0
-
     def test_heterogeneity_zero_for_homogeneous(self):
         assert NodePool.homogeneous(4, 123.0).heterogeneity() == 0.0
 

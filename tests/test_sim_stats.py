@@ -50,21 +50,10 @@ class TestWindowedRate:
         assert list(values) == [1.0, 2.0, 1.0]
         assert list(centers) == [0.5, 1.5, 2.5]
 
-    def test_steady_rate_trimming(self):
-        rate = WindowedRate(width=1.0)
-        # Ramp-up bucket (0 completions) then steady 5/s.
-        for t in range(1, 10):
-            for k in range(5):
-                rate.record(t + k / 5.0 + 1e-4)
-        trimmed = rate.steady_rate(0.0, 10.0, trim_fraction=0.2)
-        untrimmed = rate.steady_rate(0.0, 10.0)
-        assert trimmed >= untrimmed
-
     def test_empty_series(self):
         rate = WindowedRate(width=1.0)
         _, values = rate.series(0.0, 2.0)
         assert list(values) == [0.0, 0.0]
-        assert rate.steady_rate(0.0, 2.0) == 0.0
 
     def test_validation(self):
         with pytest.raises(SimulationError):
