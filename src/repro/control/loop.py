@@ -1081,7 +1081,7 @@ class ControlLoop:
             redeploys=run.redeploys,
             epochs_since_redeploy=run.epochs_since_redeploy,
             repair_spares=len(spares) if reserved else 0,
-            server_shares=self._server_shares(run.hierarchy),
+            hierarchy=run.hierarchy,
         )
         decision = epoch.decision = self.policy.decide(context)
         realized = epoch.realized = self._realize(
@@ -1461,19 +1461,6 @@ class ControlLoop:
         held = {node.name for node in reserved}
         scalable = [node for node in spares if node.name not in held]
         return scalable, reserved
-
-    @staticmethod
-    def _server_shares(hierarchy: Hierarchy) -> tuple:
-        """Power-proportional modeled share per deployed server."""
-        powers = {
-            str(node): hierarchy.power(node) for node in hierarchy.servers
-        }
-        total = sum(powers.values())
-        if total <= 0.0:
-            return ()
-        return tuple(
-            (name, power / total) for name, power in sorted(powers.items())
-        )
 
     def _live_pool(self, exclude: frozenset = frozenset()) -> NodePool:
         """The pool minus crashed, evicted and ``exclude``d nodes — what

@@ -61,6 +61,7 @@ which is what lets policies act aggressively under live migration.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -192,11 +193,15 @@ class ControlContext:
         this exceeds ``spares`` (which counts only what scale-ups may
         consume); without one the loop leaves it 0 and repairs fall
         back to ``spares``.
+    hierarchy:
+        The live deployment the decision is about (``None`` when a
+        context is built without one).
     server_shares:
         ``(name, share)`` per deployed server — its power as a fraction
         of total deployed server power, i.e. the service share the model
         expects it to carry.  Compared against the observed
-        ``WindowObservation.server_rates`` by the eviction rule.
+        ``WindowObservation.server_rates`` by the eviction rule, the one
+        reader, so it is computed from ``hierarchy`` on first read.
     """
 
     observations: tuple[WindowObservation, ...]
@@ -212,7 +217,22 @@ class ControlContext:
     redeploys: int
     epochs_since_redeploy: int
     repair_spares: int = 0
-    server_shares: tuple = ()
+    hierarchy: Hierarchy | None = None
+
+    @functools.cached_property
+    def server_shares(self) -> tuple:
+        if self.hierarchy is None:
+            return ()
+        powers = {
+            str(node): self.hierarchy.power(node)
+            for node in self.hierarchy.servers
+        }
+        total = sum(powers.values())
+        if total <= 0.0:
+            return ()
+        return tuple(
+            (name, power / total) for name, power in sorted(powers.items())
+        )
 
     @property
     def last(self) -> WindowObservation | None:

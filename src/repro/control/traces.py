@@ -516,15 +516,7 @@ def from_spec(spec: str) -> Trace:
         # Compact (round-trippable) form: "fixture:NAME" or
         # "fixture:NAME*SCALE" — the spelling of Trace.name.
         raw_name, star, raw_scale = body.strip().partition("*")
-        if star:
-            try:
-                scale = float(raw_scale)
-            except ValueError as exc:
-                raise ControlError(
-                    f"trace option scale={raw_scale!r} is not a valid float"
-                ) from exc
-        else:
-            scale = 1.0
+        scale = _spec_float("scale", raw_scale) if star else 1.0
         return fixture(raw_name.strip(), scale=scale)
     kwargs: dict[str, str] = {}
     if body.strip():
@@ -548,13 +540,7 @@ def from_spec(spec: str) -> Trace:
         return trace
     population = 1.0
     if raw_population is not None:
-        try:
-            population = float(raw_population)
-        except ValueError as exc:
-            raise ControlError(
-                f"trace option population={raw_population!r} is not a "
-                f"valid float"
-            ) from exc
+        population = _spec_float("population", raw_population)
     cohort = 16
     if raw_cohort is not None:
         try:
@@ -570,6 +556,20 @@ def from_spec(spec: str) -> Trace:
     return trace
 
 
+def _spec_float(key: str, raw: str) -> float:
+    """A spec's float option: NaN and infinities (``1e309`` included)
+    are refused here, naming the option, instead of failing mid-run."""
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise ControlError(
+            f"trace option {key}={raw!r} is not a valid float"
+        ) from exc
+    if not math.isfinite(value):
+        raise ControlError(f"trace option {key}={raw!r} must be finite")
+    return value
+
+
 def _build_base(name: str, kwargs: dict[str, str]) -> Trace:
     """Dispatch the keyed spec forms (fixture / piecewise / builders)."""
     if name == "fixture":
@@ -580,13 +580,7 @@ def _build_base(name: str, kwargs: dict[str, str]) -> Trace:
                 "fixture trace only takes name=... and scale=..., got "
                 f"{sorted(kwargs)}"
             )
-        try:
-            scale = float(raw_scale)
-        except ValueError as exc:
-            raise ControlError(
-                f"trace option scale={raw_scale!r} is not a valid float"
-            ) from exc
-        return fixture(fixture_name, scale=scale)
+        return fixture(fixture_name, scale=_spec_float("scale", raw_scale))
     if name == "piecewise":
         raw = kwargs.pop("steps", "")
         if kwargs:
@@ -601,12 +595,18 @@ def _build_base(name: str, kwargs: dict[str, str]) -> Trace:
             try:
                 if len(parts) != 2:
                     raise ValueError(f"{pair!r} is not one time/level pair")
-                steps.append((float(parts[0]), int(parts[1])))
+                time, level = float(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise ControlError(
                     f"piecewise steps must be time/level pairs joined by "
                     f"'|', got {raw!r}: {exc}"
                 ) from exc
+            if not math.isfinite(time):
+                raise ControlError(
+                    f"piecewise steps time {parts[0].strip()!r} must be "
+                    f"finite, got steps={raw!r}"
+                )
+            steps.append((time, level))
         return piecewise(steps)
     if name not in _SPEC_BUILDERS:
         raise ControlError(
@@ -623,6 +623,9 @@ def _build_base(name: str, kwargs: dict[str, str]) -> Trace:
         )
     converted: dict[str, object] = {}
     for key, value in kwargs.items():
+        if fields[key] is float:
+            converted[key] = _spec_float(key, value)
+            continue
         try:
             converted[key] = fields[key](value)
         except ValueError as exc:

@@ -41,7 +41,9 @@ This module implements two strategies:
     both bisection ends share one ``k`` every midpoint has it, and the
     remaining steps need no slot count.  Before that, each agent's own
     slot term is monotone as well, so a midpoint re-sums only the agents
-    whose terms still differ between the two ends.
+    whose terms still differ between the two ends; once that is one agent
+    one slot apart, its exact jump point settles every later midpoint in
+    one comparison.
 
 ``incremental``
     A literal greedy reading of the pseudo-code: grow one node at a time,
@@ -57,6 +59,7 @@ on :class:`HeuristicPlanner`.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -192,67 +195,62 @@ def supported_children(
 #: (``None`` means the tier is infeasible).
 _BELOW_BAR = "below bar"
 
+#: Half-width, in ulps, of the bracket :func:`_jump_threshold` tries
+#: around its closed form before it bisects the whole float grid.
+_THRESHOLD_ULPS = 4
 
-class _LiveSlots:
-    """An agent tier's slot total between two bisection ends.
 
-    Every agent's ``NodeArrays.slot_terms`` term is non-increasing in the
-    target, so between two ends where it is equal it cannot change.  Those
-    agents are folded into ``base``.  Only the *live* agents, whose terms
-    differ between the ends, are re-summed at a midpoint, and each step
-    drops the live agents whose midpoint term equals the kept end's.
+def _jump_threshold(
+    fixed: float, per_child: float, lo_term: int, lo: float, hi: float
+) -> float:
+    """The least float in ``(lo, hi]`` at which an agent's slot term drops
+    below ``lo_term``, its term at ``lo`` (its term at ``hi`` is lower).
+
+    The term at ``t`` is ``0 if budget < b else min(int(budget / b +
+    _REL_TOL), clip)`` with ``budget = 1.0 / t - fixed`` and ``b =
+    per_child``.  As ``lo_term <= clip``, it is below ``lo_term`` exactly
+    when ``below(t)``.  Every IEEE step of the term is monotone in ``t``,
+    so ``below`` is false up to one float and true from it on.  The
+    closed form ``1 / (fixed + (lo_term - _REL_TOL) * b)`` (``budget =
+    b`` for ``lo_term == 1``, the zero term's jump) lands within a few
+    ulps of it, so a bisection over the float grid first narrows ``(lo,
+    hi]`` to ``_THRESHOLD_ULPS`` either side of it, on each side where
+    that keeps the jump inside.
     """
 
-    __slots__ = (
-        "arrays", "clip", "base", "live", "lo_terms", "hi_terms", "mid_terms"
+    def below(t: float) -> bool:
+        budget = 1.0 / t - fixed
+        return (
+            budget < per_child
+            or int(budget / per_child + _REL_TOL) < lo_term
+        )
+
+    # Positive floats order like their bit patterns.
+    good, bad = _float_bits(lo), _float_bits(hi)
+    guess = _float_bits(
+        1.0 / (fixed + max(lo_term - _REL_TOL, 1.0) * per_child)
     )
-
-    def __init__(
-        self, arrays: NodeArrays, a_lo: int, a_hi: int,
-        t_lo: float, t_hi: float, clip: int,
-    ):
-        self.arrays = arrays
-        self.clip = clip
-        self.base = 0
-        self.live: list[int] = []
-        self.lo_terms: list[int] = []
-        self.hi_terms: list[int] = []
-        self.mid_terms: list[int] = []
-        agents = range(a_lo, a_hi)
-        for i, lo, hi in zip(
-            agents,
-            arrays.slot_terms(agents, t_lo, clip),
-            arrays.slot_terms(agents, t_hi, clip),
-        ):
-            if lo == hi:
-                self.base += lo
-            else:
-                self.live.append(i)
-                self.lo_terms.append(lo)
-                self.hi_terms.append(hi)
-
-    def total(self, target: float) -> int:
-        """The tier's slot total at a ``target`` between the two ends."""
-        self.mid_terms = self.arrays.slot_terms(self.live, target, self.clip)
-        return self.base + sum(self.mid_terms)
-
-    def settle(self, to_lo: bool) -> None:
-        """Make the last :meth:`total` target the low (``to_lo``) or the
-        high end, and fold the agents it settles into ``base``."""
-        kept_terms = self.hi_terms if to_lo else self.lo_terms
-        live, moved, kept = [], [], []
-        for i, mid, other in zip(self.live, self.mid_terms, kept_terms):
-            if mid == other:
-                self.base += mid
-            else:
-                live.append(i)
-                moved.append(mid)
-                kept.append(other)
-        self.live = live
-        if to_lo:
-            self.lo_terms, self.hi_terms = moved, kept
+    near = guess - _THRESHOLD_ULPS
+    if good < near < bad and not below(_bits_float(near)):
+        good = near
+    near = guess + _THRESHOLD_ULPS
+    if good < near < bad and below(_bits_float(near)):
+        bad = near
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if below(_bits_float(mid)):
+            bad = mid
         else:
-            self.lo_terms, self.hi_terms = kept, moved
+            good = mid
+    return _bits_float(bad)
+
+
+def _float_bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _bits_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
 @dataclass(frozen=True)
@@ -536,7 +534,8 @@ class HeuristicPlanner:
         Returns ``None`` for an infeasible tier and ``_BELOW_BAR`` for one
         skipped by the ceiling rule below.
 
-        Four exact shortcuts skip work without changing any result:
+        Exact shortcuts skip work without changing any midpoint, any
+        feasibility outcome or any result:
 
         * Ceiling skip.  Every rho this solve can return is
           ``min(t, service(k), floor(k))`` with ``t <= t_hi`` and
@@ -548,18 +547,30 @@ class HeuristicPlanner:
         * Monotone early stop.  :meth:`_sweep` ends a ``fastest`` sweep at
           the first ``_BELOW_BAR`` tier: its ceiling never rises with
           ``n_agents`` and its bar never falls.
-        * Monotone k bracket.  ``server_slots(t)`` never increases with
-          ``t`` (every IEEE step of ``slot_total`` is monotone, and each
-          early exit either skips terms that are zero or lands on
-          ``k_cap`` after the clamp), so once both bisection ends share
-          one ``k``, every midpoint between them has it too.  The
-          bisection then runs the same midpoints and tests without
-          calling ``slot_total``, and ends on the same ``lo``.
-        * Live-agent bracket.  While the ends' ``k`` differ, each agent's
-          own slot term is non-increasing in ``t`` too, so only the agents
-          whose terms differ between the ends can change at a midpoint
-          (:class:`_LiveSlots`).  A midpoint re-sums just those, and
-          ``cap_of`` is memoized per ``k``.
+        * Live agents.  Each agent's slot term ``0 if budget < b else
+          min(int(budget / b + _REL_TOL), clip)``, with ``budget = 1 / t -
+          fixed``, is non-increasing in the float ``t``: the correctly
+          rounded ``1 / t``, the subtraction, the division by ``b > 0``,
+          the ``+ _REL_TOL``, ``int`` and ``min`` are each monotone.  So
+          an agent whose term is equal at both bisection ends has it at
+          every midpoint; ``NodeArrays.live_terms`` folds those into a
+          base, and a midpoint re-sums only the others.  Its term lies
+          between the two end terms, so a midpoint that moves one end
+          settles every agent whose term equals the other end's.
+        * Jump threshold.  Once one live agent is left and its end terms
+          are ``lo_term`` and ``lo_term - 1``, every other term is fixed
+          and that agent's term takes only those two values, so the slot
+          total, hence ``k``, takes two: ``k_lo`` at the floats below the
+          agent's jump point ``tau`` and ``k_hi`` from it on, with both
+          caps already known.  ``tau`` is found once
+          (:func:`_jump_threshold`), and a midpoint costs ``mid < tau``
+          and the feasibility test.  A gap of two or more slots has
+          several jumps and stays with the re-summing step.
+        * Constant k.  ``server_slots(t)`` never increases with ``t``
+          (every IEEE step of ``slot_total`` is monotone, and each early
+          exit either skips terms that are zero or lands on ``k_cap``
+          after the clamp), so once both ends share one ``k``, every
+          midpoint between them has it too (``tau`` is then ``inf``).
         """
         params = self.params
         n = arrays.n
@@ -626,9 +637,11 @@ class HeuristicPlanner:
             return cap
 
         # rho at target t with k = server_slots(t) is min(t, cap_of(k)); the
-        # target is feasible when that reaches t (within _REL_TOL).
+        # target is feasible when that reaches t (within _REL_TOL).  As t
+        # itself always reaches t - _REL_TOL, that is cap_of(k) >= t -
+        # _REL_TOL, the same outcome without the min().
         k_hi = server_slots(t_hi)
-        if min(t_hi, cap_of(k_hi)) >= t_hi - _REL_TOL:
+        if cap_of(k_hi) >= t_hi - _REL_TOL:
             # Service already exceeds the fastest feasible scheduling rate:
             # shrink the server set to the cheapest one sustaining t_hi
             # (t_hi is already capped by the demand).
@@ -644,7 +657,7 @@ class HeuristicPlanner:
             t_lo /= 2.0
             k_lo = server_slots(t_lo)
             cap_lo = cap_of(k_lo)
-            if min(t_lo, cap_lo) >= t_lo - _REL_TOL:
+            if cap_lo >= t_lo - _REL_TOL:
                 break
             if t_lo < 1e-12:
                 return None
@@ -652,25 +665,68 @@ class HeuristicPlanner:
             # 200 halvings never reached a valid server count.
             return None
         lo, hi = t_lo, t_hi
-        live = (
-            None if k_lo == k_hi
-            else _LiveSlots(arrays, a_lo, a_hi, lo, hi, n)
-        )
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            if k_lo == k_hi:
-                k, cap = k_lo, cap_lo
-            else:
-                k = max(0, min(live.total(mid) - (n_agents - 1), k_cap))
+        cap_hi = cap_of(k_hi)
+        steps = 64
+        tau = math.inf
+        if k_lo != k_hi:
+            # Re-sum the live agents' terms at each midpoint until one is
+            # left, one slot apart.  A midpoint term lies between the
+            # agent's two end terms; once the midpoint replaces one end,
+            # the agents whose term equals the kept end's settle into base.
+            base, live = arrays.live_terms(a_lo, a_hi, lo, hi, n)
+            while k_lo != k_hi and steps and (
+                len(live) != 1 or live[0][2] - live[0][3] > 1
+            ):
+                steps -= 1
+                mid = 0.5 * (lo + hi)
+                inverse = 1.0 / mid
+                at_lo, at_hi, between = [], [], []
+                sum_lo = sum_hi = sum_between = 0
+                for entry in live:
+                    fixed, b, lo_term, hi_term = entry
+                    budget = inverse - fixed
+                    if budget < b:
+                        # The term is 0, so hi_term is too.
+                        at_hi.append(entry)
+                        continue
+                    # A raw term at or past lo_term clips to lo_term.
+                    term = int(budget / b + _REL_TOL)
+                    if term >= lo_term:
+                        at_lo.append(entry)
+                        sum_lo += lo_term
+                    elif term == hi_term:
+                        at_hi.append(entry)
+                        sum_hi += term
+                    else:
+                        between.append((fixed, b, lo_term, term, hi_term))
+                        sum_between += term
+                total = base + sum_lo + sum_hi + sum_between
+                k = max(0, min(total - (n_agents - 1), k_cap))
                 cap = cap_of(k)
-            feasible = min(mid, cap) >= mid - _REL_TOL
-            if k_lo != k_hi:
-                live.settle(feasible)
-            if feasible:
-                lo, k_lo, cap_lo = mid, k, cap
+                if cap >= mid - _REL_TOL:
+                    lo, k_lo, cap_lo = mid, k, cap
+                    base += sum_hi
+                    at_lo += [(f, b, t, h) for f, b, _, t, h in between]
+                    live = at_lo
+                else:
+                    hi, k_hi, cap_hi = mid, k, cap
+                    base += sum_lo
+                    at_hi += [(f, b, l, t) for f, b, l, t, _ in between]
+                    live = at_hi
+            if k_lo != k_hi and steps:
+                # One live agent, one slot apart: its term, so k, is k_lo
+                # below its jump point tau and k_hi from it on.
+                fixed, b, lo_term, _ = live[0]
+                tau = _jump_threshold(fixed, b, lo_term, lo, hi)
+        # Every remaining midpoint has k_lo below tau and k_hi from it on.
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            cap = cap_lo if mid < tau else cap_hi
+            if cap >= mid - _REL_TOL:
+                lo, cap_lo = mid, cap
             else:
-                hi, k_hi = mid, k
-        k = k_lo
+                hi, cap_hi = mid, cap
+        k = k_lo if lo < tau else k_hi
         rho = min(lo, service_of(k), floor_of(k))
         if demand is not None and rho > demand:
             k = self._min_servers(k_min, k, demand, service_of, floor_of)

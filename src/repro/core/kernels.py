@@ -216,30 +216,43 @@ class NodeArrays:
         # Each term is an integer in [0, clip]; the float sum is exact.
         return total + int(float(np.sum(slots)))
 
-    def slot_terms(
-        self, agents: Sequence[int], target_rate: float, clip: int
-    ) -> list[int]:
-        """Per-agent ``slot_total`` terms, ``min(supported_children, clip)``.
+    def live_terms(
+        self, lo: int, hi: int, t_lo: float, t_hi: float, clip: int
+    ) -> tuple[int, list[tuple[float, float, int, int]]]:
+        """The agents of tier ``[lo, hi)`` whose slot terms differ between
+        targets ``t_lo < t_hi``, as ``(base, live)``.
 
-        Each term runs the operation sequence of both ``slot_total``
-        passes, without the early exits.  On a power-descending tier the
-        sum of ``slot_terms(range(lo, hi), t, clip)`` equals
-        ``slot_total(lo, hi, t, clip)`` up to ``clip`` and both exceed it
-        together, so callers that clamp to ``clip`` read the same count.
-        Each term is non-increasing in ``target_rate``.  Scalar: past its
-        first steps, a bisection asks for a handful of agents.
+        A term is ``0 if budget < b else min(int(budget / b + _REL_TOL),
+        clip)`` with ``budget = 1 / t - fixed`` and ``b = per_child``: the
+        operation sequence of both ``slot_total`` passes without the early
+        exits.  On a power-descending tier the terms sum to ``slot_total``
+        up to ``clip`` and both exceed it together, so callers that clamp
+        to ``clip`` read the same count.  Each term is non-increasing in
+        the target, so it cannot change between two targets where it is
+        equal: ``base`` sums those, and ``live`` holds a ``(fixed,
+        per_child, lo_term, hi_term)`` entry for each of the others.
         """
-        inverse = 1.0 / target_rate
         fixed = self._fixed_list
         per_child = self._per_child_list
-        terms = []
-        for i in agents:
-            budget = inverse - fixed[i]
-            b = per_child[i]
-            terms.append(
-                0 if budget < b else min(int(budget / b + _REL_TOL), clip)
+        inv_lo, inv_hi = 1.0 / t_lo, 1.0 / t_hi
+        base = 0
+        live = []
+        for i in range(lo, hi):
+            f, b = fixed[i], per_child[i]
+            lo_budget, hi_budget = inv_lo - f, inv_hi - f
+            lo_term = (
+                0 if lo_budget < b
+                else min(int(lo_budget / b + _REL_TOL), clip)
             )
-        return terms
+            hi_term = (
+                0 if hi_budget < b
+                else min(int(hi_budget / b + _REL_TOL), clip)
+            )
+            if lo_term == hi_term:
+                base += lo_term
+            else:
+                live.append((f, b, lo_term, hi_term))
+        return base, live
 
     def service_ceiling(
         self, prefix_power, server_rate, k_min: int, k_cap: int, app_work: float

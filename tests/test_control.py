@@ -213,6 +213,25 @@ class TestTraceSpec:
         with pytest.raises(ControlError, match="time/level"):
             from_spec("piecewise:steps=0/4/40|60/4")
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ("flash:base=5,peak=60,at=nan,rise=5,fall=5", "at"),
+            ("constant:level=20,population=nan", "population"),
+            ("constant:level=20,population=1e309", "population"),
+            ("piecewise:steps=0/4|nan/40", "steps"),
+            ("fixture:black_friday*inf", "scale"),
+            ("fixture:name=black_friday,scale=-inf", "scale"),
+            ("burst:base=5,burst_level=50,at=30,duration=inf", "duration"),
+            ("diurnal:base=5,peak=40,period=120,phase=1e309", "phase"),
+        ],
+    )
+    def test_non_finite_value_is_refused_at_parse_time(self, spec, key):
+        # Each used to parse, then fail mid-run with a bare ValueError or
+        # OverflowError, or run on a meaningless level.
+        with pytest.raises(ControlError, match=f"{key}.*must be finite"):
+            from_spec(spec)
+
 
 class TestPolicyRegistry:
     def test_builtins_registered(self):
@@ -699,6 +718,38 @@ class TestControlLoop:
         # The run is non-trivial: it adapted at least once and served load.
         assert first.redeploys >= 1
         assert first.total_served > 0
+
+    def test_server_shares_are_computed_only_when_read(self):
+        """``ControlContext.server_shares`` is the power share of each
+        deployed server, computed on first read: a run whose policy never
+        reads it never builds it, and one that does gets the same tuple
+        as summing the deployment's server powers."""
+        seen = []
+
+        class Recording(ReactivePolicy):
+            reads = False
+
+            def decide(self, ctx):
+                if self.reads:
+                    servers = ctx.hierarchy.servers
+                    total = sum(ctx.hierarchy.power(s) for s in servers)
+                    expected = tuple(sorted(
+                        (str(s), ctx.hierarchy.power(s) / total)
+                        for s in servers
+                    ))
+                    assert ctx.server_shares == expected
+                seen.append("server_shares" in vars(ctx))
+                return super().decide(ctx)
+
+        quiet = small_loop(
+            policy=Recording(hysteresis=1, cooldown=1), policy_options=None
+        ).run()
+        assert seen and not any(seen)
+        seen.clear()
+        reader = Recording(hysteresis=1, cooldown=1)
+        reader.reads = True
+        assert small_loop(policy=reader, policy_options=None).run() == quiet
+        assert seen and all(seen)
 
     def test_different_seed_may_differ_but_stays_valid(self):
         timeline = small_loop(seed=6).run()

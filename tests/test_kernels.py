@@ -22,7 +22,7 @@ from repro.core.heuristic import (
     sort_nodes,
     supported_children,
 )
-from repro.core.kernels import HierarchyEvaluator, NodeArrays
+from repro.core.kernels import _REL_TOL, HierarchyEvaluator, NodeArrays
 from repro.core.params import DEFAULT_PARAMS, LevelSizes, ModelParams
 from repro.core.throughput import (
     agent_sched_throughput,
@@ -254,26 +254,37 @@ class TestNodeArrays:
                 assert next_t_hi <= t_hi
                 assert next_ceiling <= ceiling
 
-    def test_live_bracket_counts_what_slot_total_counts(self, monkeypatch):
-        """At every midpoint of real bisections, the live-agent bracket's
-        server count equals the clamped ``slot_total`` count, on tiers
-        below and above ``VECTOR_TIER``."""
-        tiers = {}
-        checked = []
-        init = heuristic._LiveSlots.__init__
-        total = heuristic._LiveSlots.total
+    def test_midpoint_counts_are_slot_total_counts(self, monkeypatch):
+        """The server count a bisection midpoint reads equals the clamped
+        ``slot_total`` count, on tiers below and above ``VECTOR_TIER``.
 
-        def spy_init(self, arrays, a_lo, a_hi, t_lo, t_hi, clip):
-            tiers[id(self)] = (arrays, a_lo, a_hi, clip)
-            init(self, arrays, a_lo, a_hi, t_lo, t_hi, clip)
+        Re-summing steps read ``base`` plus the live agents' terms from
+        ``NodeArrays.live_terms``; these are checked at both bracket ends
+        and at every midpoint of the bisection's own path and of three
+        random paths through the bracket.  A
+        one-slot step reads ``k_lo`` below ``_jump_threshold``'s ``tau``
+        and ``k_hi`` from it on.  As ``k`` is non-increasing in the
+        target, that is the ``slot_total`` count at every float of the
+        bracket when ``k`` is the same at ``lo`` and the float before
+        ``tau``, and the same at ``tau`` and ``hi``.
+        """
+        brackets = []
+        jumps = []
+        live_terms = NodeArrays.live_terms
+        jump_threshold = heuristic._jump_threshold
 
-        def spy_total(self, target):
-            slots = total(self, target)
-            checked.append((tiers[id(self)], target, slots))
-            return slots
+        def spy_live_terms(arrays, lo, hi, t_lo, t_hi, clip):
+            base, live = live_terms(arrays, lo, hi, t_lo, t_hi, clip)
+            brackets.append((tier, t_lo, t_hi, base, list(live)))
+            return base, live
 
-        monkeypatch.setattr(heuristic._LiveSlots, "__init__", spy_init)
-        monkeypatch.setattr(heuristic._LiveSlots, "total", spy_total)
+        def spy_jump(fixed, per_child, lo_term, lo, hi):
+            tau = jump_threshold(fixed, per_child, lo_term, lo, hi)
+            jumps.append((tier, lo, hi, tau))
+            return tau
+
+        monkeypatch.setattr(NodeArrays, "live_terms", spy_live_terms)
+        monkeypatch.setattr(heuristic, "_jump_threshold", spy_jump)
         rng = random.Random(53)
         n = 2 * NodeArrays.VECTOR_TIER + 40
         vt = NodeArrays.VECTOR_TIER
@@ -291,19 +302,113 @@ class TestNodeArrays:
             for app_work in (2.0, 100.0, 1e3):
                 for n_agents in (1, 2, 9, 40, vt - 1, vt, vt + 1, vt + 20):
                     for offset in (0, 3):
-                        planner._solve_for_agents(
+                        tier = (arrays, offset, offset + n_agents)
+                        opened = len(brackets)
+                        solved = planner._solve_for_agents(
                             arrays, offset, n_agents, app_work, None
                         )
-        sizes = set()
-        for (arrays, a_lo, a_hi, clip), target, slots in checked:
+                        if len(brackets) > opened:
+                            brackets[-1] += (solved[2],)
+
+        def count(tier, target):
+            arrays, a_lo, a_hi = tier
+            slots = arrays.slot_total(a_lo, a_hi, target, arrays.n)
             n_agents = a_hi - a_lo
-            k_cap = arrays.n - n_agents
-            reference = arrays.slot_total(a_lo, a_hi, target, clip)
-            assert max(0, min(slots - (n_agents - 1), k_cap)) == max(
-                0, min(reference - (n_agents - 1), k_cap)
-            )
-            sizes.add(n_agents)
+            return max(0, min(slots - (n_agents - 1), arrays.n - n_agents))
+
+        def live_count(tier, base, live, target):
+            arrays, a_lo, a_hi = tier
+            slots = base
+            for fixed, per_child, lo_term, hi_term in live:
+                budget = 1.0 / target - fixed
+                term = (
+                    0 if budget < per_child
+                    else min(int(budget / per_child + _REL_TOL), arrays.n)
+                )
+                assert hi_term <= term <= lo_term
+                slots += term
+            n_agents = a_hi - a_lo
+            return max(0, min(slots - (n_agents - 1), arrays.n - n_agents))
+
+        paths = random.Random(59)
+        sizes = set()
+        for tier, t_lo, t_hi, base, live, end in brackets:
+            for target in (t_lo, t_hi):
+                assert live_count(tier, base, live, target) == count(
+                    tier, target
+                )
+            for path in range(4):
+                lo, hi = t_lo, t_hi
+                for _ in range(64):
+                    mid = 0.5 * (lo + hi)
+                    assert live_count(tier, base, live, mid) == count(
+                        tier, mid
+                    )
+                    # Path 0 is the bisection's own: a feasible midpoint
+                    # became lo, so it is at or below the lo the solve
+                    # returned, and an infeasible one lies above it.
+                    if mid <= end if path == 0 else paths.random() < 0.5:
+                        lo = mid
+                    else:
+                        hi = mid
+            sizes.add(tier[2] - tier[1])
         assert min(sizes) < vt <= max(sizes)
+        assert jumps
+        for tier, lo, hi, tau in jumps:
+            assert lo < tau <= hi
+            before = math.nextafter(tau, 0.0)
+            assert count(tier, lo) == count(tier, before)
+            assert count(tier, tau) == count(tier, hi) != count(tier, lo)
+
+    @pytest.mark.parametrize("ulps", [heuristic._THRESHOLD_ULPS, 0])
+    def test_jump_threshold_is_the_exact_jump(self, monkeypatch, ulps):
+        """``_jump_threshold`` returns the float at which the slot term
+        drops below its value at ``lo``: the term is ``lo_term`` at the
+        float before it and lower at it.  ``ulps=0`` and brackets one or
+        two floats wide around the jump make it bisect the whole bracket
+        instead of the few ulps around its closed form."""
+        monkeypatch.setattr(heuristic, "_THRESHOLD_ULPS", ulps)
+        rng = random.Random(61)
+
+        def term(target, fixed, per_child, clip):
+            budget = 1.0 / target - fixed
+            if budget < per_child:
+                return 0
+            return min(int(budget / per_child + _REL_TOL), clip)
+
+        checked = 0
+        for trial in range(3000):
+            if trial % 2:
+                fixed = rng.uniform(1e-4, 0.1)
+                per_child = rng.uniform(1e-5, 1e-2)
+                lo_term = rng.randrange(1, 600)
+            else:
+                fixed = 10 ** rng.uniform(-12, 6)
+                per_child = 10 ** rng.uniform(-12, 6)
+                lo_term = int(10 ** rng.uniform(0, 12))
+            clip = lo_term + rng.choice([0, 0, 1, 5])
+            # Bracket ends half a slot either side of the jump.
+            lo = 1.0 / (fixed + (lo_term + 0.5) * per_child)
+            hi = 1.0 / (fixed + max(lo_term - 0.5, 0.5) * per_child)
+            if not (
+                term(lo, fixed, per_child, clip) == lo_term
+                > term(hi, fixed, per_child, clip)
+            ):
+                continue
+            tau = heuristic._jump_threshold(fixed, per_child, lo_term, lo, hi)
+            before = math.nextafter(tau, 0.0)
+            assert lo < tau <= hi
+            assert term(before, fixed, per_child, clip) == lo_term
+            assert term(tau, fixed, per_child, clip) < lo_term
+            # The tightest brackets around the jump give the same float.
+            for lo_, hi_ in ((before, tau), (math.nextafter(before, 0.0), tau),
+                             (before, math.nextafter(tau, math.inf))):
+                if lo_ > lo and hi_ <= hi:
+                    assert heuristic._jump_threshold(
+                        fixed, per_child, lo_term, lo_, hi_
+                    ) == tau
+            checked += 1
+        assert checked > 2500
 
     def test_service_ceiling_matches_scalar_reference(self):
         rng = random.Random(43)

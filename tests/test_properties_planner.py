@@ -1,7 +1,9 @@
 """Property-based tests on the planners (hypothesis)."""
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.baselines import star_deployment
@@ -349,3 +351,81 @@ class TestPrunedSweepExactness:
         planner._repair(reference_tree)
         plan = planner.plan(pool, wapp, demand=demand)
         assert edges(plan.hierarchy) == edges(reference_tree)
+
+
+@st.composite
+def tier_cases(draw):
+    """A pool and the tiers of it to solve one by one.
+
+    Pools up to 60 nodes solve every tier; past ``2 *
+    NodeArrays.VECTOR_TIER`` nodes, the tiers either side of
+    ``VECTOR_TIER`` and a drawn handful.  A narrow power band (1000-1100)
+    makes the one-slot jumps and also wider gaps; single-agent tiers make
+    a live agent clipped at ``clip == n`` and one whose ``hi_term`` is
+    the ``budget < b`` zero.
+    """
+    vt = NodeArrays.VECTOR_TIER
+    size = draw(
+        st.one_of(
+            st.integers(2, 60),
+            st.integers(2 * vt + 24, 2 * vt + 48),
+        )
+    )
+    kind = draw(st.sampled_from(["distinct", "band", "tied"]))
+    if kind == "distinct":
+        power = st.floats(min_value=20.0, max_value=800.0)
+    elif kind == "band":
+        power = st.floats(min_value=1000.0, max_value=1100.0)
+    else:
+        power = st.sampled_from([150.0, 400.0])
+    powers = draw(st.lists(power, min_size=size, max_size=size))
+    wapp = draw(app_works)
+    fraction = draw(st.none() | st.floats(min_value=1e-4, max_value=1.2))
+    demand = None if fraction is None else fraction * sum(powers) / wapp
+    selection = draw(st.sampled_from(["fastest", "windowed"]))
+    top = max(1, size // 2)
+    if size <= 60:
+        tiers = range(1, top + 1)
+    else:
+        drawn = draw(st.lists(st.integers(1, top), max_size=4))
+        tiers = sorted({1, vt - 1, vt, vt + 1, top, *drawn})
+    return NodePool.heterogeneous(powers), wapp, demand, selection, tiers
+
+
+def _band_case(selection, demand_fraction):
+    """A 360-node pool in the narrow band, whose tiers either side of
+    ``VECTOR_TIER`` bisect across k jumps (a drawn band pool as large
+    mostly saturates ``k_cap`` at ``t_hi`` instead)."""
+    rng = random.Random(71)
+    vt = NodeArrays.VECTOR_TIER
+    powers = [rng.uniform(1000.0, 1100.0) for _ in range(2 * vt + 40)]
+    wapp = 1000.0
+    demand = (
+        None if demand_fraction is None
+        else demand_fraction * sum(powers) / wapp
+    )
+    tiers = [1, 2, vt - 1, vt, vt + 1, vt + 20]
+    return NodePool.heterogeneous(powers), wapp, demand, selection, tiers
+
+
+class TestTierExactness:
+    @given(tier_cases())
+    @example(_band_case("fastest", None))
+    @example(_band_case("windowed", 0.05))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_every_tier_matches_reference_solve(self, case):
+        """Each tier and window solves to the plain 64-step bisection's
+        ``(rho, n_servers, target)`` bit for bit, not only the tier the
+        sweep picks: the live-agent, jump-threshold and constant-``k``
+        steps keep every midpoint and feasibility outcome."""
+        pool, wapp, demand, selection, tiers = case
+        planner = HeuristicPlanner(PARAMS, agent_selection=selection)
+        ranked = sort_nodes(pool, PARAMS)
+        arrays = NodeArrays.for_nodes(PARAMS, ranked)
+        for n_agents in tiers:
+            for offset in planner._agent_windows(arrays.n, n_agents):
+                assert planner._solve_for_agents(
+                    arrays, offset, n_agents, wapp, demand
+                ) == reference_solve(
+                    planner, arrays, offset, n_agents, wapp, demand
+                )
