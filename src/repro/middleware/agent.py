@@ -223,7 +223,9 @@ class AgentElement:
         send_time = params.agent_sizes.sreq / self.bandwidth
         for child in self.children:
             if self.detection is not None:
-                deliver = self._make_watched_delivery(child, request_id, 0)
+                deliver = self._make_watched_delivery(
+                    child, request_id, 0, pending
+                )
             elif isinstance(child, AgentElement):
                 deliver = self._make_agent_delivery(child, request_id)
             else:
@@ -253,24 +255,35 @@ class AgentElement:
         else:
             child.receive_schedule(request_id, self)
 
-    def _make_watched_delivery(self, child, request_id: int, attempt: int):
+    def _make_watched_delivery(
+        self, child, request_id: int, attempt: int,
+        pending: _PendingRequest,
+    ):
         def deliver() -> None:
             self._deliver_to_child(child, request_id)
             # Arm the watchdog whether or not the message got through —
             # the sender cannot know the difference.
             wait = self.detection.timeout * (self.detection.backoff**attempt)
             self.sim.schedule(
-                wait, self._make_watchdog(child, request_id, attempt)
+                wait, self._make_watchdog(child, request_id, attempt, pending)
             )
 
         return deliver
 
-    def _make_watchdog(self, child, request_id: int, attempt: int):
+    def _make_watchdog(
+        self, child, request_id: int, attempt: int,
+        pending: _PendingRequest,
+    ):
         def fired() -> None:
             if self.resource.is_halted:
                 return  # a dead process has no timers
-            pending = self._pending.get(request_id)
-            if pending is None or child.name not in pending.awaiting:
+            # The watchdog belongs to the round that armed it: a later
+            # round under the same id (a parent's retry that arrived
+            # after this one replied) has timers of its own.
+            if (
+                self._pending.get(request_id) is not pending
+                or child.name not in pending.awaiting
+            ):
                 return  # answered (or the round resolved) in time
             if self.liveness is not None:
                 self.liveness.note_timeout(child.name, self.sim.now)
@@ -283,7 +296,9 @@ class AgentElement:
                 send_time = self.params.agent_sizes.sreq / self.bandwidth
                 self.resource.submit(
                     send_time, "send",
-                    self._make_watched_delivery(child, request_id, attempt + 1),
+                    self._make_watched_delivery(
+                        child, request_id, attempt + 1, pending
+                    ),
                 )
                 return
             # Retry ladder exhausted: give up on this child for the

@@ -235,6 +235,34 @@ class TestWatchdogs:
         assert "a1" not in wiring(system)["root"]
 
 
+    def test_a_watchdog_belongs_to_the_round_that_armed_it(self, p):
+        """A parent's retry that reaches a1 after a1 replied opens a
+        second round under the same id; the first round's watchdog must
+        not time that round's slow child out early."""
+        h = Hierarchy()
+        h.set_root("root", 265.0)
+        h.add_agent("a1", 265.0, "root")
+        h.add_server("s1", 265.0, "a1")
+        sim = Simulator()
+        system = MiddlewareSystem(
+            sim, h, p, WORK, detection=DetectionParams(timeout=1.0, retries=0)
+        )
+        a1 = system.agents["a1"]
+        a1.receive_request(7, system.root)
+        sim.run_until(0.5)
+        assert a1.in_flight == 0  # the first round merged and replied
+        system.degrade_node("s1", 1e-6)
+        a1.receive_request(7, system.root)
+        sim.run_until(1.2)
+        # The first round's watchdog fired at ~1.0 s, a no-op: s1 has
+        # had only ~0.7 s of the second round's timeout.
+        entry = system.liveness.get("s1")
+        assert entry.answers == 1 and entry.timeouts == 0
+        sim.run_until(2.0)
+        assert entry.timeouts == 1
+        assert entry.last_timeout_at > 1.5
+
+
 # ------------------------------------------------------------------ #
 # suspicion lifecycle (monitor)
 
