@@ -138,13 +138,15 @@ class PlanRequest:
             )
         if len(self.pool) < 1:
             raise PlanningError("pool must not be empty")
-        if self.app_work <= 0.0:
+        # Chained bounds refuse NaN too: a NaN app_work planned a
+        # 2-node deployment, an infinite one died in the planner.
+        if not 0.0 < self.app_work < math.inf:
             raise PlanningError(
-                f"app_work must be > 0, got {self.app_work}"
+                f"app_work must be finite and > 0, got {self.app_work}"
             )
-        if self.demand is not None and self.demand <= 0.0:
+        if self.demand is not None and not 0.0 < self.demand < math.inf:
             raise PlanningError(
-                f"demand must be > 0 when given, got {self.demand}"
+                f"demand must be finite and > 0 when given, got {self.demand}"
             )
         if not self.method or not isinstance(self.method, str):
             raise PlanningError(

@@ -189,8 +189,17 @@ class Trace:
 # constructors
 
 
+def _require_finite(**values: float) -> None:
+    """Refuse NaN and infinities, naming the argument: each would fail
+    mid-run, or run on a meaningless level."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ControlError(f"{name} must be finite, got {value!r}")
+
+
 def constant(level: int) -> Trace:
     """A fixed client population — the paper's own (static) scenario."""
+    _require_finite(level=level)
     if level < 0:
         raise ControlError(f"level must be >= 0, got {level}")
     return Trace(lambda t: float(level), f"constant({level})")
@@ -204,6 +213,10 @@ def piecewise(steps: Sequence[tuple[float, int]]) -> Trace:
     """
     if not steps:
         raise ControlError("piecewise trace needs at least one step")
+    if not all(math.isfinite(t) and math.isfinite(level) for t, level in steps):
+        raise ControlError(
+            f"steps must be finite (time, level) pairs, got {list(steps)!r}"
+        )
     times = [float(t) for t, _ in steps]
     levels = [int(level) for _, level in steps]
     if min(levels) < 0:
@@ -229,6 +242,10 @@ def ramp(
     start_level: int, end_level: int, t_start: float, t_end: float
 ) -> Trace:
     """Linear growth (or decline) between two instants, flat outside."""
+    _require_finite(
+        start_level=start_level, end_level=end_level,
+        t_start=t_start, t_end=t_end,
+    )
     if min(start_level, end_level) < 0:
         raise ControlError("levels must be >= 0")
     if t_end <= t_start:
@@ -249,6 +266,7 @@ def diurnal(
     base: int, peak: int, period: float, phase: float = 0.0
 ) -> Trace:
     """A sinusoidal day/night cycle between ``base`` and ``peak``."""
+    _require_finite(base=base, peak=peak, period=period, phase=phase)
     if not (0 <= base <= peak):
         raise ControlError(f"need 0 <= base <= peak, got ({base}, {peak})")
     if period <= 0.0:
@@ -264,6 +282,9 @@ def diurnal(
 
 def burst(base: int, burst_level: int, at: float, duration: float) -> Trace:
     """A rectangular burst: ``burst_level`` clients during the window."""
+    _require_finite(
+        base=base, burst_level=burst_level, at=at, duration=duration
+    )
     if min(base, burst_level) < 0:
         raise ControlError("levels must be >= 0")
     if duration <= 0.0:
@@ -284,6 +305,7 @@ def flash_crowd(
     ``rise`` seconds, then relaxes back towards ``base`` with time
     constant ``fall`` — the canonical shape of a link going viral.
     """
+    _require_finite(base=base, peak=peak, at=at, rise=rise, fall=fall)
     if not (0 <= base <= peak):
         raise ControlError(f"need 0 <= base <= peak, got ({base}, {peak})")
     if rise <= 0.0 or fall <= 0.0:
@@ -310,6 +332,7 @@ def replay(result: object, window: float = 1.0) -> Trace:
     persists, so a replayed run can outlive the original.
     """
     clients = getattr(result, "clients", result)
+    _require_finite(window=window)
     levels = [int(c) for c in clients]
     if not levels:
         raise ControlError("cannot replay an empty client series")
@@ -355,6 +378,7 @@ class HybridTrace(Trace):
             raise ControlError(
                 f"hybrid base must be a Trace, got {type(base).__name__}"
             )
+        _require_finite(population=population, cohort=cohort)
         if population <= 0.0:
             raise ControlError(
                 f"population multiplier must be > 0, got {population}"
@@ -445,6 +469,7 @@ def fixture(name: str, scale: float = 1.0) -> Trace:
             f"unknown trace fixture {name!r}; "
             f"available fixtures: {', '.join(fixtures())}"
         )
+    _require_finite(scale=scale)
     trace = piecewise(list(steps))
     if scale != 1.0:
         trace = trace.scale(scale)
@@ -557,16 +582,15 @@ def from_spec(spec: str) -> Trace:
 
 
 def _spec_float(key: str, raw: str) -> float:
-    """A spec's float option: NaN and infinities (``1e309`` included)
-    are refused here, naming the option, instead of failing mid-run."""
+    """A spec's float option, refused unless finite (``1e309`` is
+    infinite), naming the option."""
     try:
         value = float(raw)
     except ValueError as exc:
         raise ControlError(
             f"trace option {key}={raw!r} is not a valid float"
         ) from exc
-    if not math.isfinite(value):
-        raise ControlError(f"trace option {key}={raw!r} must be finite")
+    _require_finite(**{f"trace option {key}": value})
     return value
 
 
@@ -601,11 +625,6 @@ def _build_base(name: str, kwargs: dict[str, str]) -> Trace:
                     f"piecewise steps must be time/level pairs joined by "
                     f"'|', got {raw!r}: {exc}"
                 ) from exc
-            if not math.isfinite(time):
-                raise ControlError(
-                    f"piecewise steps time {parts[0].strip()!r} must be "
-                    f"finite, got steps={raw!r}"
-                )
             steps.append((time, level))
         return piecewise(steps)
     if name not in _SPEC_BUILDERS:

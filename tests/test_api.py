@@ -34,6 +34,22 @@ class TestPlanRequest:
         with pytest.raises(PlanningError, match="method"):
             PlanRequest(pool=pool, app_work=1.0, method="")
 
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("app_work", dict(app_work=math.nan)),
+            ("app_work", dict(app_work=math.inf)),
+            ("app_work", dict(app_work=1e309)),
+            ("demand", dict(app_work=1.0, demand=math.nan)),
+            ("demand", dict(app_work=1.0, demand=math.inf)),
+        ],
+    )
+    def test_non_finite_work_and_demand_are_refused(self, pool, field, kwargs):
+        # A NaN app_work used to plan a 2-node deployment and an infinite
+        # one to die in the planner; a NaN or infinite demand was taken.
+        with pytest.raises(PlanningError, match=f"{field} must be finite"):
+            PlanRequest(pool=pool, **kwargs)
+
     def test_replace(self, pool):
         request = PlanRequest(pool=pool, app_work=1.0)
         star = request.replace(method="star")

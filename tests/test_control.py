@@ -14,8 +14,10 @@ from repro.control import (
     burst,
     constant,
     diurnal,
+    fixture,
     flash_crowd,
     from_spec,
+    hybrid,
     make_policy,
     piecewise,
     ramp,
@@ -231,6 +233,26 @@ class TestTraceSpec:
         # OverflowError, or run on a meaningless level.
         with pytest.raises(ControlError, match=f"{key}.*must be finite"):
             from_spec(spec)
+
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: constant(math.nan), "level"),
+            (lambda: flash_crowd(5, 60, at=math.inf), "at"),
+            (lambda: diurnal(4, 10, period=math.nan), "period"),
+            (lambda: piecewise(((0, 4), (math.nan, 40))), "steps"),
+            (lambda: piecewise(((0, math.inf),)), "steps"),
+            (lambda: ramp(1, 10, 0, math.nan), "t_end"),
+            (lambda: burst(5, 50, at=30, duration=math.inf), "duration"),
+            (lambda: replay([4, 8], window=math.nan), "window"),
+            (lambda: fixture("black_friday", scale=math.nan), "scale"),
+            (lambda: hybrid(constant(4), population=math.inf), "population"),
+        ],
+    )
+    def test_constructors_refuse_non_finite_values(self, build, name):
+        with pytest.raises(ControlError, match=f"{name} must be finite"):
+            build()
 
 
 class TestPolicyRegistry:
