@@ -19,6 +19,8 @@ makes the steady-state load split emerge from queue dynamics.
 from __future__ import annotations
 
 import random
+from collections import defaultdict, deque
+from functools import partial
 
 from repro.core.params import ModelParams
 from repro.errors import SimulationError
@@ -89,6 +91,7 @@ class AgentElement:
         "liveness",
         "reachable",
         "obs",
+        "_watchdogs",
     )
 
     def __init__(
@@ -128,6 +131,12 @@ class AgentElement:
         # the shared DetectionState every watchdog reports into.
         self.detection = detection
         self.liveness = liveness
+        # Detection mode: per retry level, the watchdogs in the order
+        # their deliveries started them, as ``(key, child, request_id,
+        # round)``.  A level's deadlines rise with its keys, so only its
+        # head is on the engine heap: a queue is non-empty exactly while
+        # its head's event is pending.
+        self._watchdogs: defaultdict[int, deque] = defaultdict(deque)
         # False while a network partition severs this element from its
         # parent; deliveries to an unreachable element vanish (the sender
         # cannot tell — that is the point of modelling detection).
@@ -261,65 +270,88 @@ class AgentElement:
     ):
         def deliver() -> None:
             self._deliver_to_child(child, request_id)
-            # Arm the watchdog whether or not the message got through —
-            # the sender cannot know the difference.
+            # Start the watchdog whether or not the message got through —
+            # the sender cannot know the difference.  It queues under the
+            # key its own event would take now; only the head of the
+            # queue is on the engine heap.
             wait = self.detection.timeout * (self.detection.backoff**attempt)
-            self.sim.schedule(
-                wait, self._make_watchdog(child, request_id, attempt, pending)
-            )
+            queue = self._watchdogs[attempt]
+            if queue:
+                key = self.sim.take(wait)
+            else:
+                event = self.sim.schedule(wait, partial(self._expire, attempt))
+                key = (event.time, event.sequence)
+            queue.append((key, child, request_id, pending))
 
         return deliver
 
-    def _make_watchdog(
+    def _acts(self, child, request_id: int, pending: _PendingRequest) -> bool:
+        """Whether a watchdog still has work: its round is the pending one
+        (a later round under the same id, a parent's retry that arrived
+        after this one replied, has timers of its own) and its child has
+        not answered.  Once false, it stays false."""
+        return (
+            self._pending.get(request_id) is pending
+            and child.name in pending.awaiting
+        )
+
+    def _expire(self, attempt: int) -> None:
+        """The head of level ``attempt``'s queue fires, at its own key.
+
+        The entries behind it that can no longer act are dropped, and
+        the first that still can goes on the heap under its key.
+        """
+        queue = self._watchdogs[attempt]
+        _, child, request_id, pending = queue.popleft()
+        if self.resource.is_halted:
+            queue.clear()  # a dead process has no timers
+            return
+        if self._acts(child, request_id, pending):
+            self._time_out(child, request_id, attempt, pending)
+        while queue and not self._acts(*queue[0][1:]):
+            queue.popleft()
+        if queue:
+            self.sim.arm(queue[0][0], partial(self._expire, attempt))
+
+    def _time_out(
         self, child, request_id: int, attempt: int,
         pending: _PendingRequest,
-    ):
-        def fired() -> None:
-            if self.resource.is_halted:
-                return  # a dead process has no timers
-            # The watchdog belongs to the round that armed it: a later
-            # round under the same id (a parent's retry that arrived
-            # after this one replied) has timers of its own.
-            if (
-                self._pending.get(request_id) is not pending
-                or child.name not in pending.awaiting
-            ):
-                return  # answered (or the round resolved) in time
-            if self.liveness is not None:
-                self.liveness.note_timeout(child.name, self.sim.now)
-            if attempt < self.detection.retries:
-                if self.obs.enabled:
-                    self.obs.tracer.event(
-                        self.sim.now, "watchdog", "retry",
-                        agent=self.name, child=child.name, attempt=attempt,
-                    )
-                send_time = self.params.agent_sizes.sreq / self.bandwidth
-                self.resource.submit(
-                    send_time, "send",
-                    self._make_watched_delivery(
-                        child, request_id, attempt + 1, pending
-                    ),
-                )
-                return
-            # Retry ladder exhausted: give up on this child for the
-            # round and let the merge proceed over the survivors.
+    ) -> None:
+        """``child`` left the round's request unanswered for the wait of
+        ``attempt``: resend it, or give up on the child once the retry
+        ladder has run dry."""
+        if self.liveness is not None:
+            self.liveness.note_timeout(child.name, self.sim.now)
+        if attempt < self.detection.retries:
             if self.obs.enabled:
                 self.obs.tracer.event(
-                    self.sim.now, "watchdog", "gaveup",
-                    agent=self.name, child=child.name,
+                    self.sim.now, "watchdog", "retry",
+                    agent=self.name, child=child.name, attempt=attempt,
                 )
-            pending.awaiting.discard(child.name)
-            if pending.timed_out is not None:
-                pending.timed_out.add(child.name)
-            pending.remaining -= 1
-            if pending.remaining == 0:
-                merge_work = self.params.wrep(len(self.children))
-                self.resource.submit(
-                    merge_work / self.power, "compute",
-                    self._make_reply_up(request_id),
-                )
-
-        return fired
+            send_time = self.params.agent_sizes.sreq / self.bandwidth
+            self.resource.submit(
+                send_time, "send",
+                self._make_watched_delivery(
+                    child, request_id, attempt + 1, pending
+                ),
+            )
+            return
+        # Retry ladder exhausted: give up on this child for the round
+        # and let the merge proceed over the survivors.
+        if self.obs.enabled:
+            self.obs.tracer.event(
+                self.sim.now, "watchdog", "gaveup",
+                agent=self.name, child=child.name,
+            )
+        pending.awaiting.discard(child.name)
+        pending.timed_out.add(child.name)
+        pending.remaining -= 1
+        if pending.remaining == 0:
+            merge_work = self.params.wrep(len(self.children))
+            self.resource.submit(
+                merge_work / self.power, "compute",
+                self._make_reply_up(request_id),
+            )
 
     # ------------------------------------------------------------------ #
 

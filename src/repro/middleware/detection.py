@@ -8,11 +8,19 @@ child is whether its requests come back in time.
 
 :class:`DetectionParams` configures the conversation-level machinery:
 
-* every agent→child scheduling message arms a *watchdog* that fires
-  after ``timeout`` seconds; a fired watchdog records one *timeout*
-  against the child in the shared :class:`DetectionState` and resends
-  the request up to ``retries`` times, each wait stretched by
-  ``backoff``;
+* every agent→child scheduling message starts a *watchdog* that
+  expires after ``timeout`` seconds unless the child has answered; an
+  expired watchdog records one *timeout* against the child in the
+  shared :class:`DetectionState` and resends the request up to
+  ``retries`` times, each wait stretched by ``backoff``;
+* an agent keeps one timer per retry level, not one per message: the
+  level's watchdogs queue in delivery order, which is deadline order,
+  and only the earliest is on the engine heap.  It fires under the
+  ``(time, sequence)`` key its message's own event would have had
+  (:meth:`repro.sim.engine.Simulator.take`), then drops the watchdogs
+  behind it whose child answered or whose round resolved, and arms the
+  next.  Timelines are those of one event per message; only the
+  ``engine_events`` count is smaller;
 * when the ladder runs out, the parent gives up on that child for the
   round and the merge proceeds over the survivors;
 * ``suspicion_threshold`` consecutive timeouts cross the child into

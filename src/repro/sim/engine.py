@@ -40,8 +40,8 @@ would have given it: firing order and sequence numbering are unchanged,
 only the heap's bookkeeping (:attr:`Simulator.pending`,
 :attr:`Simulator.heap_compactions`) differs.
 
-Two more hooks let a caller keep a sequence number and an event object
-it would otherwise throw away:
+Three more hooks let a caller keep a sequence number and an event
+object it would otherwise throw away:
 
 * :meth:`Simulator.reserve` takes the next sequence number now, for a
   :meth:`~Simulator.schedule` or :meth:`~Simulator.resume` decided later
@@ -51,6 +51,18 @@ it would otherwise throw away:
   the previous number, a firing lets it lapse, and a number is used at
   most once.  A forfeited number is simply never used, which leaves the
   order of every other event alone.
+* :meth:`Simulator.take` is the long-lived variant: it takes the whole
+  ``(time, sequence)`` key that ``schedule(delay, ...)`` would give an
+  event now — split hook included, see below — and puts nothing on the
+  heap.  :meth:`Simulator.arm` later schedules a callback under that
+  key, through :meth:`~Simulator.schedule`, and the event fires exactly
+  where one scheduled at the take would have.  The time is the one
+  computed at the take, never re-derived from a delay; the key must be
+  ahead of the event now firing (or of the last number taken, after a
+  run stopped at a horizon), and arming calls the split hook of its
+  time again.  A key that is never armed is never used.  The middleware
+  watchdogs queue their deadlines this way and keep only the earliest
+  of each queue on the heap.
 * ``schedule(..., reuse=event)`` re-arms an event that is off the heap
   — fired, or cancelled after its entry was popped — instead of
   allocating a new one.  The event must belong to this simulator and
@@ -62,9 +74,9 @@ it would otherwise throw away:
 Three more let the serial resource run a chain of segments as one
 event (see :mod:`repro.sim.resources`) and split it back exactly:
 
-* :meth:`Simulator.watch` names the chain's boundary times: scheduling
-  or resuming any event at one of them first calls the chain's split
-  hook, before the event takes its sequence number;
+* :meth:`Simulator.watch` names the chain's boundary times: scheduling,
+  resuming, taking or arming any event at one of them first calls the
+  chain's split hook, before the event takes its sequence number;
 * :meth:`Simulator.passed` tells whether a boundary keyed
   ``(time, sequence)`` would have fired by now;
 * :meth:`Simulator.rekey` moves the chain's pending event to an earlier
@@ -185,6 +197,10 @@ class Simulator:
         # every number taken when a run stopped at a horizon, 0 once
         # firing resumes.  See :meth:`passed`.
         self._position: int = 0
+        # The sequence number of the event firing at ``now``, or of the
+        # last one taken when a run stopped at a horizon: :meth:`arm`
+        # refuses keys at or behind it.
+        self._firing: int = 0
         # Watched boundary times of fused chains -> the split hook of
         # the chain that owns them.  See :meth:`watch`.
         self._watched: dict[float, Callable[[], None]] = {}
@@ -203,7 +219,9 @@ class Simulator:
 
         ``reuse`` re-arms an event that no heap entry carries instead of
         allocating one; ``sequence`` fires it under the open
-        reservation (see :meth:`reserve`) instead of the next number.
+        reservation (see :meth:`reserve`) instead of the next number,
+        or at a ``(time, sequence)`` key from :meth:`take`, whose time
+        then stands in for ``now + delay`` (see :meth:`arm`).
         """
         if not delay >= 0.0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
@@ -216,12 +234,17 @@ class Simulator:
                 f"cannot reuse {reuse!r}: pending, still on the heap or "
                 "owned by another simulator"
             )
-        time = self.now + delay
-        if time in self._watched:
-            self._watched[time]()
         if sequence is None:
+            time = self.now + delay
+            if time in self._watched:
+                self._watched[time]()
             sequence = self._sequence = self._sequence + 1
+        elif type(sequence) is tuple:
+            time, sequence = self._claim(sequence)
         else:
+            time = self.now + delay
+            if time in self._watched:
+                self._watched[time]()
             self._take_reservation(sequence)
         if reuse is None:
             event = Event(time, sequence, callback, self)
@@ -236,6 +259,41 @@ class Simulator:
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute simulation ``time``."""
         return self.schedule(time - self.now, callback)
+
+    def take(self, delay: float) -> tuple[float, int]:
+        """Take the ``(time, sequence)`` key ``schedule(delay, ...)``
+        would give an event now, split hook included, for a later
+        :meth:`arm`; nothing goes on the heap."""
+        if not delay >= 0.0:
+            raise SimulationError(f"cannot schedule in the past: delay={delay}")
+        time = self.now + delay
+        if time in self._watched:
+            self._watched[time]()
+        sequence = self._sequence = self._sequence + 1
+        return time, sequence
+
+    def arm(self, key: tuple[float, int], callback: Callable[[], None]) -> Event:
+        """Schedule ``callback`` at a key from :meth:`take`: it fires
+        where an event scheduled at that take would have fired.  The key
+        must be ahead of the event now firing."""
+        return self.schedule(0.0, callback, sequence=key)
+
+    def _claim(self, key: tuple[float, int]) -> tuple[float, int]:
+        """A key from :meth:`take`, checked to be ahead of the event now
+        firing, with its time's split hook called."""
+        time, sequence = key
+        now = self.now
+        if not (
+            (time > now or time == now and sequence > self._firing)
+            and 0 < sequence <= self._sequence
+        ):
+            raise SimulationError(
+                f"cannot arm key {key!r}: never taken, or at or behind "
+                f"the event now firing (t={now})"
+            )
+        if time in self._watched:
+            self._watched[time]()
+        return key
 
     def reserve(self) -> int:
         """Take the next sequence number now for a later ``schedule`` or
@@ -304,9 +362,9 @@ class Simulator:
         return event
 
     def watch(self, times, split: Callable[[], None]) -> None:
-        """Call ``split()`` before any event is scheduled or resumed at
-        one of ``times``: the boundary times of a fused chain (see the
-        module docstring).
+        """Call ``split()`` before any event is scheduled, resumed, taken
+        or armed at one of ``times``: the boundary times of a fused chain
+        (see the module docstring).
 
         A watch is not withdrawn, so ``split`` must do nothing once its
         chain has ended; watches on times the clock has passed, which
@@ -472,6 +530,7 @@ class Simulator:
                     f"time went backwards: {time} < {self.now}"
                 )
             self.now = time
+            self._firing = sequence
             event.callback = event.carrier = None
             self._events_processed += 1
             fired += 1
@@ -506,6 +565,7 @@ class Simulator:
         the position is past every sequence number taken so far."""
         self.now = horizon
         self._position = self._sequence + 1
+        self._firing = self._sequence
 
     def run_until_condition(
         self,

@@ -86,8 +86,9 @@ one in progress gets an ordinary completion.  The triggers:
 * the server's own readers: ``receive_service``, before it commits new
   work to the estimate the prediction reports, and
   ``predictions_done``;
-* any event scheduled or resumed at exactly one of a pending chain's
-  three boundary times (:meth:`~repro.sim.engine.Simulator.watch`).
+* any event scheduled, resumed, taken or armed at exactly one of a
+  pending chain's three boundary times
+  (:meth:`~repro.sim.engine.Simulator.watch`).
 
 The last keeps firing order exact by construction.  The fused event
 takes the recv segment's own sequence number, and a split re-keys the

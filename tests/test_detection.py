@@ -6,7 +6,11 @@ Locks down the PR's robustness contracts:
   ``parse_detection`` round-trips it exactly (property-tested);
 * middleware watchdogs — agents only suspect their *direct* children
   (hierarchical detection), silent crashes keep traffic flowing through
-  the survivors, and late replies from a written-off child are ignored;
+  the survivors, late replies from a written-off child are ignored, and
+  a watchdog acts only for the round that started it;
+* one watchdog timer per agent and retry level — timelines equal those
+  of a reference agent that schedules one engine event per watched
+  delivery (property-tested), with fewer engine events;
 * the monitor's suspicion lifecycle — a node that answers inside its
   grace window is *never* confirmed dead (property-tested), and a
   re-integrated suspect leaves the fan-out wiring bit-identical
@@ -21,6 +25,8 @@ Locks down the PR's robustness contracts:
   across ``control_sweep`` process pools.
 """
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,20 +36,23 @@ from repro.api import PlanningSession
 from repro.control.loop import ControlLoop, DetectionRecord
 from repro.control.monitor import SLOMonitor
 from repro.control.policy import ControlDecision
-from repro.control.traces import constant
+from repro.control.traces import constant, piecewise
 from repro.core.hierarchy import Hierarchy
 from repro.core.params import ModelParams
 from repro.errors import ControlError
 from repro.faults import crash_storm, from_spec, subtree_storm
+from repro.middleware.agent import AgentElement
 from repro.middleware.detection import (
     DetectionError,
     DetectionParams,
     DetectionState,
     parse_detection,
 )
+from repro.middleware.server import ServerElement
 from repro.middleware.system import MiddlewareSystem
 from repro.sim.engine import Simulator
 from repro.sim.stats import IntervalCounter
+from test_golden import engine_blind_digest
 
 WORK = dgemm_mflop(200)
 
@@ -633,6 +642,171 @@ class TestDetectionDeterminism:
                 traces=("constant:level=4",),
                 detection="timeout=nope",
             )
+
+
+# ------------------------------------------------------------------ #
+# one watchdog timer per agent and retry level
+
+
+class OnePerDeliveryAgent(AgentElement):
+    """Reference watchdogs: every watched delivery schedules its own
+    engine event, which fires whether or not its child has answered
+    (the tracer events of a traced run are left out).
+
+    The agents' per-level timers must fire the watchdogs that act at
+    exactly the keys these events have, and so leave every timeline as
+    this reference leaves it, ``engine_events`` aside.
+    """
+
+    def _make_watched_delivery(self, child, request_id, attempt, pending):
+        def deliver() -> None:
+            self._deliver_to_child(child, request_id)
+            wait = self.detection.timeout * (self.detection.backoff**attempt)
+            self.sim.schedule(
+                wait, self._make_watchdog(child, request_id, attempt, pending)
+            )
+
+        return deliver
+
+    def _make_watchdog(self, child, request_id, attempt, pending):
+        def fired() -> None:
+            if self.resource.is_halted:
+                return
+            if (
+                self._pending.get(request_id) is not pending
+                or child.name not in pending.awaiting
+            ):
+                return
+            if self.liveness is not None:
+                self.liveness.note_timeout(child.name, self.sim.now)
+            if attempt < self.detection.retries:
+                send_time = self.params.agent_sizes.sreq / self.bandwidth
+                self.resource.submit(
+                    send_time, "send",
+                    self._make_watched_delivery(
+                        child, request_id, attempt + 1, pending
+                    ),
+                )
+                return
+            pending.awaiting.discard(child.name)
+            pending.timed_out.add(child.name)
+            pending.remaining -= 1
+            if pending.remaining == 0:
+                merge_work = self.params.wrep(len(self.children))
+                self.resource.submit(
+                    merge_work / self.power, "compute",
+                    self._make_reply_up(request_id),
+                )
+
+        return fired
+
+
+#: Faults per scenario, and the suspicion keys of its detection spec:
+#: the partition's grace lets its heal land before a confirmation.
+LADDER_SCENARIOS = {
+    "silent": ("crash:target=busiest-child,at=5", "threshold=2"),
+    "degrade": (
+        "degrade:target=busiest-server,at=4,factor=0.05", "threshold=2"
+    ),
+    "partition": (
+        "partition:target=busiest-child,at=4;heal:target=node-2,at=6",
+        "threshold=3,grace=3",
+    ),
+}
+
+
+def _ladder_run(scenario: str, detection: str):
+    faults, suspicion = LADDER_SCENARIOS[scenario]
+    return ControlLoop(
+        NodePool.uniform_random(10, low=80, high=400, seed=7),
+        dgemm_mflop(310),
+        piecewise(((0.0, 6), (6.0, 20), (12.0, 10))),
+        policy="reactive",
+        policy_options={"hysteresis": 1, "cooldown": 1, "repair": True},
+        epochs=8,
+        epoch_duration=2.0,
+        initial_fraction=0.4,
+        migration="live",
+        faults=faults,
+        detection=f"{detection},{suspicion}",
+    ).run()
+
+
+class TestWatchdogTimers:
+    @given(
+        scenario=st.sampled_from(sorted(LADDER_SCENARIOS)),
+        timeout=st.floats(0.1, 1.0),
+        retries=st.integers(0, 2),
+        backoff=st.floats(1.0, 3.0),
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_timers_match_one_event_per_delivery(
+        self, scenario, timeout, retries, backoff
+    ):
+        detection = f"timeout={timeout!r},retries={retries},backoff={backoff!r}"
+        timeline = _ladder_run(scenario, detection)
+        with patch("repro.middleware.system.AgentElement", OnePerDeliveryAgent):
+            reference = _ladder_run(scenario, detection)
+        assert engine_blind_digest(timeline) == engine_blind_digest(reference)
+        events = timeline.records[-1].metrics.value("engine_events")
+        assert events < reference.records[-1].metrics.value("engine_events")
+
+    def test_a_queued_watchdog_fires_at_its_delivery_key(self, p, monkeypatch):
+        """s2's watchdog waits behind s1's and goes on the heap only when
+        s1's fires; it must still fire before a probe keyed after s2's
+        delivery, at the same time."""
+        h = Hierarchy()
+        h.set_root("root", 265.0)
+        h.add_server("s1", 265.0, "root")
+        h.add_server("s2", 265.0, "root")
+        sim = Simulator()
+        timeout = 0.5
+        system = MiddlewareSystem(
+            sim, h, p, WORK,
+            detection=DetectionParams(timeout=timeout, retries=0),
+        )
+        system.degrade_node("s2", 1e-6)  # s2 cannot answer in time
+        seen = []
+
+        def probe() -> None:
+            entry = system.liveness.get("s2")
+            seen.append(entry.timeouts if entry else 0)
+
+        receive = ServerElement.receive_schedule
+
+        def receive_schedule(server, request_id, reply_to=None):
+            receive(server, request_id, reply_to)
+            if server.name == "s2":
+                # Fires later in this instant, after the delivery keyed
+                # s2's watchdog: the probe is keyed after it, same time.
+                sim.schedule(0.0, lambda: sim.schedule(timeout, probe))
+
+        monkeypatch.setattr(ServerElement, "receive_schedule", receive_schedule)
+        system.submit("client", on_complete=lambda request: None)
+        sim.run_until(2.0)
+        assert seen == [1]
+
+    def test_the_reference_is_in_use_when_patched(self):
+        with patch("repro.middleware.system.AgentElement", OnePerDeliveryAgent):
+            sim = Simulator()
+            system = MiddlewareSystem(
+                sim, two_level(), ModelParams(), WORK,
+                detection=DetectionParams(),
+            )
+        assert isinstance(system.root, OnePerDeliveryAgent)
+
+    def test_a_halted_agent_drops_its_timers(self, p):
+        sim = Simulator()
+        system = MiddlewareSystem(
+            sim, two_level(), p, WORK,
+            detection=DetectionParams(timeout=1.0, retries=0),
+        )
+        pump(system, sim, 2.0)
+        a1 = system.agents["a1"]
+        assert any(a1._watchdogs.values())
+        system.fail_silent("a1")
+        pump(system, sim, 4.0)
+        assert not any(a1._watchdogs.values())
 
 
 # ------------------------------------------------------------------ #

@@ -414,3 +414,92 @@ class TestReserve:
         sim.suspend(event)
         with pytest.raises(SimulationError, match="not the open reservation"):
             sim.resume(event, 1.0, event.sequence)
+
+
+class TestTakeAndArm:
+    """:meth:`Simulator.take` keys an event now; :meth:`Simulator.arm`
+    puts it on the heap later, under that key."""
+
+    def test_a_keyed_arm_fires_at_its_original_key(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("before"))
+        key = sim.take(1.0)
+        sim.schedule(1.0, lambda: fired.append("after"))
+        sim.schedule(0.5, lambda: sim.arm(key, lambda: fired.append("armed")))
+        sim.run()
+        assert key == (1.0, 2)
+        assert fired == ["before", "armed", "after"]
+
+    def test_an_arm_inside_its_instant_keeps_its_place(self):
+        sim = Simulator()
+        fired = []
+        first = sim.take(1.0)
+        second = sim.take(1.0)
+        sim.schedule(1.0, lambda: fired.append("later"))
+
+        def head() -> None:
+            fired.append("head")
+            sim.arm(second, lambda: fired.append("second"))
+
+        sim.arm(first, head)
+        sim.run()
+        assert fired == ["head", "second", "later"]
+
+    def test_a_key_at_or_behind_the_firing_event_is_refused(self):
+        sim = Simulator()
+        early = sim.take(0.5)
+        same_time = sim.take(1.0)
+        errors = []
+
+        def firing() -> None:
+            for key in (early, same_time, (event.time, event.sequence)):
+                with pytest.raises(SimulationError, match="at or behind"):
+                    sim.arm(key, lambda: None)
+                errors.append(key)
+
+        event = sim.schedule(1.0, firing)
+        sim.run()
+        assert len(errors) == 3 and sim.pending == 0
+
+    def test_a_key_behind_a_stopped_run_is_refused(self):
+        sim = Simulator()
+        key = sim.take(1.0)
+        sim.run_until(1.0)
+        with pytest.raises(SimulationError, match="at or behind"):
+            sim.arm(key, lambda: None)
+        assert sim.pending == 0
+
+    def test_a_key_never_taken_is_refused(self):
+        sim = Simulator()
+        for key in ((1.0, 0), (1.0, 1)):
+            with pytest.raises(SimulationError, match="never taken"):
+                sim.arm(key, lambda: None)
+
+    def test_take_refuses_the_past(self):
+        with pytest.raises(SimulationError, match="in the past"):
+            Simulator().take(-1.0)
+
+    def test_take_and_arm_call_the_split_hook_of_the_time(self):
+        sim = Simulator()
+        splits = []
+        sim.watch((1.0,), lambda: splits.append(sim.now))
+        key = sim.take(1.0)
+        assert splits == [0.0]
+        sim.schedule(0.25, lambda: sim.arm(key, lambda: None))
+        sim.run()
+        assert splits == [0.0, 0.25]
+
+    def test_every_arm_passes_schedule(self, monkeypatch):
+        sim = Simulator()
+        calls = []
+        schedule = Simulator.schedule
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return schedule(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "schedule", counted)
+        event = sim.arm(sim.take(2.0), lambda: None)
+        assert len(calls) == 1
+        assert (event.time, event.sequence) == (2.0, 1)

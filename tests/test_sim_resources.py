@@ -320,6 +320,24 @@ class TestFusedChain:
 
         self.both(drive)
 
+    def test_a_keyed_arm_at_a_boundary_splits_the_chain(self):
+        # The key is taken before the chain begins and armed after: the
+        # arm splits the chain, which then runs one event per segment.
+        keys = []
+
+        def drive(sim, res):
+            sim.schedule(0.5, lambda: sim.arm(keys[-1], lambda: None))
+
+        fused, stepped = self.both(drive, lambda sim: keys.append(sim.take(3.0)))
+        assert fused[3] == stepped[3] == 6
+
+    def test_a_take_at_a_boundary_splits_the_chain(self):
+        def drive(sim, res):
+            sim.schedule(0.5, lambda: sim.take(2.5))
+
+        fused, stepped = self.both(drive)
+        assert fused[3] == stepped[3] == 5
+
     def test_a_condition_stop_at_a_boundary_has_not_reached_it(self):
         # An event keyed at the compute boundary before the chain began
         # fires first: the compute segment is still in progress.
