@@ -590,7 +590,7 @@ def _spec_float(key: str, raw: str) -> float:
         raise ControlError(
             f"trace option {key}={raw!r} is not a valid float"
         ) from exc
-    _require_finite(**{f"trace option {key}": value})
+    _require_finite(**{key: value})
     return value
 
 

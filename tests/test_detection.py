@@ -786,15 +786,6 @@ class TestWatchdogTimers:
         sim.run_until(2.0)
         assert seen == [1]
 
-    def test_the_reference_is_in_use_when_patched(self):
-        with patch("repro.middleware.system.AgentElement", OnePerDeliveryAgent):
-            sim = Simulator()
-            system = MiddlewareSystem(
-                sim, two_level(), ModelParams(), WORK,
-                detection=DetectionParams(),
-            )
-        assert isinstance(system.root, OnePerDeliveryAgent)
-
     def test_a_halted_agent_drops_its_timers(self, p):
         sim = Simulator()
         system = MiddlewareSystem(
