@@ -121,7 +121,6 @@ from repro.platforms.pool import NodePool
 from repro.sim.engine import Simulator
 from repro.sim.fluid import FluidPopulation
 from repro.sim.stats import IntervalCounter
-from repro.sim.trace import TraceRecorder
 
 __all__ = [
     "MigrationStepRecord",
@@ -580,10 +579,6 @@ class ControlLoop:
         regions in parallel and shrinking the migration window;
         ``"restart"`` keeps the legacy stop-the-world rebuild for
         comparison.
-    recorder:
-        Optional :class:`~repro.sim.trace.TraceRecorder` wired into
-        every generation of the platform (spanning redeploys).  Leave
-        ``None`` for the zero-cost path.
     think_time:
         Client think time between requests.  0 reproduces the paper's
         load scripts (each client saturates); > 0 makes each trace level
@@ -653,7 +648,6 @@ class ControlLoop:
         policy_options: dict[str, object] | None = None,
         cost_model: MigrationCostModel | None = None,
         migration: str = "live",
-        recorder: TraceRecorder | None = None,
         think_time: float = 0.0,
         seed: int = 0,
         faults: FaultSchedule | str | None = None,
@@ -740,7 +734,6 @@ class ControlLoop:
             cost_model if cost_model is not None else MigrationCostModel()
         )
         self.migration = migration
-        self.recorder = recorder
         self.think_time = float(think_time)
         self.seed = seed
         self.faults = faults
@@ -1535,7 +1528,6 @@ class ControlLoop:
             run.hierarchy,
             self.params,
             self.app_work,
-            trace=self.recorder,
             seed=self.seed + run.generation,
             detection=self.detection,
             obs=self.obs,

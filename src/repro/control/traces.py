@@ -132,6 +132,7 @@ class Trace:
 
     def scale(self, factor: float) -> "Trace":
         """This trace with every level multiplied by ``factor``."""
+        _require_finite(factor=factor)
         if factor < 0.0:
             raise ControlError(f"scale factor must be >= 0, got {factor}")
         fn = self._fn
@@ -149,6 +150,7 @@ class Trace:
 
     def delayed(self, offset: float) -> "Trace":
         """This trace shifted ``offset`` seconds later in time."""
+        _require_finite(offset=offset)
         fn = self._fn
         return Trace(lambda t: fn(t - offset), f"{self.name}@+{offset:g}s")
 
@@ -164,6 +166,7 @@ class Trace:
         the same level, and two runs with the same seed see the same
         trace.
         """
+        _require_finite(amplitude=amplitude, quantum=quantum)
         if amplitude < 0:
             raise ControlError(f"amplitude must be >= 0, got {amplitude}")
         if quantum <= 0.0:
@@ -331,8 +334,10 @@ def replay(result: object, window: float = 1.0) -> Trace:
     count for ``window`` seconds; beyond the recording the last level
     persists, so a replayed run can outlive the original.
     """
-    clients = getattr(result, "clients", result)
-    _require_finite(window=window)
+    clients = list(getattr(result, "clients", result))
+    _require_finite(window=window, **{
+        f"clients[{index}]": count for index, count in enumerate(clients)
+    })
     levels = [int(c) for c in clients]
     if not levels:
         raise ControlError("cannot replay an empty client series")

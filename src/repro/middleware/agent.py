@@ -276,11 +276,9 @@ class AgentElement:
             # queue is on the engine heap.
             wait = self.detection.timeout * (self.detection.backoff**attempt)
             queue = self._watchdogs[attempt]
-            if queue:
-                key = self.sim.take(wait)
-            else:
-                event = self.sim.schedule(wait, partial(self._expire, attempt))
-                key = (event.time, event.sequence)
+            key = self.sim.take(wait)
+            if not queue:
+                self.sim.arm(key, partial(self._expire, attempt))
             queue.append((key, child, request_id, pending))
 
         return deliver

@@ -28,8 +28,9 @@ carrier rule keeps this to one heap entry per event:
 * :meth:`Simulator.suspend` invalidates the event's key and leaves the
   heap alone;
 * :meth:`Simulator.resume` takes the next sequence number, exactly where
-  a fresh :meth:`Simulator.schedule` would — or the reserved one, see
-  below.  A carrier due no later than the new time is simply outgrown
+  a fresh :meth:`Simulator.schedule` would — or a key from
+  :meth:`Simulator.take`, see below.  A carrier due no later than the
+  new time is simply outgrown
   (re-keyed when it surfaces); a dropped carrier is replaced by a new
   entry; a carrier due *later* than the new time cannot be re-keyed
   upwards, so the old event is cancelled and a fresh event takes over.
@@ -40,29 +41,24 @@ would have given it: firing order and sequence numbering are unchanged,
 only the heap's bookkeeping (:attr:`Simulator.pending`,
 :attr:`Simulator.heap_compactions`) differs.
 
-Three more hooks let a caller keep a sequence number and an event
+Two more hooks let a caller keep a sequence number and an event
 object it would otherwise throw away:
 
-* :meth:`Simulator.reserve` takes the next sequence number now, for a
-  :meth:`~Simulator.schedule` or :meth:`~Simulator.resume` decided later
-  (``sequence=``).  The event then fires exactly where it would have had
-  it been scheduled at reservation time.  One reservation is open at a
-  time, and only until the next event fires: reserving again forfeits
-  the previous number, a firing lets it lapse, and a number is used at
-  most once.  A forfeited number is simply never used, which leaves the
-  order of every other event alone.
-* :meth:`Simulator.take` is the long-lived variant: it takes the whole
-  ``(time, sequence)`` key that ``schedule(delay, ...)`` would give an
-  event now — split hook included, see below — and puts nothing on the
-  heap.  :meth:`Simulator.arm` later schedules a callback under that
-  key, through :meth:`~Simulator.schedule`, and the event fires exactly
-  where one scheduled at the take would have.  The time is the one
-  computed at the take, never re-derived from a delay; the key must be
-  ahead of the event now firing (or of the last number taken, after a
-  run stopped at a horizon), and arming calls the split hook of its
-  time again.  A key that is never armed is never used.  The middleware
-  watchdogs queue their deadlines this way and keep only the earliest
-  of each queue on the heap.
+* :meth:`Simulator.take` takes the whole ``(time, sequence)`` key that
+  ``schedule(delay, ...)`` would give an event now — split hook
+  included, see below — and puts nothing on the heap.
+  :meth:`Simulator.arm` later schedules a callback under that key,
+  through :meth:`~Simulator.schedule`, and ``resume(..., sequence=key)``
+  resumes a suspended event under it; either way the event fires
+  exactly where one scheduled at the take would have.  The time is the
+  one computed at the take, never re-derived from a delay; the key must
+  be ahead of the event now firing (or of the last number taken, after
+  a run stopped at a horizon), and using it calls the split hook of its
+  time again.  A key never used is a gap in the numbering that leaves
+  the order of every other event alone.  The serial resource keys its
+  deferred restart this way; the middleware watchdogs queue their
+  deadlines this way and keep only the earliest of each queue on the
+  heap.
 * ``schedule(..., reuse=event)`` re-arms an event that is off the heap
   — fired, or cancelled after its entry was popped — instead of
   allocating a new one.  The event must belong to this simulator and
@@ -78,20 +74,21 @@ event (see :mod:`repro.sim.resources`) and split it back exactly:
   resuming, taking or arming any event at one of them first calls the
   chain's split hook, before the event takes its sequence number;
 * :meth:`Simulator.passed` tells whether a boundary keyed
-  ``(time, sequence)`` would have fired by now;
+  ``(time, sequence)`` would have fired by now: whether the key is at
+  or behind the event now firing;
 * :meth:`Simulator.rekey` moves the chain's pending event to an earlier
   boundary under its own sequence number.
 
 One private loop fires events: it pops the heap top, skips cancelled
 entries, drops or re-keys carriers, stops at the horizon, checks that
 time never goes backwards and fires.  :meth:`Simulator.run`,
-:meth:`Simulator.run_until`, :meth:`Simulator.run_until_condition` and
-:meth:`Simulator.step` all share it.  Their ``max_events`` budget follows one rule: a budget of N fires at
-most N events, and raises only if a live event due within the horizon
-remains after that.  ``run_until_condition`` adds a state-predicate stop
-on top of the deadline — the primitive that lets a live migration drain a
-subtree for exactly as long as it stays busy, with entities added and
-removed mid-run and determinism intact.
+:meth:`Simulator.run_until` and :meth:`Simulator.run_until_condition`
+share it.  Their ``max_events`` budget follows one rule: a budget of N
+fires at most N events, and raises only if a live event due within the
+horizon remains after that.  ``run_until_condition`` adds a
+state-predicate stop on top of the deadline — the primitive that lets a
+live migration drain a subtree for exactly as long as it stays busy,
+with entities added and removed mid-run and determinism intact.
 """
 
 from __future__ import annotations
@@ -160,10 +157,6 @@ class Event:
         )
 
 
-def _always() -> bool:
-    return True
-
-
 class Simulator:
     """Deterministic discrete-event simulator.
 
@@ -186,20 +179,13 @@ class Simulator:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._sequence: int = 0
-        # The open reservation's sequence number (0 when none is open),
-        # and the number of events fired when it was taken.
-        self._reservation: int = 0
-        self._reserved_at: int = 0
         self._events_processed: int = 0
         self._cancelled_in_heap: int = 0
         self._compactions: int = 0
-        # Where the clock rests within the instant ``now``: one past
-        # every number taken when a run stopped at a horizon, 0 once
-        # firing resumes.  See :meth:`passed`.
-        self._position: int = 0
         # The sequence number of the event firing at ``now``, or of the
-        # last one taken when a run stopped at a horizon: :meth:`arm`
-        # refuses keys at or behind it.
+        # last one taken when a run stopped at a horizon: keys at or
+        # behind it are refused by :meth:`arm` and have passed for
+        # :meth:`passed`.
         self._firing: int = 0
         # Watched boundary times of fused chains -> the split hook of
         # the chain that owns them.  See :meth:`watch`.
@@ -213,15 +199,14 @@ class Simulator:
         delay: float,
         callback: Callable[[], None],
         reuse: Event | None = None,
-        sequence: int | None = None,
+        sequence: tuple[float, int] | None = None,
     ) -> Event:
         """Schedule ``callback`` to fire ``delay`` seconds from now.
 
         ``reuse`` re-arms an event that no heap entry carries instead of
-        allocating one; ``sequence`` fires it under the open
-        reservation (see :meth:`reserve`) instead of the next number,
-        or at a ``(time, sequence)`` key from :meth:`take`, whose time
-        then stands in for ``now + delay`` (see :meth:`arm`).
+        allocating one; ``sequence`` fires it at a ``(time, sequence)``
+        key from :meth:`take` instead, whose time then stands in for
+        ``now + delay`` (see :meth:`arm`).
         """
         if not delay >= 0.0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
@@ -239,13 +224,8 @@ class Simulator:
             if time in self._watched:
                 self._watched[time]()
             sequence = self._sequence = self._sequence + 1
-        elif type(sequence) is tuple:
-            time, sequence = self._claim(sequence)
         else:
-            time = self.now + delay
-            if time in self._watched:
-                self._watched[time]()
-            self._take_reservation(sequence)
+            time, sequence = self._claim(sequence)
         if reuse is None:
             event = Event(time, sequence, callback, self)
         else:
@@ -256,14 +236,10 @@ class Simulator:
         heapq.heappush(self._heap, (time, sequence, event))
         return event
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at absolute simulation ``time``."""
-        return self.schedule(time - self.now, callback)
-
     def take(self, delay: float) -> tuple[float, int]:
         """Take the ``(time, sequence)`` key ``schedule(delay, ...)``
         would give an event now, split hook included, for a later
-        :meth:`arm`; nothing goes on the heap."""
+        :meth:`arm` or ``resume``; nothing goes on the heap."""
         if not delay >= 0.0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
         time = self.now + delay
@@ -295,26 +271,6 @@ class Simulator:
             self._watched[time]()
         return key
 
-    def reserve(self) -> int:
-        """Take the next sequence number now for a later ``schedule`` or
-        ``resume`` with ``sequence=``, before any other event fires;
-        forfeits any open reservation."""
-        sequence = self._sequence = self._sequence + 1
-        self._reservation = sequence
-        self._reserved_at = self._events_processed
-        return sequence
-
-    def _take_reservation(self, sequence: int) -> None:
-        if (
-            sequence != self._reservation
-            or not sequence
-            or self._reserved_at != self._events_processed
-        ):
-            raise SimulationError(
-                f"sequence {sequence} is not the open reservation"
-            )
-        self._reservation = 0
-
     def suspend(self, event: Event) -> None:
         """Hold a pending ``event``: it keeps its callback but cannot fire
         until :meth:`resume`.  The heap is not touched."""
@@ -324,9 +280,13 @@ class Simulator:
         event.sequence = 0
 
     def resume(
-        self, event: Event, delay: float, sequence: int | None = None
+        self,
+        event: Event,
+        delay: float,
+        sequence: tuple[float, int] | None = None,
     ) -> Event:
-        """Let a suspended ``event`` fire ``delay`` seconds from now.
+        """Let a suspended ``event`` fire ``delay`` seconds from now, or
+        at a ``sequence`` key from :meth:`take`.
 
         Fires exactly as ``schedule(delay, callback, sequence=sequence)``
         would — same time, same sequence number — but reuses the event's
@@ -335,17 +295,12 @@ class Simulator:
         one when the carrier was due later, in which case ``event`` is
         cancelled.
         """
-        if not delay >= 0.0:
-            raise SimulationError(f"cannot schedule in the past: delay={delay}")
         if event.callback is None or event.sequence != 0:
             raise SimulationError(f"cannot resume {event!r}: not suspended")
-        time = self.now + delay
-        if time in self._watched:
-            self._watched[time]()
         if sequence is None:
-            sequence = self._sequence = self._sequence + 1
+            time, sequence = self.take(delay)
         else:
-            self._take_reservation(sequence)
+            time, sequence = self._claim(sequence)
         carrier = event.carrier
         if carrier is not None and carrier <= time:
             event.time = time
@@ -387,17 +342,15 @@ class Simulator:
 
     def passed(self, time: float, sequence: int) -> bool:
         """Whether a fused chain's boundary keyed ``(time, sequence)``
-        would have fired by now.
+        would have fired by now: the clock is past ``time``, or at it
+        with ``sequence`` at or behind the event now firing — behind
+        every number taken, after a run stopped at a horizon.
 
-        The clock is past ``time``, or at it after a run stopped there
-        with every event due fired, before ``sequence`` was taken.
-        Anywhere else in the instant — an event firing, or a run
-        stopped by its condition — the boundary is still to come: every
-        event keyed at a watched time after the chain started split it,
-        so the one at hand was keyed before ``sequence``.
+        An event firing at a boundary time was keyed before the chain
+        began: one keyed later would have split the chain.
         """
         now = self.now
-        return time < now or (time == now and sequence < self._position)
+        return time < now or (time == now and sequence <= self._firing)
 
     def rekey(
         self, event: Event, time: float, callback: Callable[[], None]
@@ -436,21 +389,6 @@ class Simulator:
     def heap_compactions(self) -> int:
         """Number of times the event heap has been compacted."""
         return self._compactions
-
-    def peek_time(self) -> float | None:
-        """Time of the next live event, or None if the heap is drained."""
-        heap = self._heap
-        while heap:
-            time, sequence, event = heap[0]
-            if event.callback is None:
-                heapq.heappop(heap)
-                event.carrier = None
-                self._cancelled_in_heap -= 1
-            elif sequence != event.sequence:
-                self._surface(event)
-            else:
-                return time
-        return None
 
     # ------------------------------------------------------------------ #
 
@@ -505,7 +443,6 @@ class Simulator:
         heap = self._heap
         heappop = heapq.heappop
         budget = -1 if max_events is None else max_events
-        self._position = 0
         fired = 0
         while heap:
             time, sequence, event = heap[0]
@@ -539,10 +476,6 @@ class Simulator:
                 return True
         return False
 
-    def step(self) -> bool:
-        """Fire the next live event.  Returns False when none remain."""
-        return self._fire(math.inf, _always)
-
     def run(self, max_events: int | None = None) -> None:
         """Run until the heap drains (at most ``max_events`` callbacks)."""
         self._fire(math.inf, None, max_events)
@@ -562,9 +495,8 @@ class Simulator:
 
     def _stop_at(self, horizon: float) -> None:
         """Rest the clock at ``horizon`` with every event due by it fired:
-        the position is past every sequence number taken so far."""
+        every sequence number taken so far is behind it."""
         self.now = horizon
-        self._position = self._sequence + 1
         self._firing = self._sequence
 
     def run_until_condition(

@@ -32,23 +32,23 @@ Middleware callback chains submit their next priority-0 step from the
 completion callback, at the very instant the service item would
 restart, so restarting it first would only preempt it again with zero
 elapsed time.  When only priority-1 work is queued, the completion
-reserves the sequence number the restart would take
-(:meth:`~repro.sim.engine.Simulator.reserve`) and runs its callback
-with the resource idle and the item still at the front of the low
-queue:
+takes the ``(time, sequence)`` key the restart's completion would get
+(:meth:`~repro.sim.engine.Simulator.take`) and runs its callback with
+the resource idle and the item still at the front of the low queue:
 
-* a priority-0 submit inside the callback forfeits the reservation and
-  starts at once — the zero-elapsed preemption the restart would have
+* a priority-0 submit inside the callback forfeits the key and starts
+  at once — the zero-elapsed preemption the restart would have
   suffered, counted in :attr:`SerialResource.preemptions` all the same;
 * a priority-1 submit, :meth:`SerialResource.set_rate` or
   :meth:`SerialResource.halt` inside the callback first starts the
-  deferred item under the reserved number, which is the state an
-  immediate restart would have left;
-* otherwise the item starts under the reserved number once the
-  callback returns.
+  deferred item at the key, which is the state an immediate restart
+  would have left;
+* otherwise the item starts at the key once the callback returns.
 
-No reservation outlives the completion callback that made it, and the
-observers (:attr:`SerialResource.is_busy`,
+The key's time is final when it is taken: everything that could change
+the item's wall duration restarts it first.  No key outlives the
+completion callback that took it, a forfeited one is never used, and
+the observers (:attr:`SerialResource.is_busy`,
 :attr:`SerialResource.queue_length`, :attr:`SerialResource.backlog`)
 count the deferred item as in progress.  Idle work starts directly,
 and a fired completion event is re-armed for the next item rather
@@ -118,6 +118,8 @@ from repro.sim.engine import Event, Simulator
 __all__ = ["SerialResource"]
 
 _KINDS = ("send", "recv", "compute")
+#: A declared chain's segments, in order.
+_CHAIN_KINDS = ("recv", "compute", "send")
 
 #: ``_current`` while a fused chain runs: a priority-0 item.  Every
 #: reader of the in-progress item splits the chain first.
@@ -178,9 +180,9 @@ class SerialResource:
         self._parked: Event | None = None
         # A fired completion event, re-armed for the next item started.
         self._spare: Event | None = None
-        # The sequence number reserved for a deferred restart while a
-        # completion callback runs; 0 otherwise.
-        self._deferred = 0
+        # The engine key taken for a deferred restart while a completion
+        # callback runs; None otherwise.
+        self._deferred: tuple[float, int] | None = None
         self._on_complete = self._complete
         # The fused chain in progress — ``(recv, compute, send,
         # on_received, on_computed, on_sent)`` and its three segments'
@@ -281,13 +283,9 @@ class SerialResource:
         """Receive a message, compute, send a reply: three priority-0
         items, each submitted as the one before completes, right after
         its callback (``on_received``, ``on_computed``, ``on_sent``)."""
-        self.submit(
-            recv, "recv",
-            self._then(
-                on_received, compute, "compute",
-                self._then(on_computed, send, "send", on_sent),
-            ),
-        )
+        self.submit(*self._segment(
+            (recv, compute, send, on_received, on_computed, on_sent), 0
+        ))
 
     def submit_chain(
         self,
@@ -347,7 +345,6 @@ class SerialResource:
         chain = self._chain
         if chain is None:
             return 0
-        recv, compute, send, on_received, on_computed, on_sent = chain
         times = self._chain_times
         event = self._completion
         passed = self._passed(event.sequence)
@@ -355,18 +352,8 @@ class SerialResource:
         if passed:
             self._pass(chain, passed)
             self._busy_since = times[passed - 1]
-        rate = self._rate
-        if passed == 0:
-            self._current = (recv / rate, "recv", self._then(
-                on_received, compute, "compute",
-                self._then(on_computed, send, "send", on_sent),
-            ), 0)
-        elif passed == 1:
-            self._current = (compute / rate, "compute", self._then(
-                on_computed, send, "send", on_sent
-            ), 0)
-        else:
-            self._current = (send / rate, "send", on_sent, 0)
+        duration, kind, on_done = self._segment(chain, passed)
+        self._current = (duration / self._rate, kind, on_done, 0)
         self._completion = self.sim.rekey(event, times[passed], self._on_complete)
         return passed
 
@@ -374,7 +361,7 @@ class SerialResource:
 
     @property
     def is_busy(self) -> bool:
-        return self._busy or self._deferred != 0
+        return self._busy or self._deferred is not None
 
     @property
     def rate(self) -> float:
@@ -479,7 +466,10 @@ class SerialResource:
     @property
     def queue_length(self) -> int:
         """Work items waiting (excluding the one in progress)."""
-        return len(self._queue) + len(self._low_queue) - (self._deferred != 0)
+        return (
+            len(self._queue) + len(self._low_queue)
+            - (self._deferred is not None)
+        )
 
     @property
     def backlog(self) -> float:
@@ -487,7 +477,7 @@ class SerialResource:
         if self._chain is not None and self._rate != 1.0 and self._low_queue:
             # Each passed boundary re-times the preempted item.
             self.unfuse()
-        waiting = islice(self._low_queue, self._deferred != 0, None)
+        waiting = islice(self._low_queue, self._deferred is not None, None)
         return sum(item[0] for item in self._queue) + sum(
             item[0] for item in waiting
         )
@@ -537,11 +527,11 @@ class SerialResource:
 
     # ------------------------------------------------------------------ #
 
-    def _restart(self, sequence: int | None = None) -> None:
+    def _restart(self, key: tuple[float, int] | None = None) -> None:
         """Start the front of the low queue, resuming its parked
-        completion if it was preempted; under ``sequence`` if given
-        (a deferred restart's reservation)."""
-        self._deferred = 0
+        completion if it was preempted; at ``key`` if given (a deferred
+        restart's key from :meth:`~repro.sim.engine.Simulator.take`)."""
+        self._deferred = None
         duration, kind, on_done = self._low_queue.popleft()
         self._busy = True
         self._busy_since = self.sim.now
@@ -550,18 +540,18 @@ class SerialResource:
         parked = self._parked
         if parked is None:
             self._completion = self.sim.schedule(
-                wall, self._on_complete, self._spare, sequence
+                wall, self._on_complete, self._spare, key
             )
             self._spare = None
         else:
             self._parked = None
-            self._completion = self.sim.resume(parked, wall, sequence)
+            self._completion = self.sim.resume(parked, wall, key)
 
     def _forfeit(self) -> None:
         """Give up a deferred restart for priority-0 work: the zero-elapsed
         preemption the restart would have met.  The item keeps its place
         and its parked completion, if any."""
-        self._deferred = 0
+        self._deferred = None
         self._preemptions += 1
         rate = self._rate
         if rate != 1.0:
@@ -618,7 +608,7 @@ class SerialResource:
                 self._restart()
                 return
             # Defer the restart past on_done (see the module docstring).
-            self._deferred = self.sim.reserve()
+            self._deferred = self.sim.take(self._low_queue[0][0] / self._rate)
             try:
                 on_done()
             finally:
@@ -631,22 +621,25 @@ class SerialResource:
     # ------------------------------------------------------------------ #
     # fused chains
 
-    def _then(
-        self,
-        on_done: Callable[[], None] | None,
-        duration: float,
-        kind: str,
-        next_done: Callable[[], None] | None,
-    ) -> Callable[[], None]:
-        """A completion callback: ``on_done``, then submit the next
-        priority-0 item."""
+    def _segment(
+        self, chain: tuple, index: int
+    ) -> tuple[float, str, Callable[[], None] | None]:
+        """Segment ``index`` (0 recv, 1 compute, 2 send) of a declared
+        chain as a priority-0 item ``(duration, kind, on_done)``.  Before
+        the send, ``on_done`` runs the segment's callback, then submits
+        the next segment."""
+        duration, kind = chain[index], _CHAIN_KINDS[index]
+        callback = chain[index + 3]
+        if index == 2:
+            return duration, kind, callback
+        following = self._segment(chain, index + 1)
 
-        def step() -> None:
-            if on_done is not None:
-                on_done()
-            self.submit(duration, kind, next_done)
+        def on_done() -> None:
+            if callback is not None:
+                callback()
+            self.submit(*following)
 
-        return step
+        return duration, kind, on_done
 
     def _passed(self, sequence: int) -> int:
         """How many of the fused chain's two inner boundaries an unfused

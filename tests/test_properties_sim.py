@@ -4,7 +4,8 @@ The load-bearing invariants of the DES:
 
 * the engine fires events in (time, schedule-order) — never backwards;
 * under any interleaving of scheduling, cancellation, suspension,
-  resumption, reservation, re-arming of fired events and run windows,
+  resumption, keys taken now and used later, re-arming of fired events
+  and run windows,
   the firing order and the engine's counters match a reference model
   that keeps its queue as a plain list and takes its minimum;
 * a serial resource conserves work exactly across any interleaving of
@@ -100,10 +101,11 @@ program_steps = st.one_of(
     ),
     # (seed): resume every suspended event at a seeded delay.
     st.tuples(st.just("unpark"), st.integers(min_value=0, max_value=2**32 - 1)),
-    # Take a sequence number now; a later step fires an event under it.
-    st.tuples(st.just("reserve")),
-    st.tuples(st.just("schedule_reserved"), delays),
-    st.tuples(st.just("resume_reserved"), picks, delays),
+    # Take a (time, sequence) key now; a later step schedules or resumes
+    # an event at it.
+    st.tuples(st.just("take"), delays),
+    st.tuples(st.just("schedule_taken"), picks),
+    st.tuples(st.just("resume_taken"), picks, picks),
     # Re-arm a fired event for a new callback.
     st.tuples(st.just("reuse"), picks, delays),
     # (count, seed, cancelled tenths): a seeded storm of events.
@@ -175,26 +177,35 @@ SUSPEND_THEN_CANCEL = [
     ("run_until", 1.0),
     ("cancel", 1),
 ]
-#: A reserved number fires before an equal-time event scheduled after
-#: the reservation, and a fired event is re-armed.
-RESERVED_AND_REUSED = [
+#: An event scheduled at a taken key fires before an equal-time event
+#: scheduled after the take, and a fired event is re-armed.
+TAKEN_AND_REUSED = [
     ("schedule", 0.5, [], []),
-    ("reserve",),
+    ("take", 1.0),
     ("schedule", 1.0, [], []),
-    ("schedule_reserved", 1.0),
+    ("schedule_taken", 0),
     ("run_until", 1.0),
     ("reuse", 0, 0.0),
     ("schedule", 0.0, [], []),
 ]
-#: A suspended event resumes under a reservation taken before an
-#: equal-time event; reserving again forfeits the first number.
-RESUMED_UNDER_RESERVATION = [
+#: A suspended event resumes at the second of two keys taken before an
+#: equal-time event; the first key is never used.
+RESUMED_AT_A_TAKEN_KEY = [
     ("schedule", 3.0, [], []),
     ("suspend", 0),
-    ("reserve",),
-    ("reserve",),
+    ("take", 1.0),
+    ("take", 1.0),
     ("schedule", 1.0, [], []),
-    ("resume_reserved", 0, 1.0),
+    ("resume_taken", 0, 1),
+]
+#: A key ahead of the clock outlives a run window, and its event still
+#: fires before an equal-time event scheduled after the window.
+KEY_OUTLIVES_A_WINDOW = [
+    ("take", 4.0),
+    ("schedule", 1.0, [], []),
+    ("run_until", 1.0),
+    ("schedule", 3.0, [], []),
+    ("schedule_taken", 0),
 ]
 #: Half the storm's survivors are suspended, then a fully cancelled storm
 #: compacts the heap above ``COMPACT_MIN_SIZE``: the suspended events'
@@ -216,8 +227,8 @@ class ReferenceEngine:
     event's current key lives in a dict, ``(inf, 0)`` while suspended; a
     queued entry whose sequence differs from it is a carrier, dropped or
     re-keyed when it reaches the front.  Event handles are the sequence
-    number the event was created with.  A reserved number is just a
-    sequence number taken early; re-arming a fired event is a fresh
+    number the event was created with.  A taken key is just a time and
+    a sequence number taken early; re-arming a fired event is a fresh
     schedule.
     """
 
@@ -237,10 +248,12 @@ class ReferenceEngine:
     def pending(self) -> int:
         return len(self.queue)
 
-    def _push(self, time, action, sequence=None):
-        if sequence is None:
+    def _push(self, time, action, key=None):
+        if key is None:
             self.sequence += 1
             sequence = self.sequence
+        else:
+            time, sequence = key
         handle = sequence
         self.queue.append((time, handle, handle))
         self.key[handle] = (time, handle)
@@ -251,12 +264,12 @@ class ReferenceEngine:
         """The queued entry carrying ``handle``, or None."""
         return next((e for e in self.queue if e[2] == handle), None)
 
-    def schedule(self, delay, eid, action, reuse=None, sequence=None):
-        return self._push(self.now + delay, action, sequence)
+    def schedule(self, delay, eid, action, reuse=None, key=None):
+        return self._push(self.now + delay, action, key)
 
-    def reserve(self):
+    def take(self, delay):
         self.sequence += 1
-        return self.sequence
+        return self.now + delay, self.sequence
 
     def cancel(self, handle):
         if handle in self.cancelled or handle in self.done:
@@ -274,12 +287,12 @@ class ReferenceEngine:
     def suspend(self, handle):
         self.key[handle] = (math.inf, 0)
 
-    def resume(self, handle, delay, sequence=None):
-        time = self.now + delay
+    def resume(self, handle, delay, key=None):
+        time, sequence = key or (self.now + delay, None)
         carrier = self._carrier(handle)
         if carrier is not None and carrier[0] > time:
             self.cancel(handle)
-            return self._push(time, self.actions[handle], sequence)
+            return self._push(time, self.actions[handle], key)
         if sequence is None:
             self.sequence += 1
             sequence = self.sequence
@@ -342,8 +355,8 @@ class EngineAdapter:
     def cancelled_in_queue(self):
         return self.sim._cancelled_in_heap
 
-    def schedule(self, delay, eid, action, reuse=None, sequence=None):
-        return self.sim.schedule(delay, action, reuse, sequence)
+    def schedule(self, delay, eid, action, reuse=None, key=None):
+        return self.sim.schedule(delay, action, reuse, key)
 
     def cancel(self, handle):
         handle.cancel()
@@ -356,17 +369,19 @@ def play(engine, program):
     Suspend and resume picks choose among the events that are pending
     and not suspended, or suspended, respectively (no-ops if none are);
     reuse picks choose among fired events not yet re-armed.  Steps that
-    use a reservation are no-ops when none is open; run windows close it.
+    use a taken key pick among the open ones (no-ops if none is); each
+    key is used at most once, and a run window closes the keys the clock
+    has reached.
     """
     fired: list[tuple[float, int]] = []
     handles: list = []
     settled: set[int] = set()  # fired or cancelled
     suspended: set[int] = set()
     reusable: set[int] = set()  # fired, handle not re-armed
-    reservation = None
+    taken: list = []  # open keys
 
     def schedule(delay, children=(), cancels=(), toggles=(), reuse=None,
-                 sequence=None):
+                 key=None):
         eid = len(handles)
 
         def action():
@@ -384,7 +399,7 @@ def play(engine, program):
                 elif index not in settled:
                     suspend(index)
 
-        handles.append(engine.schedule(delay, eid, action, reuse, sequence))
+        handles.append(engine.schedule(delay, eid, action, reuse, key))
 
     def cancel(pick):
         index = pick % len(handles)
@@ -398,13 +413,16 @@ def play(engine, program):
         engine.suspend(handles[index])
         suspended.add(index)
 
-    def resume(index, delay, sequence=None):
-        handles[index] = engine.resume(handles[index], delay, sequence)
+    def resume(index, delay, key=None):
+        handles[index] = engine.resume(handles[index], delay, key)
         suspended.remove(index)
 
     def pick_from(indices, pick):
         indices = sorted(indices)
         return indices[pick % len(indices)] if indices else None
+
+    def close_reached_keys():
+        taken[:] = [key for key in taken if key[0] > engine.now]
 
     def observed(outcome=None):
         return (
@@ -423,17 +441,15 @@ def play(engine, program):
         outcome = None
         if kind == "schedule":
             schedule(*args)
-        elif kind == "reserve":
-            reservation = engine.reserve()
-        elif kind == "schedule_reserved":
-            if reservation is not None:
-                schedule(args[0], sequence=reservation)
-                reservation = None
-        elif kind == "resume_reserved":
+        elif kind == "take":
+            taken.append(engine.take(args[0]))
+        elif kind == "schedule_taken":
+            if taken:
+                schedule(0.0, key=taken.pop(args[0] % len(taken)))
+        elif kind == "resume_taken":
             index = pick_from(suspended, args[0])
-            if index is not None and reservation is not None:
-                resume(index, args[1], reservation)
-                reservation = None
+            if index is not None and taken:
+                resume(index, 0.0, taken.pop(args[1] % len(taken)))
         elif kind == "reuse":
             index = pick_from(reusable, args[0])
             if index is not None:
@@ -474,14 +490,14 @@ def play(engine, program):
                     cancel(len(handles) - 1)
         elif kind == "run_until":
             engine.run_until(engine.now + args[0])
-            reservation = None  # lapsed if anything fired
+            close_reached_keys()
         else:
-            reservation = None
             span, quota = args
             start = len(fired)
             outcome = engine.run_until_condition(
                 engine.now + span, lambda: len(fired) - start >= quota
             )
+            close_reached_keys()
         trace.append(observed(outcome))
     engine.run()
     trace.append(observed())
@@ -490,11 +506,11 @@ def play(engine, program):
 
 def reschedules(program) -> bool:
     """Whether ``program`` may suspend or resume an event, or fire one
-    under a reserved number."""
+    at a taken key."""
     return any(
         step[0]
-        in ("suspend", "resume", "park", "unpark", "schedule_reserved",
-            "resume_reserved")
+        in ("suspend", "resume", "park", "unpark", "schedule_taken",
+            "resume_taken")
         or (step[0] == "schedule" and len(step) > 4 and step[4])
         for step in program
     )
@@ -511,8 +527,9 @@ class TestEngineMatchesReference:
     @example(CARRIER_DROPPED_THEN_RESUMED)
     @example(SUSPEND_THEN_CANCEL)
     @example(CARRIERS_SURVIVE_COMPACTION)
-    @example(RESERVED_AND_REUSED)
-    @example(RESUMED_UNDER_RESERVATION)
+    @example(TAKEN_AND_REUSED)
+    @example(RESUMED_AT_A_TAKEN_KEY)
+    @example(KEY_OUTLIVES_A_WINDOW)
     @settings(max_examples=60, deadline=None)
     def test_firing_order_and_counters_match_reference(self, program):
         fired, trace = play(EngineAdapter(), program)
@@ -574,16 +591,20 @@ class TestEngineMatchesReference:
         assert after_storm[5] - after_storm[6] == 700
 
     def test_pinned_reservation_programs_reach_their_cases(self):
-        fired, _ = play(EngineAdapter(), RESERVED_AND_REUSED)
-        # Event 2 was scheduled after event 1 but under the earlier
-        # number; event 3 re-armed event 0 and fires before event 4.
+        fired, _ = play(EngineAdapter(), TAKEN_AND_REUSED)
+        # Event 2 was scheduled after event 1 but at the earlier key;
+        # event 3 re-armed event 0 and fires before event 4.
         assert fired == [(0.5, 0), (1.0, 2), (1.0, 1), (1.0, 3), (1.0, 4)]
 
-        fired, trace = play(EngineAdapter(), RESUMED_UNDER_RESERVATION)
-        # Under the second reservation (3), before event 1 (4); the
-        # carrier was due later, so a fresh entry carries it.
+        fired, trace = play(EngineAdapter(), RESUMED_AT_A_TAKEN_KEY)
+        # At the second key (3), before event 1 (4); the carrier was
+        # due later, so a fresh entry carries it.
         assert fired == [(1.0, 0), (1.0, 1)]
         assert trace[5][5] == 3
+
+        fired, _ = play(EngineAdapter(), KEY_OUTLIVES_A_WINDOW)
+        # Event 2 fires at the key (4.0, 1), before event 1 (4.0, 3).
+        assert fired == [(1.0, 0), (4.0, 2), (4.0, 1)]
 
 
 class TestResourceProperties:
@@ -1079,9 +1100,9 @@ class ProbedResource(SerialResource):
             self.cases.append("restart on halt")
         return super().halt()
 
-    def _restart(self, sequence=None):
-        self.cases.append("restart now" if sequence is None else "restart reserved")
-        super()._restart(sequence)
+    def _restart(self, key=None):
+        self.cases.append("restart now" if key is None else "restart at its key")
+        super()._restart(key)
 
 
 #: A service item is preempted the instant it starts.
@@ -1097,7 +1118,7 @@ CHAIN_QUEUES_THEN_HALT = [
     ("halt", 0.5),
 ]
 #: A preempted item's deferred restart is forfeited to chained
-#: priority-0 work twice, then restarts under its reservation.
+#: priority-0 work twice, then restarts at its key.
 CHAIN_FORFEITS = [
     ("submit", 0.0, 1.0, 1, "compute", []),
     ("submit", 0.25, 0.1, 0, "recv", [0.0, 0.0]),
@@ -1111,7 +1132,7 @@ TICKS_AROUND_A_FORFEIT = [
     ("submit", 0.0, 1.5, 1, "compute", []),
 ]
 #: Priority-1 work submitted inside the callback restarts the deferred
-#: item first, under the reserved number; a tick scheduled before it
+#: item first, at the key taken for it; a tick scheduled before it
 #: fires after the restarted item's equal-time completion.
 P1_INSIDE_THE_CALLBACK = [
     ("submit", 0.0, 1.0, 1, "compute", []),
@@ -1223,7 +1244,7 @@ class TestParkedPreemptionMatchesReference:
             return probe["resource"].cases
 
         assert cases(CHAIN_FORFEITS) == [
-            "forfeit", "forfeit", "restart reserved",
+            "forfeit", "forfeit", "restart at its key",
         ]
         assert "forfeit" not in cases(CHAIN_QUEUES_THEN_HALT)
         assert cases(QUIET_COMPLETION) == ["restart now"]
@@ -1246,7 +1267,7 @@ class TestParkedPreemptionMatchesReference:
         ]
         backlog = recv_done[-1][-1][2]
         assert backlog == (1.5 / 0.7) * 0.7 != 1.5
-        # The restarted item took the number reserved before the tick.
+        # The restarted item fired at the key taken before the tick.
         restarted_done = at(P1_INSIDE_THE_CALLBACK, 0.35 + 0.75)
         assert [entry[:2] for entry in restarted_done] == [
             ("done", 0), ("tick", 1),

@@ -84,9 +84,12 @@ def test_every_public_function_and_class_documented():
     assert not undocumented, f"missing docstrings: {undocumented}"
 
 
-#: The engine's heap bookkeeping: the carrier rule and the reservation
-#: rule hold only if nothing but ``sim/engine.py`` reads or writes these.
-ENGINE_PRIVATE = {"_heap", "_sequence", "_reservation", "_cancelled_in_heap"}
+#: The engine's heap bookkeeping: the carrier rule, the key rule and the
+#: split hooks hold only if nothing but ``sim/engine.py`` reads or writes
+#: these.
+ENGINE_PRIVATE = {
+    "_heap", "_sequence", "_firing", "_watched", "_cancelled_in_heap",
+}
 
 
 def test_only_the_engine_touches_its_heap():

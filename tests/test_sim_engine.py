@@ -34,15 +34,6 @@ class TestScheduling:
         sim.run()
         assert times == [1.5, 4.0]
 
-    def test_schedule_at_absolute_time(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        seen = []
-        sim.schedule_at(5.0, lambda: seen.append(sim.now))
-        sim.run()
-        assert seen == [5.0]
-
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().schedule(-1.0, lambda: None)
@@ -52,7 +43,7 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(math.nan, lambda: None)
         with pytest.raises(SimulationError):
-            sim.schedule_at(math.nan, lambda: None)
+            sim.take(math.nan)
         with pytest.raises(SimulationError):
             sim.run_until(math.nan)
         with pytest.raises(SimulationError):
@@ -94,12 +85,15 @@ class TestCancellation:
             first < second  # noqa: B015 - the comparison is the test
         assert first != Event(first.time, first.sequence, None)
 
-    def test_peek_skips_cancelled(self):
+    def test_a_cancelled_entry_is_popped_unfired(self):
         sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
+        fired = []
+        event = sim.schedule(1.0, lambda: fired.append(1.0))
+        sim.schedule(2.0, lambda: fired.append(2.0))
         event.cancel()
-        assert sim.peek_time() == 2.0
+        sim.run_until(1.5)
+        assert fired == [] and sim.events_processed == 0
+        assert sim.pending == 1 and sim._cancelled_in_heap == 0
 
 
 class TestHeapCompaction:
@@ -195,7 +189,7 @@ class TestRunUntil:
         sim = Simulator()
         sim.run()
         assert sim.now == 0.0
-        assert not sim.step()
+        assert sim.events_processed == 0
 
 
 class TestEventBudget:
@@ -273,22 +267,26 @@ class TestEventBudget:
         Simulator().run(max_events=0)  # nothing to fire: no error
 
 
-class TestStepAndPeek:
-    def test_step_fires_one_event_at_a_time(self):
+class TestCarriers:
+    def test_windows_drop_dead_entries_and_re_key_carriers(self):
         sim = Simulator()
         fired = []
         for time in (2.0, 1.0):
             sim.schedule(time, lambda t=time: fired.append(t))
         sim.schedule(0.5, lambda: fired.append(0.5)).cancel()
-        assert sim.peek_time() == 1.0
-        assert sim.step()
+        late = sim.schedule(0.75, lambda: fired.append("late"))
+        sim.suspend(late)
+        assert sim.resume(late, 2.5) is late  # carried from t=0.75
+        sim.run_until(1.0)
         assert fired == [1.0]
-        assert sim.now == 1.0
-        assert sim.step()
-        assert not sim.step()
-        assert fired == [1.0, 2.0]
-        assert sim.events_processed == 2
-        assert sim.peek_time() is None
+        # The dead entry was popped and the carrier re-keyed in place.
+        assert (sim.now, sim.events_processed, sim.pending) == (1.0, 1, 2)
+        assert sim._cancelled_in_heap == 0 and late.carrier == 2.5
+        sim.run_until(1.5)
+        assert fired == [1.0] and sim.events_processed == 1
+        sim.run_until(3.0)
+        assert fired == [1.0, 2.0, "late"]
+        assert (sim.events_processed, sim.pending) == (3, 0)
 
 
 class TestReuse:
@@ -348,72 +346,6 @@ class TestReuse:
         with pytest.raises(SimulationError):
             sim.schedule(1.0, lambda: None, event)
         assert sim.schedule(1.0, lambda: None).sequence == 2
-
-
-class TestReserve:
-    """:meth:`Simulator.reserve` takes a number for a later schedule."""
-
-    def test_a_reserved_event_fires_where_it_was_reserved(self):
-        sim = Simulator()
-        fired = []
-        sequence = sim.reserve()
-        sim.schedule(0.0, lambda: fired.append("later"))
-        event = sim.schedule(
-            0.0, lambda: fired.append("reserved"), sequence=sequence
-        )
-        assert event.sequence == sequence == 1
-        sim.run()
-        assert fired == ["reserved", "later"]
-
-    def test_resume_under_a_reservation(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule(1.0, lambda: fired.append("resumed"))
-        sim.suspend(event)
-        sequence = sim.reserve()
-        sim.schedule(2.0, lambda: fired.append("later"))
-        assert sim.resume(event, 2.0, sequence) is event
-        assert event.sequence == sequence
-        sim.run()
-        assert fired == ["resumed", "later"]
-
-    def test_a_reservation_is_used_at_most_once(self):
-        sim = Simulator()
-        sequence = sim.reserve()
-        sim.schedule(1.0, lambda: None, sequence=sequence)
-        with pytest.raises(SimulationError, match="not the open reservation"):
-            sim.schedule(1.0, lambda: None, sequence=sequence)
-
-    def test_reserving_again_forfeits_the_open_number(self):
-        sim = Simulator()
-        first = sim.reserve()
-        second = sim.reserve()
-        with pytest.raises(SimulationError, match="not the open reservation"):
-            sim.schedule(1.0, lambda: None, sequence=first)
-        assert sim.schedule(1.0, lambda: None, sequence=second).sequence == 2
-        # Forfeited numbers are skipped, not handed out again.
-        assert sim.schedule(1.0, lambda: None).sequence == 3
-
-    def test_a_reservation_lapses_when_an_event_fires(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(0.0, lambda: fired.append("first"))
-        sequence = sim.reserve()
-        sim.schedule(0.0, lambda: fired.append("second"))
-        sim.run()
-        with pytest.raises(SimulationError, match="not the open reservation"):
-            sim.schedule(0.0, lambda: fired.append("late"), sequence=sequence)
-        assert fired == ["first", "second"]
-
-    def test_numbers_never_reserved_are_refused(self):
-        sim = Simulator()
-        for sequence in (0, 1, 7):
-            with pytest.raises(SimulationError, match="not the open reservation"):
-                sim.schedule(1.0, lambda: None, sequence=sequence)
-        event = sim.schedule(1.0, lambda: None)
-        sim.suspend(event)
-        with pytest.raises(SimulationError, match="not the open reservation"):
-            sim.resume(event, 1.0, event.sequence)
 
 
 class TestTakeAndArm:
@@ -476,6 +408,23 @@ class TestTakeAndArm:
             with pytest.raises(SimulationError, match="never taken"):
                 sim.arm(key, lambda: None)
 
+    def test_resume_under_a_taken_key(self):
+        sim = Simulator()
+        fired = []
+        event = sim.schedule(3.0, lambda: fired.append("resumed"))
+        sim.suspend(event)
+        key = sim.take(1.0)
+        sim.schedule(1.0, lambda: fired.append("later"))
+        with pytest.raises(SimulationError, match="never taken"):
+            sim.resume(event, 1.0, (1.0, 7))
+        resumed = sim.resume(event, 0.0, key)
+        # The carrier (t=3) was due later than the key: a fresh event
+        # at the key, whatever the delay.
+        assert resumed is not event and event.cancelled
+        assert (resumed.time, resumed.sequence) == key == (1.0, 2)
+        sim.run()
+        assert fired == ["resumed", "later"]
+
     def test_take_refuses_the_past(self):
         with pytest.raises(SimulationError, match="in the past"):
             Simulator().take(-1.0)
@@ -503,3 +452,31 @@ class TestTakeAndArm:
         event = sim.arm(sim.take(2.0), lambda: None)
         assert len(calls) == 1
         assert (event.time, event.sequence) == (2.0, 1)
+
+
+class TestPassed:
+    """:meth:`Simulator.passed`: a key has fired by now when it is at or
+    behind the event now firing, or behind every number taken once a
+    run stopped at a horizon."""
+
+    def test_a_stopped_run_has_passed_every_number_taken(self):
+        sim = Simulator()
+        first = sim.take(1.0)
+        last = sim.take(1.0)
+        sim.run_until(1.0)
+        assert sim.passed(*first) and sim.passed(*last)
+        assert not sim.passed(1.0, last[1] + 1)
+        assert sim.passed(0.5, 99) and not sim.passed(1.5, 1)
+
+    def test_the_firing_event_has_passed_its_own_key(self):
+        sim = Simulator()
+        seen = []
+
+        def firing() -> None:
+            key = (event.time, event.sequence)
+            seen.append((sim.passed(*key), sim.passed(1.0, key[1] + 1)))
+
+        event = sim.schedule(1.0, firing)
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert seen == [(True, False)]

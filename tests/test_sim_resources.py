@@ -232,12 +232,19 @@ class TestDeferredRestart:
         assert res.busy_time == pytest.approx(5.5)
 
     def test_no_reservation_outlives_the_callback(self, sim, res):
+        keys = []
+
         def on_done():
-            assert sim._reservation != 0
+            keys.append(res._deferred)
 
         done = self.preempted(sim, res, on_done)
         sim.run_until(2.0)
-        assert sim._reservation == 0
+        # The 3 s remainder restarts at t=2 under the number taken right
+        # after the firing completion's (3), and its parked completion
+        # fires at that key.
+        assert keys == [(5.0, 4)]
+        assert res._deferred is None
+        assert (res._completion.time, res._completion.sequence) == (5.0, 4)
         assert res.is_busy
         sim.run()
         assert done == [5.0]
@@ -249,7 +256,7 @@ class TestDeferredRestart:
         done = self.preempted(sim, res, on_done)
         with pytest.raises(RuntimeError):
             sim.run()
-        assert sim._reservation == 0
+        assert res._deferred is None
         assert res.is_busy and res.queue_length == 0
         sim.run()
         assert done == [5.0]
