@@ -442,10 +442,9 @@ class _Run:
     fields are filled in by :meth:`ControlLoop._deploy_initial`.
     """
 
-    # Loop-owned memoizing evaluator for capacity evaluations
-    # (bit-identical to cold hierarchy_throughput); fresh per run so
-    # serial and process-pool sweeps see identical cache hit-rate
-    # metrics.
+    # Loop-owned memoizing evaluator for capacity evaluations; fresh
+    # per run so serial and process-pool sweeps see identical cache
+    # hit-rate metrics.
     evaluator: HierarchyEvaluator
     injector: FaultInjector | None = None
     # Hybrid traces: only the sampled cohort runs as discrete

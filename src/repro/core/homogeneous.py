@@ -118,7 +118,8 @@ class HomogeneousPlanner:
         if chosen is None:
             chosen = max(scored, key=lambda c: (c[0], -c[1], -c[2]))
         _, nodes_used, degree, hierarchy = chosen
-        # Only the winner needs the full Eq. 16 breakdown.
+        # The sweep keeps each candidate's rho only; the winner's report
+        # comes from the warm caches.
         report = self._evaluator.evaluate(hierarchy, app_work, validate=False)
         return HomogeneousPlan(
             hierarchy=hierarchy,
@@ -126,10 +127,6 @@ class HomogeneousPlanner:
             degree=degree,
             nodes_used=nodes_used,
         )
-
-    def best_degree(self, pool: NodePool, app_work: float) -> int:
-        """The selected degree only (the "Homo. Deg." column of Table 4)."""
-        return self.plan(pool, app_work).degree
 
     # ------------------------------------------------------------------ #
 
@@ -139,8 +136,7 @@ class HomogeneousPlanner:
         """(rho, nodes_used, realized degree, hierarchy) per candidate tree.
 
         The sweep scores every (size, degree) shape with the memoized
-        evaluator's throughput-only walk; the winner is re-evaluated in
-        full by :meth:`plan`.
+        evaluator; :meth:`plan` keeps the winner's full report.
         """
         sizes = (
             [len(pool)]
@@ -159,9 +155,9 @@ class HomogeneousPlanner:
                     continue
                 seen_shapes.add((size, degree))
                 hierarchy = dary_deployment(sub, degree)
-                rho = self._evaluator.throughput(
+                rho = self._evaluator.evaluate(
                     hierarchy, app_work, validate=False
-                )
+                ).throughput
                 # Repair can collapse near-star trees (e.g. d = n-2) into an
                 # actual star; report the realized root degree in that case
                 # so "degree" always describes the built hierarchy.

@@ -1,22 +1,24 @@
 """Per-pool kernel arrays and memoized hierarchy evaluation.
 
 This is the performance layer under every planner.  The scalar model
-functions in :mod:`repro.core.throughput` stay the readable single-node
-reference (Eqs. 11–16); this module memoizes the per-node quantities the
-planners probe over and over:
+functions in :mod:`repro.core.throughput` define the per-node rates
+(Eqs. 11–15); this module memoizes the per-node quantities the planners
+probe over and over:
 
 * :class:`NodeArrays` — per-node model constants for a ranked node list,
   precomputed once per (nodes, params) pair and sliced by the fixed-point
   solver instead of re-deriving them per probe, plus the per-tier rho
   ceiling that lets the solver skip tiers unsolved and the per-agent slot
   terms its bisection re-sums;
-* :class:`HierarchyEvaluator` — a memoizing replacement for repeated
-  :func:`~repro.core.throughput.hierarchy_throughput` calls: per-node rates
-  are cached by ``(power, degree)``, service rates by server-power tuple, so
-  evaluating a candidate hierarchy recomputes only what changed.
+* :class:`HierarchyEvaluator` — the one Eq. 14–16 walk over a hierarchy,
+  which :func:`~repro.core.throughput.hierarchy_throughput` reports
+  through: per-node rates are cached by ``(power, degree)``, service
+  rates by server-power tuple, so evaluating a candidate hierarchy
+  recomputes only what changed.
 
-Every cached or vectorized quantity is defined by the *same* floating-point
-expression as its scalar counterpart, so planners wired through this layer
+Every vectorized quantity is defined by the *same* floating-point
+expression as its scalar counterpart, and every cached one is computed
+by the scalar function itself, so planners wired through this layer
 return bit-identical deployments.  NumPy is a hard dependency: vector
 passes run on NumPy arrays, and the scalar paths read Python-list copies
 of the same values.
@@ -34,7 +36,9 @@ from repro.core.hierarchy import Hierarchy, NodeId, Role
 from repro.core.params import ModelParams
 from repro.core.throughput import (
     ThroughputReport,
+    agent_sched_throughput,
     resolve_app_work_list,
+    server_sched_throughput,
     service_throughput,
 )
 from repro.errors import ParameterError
@@ -295,8 +299,10 @@ class HierarchyEvaluator:
     rates keyed by the server-power tuple — a candidate change re-prices
     only the nodes it touched.
 
-    :meth:`evaluate` returns a :class:`ThroughputReport` identical (bit for
-    bit) to cold :func:`~repro.core.throughput.hierarchy_throughput`.
+    :meth:`evaluate` is the only Eq. 14–16 walk in the package; a cache
+    miss prices a node with the scalar functions of
+    :mod:`repro.core.throughput`, so a warm report equals a cold one bit
+    for bit.
     """
 
     #: Cap on each rate cache, cleared wholesale when full.  The service
@@ -335,10 +341,7 @@ class HierarchyEvaluator:
         rate = self._agent_rates.get(key)
         if rate is None:
             self.misses += 1
-            work, comm = _agent_rate_constants(self.params, degree)
-            if power <= 0.0:
-                raise ParameterError(f"power must be > 0, got {power}")
-            rate = 1.0 / (work / power + comm)
+            rate = agent_sched_throughput(self.params, power, degree)
             if len(self._agent_rates) >= self.RATE_CACHE_MAX:
                 self._agent_rates.clear()
             self._agent_rates[key] = rate
@@ -351,9 +354,7 @@ class HierarchyEvaluator:
         rate = self._server_rates.get(power)
         if rate is None:
             self.misses += 1
-            if power <= 0.0:
-                raise ParameterError(f"power must be > 0, got {power}")
-            rate = 1.0 / (self.params.wpre / power + self.params.server_comm)
+            rate = server_sched_throughput(self.params, power)
             if len(self._server_rates) >= self.RATE_CACHE_MAX:
                 self._server_rates.clear()
             self._server_rates[power] = rate
@@ -432,20 +433,13 @@ class HierarchyEvaluator:
         self.hits += hits
         return rates, limiting, server_nodes, server_powers
 
-    def sched_throughput(
-        self, hierarchy: Hierarchy
-    ) -> tuple[float, NodeId, dict[NodeId, float]]:
-        """Eq. 14 over a hierarchy, using the rate caches."""
-        rates, limiting, _, _ = self._walk(hierarchy)
-        return rates[limiting], limiting, rates
-
     def evaluate(
         self,
         hierarchy: Hierarchy,
         app_work,
         validate: bool = True,
     ) -> ThroughputReport:
-        """Eq. 16 — memoized equivalent of ``hierarchy_throughput``.
+        """Eq. 16 — the completed-request throughput report of ``hierarchy``.
 
         ``validate=False`` skips the structural re-check for hierarchies a
         planner just built itself.
@@ -474,64 +468,6 @@ class HierarchyEvaluator:
             limiting_node=limiting,
             node_rates=rates,
         )
-
-    def throughput(
-        self,
-        hierarchy: Hierarchy,
-        app_work,
-        validate: bool = True,
-    ) -> float:
-        """Eq. 16 ``rho`` only — the cheapest way to score a candidate.
-
-        Identical to ``evaluate(...).throughput`` but skips the per-node
-        rate report, which candidate-sweeping planners discard for every
-        tree except the winner.
-        """
-        if validate:
-            hierarchy.validate(strict=False)
-        role_map = hierarchy._role
-        power_map = hierarchy._power
-        children_map = hierarchy._children
-        agent_rates = self._agent_rates
-        server_rates = self._server_rates
-        agent = Role.AGENT  # an enum member lookup per node is not free
-        server_nodes: list[NodeId] = []
-        server_powers: list[float] = []
-        queue: list[NodeId] = [hierarchy.root]
-        index = 0
-        hits = 0
-        sched = math.inf
-        while index < len(queue):
-            node = queue[index]
-            index += 1
-            power = power_map[node]
-            if role_map[node] is agent:
-                children = children_map[node]
-                queue.extend(children)
-                key = (power, len(children))
-                rate = agent_rates.get(key)
-                if rate is None:
-                    rate = self.agent_rate(power, len(children))
-                else:
-                    hits += 1
-            else:
-                rate = server_rates.get(power)
-                if rate is None:
-                    rate = self.server_rate(power)
-                else:
-                    hits += 1
-                server_nodes.append(node)
-                server_powers.append(power)
-            if rate < sched:
-                sched = rate
-        if not server_nodes:
-            raise ParameterError(
-                "deployment has no servers; throughput undefined"
-            )
-        works = resolve_app_work_list(server_nodes, app_work)
-        service = self.service_rate(server_powers, works)
-        self.hits += hits
-        return sched if sched <= service else service
 
     def cache_info(self) -> dict[str, int]:
         """Cache sizes plus cumulative hit/miss counts (diagnostics for

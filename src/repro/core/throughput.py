@@ -12,6 +12,10 @@ The completed-request throughput of a deployment is the minimum of
 
 These closed forms assume the M(r,s,w) single-port serial model: a node's
 per-request send, receive and compute times simply add.
+
+This module holds the per-node rate formulas and the report type;
+:func:`hierarchy_throughput` walks a hierarchy through
+:class:`~repro.core.kernels.HierarchyEvaluator`, the one Eq. 14–16 walk.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.core import comm_model, comp_model
-from repro.core.hierarchy import Hierarchy, NodeId, Role
+from repro.core.hierarchy import Hierarchy, NodeId
 from repro.core.params import ModelParams
 from repro.errors import ParameterError
 
@@ -28,10 +32,8 @@ __all__ = [
     "agent_sched_throughput",
     "server_sched_throughput",
     "service_throughput",
-    "sched_throughput",
     "hierarchy_throughput",
     "ThroughputReport",
-    "resolve_app_work",
     "resolve_app_work_list",
 ]
 
@@ -91,17 +93,6 @@ def resolve_app_work_list(
     return [work] * len(servers)
 
 
-def resolve_app_work(
-    hierarchy: Hierarchy,
-    app_work: float | Mapping[NodeId, float],
-) -> list[float]:
-    """Expand a scalar or per-server mapping of ``Wapp`` into a list.
-
-    The list is ordered like ``hierarchy.servers``.
-    """
-    return resolve_app_work_list(hierarchy.servers, app_work)
-
-
 @dataclass(frozen=True)
 class ThroughputReport:
     """Full throughput breakdown for a deployment.
@@ -134,27 +125,6 @@ class ThroughputReport:
     def is_scheduling_bound(self) -> bool:
         return self.bottleneck == "scheduling"
 
-    @property
-    def is_service_bound(self) -> bool:
-        return self.bottleneck == "service"
-
-
-def sched_throughput(
-    hierarchy: Hierarchy, params: ModelParams
-) -> tuple[float, NodeId, dict[NodeId, float]]:
-    """Eq. 14 over a hierarchy: (min rate, limiting node, per-node rates)."""
-    rates: dict[NodeId, float] = {}
-    agent = Role.AGENT
-    for node in hierarchy:
-        if hierarchy.role(node) is agent:
-            rates[node] = agent_sched_throughput(
-                params, hierarchy.power(node), hierarchy.degree(node)
-            )
-        else:
-            rates[node] = server_sched_throughput(params, hierarchy.power(node))
-    limiting = min(rates, key=lambda n: rates[n])
-    return rates[limiting], limiting, rates
-
 
 def hierarchy_throughput(
     hierarchy: Hierarchy,
@@ -172,25 +142,6 @@ def hierarchy_throughput(
         ``Wapp`` in MFlop, either one value for all servers or a per-server
         mapping.
     """
-    hierarchy.validate(strict=False)
-    servers = hierarchy.servers
-    if not servers:
-        raise ParameterError("deployment has no servers; throughput undefined")
-    sched, limiting, rates = sched_throughput(hierarchy, params)
-    powers = [hierarchy.power(s) for s in servers]
-    works = resolve_app_work_list(servers, app_work)
-    service = service_throughput(params, powers, works)
-    if sched <= service:
-        bottleneck = "scheduling"
-        rho = sched
-    else:
-        bottleneck = "service"
-        rho = service
-    return ThroughputReport(
-        throughput=rho,
-        sched=sched,
-        service=service,
-        bottleneck=bottleneck,
-        limiting_node=limiting,
-        node_rates=rates,
-    )
+    from repro.core.kernels import HierarchyEvaluator  # kernels imports us
+
+    return HierarchyEvaluator(params).evaluate(hierarchy, app_work)

@@ -21,10 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.hierarchy import Hierarchy
-from repro.core.throughput import (
-    agent_sched_throughput,
-    hierarchy_throughput,
-)
+from repro.core.throughput import hierarchy_throughput
 from repro.deploy.plan import DeploymentPlan
 from repro.errors import HierarchyError
 from repro.platforms.pool import NodePool
@@ -122,9 +119,7 @@ def _check_performance(plan: DeploymentPlan) -> list[ValidationIssue]:
     hierarchy = plan.hierarchy
     report = hierarchy_throughput(hierarchy, plan.params, plan.app_work)
     for agent in hierarchy.agents:
-        rate = agent_sched_throughput(
-            plan.params, hierarchy.power(agent), max(1, hierarchy.degree(agent))
-        )
+        rate = report.node_rates[agent]
         if rate < 0.5 * report.service:
             issues.append(
                 ValidationIssue(

@@ -307,8 +307,8 @@ def improve_deployment(
 
     current = hierarchy.copy()
     remaining = sorted(spares, key=lambda s: (s.power, s.name), reverse=True)
-    # Candidates share node and service rates, so one evaluator (whose
-    # reports equal hierarchy_throughput's bit for bit) prices them all.
+    # Candidates share node and service rates, so one evaluator's caches
+    # price them all.
     evaluator = HierarchyEvaluator(params)
     report = evaluator.evaluate(current, app_work, validate=False)
     initial = report.throughput

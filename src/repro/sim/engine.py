@@ -2,10 +2,11 @@
 
 Deliberately minimal and fast: the heap holds ``(time, sequence, event)``
 tuples, so ordering is a C-level tuple compare.  Sequence numbers are
-unique, so the compare never reaches the :class:`Event`; they also make
-simultaneous events fire in scheduling order, which keeps every run
-bit-reproducible.  The engine knows nothing about resources or
-middleware — those layers schedule callbacks on it.
+unique, so the compare reaches the :class:`Event` only when a key from
+:meth:`Simulator.take` was used twice, and the event then raises; they
+also make simultaneous events fire in scheduling order, which keeps
+every run bit-reproducible.  The engine knows nothing about resources
+or middleware — those layers schedule callbacks on it.
 
 Cancellation is lazy — :meth:`Event.cancel` just clears the callback — but
 not unbounded: the simulator counts dead entries and compacts the heap once
@@ -107,7 +108,8 @@ class Event:
     """A scheduled callback: the third element of a heap entry.
 
     The heap orders entries by ``(time, sequence)``; an event defines no
-    ordering or equality of its own.  ``owner`` is the scheduling
+    equality of its own, and its ordering only raises (see
+    :meth:`__lt__`).  ``owner`` is the scheduling
     simulator, so cancellation can be counted for heap compaction
     (``None`` for events constructed outside a simulator).
 
@@ -149,6 +151,15 @@ class Event:
         self.callback = None
         if self.owner is not None and self.carrier is not None:
             self.owner._note_cancelled()
+
+    def __lt__(self, other: "Event") -> bool:
+        """Two heap entries share a ``(time, sequence)`` key: a key from
+        :meth:`Simulator.take` was armed or resumed twice.  The heap
+        compares events only then, so refusing here costs nothing."""
+        raise SimulationError(
+            f"key {(self.time, self.sequence)!r} used twice: a key from "
+            "take() can be armed or resumed once"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

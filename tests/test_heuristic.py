@@ -96,7 +96,7 @@ class TestPaperScenarios:
         plan = planner.plan(pool, dgemm_mflop(1000))
         assert len(plan.hierarchy.agents) == 1
         assert plan.nodes_used == 40
-        assert plan.report.is_service_bound
+        assert plan.report.bottleneck == "service"
 
     def test_medium_grain_beats_star_and_balanced(self, p, planner):
         # Figure 6: heterogeneous pool, DGEMM 310x310.

@@ -43,11 +43,6 @@ class TestDegreeSelection:
             ).throughput
             assert plan.throughput >= other_rho - 1e-9
 
-    def test_best_degree_helper_matches_plan(self, planner):
-        pool = NodePool.homogeneous(12, 265.0)
-        wapp = dgemm_mflop(200)
-        assert planner.best_degree(pool, wapp) == planner.plan(pool, wapp).degree
-
 
 class TestSpanningOnly:
     def test_spanning_uses_all_nodes(self):

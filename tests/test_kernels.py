@@ -4,7 +4,8 @@ The contract under test: every array or cached quantity equals the
 scalar Eq. 11–16 reference bit for bit — ``NodeArrays`` against
 ``core/throughput.py`` and ``heuristic.supported_children``, its service
 ceiling against a plain-Python loop over the same expressions, and
-``HierarchyEvaluator`` against cold ``hierarchy_throughput``.
+``HierarchyEvaluator`` against the plain BFS walk of
+``test_properties_throughput``.
 """
 
 from __future__ import annotations
@@ -26,12 +27,15 @@ from repro.core.kernels import _REL_TOL, HierarchyEvaluator, NodeArrays
 from repro.core.params import DEFAULT_PARAMS, LevelSizes, ModelParams
 from repro.core.throughput import (
     agent_sched_throughput,
-    hierarchy_throughput,
     server_sched_throughput,
 )
 from repro.errors import ParameterError
 from repro.platforms.pool import NodePool
 from repro.units import dgemm_mflop
+from test_properties_throughput import (
+    reference_hierarchy_throughput,
+    report_fields,
+)
 
 
 def random_params(rng: random.Random) -> ModelParams:
@@ -462,17 +466,12 @@ class TestHierarchyEvaluator:
         evaluator = HierarchyEvaluator(DEFAULT_PARAMS)
         for hierarchy in self.hierarchies():
             for app_work in (dgemm_mflop(100), dgemm_mflop(310)):
-                cold = hierarchy_throughput(
+                cold = reference_hierarchy_throughput(
                     hierarchy, DEFAULT_PARAMS, app_work
                 )
                 for _ in range(2):  # second pass exercises warm caches
                     warm = evaluator.evaluate(hierarchy, app_work)
-                    assert warm.throughput == cold.throughput
-                    assert warm.sched == cold.sched
-                    assert warm.service == cold.service
-                    assert warm.bottleneck == cold.bottleneck
-                    assert warm.limiting_node == cold.limiting_node
-                    assert dict(warm.node_rates) == dict(cold.node_rates)
+                    assert report_fields(warm) == report_fields(cold)
 
     def test_caches_fill_and_hit(self):
         evaluator = HierarchyEvaluator(DEFAULT_PARAMS)

@@ -81,7 +81,7 @@ class TestCancellation:
         sim = Simulator()
         first = sim.schedule(1.0, lambda: None)
         second = sim.schedule(1.0, lambda: None)
-        with pytest.raises(TypeError):
+        with pytest.raises(SimulationError, match="used twice"):
             first < second  # noqa: B015 - the comparison is the test
         assert first != Event(first.time, first.sequence, None)
 
@@ -424,6 +424,17 @@ class TestTakeAndArm:
         assert (resumed.time, resumed.sequence) == key == (1.0, 2)
         sim.run()
         assert fired == ["resumed", "later"]
+
+    def test_a_key_used_twice_is_refused(self):
+        sim = Simulator()
+        key = sim.take(1.0)
+        sim.arm(key, lambda: None)
+        with pytest.raises(SimulationError, match=r"key \(1\.0, 1\) used twice"):
+            sim.arm(key, lambda: None)
+        event = sim.schedule(2.0, lambda: None)
+        sim.suspend(event)
+        with pytest.raises(SimulationError, match=r"key \(1\.0, 1\) used twice"):
+            sim.resume(event, 0.0, key)
 
     def test_take_refuses_the_past(self):
         with pytest.raises(SimulationError, match="in the past"):

@@ -85,7 +85,7 @@ class TestHierarchyThroughput:
     def test_large_grain_is_service_bound(self, p):
         # DGEMM 200x200: the servers limit (Figure 4 scenario).
         report = throughput.hierarchy_throughput(star(1), p, 16.0)
-        assert report.is_service_bound
+        assert report.bottleneck == "service"
 
     def test_adding_server_hurts_when_agent_bound(self, p):
         one = throughput.hierarchy_throughput(star(1), p, 2e-3)
@@ -132,9 +132,9 @@ class TestHierarchyThroughput:
 
 class TestResolveAppWork:
     def test_scalar_expansion(self, p):
-        works = throughput.resolve_app_work(star(3), 5.0)
+        works = throughput.resolve_app_work_list(star(3).servers, 5.0)
         assert works == [5.0, 5.0, 5.0]
 
     def test_rejects_nonpositive_scalar(self, p):
         with pytest.raises(ParameterError):
-            throughput.resolve_app_work(star(1), 0.0)
+            throughput.resolve_app_work_list(star(1).servers, 0.0)
