@@ -1,10 +1,8 @@
 """Experiment harnesses and result analysis.
 
 * :mod:`repro.analysis.experiments` — drive deployments under load in the
-  DES and measure steady-state throughput (fixed-load, load curves, and
-  the paper's ramp-to-saturation protocol);
-* :mod:`repro.analysis.saturation` — plateau/knee detection on load
-  curves;
+  DES and measure steady-state throughput (fixed-load runs and load
+  curves);
 * :mod:`repro.analysis.compare` — predicted-vs-measured and
   deployment-vs-deployment comparisons;
 * :mod:`repro.analysis.report` — ASCII tables and charts for the
@@ -14,15 +12,12 @@
 from repro.analysis.experiments import (
     ExperimentResult,
     LoadCurve,
-    max_sustained_throughput,
     measure_load_curve,
     run_fixed_load,
 )
-from repro.analysis.saturation import find_plateau
 from repro.analysis.compare import (
     ComparisonRow,
     compare_deployments,
-    percent_of_optimal,
     predicted_vs_measured,
 )
 from repro.analysis.report import ascii_chart, ascii_table, render_timeline
@@ -32,11 +27,8 @@ __all__ = [
     "LoadCurve",
     "run_fixed_load",
     "measure_load_curve",
-    "max_sustained_throughput",
-    "find_plateau",
     "ComparisonRow",
     "compare_deployments",
-    "percent_of_optimal",
     "predicted_vs_measured",
     "ascii_table",
     "ascii_chart",

@@ -4,17 +4,14 @@ These helpers produce the numbers the paper reports:
 
 * Figures 3 and 5 compare the model's predicted maximum throughput with
   the measured one for each hierarchy — :func:`predicted_vs_measured`;
-* Table 4 scores the heuristic's deployment as a percentage of the
-  optimal deployment's throughput — :func:`percent_of_optimal`;
 * Figures 6 and 7 rank alternative deployments of one pool —
-  :func:`compare_deployments` for explicit hierarchies, or
-  :func:`rank_methods` to plan *and* rank registry planners by name
-  (a thin wrapper over :meth:`repro.api.PlanningSession.rank`).
+  :func:`compare_deployments` (to plan *and* rank registry planners by
+  name, use :meth:`repro.api.PlanningSession.rank`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.analysis.experiments import run_fixed_load
@@ -22,14 +19,11 @@ from repro.core.hierarchy import Hierarchy
 from repro.core.params import ModelParams
 from repro.core.throughput import hierarchy_throughput
 from repro.errors import ParameterError
-from repro.platforms.pool import NodePool
 
 __all__ = [
     "ComparisonRow",
     "predicted_vs_measured",
     "compare_deployments",
-    "rank_methods",
-    "percent_of_optimal",
 ]
 
 
@@ -101,47 +95,3 @@ def compare_deployments(
     ]
     rows.sort(key=lambda row: row.measured, reverse=True)
     return rows
-
-
-def rank_methods(
-    pool: NodePool,
-    app_work: float,
-    methods: Sequence[str] | None = None,
-    params: ModelParams | None = None,
-    clients: int = 50,
-    duration: float = 15.0,
-    seed: int = 0,
-) -> list[ComparisonRow]:
-    """Plan ``pool`` with several registry planners and rank them measured.
-
-    The planning goes through :class:`repro.api.PlanningSession` (so any
-    registered planner name works); the measurement reuses
-    :func:`compare_deployments`' fixed-load protocol.  Returns rows
-    sorted by measured throughput, best first.
-    """
-    from repro.api import PlanningSession
-
-    session = PlanningSession(params=params)
-    ranked = session.rank(
-        pool, app_work, methods=methods,
-        measure=True, clients=clients, duration=duration, seed=seed,
-    )
-    return [
-        ComparisonRow(
-            label=entry.method,
-            nodes=entry.shape[0],
-            agents=entry.shape[1],
-            servers=entry.shape[2],
-            height=entry.shape[3],
-            predicted=entry.predicted,
-            measured=entry.measured if entry.measured is not None else 0.0,
-        )
-        for entry in ranked
-    ]
-
-
-def percent_of_optimal(value: float, optimal: float) -> float:
-    """``value`` as a percentage of ``optimal`` (Table 4's last column)."""
-    if optimal <= 0.0:
-        raise ParameterError(f"optimal must be > 0, got {optimal}")
-    return 100.0 * value / optimal

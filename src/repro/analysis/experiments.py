@@ -1,13 +1,14 @@
 """Experiment drivers: run deployments under load, measure throughput.
 
-Three measurement modes mirror the paper's §5 methodology:
+Two measurement modes mirror the paper's §5 methodology:
 
 * :func:`run_fixed_load` — N closed-loop clients, steady-state rate after
   a warm-up (one point of a load curve);
 * :func:`measure_load_curve` — a sweep over client counts, producing the
-  "requests/second vs. number of clients" curves of Figures 2, 4, 6, 7;
-* :func:`max_sustained_throughput` — the full ramp-until-plateau-then-hold
-  protocol via :class:`~repro.workloads.loadgen.ClientRamp`.
+  "requests/second vs. number of clients" curves of Figures 2, 4, 6, 7.
+
+The full ramp-until-plateau-then-hold protocol is
+:class:`~repro.workloads.loadgen.ClientRamp`.
 
 Every run is seeded and deterministic.  Simulated durations default to
 tens of seconds rather than the paper's tens of minutes: the DES has no
@@ -28,14 +29,12 @@ from repro.errors import SimulationError
 from repro.middleware.client import ClosedLoopClient
 from repro.middleware.system import MiddlewareSystem
 from repro.sim.engine import Simulator
-from repro.workloads.loadgen import ClientRamp, RampResult
 
 __all__ = [
     "ExperimentResult",
     "LoadCurve",
     "run_fixed_load",
     "measure_load_curve",
-    "max_sustained_throughput",
 ]
 
 
@@ -72,15 +71,6 @@ class LoadCurve:
     def peak_rate(self) -> float:
         return float(self.rates.max()) if self.rates.size else 0.0
 
-    @property
-    def peak_clients(self) -> int:
-        if not self.rates.size:
-            return 0
-        return int(self.clients[int(self.rates.argmax())])
-
-    def points(self) -> list[tuple[int, float]]:
-        return [(int(c), float(r)) for c, r in zip(self.clients, self.rates)]
-
 
 def _as_hierarchy(deployment: Hierarchy | object) -> Hierarchy:
     """Accept a bare :class:`Hierarchy` or any planning result carrying one.
@@ -101,15 +91,12 @@ def _as_hierarchy(deployment: Hierarchy | object) -> Hierarchy:
     )
 
 
-def _build_system(
-    hierarchy: Hierarchy,
-    params: ModelParams,
-    app_work: float | Mapping[str, float],
-    seed: int,
-) -> tuple[Simulator, MiddlewareSystem]:
-    sim = Simulator()
-    system = MiddlewareSystem(sim, hierarchy, params, app_work, seed=seed)
-    return sim, system
+#: Seconds between client starts, so the population does not arrive as
+#: one synchronized herd at t=0.
+CLIENT_STAGGER = 0.01
+
+#: Share of a fixed-load run discarded as warm-up before measuring.
+WARMUP_FRACTION = 0.4
 
 
 def run_fixed_load(
@@ -118,32 +105,29 @@ def run_fixed_load(
     app_work: float | Mapping[str, float],
     clients: int,
     duration: float = 20.0,
-    warmup_fraction: float = 0.4,
-    stagger: float = 0.01,
     seed: int = 0,
 ) -> ExperimentResult:
     """Measure steady-state throughput with a fixed client population.
 
-    Clients start ``stagger`` seconds apart (to avoid a synchronized
-    thundering herd at t=0), the first ``warmup_fraction`` of the run is
-    discarded, and the rate is measured over the remainder.
+    Clients start :data:`CLIENT_STAGGER` seconds apart, the first
+    :data:`WARMUP_FRACTION` of the run is discarded, and the rate is
+    measured over the remainder.
     """
     if clients < 1:
         raise SimulationError(f"clients must be >= 1, got {clients}")
     if duration <= 0.0:
         raise SimulationError(f"duration must be > 0, got {duration}")
-    if not (0.0 <= warmup_fraction < 1.0):
-        raise SimulationError(
-            f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
-        )
-    sim, system = _build_system(_as_hierarchy(hierarchy), params, app_work, seed)
+    sim = Simulator()
+    system = MiddlewareSystem(
+        sim, _as_hierarchy(hierarchy), params, app_work, seed=seed
+    )
     pool = [
         ClosedLoopClient(system, f"client-{i:04d}") for i in range(clients)
     ]
     for index, client in enumerate(pool):
-        sim.schedule(index * stagger, client.start)
+        sim.schedule(index * CLIENT_STAGGER, client.start)
     sim.run_until(duration)
-    warmup_end = duration * warmup_fraction
+    warmup_end = duration * WARMUP_FRACTION
     rate = system.completions.rate(warmup_end, duration)
     finished = [
         r
@@ -200,17 +184,3 @@ def measure_load_curve(
         clients=np.asarray(list(client_counts), dtype=int),
         rates=np.asarray(rates, dtype=float),
     )
-
-
-def max_sustained_throughput(
-    hierarchy: Hierarchy,
-    params: ModelParams,
-    app_work: float | Mapping[str, float],
-    ramp: ClientRamp | None = None,
-    seed: int = 0,
-) -> RampResult:
-    """Run the paper's ramp-until-plateau protocol on a deployment."""
-    sim, system = _build_system(_as_hierarchy(hierarchy), params, app_work, seed)
-    del sim
-    ramp = ramp if ramp is not None else ClientRamp()
-    return ramp.run(system)

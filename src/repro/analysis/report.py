@@ -15,6 +15,13 @@ import numpy as np
 
 __all__ = ["ascii_table", "ascii_chart", "format_rate", "render_timeline"]
 
+#: Characters of an epoch's reason a timeline row keeps before eliding.
+REASON_WIDTH = 44
+
+#: Plot area of a load-curve chart, in character rows and columns.
+CHART_HEIGHT = 12
+CHART_WIDTH = 64
+
 
 def format_rate(value: float) -> str:
     """Compact requests/s formatting (3 significant-ish digits)."""
@@ -57,7 +64,7 @@ def ascii_table(
     return "\n".join(out)
 
 
-def render_timeline(timeline, max_reason: int = 44) -> str:
+def render_timeline(timeline) -> str:
     """Render a :class:`~repro.control.loop.ControlTimeline` as a table.
 
     One row per control epoch — offered clients, served rate, modeled
@@ -115,8 +122,8 @@ def render_timeline(timeline, max_reason: int = 44) -> str:
         for fault in getattr(record, "faults", ()):
             marker = "!" if fault.applied else "?"
             reason = f"{marker}{fault.kind}({fault.target}) {reason}"
-        if len(reason) > max_reason:
-            reason = reason[: max_reason - 1] + "…"
+        if len(reason) > REASON_WIDTH:
+            reason = reason[: REASON_WIDTH - 1] + "…"
         steps = getattr(record, "migration_steps", ())
         down = (
             f"{record.migration_seconds:.2f}/{len(steps)}"
@@ -178,18 +185,15 @@ def render_timeline(timeline, max_reason: int = 44) -> str:
 
 def ascii_chart(
     series: dict[str, tuple[Sequence[float], Sequence[float]]],
-    height: int = 12,
-    width: int = 64,
     title: str = "",
-    x_label: str = "clients",
-    y_label: str = "req/s",
 ) -> str:
-    """Render one or more (x, y) series as a character plot.
+    """Render one or more load curves (clients, req/s) as a character plot.
 
     Each series gets a marker (``*``, ``o``, ``+``, ``x``, ...); axes are
     scaled to the combined data range.  Good enough to show the shape of
     a load curve — which is exactly what the reproduction must match.
     """
+    height, width = CHART_HEIGHT, CHART_WIDTH
     markers = "*o+x@#%&"
     all_x = np.concatenate([np.asarray(x, dtype=float) for x, _ in series.values()])
     all_y = np.concatenate([np.asarray(y, dtype=float) for _, y in series.values()])
@@ -211,14 +215,14 @@ def ascii_chart(
     out: list[str] = []
     if title:
         out.append(title)
-    top_label = f"{y_max:.1f} {y_label}"
+    top_label = f"{y_max:.1f} req/s"
     out.append(top_label)
     for row in grid:
         out.append("|" + "".join(row))
     out.append("+" + "-" * width)
     out.append(
         f" {x_min:.0f}{' ' * max(1, width - len(f'{x_min:.0f}') - len(f'{x_max:.0f}'))}"
-        f"{x_max:.0f}  ({x_label})"
+        f"{x_max:.0f}  (clients)"
     )
     legend = "  ".join(
         f"{markers[i % len(markers)]} = {label}"

@@ -194,12 +194,8 @@ def scenario_grid(
     pools: Sequence[NodePool],
     app_works: Sequence[float],
     methods: Sequence[str] = ("heuristic",),
-    demands: Sequence[float | None] = (None,),
-    seeds: Sequence[int] = (0,),
-    params: ModelParams | None = None,
-    options_by_method: Mapping[str, object] | None = None,
 ) -> list[PlanRequest]:
-    """The cross product pool x workload x method x demand x seed.
+    """The cross product pool x workload x method.
 
     Returns one :class:`PlanRequest` per grid cell, labelled
     ``"pool{i}/w{j}/{method}"`` so results stay attributable after a
@@ -209,26 +205,15 @@ def scenario_grid(
         raise PlanningError(
             "scenario_grid needs at least one pool, app_work and method"
         )
-    options_by_method = options_by_method or {}
-    grid = []
-    for i, pool in enumerate(pools):
-        for j, app_work in enumerate(app_works):
-            for method in methods:
-                for demand in demands:
-                    for seed in seeds:
-                        grid.append(
-                            PlanRequest(
-                                pool=pool,
-                                app_work=app_work,
-                                demand=demand,
-                                params=params,
-                                method=method,
-                                options=options_by_method.get(method),
-                                seed=seed,
-                                label=f"pool{i}/w{j}/{method}",
-                            )
-                        )
-    return grid
+    return [
+        PlanRequest(
+            pool=pool, app_work=app_work, method=method,
+            label=f"pool{i}/w{j}/{method}",
+        )
+        for i, pool in enumerate(pools)
+        for j, app_work in enumerate(app_works)
+        for method in methods
+    ]
 
 
 #: Fewest unique (post-dedup) requests worth a process pool.  Pool
@@ -398,9 +383,9 @@ class PlanningSession:
         Planner registry; defaults to the global
         :data:`~repro.core.registry.REGISTRY`.
 
-    Results are memoized by :meth:`PlanRequest.cache_key` (planning is
-    deterministic, so repeated cells of a grid are free);
-    :meth:`clear_cache` empties the memo.
+    Results are memoized by :meth:`PlanRequest.cache_key` for the
+    session's lifetime (planning is deterministic, so repeated cells of a
+    grid are free).
     """
 
     def __init__(
@@ -782,9 +767,3 @@ class PlanningSession:
                 "misses": self._misses,
                 "size": len(self._cache),
             }
-
-    def clear_cache(self) -> None:
-        with self._lock:
-            self._cache.clear()
-            self._hits = 0
-            self._misses = 0

@@ -14,10 +14,9 @@ planner's robustness to capacity mis-measurement.
 from __future__ import annotations
 
 from repro.platforms.node import Node
-from repro.platforms.pool import NodePool
-from repro.platforms.rating import rate_node, rate_pool
+from repro.platforms.rating import rate_node
 
-__all__ = ["measure_mflops", "rate_platform"]
+__all__ = ["measure_mflops"]
 
 
 def measure_mflops(
@@ -28,13 +27,3 @@ def measure_mflops(
 ) -> float:
     """Rated capacity of one node in MFlop/s (best of ``trials`` runs)."""
     return rate_node(node, noise=noise, trials=trials, seed=seed)
-
-
-def rate_platform(
-    pool: NodePool,
-    noise: float = 0.0,
-    trials: int = 3,
-    seed: int = 0,
-) -> NodePool:
-    """Rate every node of a pool; returns the pool the planner should see."""
-    return rate_pool(pool, noise=noise, trials=trials, seed=seed)

@@ -73,7 +73,6 @@ _EXPORTS = {
     "fixtures": "repro.control.traces",
     "flash_crowd": "repro.control.traces",
     "from_spec": "repro.control.traces",
-    "hybrid": "repro.control.traces",
     "piecewise": "repro.control.traces",
     "ramp": "repro.control.traces",
     "replay": "repro.control.traces",

@@ -180,11 +180,6 @@ class MigrationStepRecord:
     started_at: float = 0.0
 
     @property
-    def interval(self) -> tuple[float, float]:
-        """The step's ``[start, end]`` window in simulation time."""
-        return (self.started_at, self.started_at + self.seconds)
-
-    @property
     def downtime(self) -> float:
         """Service-weighted outage seconds of this step."""
         if self.deployed_nodes <= 0:
@@ -567,9 +562,6 @@ class ControlLoop:
         of simulation per epoch.
     base_method:
         Planner used for the initial deployment and for replans.
-    cost_model:
-        Migration pricing; defaults to
-        :class:`~repro.control.policy.MigrationCostModel`.
     migration:
         ``"live"`` (default) applies redeploys as subtree-granular
         migrations inside the running simulation, one region per wave —
@@ -645,7 +637,6 @@ class ControlLoop:
         initial_fraction: float = 0.5,
         min_nodes: int = 2,
         policy_options: dict[str, object] | None = None,
-        cost_model: MigrationCostModel | None = None,
         migration: str = "live",
         think_time: float = 0.0,
         seed: int = 0,
@@ -729,9 +720,7 @@ class ControlLoop:
         self.base_method = base_method
         self.initial_fraction = initial_fraction
         self.min_nodes = min_nodes
-        self.cost_model = (
-            cost_model if cost_model is not None else MigrationCostModel()
-        )
+        self.cost_model = MigrationCostModel()
         self.migration = migration
         self.think_time = float(think_time)
         self.seed = seed

@@ -14,13 +14,11 @@ Traces are:
 * **pure** — ``level(t)`` depends on ``t`` only, never on call order, so
   a controller can sample the same trace twice (e.g. the oracle policy
   peeking ahead) without perturbing anything;
-* **composable** — ``+`` superimposes traces, :meth:`Trace.scale`,
-  :meth:`Trace.clamp` and :meth:`Trace.delayed` reshape them;
-* **seeded** — the only stochastic combinator, :meth:`Trace.jittered`,
-  *requires* an explicit seed and derives every draw from
-  ``(seed, time-bucket)``, keeping the jittered trace a pure function of
-  time (the determinism contract of :mod:`repro.workloads.loadgen`
-  applies here too: same seed, same levels, bit-identical runs);
+* **composable** — ``+`` superimposes traces and :meth:`Trace.scale`
+  reshapes them;
+* **deterministic** — no trace draws random numbers, so the
+  determinism contract of :mod:`repro.workloads.loadgen` holds here
+  too: the same trace gives the same levels and bit-identical runs;
 * **replayable** — :func:`replay` turns a recorded
   :class:`~repro.workloads.loadgen.RampResult` client series back into a
   trace, closing the measure → replay loop.
@@ -38,7 +36,7 @@ discrete slice the engine runs per-message, and ``fluid_level(t)`` the
 remainder carried analytically by
 :class:`repro.sim.fluid.FluidPopulation`.  Hybrid specs round-trip
 exactly: ``from_spec(trace.name)`` rebuilds the same trace, spec string
-and all.  Programmatic construction goes through :func:`hybrid`.
+and all.  Programmatic construction goes through :class:`HybridTrace`.
 
 A small **fixture library** of named :func:`piecewise` scenarios ships
 with the package (:func:`fixture` / :func:`fixtures`): real-world-shaped
@@ -52,7 +50,6 @@ scenario diversity without hand-writing step lists.
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Callable, Sequence
 
 from repro.errors import ControlError
@@ -69,7 +66,6 @@ __all__ = [
     "replay",
     "fixture",
     "fixtures",
-    "hybrid",
     "from_spec",
 ]
 
@@ -137,52 +133,6 @@ class Trace:
             raise ControlError(f"scale factor must be >= 0, got {factor}")
         fn = self._fn
         return Trace(lambda t: fn(t) * factor, f"{self.name}*{factor:g}")
-
-    def clamp(self, low: int, high: int) -> "Trace":
-        """This trace with levels clipped into ``[low, high]``."""
-        if not (0 <= low <= high):
-            raise ControlError(f"need 0 <= low <= high, got ({low}, {high})")
-        fn = self._fn
-        return Trace(
-            lambda t: min(float(high), max(float(low), fn(t))),
-            f"clamp({self.name},{low},{high})",
-        )
-
-    def delayed(self, offset: float) -> "Trace":
-        """This trace shifted ``offset`` seconds later in time."""
-        _require_finite(offset=offset)
-        fn = self._fn
-        return Trace(lambda t: fn(t - offset), f"{self.name}@+{offset:g}s")
-
-    def jittered(
-        self, amplitude: int, seed: int, quantum: float = 1.0
-    ) -> "Trace":
-        """Add seeded uniform jitter of ``±amplitude`` clients.
-
-        ``seed`` is mandatory — there is no implicit randomness anywhere
-        in the control plane.  The jitter for time ``t`` is drawn from a
-        generator keyed on ``(seed, floor(t / quantum))``, so the result
-        is still a pure function of time: re-sampling any instant yields
-        the same level, and two runs with the same seed see the same
-        trace.
-        """
-        _require_finite(amplitude=amplitude, quantum=quantum)
-        if amplitude < 0:
-            raise ControlError(f"amplitude must be >= 0, got {amplitude}")
-        if quantum <= 0.0:
-            raise ControlError(f"quantum must be > 0, got {quantum}")
-        fn = self._fn
-
-        def jittered_fn(t: float) -> float:
-            bucket = int(math.floor(t / quantum))
-            # Knuth-style mix of (seed, bucket) into one int; Random()
-            # accepts only scalar seeds.
-            draw = random.Random(seed * 2654435761 + bucket).uniform(
-                -amplitude, amplitude
-            )
-            return fn(t) + draw
-
-        return Trace(jittered_fn, f"{self.name}~{amplitude}(seed={seed})")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Trace({self.name!r})"
@@ -415,16 +365,6 @@ class HybridTrace(Trace):
         floored total, so the two halves always recombine to ``level``.
         """
         return float(self.level(t) - self.cohort_level(t))
-
-
-def hybrid(base: Trace, population: float = 1.0, cohort: int = 16) -> Trace:
-    """Split ``base`` (scaled by ``population``) into cohort + fluid.
-
-    Returns a :class:`HybridTrace`.  See the class docstring for the
-    partition semantics; :func:`from_spec` reaches the same constructor
-    through the ``population=`` / ``cohort=`` spec keys.
-    """
-    return HybridTrace(base, population=population, cohort=cohort)
 
 
 # ---------------------------------------------------------------------- #

@@ -9,15 +9,14 @@ Agent traffic (Eqs. 1–2) mixes levels: the message exchanged with the
 *parent* travels on an agent-level link while the messages exchanged with
 each of the ``d`` children travel on child-level links.  In the paper all
 of an agent's children are modelled with a single (Sreq, Srep) pair; here
-the caller chooses which :class:`~repro.core.params.LevelSizes` the children
-use (agent-level when children are agents, server-level when they are
-servers — the planner conservatively uses agent-level sizes, matching the
-paper's Table 3 usage).
+that pair is the agent-level :class:`~repro.core.params.LevelSizes`,
+whether the children are agents or servers — the conservative choice,
+matching the paper's Table 3 usage.
 """
 
 from __future__ import annotations
 
-from repro.core.params import LevelSizes, ModelParams
+from repro.core.params import ModelParams
 from repro.errors import ParameterError
 
 __all__ = [
@@ -35,34 +34,26 @@ def _check_degree(degree: int) -> None:
         raise ParameterError(f"degree must be >= 0, got {degree}")
 
 
-def agent_receive_time(
-    params: ModelParams,
-    degree: int,
-    child_sizes: LevelSizes | None = None,
-) -> float:
+def agent_receive_time(params: ModelParams, degree: int) -> float:
     """Eq. 1 — seconds an agent spends receiving per request.
 
     One request of size ``Sreq`` arrives from the parent and ``degree``
     replies of size ``Srep`` arrive from the children.
     """
     _check_degree(degree)
-    sizes = params.agent_sizes if child_sizes is None else child_sizes
-    return (params.agent_sizes.sreq + degree * sizes.srep) / params.bandwidth
+    sizes = params.agent_sizes
+    return (sizes.sreq + degree * sizes.srep) / params.bandwidth
 
 
-def agent_send_time(
-    params: ModelParams,
-    degree: int,
-    child_sizes: LevelSizes | None = None,
-) -> float:
+def agent_send_time(params: ModelParams, degree: int) -> float:
     """Eq. 2 — seconds an agent spends sending per request.
 
     The request is forwarded to each of the ``degree`` children and one
     merged reply of size ``Srep`` is returned to the parent.
     """
     _check_degree(degree)
-    sizes = params.agent_sizes if child_sizes is None else child_sizes
-    return (degree * sizes.sreq + params.agent_sizes.srep) / params.bandwidth
+    sizes = params.agent_sizes
+    return (degree * sizes.sreq + sizes.srep) / params.bandwidth
 
 
 def server_receive_time(params: ModelParams) -> float:
@@ -75,15 +66,9 @@ def server_send_time(params: ModelParams) -> float:
     return params.server_sizes.srep / params.bandwidth
 
 
-def agent_comm_time(
-    params: ModelParams,
-    degree: int,
-    child_sizes: LevelSizes | None = None,
-) -> float:
+def agent_comm_time(params: ModelParams, degree: int) -> float:
     """Total per-request communication seconds for an agent (Eq. 1 + Eq. 2)."""
-    return agent_receive_time(params, degree, child_sizes) + agent_send_time(
-        params, degree, child_sizes
-    )
+    return agent_receive_time(params, degree) + agent_send_time(params, degree)
 
 
 def server_comm_time(params: ModelParams) -> float:

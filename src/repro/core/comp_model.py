@@ -28,7 +28,6 @@ from repro.errors import ParameterError
 __all__ = [
     "agent_comp_time",
     "server_comp_time",
-    "server_share",
 ]
 
 
@@ -86,35 +85,3 @@ def server_comp_time(
     prediction_load = sum(params.wpre / wapp for wapp in app_works)
     service_rate = sum(w / wapp for w, wapp in zip(powers, app_works))
     return (1.0 + prediction_load) / service_rate
-
-
-def server_share(
-    params: ModelParams,
-    powers: Sequence[float],
-    app_works: Sequence[float],
-) -> list[float]:
-    """Eq. 8 — steady-state fraction ``N_i / N`` of requests served by each server.
-
-    Derived from Eqs. 6–9: with ``T`` the common completion time per
-    request batch, ``N_i = (T*w_i - Wpre_i*N) / Wapp_i``.  Dividing by ``N``
-    and substituting Eq. 10's ``T/N`` gives the per-server share.  Shares
-    are clipped at zero: a server too slow to finish its prediction work
-    within the steady-state window serves nothing (the paper's model
-    implicitly assumes all shares are positive).
-
-    Returns
-    -------
-    list[float]
-        Fractions summing to 1 (after clipping and renormalization).
-    """
-    _validate_servers(powers, app_works)
-    t_over_n = server_comp_time(params, powers, app_works)
-    shares = [
-        max(0.0, (t_over_n * w - params.wpre) / wapp)
-        for w, wapp in zip(powers, app_works)
-    ]
-    total = sum(shares)
-    if total <= 0.0:
-        # Degenerate: prediction work swamps every server; split evenly.
-        return [1.0 / len(shares)] * len(shares)
-    return [s / total for s in shares]

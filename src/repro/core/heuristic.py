@@ -282,11 +282,6 @@ class HeuristicPlan:
     def nodes_used(self) -> int:
         return len(self.hierarchy)
 
-    @property
-    def root_degree(self) -> int:
-        """Degree of the root agent (the "Heur. Deg." column of Table 4)."""
-        return self.hierarchy.degree(self.hierarchy.root)
-
     def describe(self) -> str:
         shape = self.hierarchy.shape_signature()
         demand = "unbounded" if self.demand is None else f"{self.demand:g} req/s"

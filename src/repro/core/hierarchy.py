@@ -343,28 +343,6 @@ class Hierarchy:
                 f"{len(children[thin])} child(ren); needs >= 2"
             )
 
-    def to_dot(self, title: str = "deployment") -> str:
-        """Export as a Graphviz DOT digraph.
-
-        Agents render as boxes, servers as ellipses; labels carry the
-        node name and its rated power.  Handy for eyeballing plans::
-
-            Path("plan.dot").write_text(hierarchy.to_dot())
-            # dot -Tpng plan.dot -o plan.png
-        """
-        lines = [f'digraph "{title}" {{', "  rankdir=TB;"]
-        for node in self:
-            shape = "box" if self._role[node] is Role.AGENT else "ellipse"
-            lines.append(
-                f'  "{node}" [shape={shape}, '
-                f'label="{node}\\n{self._power[node]:g} MFlop/s"];'
-            )
-        for node in self:
-            for child in self._children[node]:
-                lines.append(f'  "{node}" -> "{child}";')
-        lines.append("}")
-        return "\n".join(lines)
-
     def copy(self) -> "Hierarchy":
         """Deep copy of the tree (node ids are shared, structure is not)."""
         clone = Hierarchy()

@@ -446,11 +446,16 @@ class HierarchyEvaluator:
         """
         if validate:
             hierarchy.validate(strict=False)
-        rates, limiting, servers, powers = self._walk(hierarchy)
-        if not servers:
-            raise ParameterError(
-                "deployment has no servers; throughput undefined"
-            )
+        try:
+            rates, limiting, servers, powers = self._walk(hierarchy)
+        except ParameterError:
+            # A tree without servers ends in a childless agent, which the
+            # walk refuses before it could count servers: name the cause.
+            if not hierarchy.servers:
+                raise ParameterError(
+                    "deployment has no servers; throughput undefined"
+                ) from None
+            raise
         sched = rates[limiting]
         works = resolve_app_work_list(servers, app_work)
         service = self.service_rate(powers, works)

@@ -14,7 +14,7 @@ platform.  This package mirrors that chain for the simulated platform:
 """
 
 from repro.deploy.plan import DeploymentPlan
-from repro.deploy.xml_io import hierarchy_to_xml, hierarchy_from_xml, plan_to_xml, plan_from_xml
+from repro.deploy.xml_io import plan_to_xml, plan_from_xml
 from repro.deploy.validation import check_plan, ValidationIssue
 from repro.deploy.godiet import GoDIET, DeployedPlatform
 from repro.deploy.migration import (
@@ -32,8 +32,6 @@ __all__ = [
     "MigrationStep",
     "hierarchies_equal",
     "plan_migration",
-    "hierarchy_to_xml",
-    "hierarchy_from_xml",
     "plan_to_xml",
     "plan_from_xml",
     "check_plan",

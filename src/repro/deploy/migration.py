@@ -197,10 +197,6 @@ class MigrationPlan:
         return sum(region.touched for region in self.regions)
 
     @property
-    def drained_total(self) -> int:
-        return sum(len(region.drained) for region in self.regions)
-
-    @property
     def is_noop(self) -> bool:
         return not self.regions
 

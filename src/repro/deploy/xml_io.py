@@ -40,8 +40,6 @@ from repro.deploy.plan import DeploymentPlan
 from repro.errors import DeploymentError
 
 __all__ = [
-    "hierarchy_to_xml",
-    "hierarchy_from_xml",
     "plan_to_xml",
     "plan_from_xml",
 ]
@@ -95,14 +93,6 @@ def _model_element(params: ModelParams) -> ET.Element:
 def _pretty(element: ET.Element) -> str:
     raw = ET.tostring(element, encoding="unicode")
     return minidom.parseString(raw).toprettyxml(indent="  ")
-
-
-def hierarchy_to_xml(hierarchy: Hierarchy) -> str:
-    """Serialize a hierarchy (structure + powers) to an XML string."""
-    root = ET.Element("diet_deployment")
-    root.append(_resources_element(hierarchy))
-    root.append(_hierarchy_element(hierarchy))
-    return _pretty(root)
 
 
 def plan_to_xml(plan: DeploymentPlan) -> str:
@@ -196,15 +186,6 @@ def _parse_model(root_el: ET.Element) -> ModelParams:
         server_sizes=sizes.get("server", ModelParams().server_sizes),
         service_sizes=sizes.get("service"),
     )
-
-
-def hierarchy_from_xml(text: str) -> Hierarchy:
-    """Parse a hierarchy from the XML produced by :func:`hierarchy_to_xml`."""
-    try:
-        root_el = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise DeploymentError(f"malformed deployment XML: {exc}") from exc
-    return _parse_hierarchy(root_el, _parse_resources(root_el))
 
 
 def plan_from_xml(text: str) -> DeploymentPlan:

@@ -124,14 +124,6 @@ class DetectionParams:
             )
 
     @property
-    def worst_case_round(self) -> float:
-        """Seconds from first send to giving up (the full retry ladder)."""
-        return sum(
-            self.timeout * self.backoff**attempt
-            for attempt in range(self.retries + 1)
-        )
-
-    @property
     def spec(self) -> str:
         """Canonical spec string; ``parse_detection`` round-trips it."""
         return (

@@ -38,13 +38,6 @@ class Request:
         return self.scheduled_at - self.submitted_at
 
     @property
-    def service_latency(self) -> float | None:
-        """Seconds from service submission to completion."""
-        if self.completed_at is None or self.service_started_at is None:
-            return None
-        return self.completed_at - self.service_started_at
-
-    @property
     def total_latency(self) -> float | None:
         """Seconds from submission to completion."""
         if self.completed_at is None:

@@ -16,11 +16,10 @@ model assumes.
 The scheduling phase is declared as one recv -> predict -> send chain,
 which the resource runs as a single engine event when nothing can see
 its middle (:meth:`~repro.sim.resources.SerialResource.submit_chain`).
-The prediction's bookkeeping then runs at the reply's end, so the
-readers of what it touches split the chain first: ``receive_service``
-before it commits work to the estimate, and ``predictions_done``.  A
-traced server runs the chain one step at a time, each step recorded at
-its own time.
+The prediction's bookkeeping then runs at the reply's end, so
+``receive_service`` splits the chain first, before it commits work to
+the estimate.  A traced server runs the chain one step at a time, each
+step recorded at its own time.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ class ServerElement:
         "resource",
         "parent",
         "trace",
-        "_predictions_done",
         "services_done",
         "pending_service_work",
         "reachable",
@@ -94,7 +92,6 @@ class ServerElement:
         self.resource = SerialResource(sim, name)
         self.parent = None  # set by MiddlewareSystem wiring
         self.trace = trace
-        self._predictions_done = 0
         self.services_done = 0
         # Seconds of committed service work (accepted but not finished) —
         # the quantity the availability prediction reports.
@@ -108,13 +105,6 @@ class ServerElement:
         # along in served-rate reports
         # (MiddlewareSystem.assign_fluid_rates).
         self.fluid_rate = 0.0
-
-    @property
-    def predictions_done(self) -> int:
-        """Predictions computed (a fused chain counts its own once its
-        compute segment has ended)."""
-        self.resource.unfuse()
-        return self._predictions_done
 
     @property
     def in_flight(self) -> int:
@@ -136,7 +126,6 @@ class ServerElement:
 
         def after_predict() -> None:
             nonlocal estimate
-            self._predictions_done += 1
             # The estimate DIET's FAST-like predictor would return: how
             # long until this node could start new service work, i.e. the
             # service work it has already accepted.  Relative (not an

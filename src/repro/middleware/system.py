@@ -281,11 +281,6 @@ class MiddlewareSystem:
                 root=name, members=len(scope),
             )
 
-    @property
-    def unlinked_subtrees(self) -> dict[str, frozenset[str]]:
-        """Snapshot of the subtrees currently held out of the fan-out."""
-        return dict(self._unlinked)
-
     def _link(self, element, parent_name: str) -> None:
         parent = self.agents.get(parent_name)
         if parent is None:
@@ -470,29 +465,6 @@ class MiddlewareSystem:
                 for root in self._partitioned
                 if root in by_name
             }
-
-    def placement_signature(self) -> tuple:
-        """Name-sorted ``(name, parent, role)`` rows of the live elements.
-
-        Built from the element registry and its wiring — not from
-        :attr:`hierarchy` — so it describes what is actually deployed
-        right now, mid-migration surgery included.  The control plane's
-        registry tests compare this against the committed deployment
-        tree to pin "registry truth == middleware truth" after every
-        applied generation.
-        """
-        rows = []
-        for name, agent in self.agents.items():
-            parent = agent.parent
-            rows.append(
-                (name, parent.name if parent is not None else None, "agent")
-            )
-        for name, server in self.servers.items():
-            parent = server.parent
-            rows.append(
-                (name, parent.name if parent is not None else None, "server")
-            )
-        return tuple(sorted(rows))
 
     # ------------------------------------------------------------------ #
     # failure surgery (fault injection)

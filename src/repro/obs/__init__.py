@@ -8,9 +8,7 @@ The observability substrate of the control plane:
   ``chrome://tracing`` / Perfetto trace-event format;
 * :mod:`repro.obs.metrics` — a counter/gauge/histogram registry whose
   frozen per-epoch :class:`~repro.obs.metrics.MetricsSnapshot` rides
-  on every :class:`~repro.control.loop.EpochRecord`, plus
-  :class:`~repro.obs.metrics.MetricsDiff` for window-over-window
-  deltas;
+  on every :class:`~repro.control.loop.EpochRecord`;
 * :mod:`repro.obs.probe` — the near-zero-cost instrumentation layer:
   the module-level :data:`~repro.obs.probe.NULL_OBS` handle (disabled
   sites pay one attribute check), and the
@@ -39,7 +37,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     HistogramStats,
-    MetricsDiff,
     MetricsRegistry,
     MetricsSnapshot,
 )
@@ -69,5 +66,4 @@ __all__ = [
     "HistogramStats",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "MetricsDiff",
 ]

@@ -1,4 +1,4 @@
-"""Metrics: counters, gauges, histograms, frozen snapshots and diffs.
+"""Metrics: counters, gauges, histograms and frozen snapshots.
 
 A :class:`MetricsRegistry` holds named instruments the control plane
 updates as it runs — served/dead-lettered/resubmitted conversations,
@@ -6,8 +6,7 @@ queue depths, engine heap compactions, :class:`HierarchyEvaluator
 <repro.core.kernels.HierarchyEvaluator>` cache hit rates, detection
 latencies.  At every epoch boundary the registry is frozen into a
 :class:`MetricsSnapshot` that is attached to the epoch's
-:class:`~repro.control.loop.EpochRecord`, and two snapshots subtract
-into a :class:`MetricsDiff` for window-over-window deltas.
+:class:`~repro.control.loop.EpochRecord`.
 
 **Determinism contract.**  Every value that reaches a snapshot is a
 pure function of simulation state (the registry is fed from engine and
@@ -27,7 +26,6 @@ __all__ = [
     "HistogramStats",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "MetricsDiff",
 ]
 
 
@@ -159,73 +157,6 @@ class MetricsSnapshot:
                 for name, stats in self.histograms
             },
         }
-
-    def diff(self, earlier: "MetricsSnapshot") -> "MetricsDiff":
-        """Window-over-window deltas from ``earlier`` to this snapshot."""
-        counter_deltas = tuple(
-            (name, value - dict(earlier.counters).get(name, 0))
-            for name, value in self.counters
-        )
-        gauge_pairs = tuple(
-            (name, dict(earlier.gauges).get(name), value)
-            for name, value in self.gauges
-        )
-        histogram_deltas = []
-        earlier_hists = dict(earlier.histograms)
-        for name, stats in self.histograms:
-            before = earlier_hists.get(name, HistogramStats())
-            histogram_deltas.append(
-                (
-                    name,
-                    HistogramStats(
-                        count=stats.count - before.count,
-                        total=stats.total - before.total,
-                        min=stats.min,
-                        max=stats.max,
-                    ),
-                )
-            )
-        return MetricsDiff(
-            counters=counter_deltas,
-            gauges=gauge_pairs,
-            histograms=tuple(histogram_deltas),
-        )
-
-
-@dataclass(frozen=True)
-class MetricsDiff:
-    """The delta between two snapshots (one observation window).
-
-    Counters carry their increment over the window, gauges their
-    ``(before, after)`` pair, histograms the window's observation
-    count/sum (min/max are the cumulative ones of the later snapshot —
-    a stream summary cannot un-observe).
-    """
-
-    counters: tuple = ()
-    gauges: tuple = ()
-    histograms: tuple = ()
-
-    def value(self, name: str, default=None):
-        """The window increment of counter ``name``."""
-        for key, value in self.counters:
-            if key == name:
-                return value
-        return default
-
-    def describe(self) -> str:
-        """One line per moved counter/gauge — the readable delta."""
-        parts = [
-            f"{name} +{delta:g}"
-            for name, delta in self.counters
-            if delta
-        ]
-        parts.extend(
-            f"{name} {before:g}->{after:g}"
-            for name, before, after in self.gauges
-            if before is not None and before != after
-        )
-        return ", ".join(parts) if parts else "(no change)"
 
 
 class MetricsRegistry:

@@ -16,7 +16,6 @@ Grid'5000 — a list of re-rated node powers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -68,10 +67,14 @@ class BackgroundWorkload:
         return node.loaded(self.stolen_share)
 
 
+#: Candidate background DGEMM dimensions; each loaded node draws one
+#: uniformly.
+BACKGROUND_MATRIX_SIZES = (100, 200, 400, 600, 800)
+
+
 def heterogenize(
     pool: NodePool,
     loaded_fraction: float = 0.5,
-    matrix_sizes: Sequence[int] = (100, 200, 400, 600, 800),
     seed: int | np.random.Generator = 0,
 ) -> NodePool:
     """Degrade a (typically homogeneous) pool with background matrix products.
@@ -82,10 +85,8 @@ def heterogenize(
         The pool to heterogenize.
     loaded_fraction:
         Fraction of nodes that receive a background job (the rest keep
-        their base power).
-    matrix_sizes:
-        Candidate background DGEMM dimensions; each loaded node draws one
-        uniformly.
+        their base power).  Each loaded node draws its job's size from
+        :data:`BACKGROUND_MATRIX_SIZES`.
     seed:
         Seed or generator controlling which nodes are loaded and with what.
 
@@ -98,8 +99,6 @@ def heterogenize(
         raise ParameterError(
             f"loaded_fraction must be in [0, 1], got {loaded_fraction}"
         )
-    if not matrix_sizes:
-        raise ParameterError("matrix_sizes must not be empty")
     rng = (
         seed
         if isinstance(seed, np.random.Generator)
@@ -112,7 +111,7 @@ def heterogenize(
     nodes = []
     for index, node in enumerate(pool):
         if index in loaded_indices:
-            size = int(rng.choice(list(matrix_sizes)))
+            size = int(rng.choice(list(BACKGROUND_MATRIX_SIZES)))
             nodes.append(BackgroundWorkload(matrix_size=size).apply(node))
         else:
             nodes.append(node)

@@ -5,10 +5,8 @@ pair of deployed elements is joined by a link of identical bandwidth ``B``
 (a reasonable approximation of one switched cluster, as the authors note,
 and explicitly listed as the scope of this "primary work").
 
-:class:`HomogeneousNetwork` is that model.  It also carries a per-message
-latency term (defaulting to zero, the paper's assumption) so the simulator
-can inject small constant overheads when exploring model robustness without
-touching the analytic equations.
+:class:`HomogeneousNetwork` is that model, with a per-message latency
+term that defaults to zero, the paper's assumption.
 """
 
 from __future__ import annotations
@@ -40,9 +38,3 @@ class HomogeneousNetwork:
             raise ParameterError(f"bandwidth must be > 0, got {self.bandwidth}")
         if self.latency < 0.0:
             raise ParameterError(f"latency must be >= 0, got {self.latency}")
-
-    def transfer_time(self, size_mb: float) -> float:
-        """Seconds to move ``size_mb`` megabits across one link."""
-        if size_mb < 0.0:
-            raise ParameterError(f"size must be >= 0, got {size_mb}")
-        return self.latency + size_mb / self.bandwidth

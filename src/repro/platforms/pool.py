@@ -136,14 +136,11 @@ class NodePool:
     # ------------------------------------------------------------------ #
     # derived pools & stats
 
-    def sorted_by_power(self, descending: bool = True) -> "NodePool":
-        """New pool ordered by effective power (ties broken by name)."""
+    def sorted_by_power(self) -> "NodePool":
+        """New pool ordered by effective power, most powerful first (ties
+        broken by name, descending)."""
         return NodePool(
-            sorted(
-                self._nodes,
-                key=lambda n: (n.power, n.name),
-                reverse=descending,
-            )
+            sorted(self._nodes, key=lambda n: (n.power, n.name), reverse=True)
         )
 
     def take(self, count: int) -> "NodePool":
@@ -165,11 +162,6 @@ class NodePool:
     @property
     def total_power(self) -> float:
         return float(sum(n.power for n in self._nodes))
-
-    @property
-    def is_homogeneous(self) -> bool:
-        powers = self.powers
-        return max(powers) - min(powers) < 1e-12 * max(powers)
 
     def heterogeneity(self) -> float:
         """Coefficient of variation of node powers (0 for homogeneous)."""

@@ -10,7 +10,7 @@ the paper (:mod:`repro.sim.resources`), and measurement utilities
 from repro.sim.engine import Event, Simulator
 from repro.sim.fluid import FluidPopulation, FluidWindow
 from repro.sim.resources import SerialResource
-from repro.sim.stats import IntervalCounter, WindowedRate
+from repro.sim.stats import IntervalCounter
 from repro.sim.trace import TraceRecorder
 
 __all__ = [
@@ -20,6 +20,5 @@ __all__ = [
     "FluidWindow",
     "SerialResource",
     "IntervalCounter",
-    "WindowedRate",
     "TraceRecorder",
 ]

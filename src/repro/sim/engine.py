@@ -137,10 +137,6 @@ class Event:
         self.owner = owner
         self.carrier: float | None = time
 
-    @property
-    def cancelled(self) -> bool:
-        return self.callback is None
-
     def cancel(self) -> None:
         """Cancel the event in place (lazy deletion from the heap).
 

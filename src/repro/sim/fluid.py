@@ -110,11 +110,6 @@ class FluidPopulation:
         """Whole completions attributed so far (sum of window ``served``)."""
         return self._attributed
 
-    @property
-    def total_mass(self) -> float:
-        """Exact cumulative served mass across every window so far."""
-        return self._cumulative
-
     def advance(
         self,
         start: float,

@@ -83,9 +83,8 @@ one in progress gets an ordinary completion.  The triggers:
   :attr:`~SerialResource.backlog` off rate 1.0 with an item waiting;
   :meth:`~SerialResource.busy_seconds` is answered with the additions an
   unfused run has made instead, in the same order;
-* the server's own readers: ``receive_service``, before it commits new
-  work to the estimate the prediction reports, and
-  ``predictions_done``;
+* the server's ``receive_service``, before it commits new work to the
+  estimate the prediction reports;
 * any event scheduled, resumed, taken or armed at exactly one of a
   pending chain's three boundary times
   (:meth:`~repro.sim.engine.Simulator.watch`).

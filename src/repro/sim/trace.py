@@ -76,14 +76,8 @@ class TraceRecorder:
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)
 
-    def by_kind(self, kind: str) -> list[TraceRecord]:
-        return [r for r in self._records if r.kind == kind]
-
     def by_node(self, node: str) -> list[TraceRecord]:
         return [r for r in self._records if r.node == node]
-
-    def for_request(self, request_id: int) -> list[TraceRecord]:
-        return [r for r in self._records if r.request_id == request_id]
 
     def clear(self) -> None:
         self._records.clear()

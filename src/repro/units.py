@@ -1,4 +1,4 @@
-"""Unit conventions and conversion helpers.
+"""Unit conventions and the DGEMM work helper.
 
 The paper (and therefore this library) uses a small, fixed unit system:
 
@@ -13,75 +13,14 @@ time       second            all model outputs
 rate       requests/second   throughputs ``rho``
 ========== ================= =====================================
 
-All public model functions take and return values in these units.  The
-helpers below convert common external representations (bytes, GFlops,
-matrix dimensions) into the model's units so user code never hand-rolls
-the factors.
+All public model functions take and return values in these units.
+:func:`dgemm_mflop` gives the work of the paper's DGEMM workloads in
+MFlop, the model's work unit.
 """
 
 from __future__ import annotations
 
-__all__ = [
-    "MEGABIT",
-    "bytes_to_mb",
-    "mb_to_bytes",
-    "mflops_from_gflops",
-    "gflops_from_mflops",
-    "transfer_time",
-    "compute_time",
-    "dgemm_mflop",
-]
-
-#: Number of bits in a megabit.
-MEGABIT = 1_000_000.0
-
-_BITS_PER_BYTE = 8.0
-
-
-def bytes_to_mb(n_bytes: float) -> float:
-    """Convert a size in bytes to megabits (the model's size unit)."""
-    return n_bytes * _BITS_PER_BYTE / MEGABIT
-
-
-def mb_to_bytes(mb: float) -> float:
-    """Convert a size in megabits back to bytes."""
-    return mb * MEGABIT / _BITS_PER_BYTE
-
-
-def mflops_from_gflops(gflops: float) -> float:
-    """Convert GFlop/s to MFlop/s."""
-    return gflops * 1000.0
-
-
-def gflops_from_mflops(mflops: float) -> float:
-    """Convert MFlop/s to GFlop/s."""
-    return mflops / 1000.0
-
-
-def transfer_time(size_mb: float, bandwidth_mbps: float) -> float:
-    """Time in seconds to push ``size_mb`` megabits through a link.
-
-    Raises
-    ------
-    ValueError
-        If the bandwidth is not strictly positive.
-    """
-    if bandwidth_mbps <= 0.0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth_mbps}")
-    return size_mb / bandwidth_mbps
-
-
-def compute_time(work_mflop: float, power_mflops: float) -> float:
-    """Time in seconds to execute ``work_mflop`` on a ``power_mflops`` node.
-
-    Raises
-    ------
-    ValueError
-        If the node power is not strictly positive.
-    """
-    if power_mflops <= 0.0:
-        raise ValueError(f"power must be > 0, got {power_mflops}")
-    return work_mflop / power_mflops
+__all__ = ["dgemm_mflop"]
 
 
 def dgemm_mflop(n: int, m: int | None = None, k: int | None = None) -> float:

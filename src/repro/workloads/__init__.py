@@ -1,14 +1,11 @@
 """Workloads and load injection.
 
-* :mod:`repro.workloads.dgemm` — the DGEMM application model the paper
-  evaluates with (BLAS level-3 matrix multiply);
 * :mod:`repro.workloads.demand` — client-demand specifications;
 * :mod:`repro.workloads.loadgen` — the §5.1 load-injection protocol
   (one closed-loop client per second until throughput stops improving).
 """
 
-from repro.workloads.dgemm import DGEMMWorkload
 from repro.workloads.demand import ClientDemand
 from repro.workloads.loadgen import ClientRamp, RampResult
 
-__all__ = ["DGEMMWorkload", "ClientDemand", "ClientRamp", "RampResult"]
+__all__ = ["ClientDemand", "ClientRamp", "RampResult"]

@@ -21,8 +21,8 @@ anywhere between a workload description and a measurement:
   :class:`~repro.middleware.system.MiddlewareSystem` (``seed=``); the
   ramp itself draws no random numbers, starting exactly one client per
   interval as the paper does;
-* the control plane's trace generators follow the same rule
-  (:meth:`repro.control.traces.Trace.jittered` *requires* a seed);
+* the control plane's traces (:mod:`repro.control.traces`) are pure
+  functions of simulation time and draw no random numbers;
 * live migrations extend the contract to mid-run reconfiguration: a
   :class:`~repro.control.loop.ControlLoop` redeploy drains subtrees
   against simulation-state predicates (never wall clock) and applies

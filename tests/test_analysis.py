@@ -1,24 +1,17 @@
-"""Analysis harness: experiments, saturation, comparisons, reports."""
+"""Analysis harness: experiments, comparisons, reports."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.compare import (
-    compare_deployments,
-    percent_of_optimal,
-    predicted_vs_measured,
-)
-from repro.analysis.experiments import (
-    max_sustained_throughput,
-    measure_load_curve,
-    run_fixed_load,
-)
+from repro.analysis.compare import compare_deployments, predicted_vs_measured
+from repro.analysis.experiments import measure_load_curve, run_fixed_load
 from repro.analysis.report import ascii_chart, ascii_table, format_rate
-from repro.analysis.saturation import find_plateau, is_saturated
 from repro.core.hierarchy import Hierarchy
 from repro.core.params import ModelParams
 from repro.core.throughput import hierarchy_throughput
 from repro.errors import ParameterError, SimulationError
+from repro.middleware.system import MiddlewareSystem
+from repro.sim.engine import Simulator
 from repro.workloads.loadgen import ClientRamp
 
 
@@ -60,8 +53,6 @@ class TestRunFixedLoad:
             run_fixed_load(star(1), p, 16.0, clients=0)
         with pytest.raises(SimulationError):
             run_fixed_load(star(1), p, 16.0, clients=1, duration=0.0)
-        with pytest.raises(SimulationError):
-            run_fixed_load(star(1), p, 16.0, clients=1, warmup_fraction=1.0)
 
 
 class TestLoadCurve:
@@ -80,16 +71,7 @@ class TestLoadCurve:
             label="one server",
         )
         assert curve.label == "one server"
-        assert curve.peak_clients in (1, 5, 20)
         assert curve.peak_rate == max(curve.rates)
-
-    def test_points_export(self, p):
-        curve = measure_load_curve(
-            star(1), p, 16.0, client_counts=[1, 5], duration=5.0
-        )
-        points = curve.points()
-        assert len(points) == 2
-        assert points[0][0] == 1
 
     def test_empty_counts_rejected(self, p):
         with pytest.raises(SimulationError):
@@ -102,31 +84,9 @@ class TestMaxSustained:
         ramp = ClientRamp(
             client_interval=0.2, max_clients=60, window=0.2, hold_duration=5.0
         )
-        result = max_sustained_throughput(h, p, 16.0, ramp=ramp)
+        result = ramp.run(MiddlewareSystem(Simulator(), h, p, 16.0, seed=0))
         predicted = hierarchy_throughput(h, p, 16.0).throughput
         assert result.max_sustained == pytest.approx(predicted, rel=0.05)
-
-
-class TestSaturation:
-    def test_find_plateau_on_synthetic_curve(self):
-        clients = list(range(1, 11))
-        rates = [10, 20, 30, 38, 42, 44, 45, 45, 45, 45]
-        sat_clients, plateau = find_plateau(clients, rates)
-        assert plateau == pytest.approx(45.0)
-        assert sat_clients <= 7
-
-    def test_rising_curve_rejected(self):
-        with pytest.raises(SimulationError):
-            find_plateau([1, 2, 3, 4], [10, 20, 30, 40])
-
-    def test_empty_curve_rejected(self):
-        with pytest.raises(SimulationError):
-            find_plateau([], [])
-
-    def test_is_saturated(self):
-        assert is_saturated([10, 20, 30, 30, 30, 30])
-        assert not is_saturated([10, 20, 30, 40, 50, 60])
-        assert not is_saturated([10])  # too short to tell
 
 
 class TestCompare:
@@ -149,11 +109,6 @@ class TestCompare:
     def test_compare_empty_rejected(self, p):
         with pytest.raises(ParameterError):
             compare_deployments({}, p, 16.0, clients=1)
-
-    def test_percent_of_optimal(self):
-        assert percent_of_optimal(89.0, 100.0) == pytest.approx(89.0)
-        with pytest.raises(ParameterError):
-            percent_of_optimal(1.0, 0.0)
 
 
 class TestReport:

@@ -111,12 +111,6 @@ class TestPlanningSession:
         assert info["hits"] == 1
         assert info["misses"] == 1
 
-    def test_cache_can_be_disabled_and_cleared(self, pool):
-        cached = PlanningSession()
-        cached.plan(pool=pool, app_work=dgemm_mflop(200))
-        cached.clear_cache()
-        assert cached.cache_info() == {"hits": 0, "misses": 0, "size": 0}
-
     def test_every_registered_method_reachable_through_session(self):
         from repro.core.registry import REGISTRY
 
@@ -394,14 +388,12 @@ class TestScenarioGrid:
             d.describe() for d in second
         ]
 
-    def test_options_by_method(self, pool):
-        grid = scenario_grid(
-            pools=[pool],
-            app_works=[dgemm_mflop(100)],
-            methods=("balanced",),
-            options_by_method={"balanced": {"middle_agents": 2}},
+    def test_request_options_reach_the_planner(self, pool):
+        request = PlanRequest(
+            pool=pool, app_work=dgemm_mflop(100), method="balanced",
+            options={"middle_agents": 2},
         )
-        deployment = PlanningSession().plan_many(grid)[0]
+        deployment = PlanningSession().plan_many([request])[0]
         # 1 root + 2 middle agents
         assert deployment.hierarchy.shape_signature()[1] == 3
 
@@ -512,19 +504,6 @@ class TestAnalysisIntegration:
             clients=5, duration=3.0,
         )
         assert result.throughput > 0
-
-    def test_rank_methods_wrapper(self):
-        from repro.analysis.compare import rank_methods
-
-        rows = rank_methods(
-            NodePool.homogeneous(8, 265.0),
-            dgemm_mflop(200),
-            methods=("heuristic", "star"),
-            clients=10,
-            duration=3.0,
-        )
-        assert [row.label for row in rows]
-        assert all(row.measured > 0 for row in rows)
 
 
 class TestPlannerMethods:

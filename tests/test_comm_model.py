@@ -27,10 +27,6 @@ class TestAgentReceive:
     def test_zero_children_is_parent_message_only(self, p):
         assert comm_model.agent_receive_time(p, 0) == pytest.approx(0.1)
 
-    def test_server_children_sizes(self, p):
-        t = comm_model.agent_receive_time(p, 4, child_sizes=p.server_sizes)
-        assert t == pytest.approx((10.0 + 4 * 2.0) / 100.0)
-
     def test_rejects_negative_degree(self, p):
         with pytest.raises(ParameterError):
             comm_model.agent_receive_time(p, -1)
@@ -42,10 +38,6 @@ class TestAgentSend:
         assert comm_model.agent_send_time(p, 3) == pytest.approx(
             (3 * 10.0 + 20.0) / 100.0
         )
-
-    def test_server_children_sizes(self, p):
-        t = comm_model.agent_send_time(p, 5, child_sizes=p.server_sizes)
-        assert t == pytest.approx((5 * 1.0 + 20.0) / 100.0)
 
 
 class TestServerTimes:

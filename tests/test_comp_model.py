@@ -1,10 +1,45 @@
-"""Computation time models (Eqs. 5-10)."""
+"""Computation time models (Eqs. 5-10).
+
+:func:`server_share` is Eq. 8 written out as the tests' reference model:
+the simulator's per-server request split is checked against it
+(``test_model_vs_sim.py``), and its properties are pinned here and in
+``test_properties_model.py``.
+"""
+
+from collections.abc import Sequence
 
 import pytest
 
 from repro.core import comp_model
 from repro.core.params import ModelParams
 from repro.errors import ParameterError
+
+
+def server_share(
+    params: ModelParams,
+    powers: Sequence[float],
+    app_works: Sequence[float],
+) -> list[float]:
+    """Eq. 8 — steady-state fraction ``N_i / N`` of requests served by each server.
+
+    Derived from Eqs. 6–9: with ``T`` the common completion time per
+    request batch, ``N_i = (T*w_i - Wpre_i*N) / Wapp_i``.  Dividing by ``N``
+    and substituting Eq. 10's ``T/N`` gives the per-server share.  Shares
+    are clipped at zero: a server too slow to finish its prediction work
+    within the steady-state window serves nothing (the paper's model
+    implicitly assumes all shares are positive).  The shares sum to 1
+    after clipping and renormalization.
+    """
+    t_over_n = comp_model.server_comp_time(params, powers, app_works)
+    shares = [
+        max(0.0, (t_over_n * w - params.wpre) / wapp)
+        for w, wapp in zip(powers, app_works)
+    ]
+    total = sum(shares)
+    if total <= 0.0:
+        # Degenerate: prediction work swamps every server; split evenly.
+        return [1.0 / len(shares)] * len(shares)
+    return [s / total for s in shares]
 
 
 @pytest.fixture
@@ -76,26 +111,26 @@ class TestServerCompTime:
 
 class TestServerShare:
     def test_shares_sum_to_one(self, p):
-        shares = comp_model.server_share(p, [10.0, 20.0, 30.0], [8.0] * 3)
+        shares = server_share(p, [10.0, 20.0, 30.0], [8.0] * 3)
         assert sum(shares) == pytest.approx(1.0)
 
     def test_equal_servers_equal_shares(self, p):
-        shares = comp_model.server_share(p, [10.0, 10.0], [8.0, 8.0])
+        shares = server_share(p, [10.0, 10.0], [8.0, 8.0])
         assert shares[0] == pytest.approx(shares[1])
 
     def test_faster_server_gets_more(self, p):
-        shares = comp_model.server_share(p, [10.0, 30.0], [8.0, 8.0])
+        shares = server_share(p, [10.0, 30.0], [8.0, 8.0])
         assert shares[1] > shares[0]
 
     def test_share_ratio_tracks_power_when_prediction_negligible(self, p):
         p2 = p.replace(wpre=1e-9)
-        shares = comp_model.server_share(p2, [10.0, 30.0], [8.0, 8.0])
+        shares = server_share(p2, [10.0, 30.0], [8.0, 8.0])
         assert shares[1] / shares[0] == pytest.approx(3.0, rel=1e-6)
 
     def test_too_slow_server_clipped_to_zero(self, p):
         # A server far slower than the pool cannot even finish its
         # prediction work in the steady-state window.
         p2 = p.replace(wpre=5.0)
-        shares = comp_model.server_share(p2, [100.0, 0.5], [8.0, 8.0])
+        shares = server_share(p2, [100.0, 0.5], [8.0, 8.0])
         assert shares[1] == 0.0
         assert shares[0] == pytest.approx(1.0)

@@ -16,7 +16,7 @@ from repro.control import (
     fixture,
     flash_crowd,
     from_spec,
-    hybrid,
+    HybridTrace,
     make_policy,
     piecewise,
     ramp,
@@ -99,28 +99,9 @@ class TestTraces:
         trace = ramp(5, 0, 0.0, 5.0).scale(0.5)
         assert all(level >= 0 for level in trace.sample(0.0, 10.0, 1.0))
 
-    def test_add_and_scale_and_clamp(self):
-        combined = (constant(3) + constant(4)).scale(2.0).clamp(0, 10)
-        assert combined.level(1.0) == 10
-
-    def test_delayed(self):
-        trace = burst(base=0, burst_level=5, at=0.0, duration=2.0).delayed(10.0)
-        assert trace.level(5.0) == 0
-        assert trace.level(11.0) == 5
-
-    def test_jittered_is_pure_and_seeded(self):
-        base = constant(20)
-        jittered = base.jittered(5, seed=3)
-        levels_a = jittered.sample(0.0, 30.0, 1.0)
-        levels_b = jittered.sample(0.0, 30.0, 1.0)
-        assert levels_a == levels_b  # pure function of time
-        assert base.jittered(5, seed=4).sample(0.0, 30.0, 1.0) != levels_a
-        assert any(level != 20 for level in levels_a)
-        assert all(15 <= level <= 25 for level in levels_a)
-
-    def test_jitter_requires_explicit_seed(self):
-        with pytest.raises(TypeError):
-            constant(5).jittered(2)  # no implicit randomness
+    def test_add_and_scale(self):
+        combined = (constant(3) + constant(4)).scale(2.0)
+        assert combined.level(1.0) == 14
 
     def test_replay_holds_buckets_and_persists(self):
         class FakeRamp:
@@ -245,7 +226,7 @@ class TestTraceSpec:
             (lambda: burst(5, 50, at=30, duration=math.inf), "duration"),
             (lambda: replay([4, 8], window=math.nan), "window"),
             (lambda: fixture("black_friday", scale=math.nan), "scale"),
-            (lambda: hybrid(constant(4), population=math.inf), "population"),
+            (lambda: HybridTrace(constant(4), population=math.inf), "population"),
         ],
     )
     def test_constructors_refuse_non_finite_values(self, build, name):
@@ -258,9 +239,6 @@ class TestTraceSpec:
             (lambda: constant(4).scale(math.nan), "factor"),
             (lambda: constant(4).scale(math.inf), "factor"),
             (lambda: replay([4, math.nan]), r"clients\[1\]"),
-            (lambda: constant(4).delayed(math.nan), "offset"),
-            (lambda: constant(1).jittered(1, 0, quantum=math.inf), "quantum"),
-            (lambda: constant(1).jittered(math.inf, 0), "amplitude"),
         ],
     )
     def test_combinators_refuse_non_finite_values(self, build, name):

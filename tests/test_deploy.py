@@ -7,12 +7,7 @@ from repro.core.params import LevelSizes, ModelParams
 from repro.deploy.godiet import GoDIET
 from repro.deploy.plan import DeploymentPlan
 from repro.deploy.validation import check_plan
-from repro.deploy.xml_io import (
-    hierarchy_from_xml,
-    hierarchy_to_xml,
-    plan_from_xml,
-    plan_to_xml,
-)
+from repro.deploy.xml_io import plan_from_xml, plan_to_xml
 from repro.errors import DeploymentError
 from repro.middleware.client import ClosedLoopClient
 from repro.platforms.pool import NodePool
@@ -63,7 +58,7 @@ class TestDeploymentPlan:
 class TestXmlRoundTrip:
     def test_hierarchy_round_trip(self):
         h = sample_hierarchy()
-        restored = hierarchy_from_xml(hierarchy_to_xml(h))
+        restored = plan_from_xml(plan_to_xml(sample_plan(hierarchy=h))).hierarchy
         assert restored.nodes == h.nodes
         assert restored.shape_signature() == h.shape_signature()
         for node in h:
@@ -95,32 +90,36 @@ class TestXmlRoundTrip:
         assert 'name="root"' in text
 
     def test_malformed_xml_rejected(self):
-        with pytest.raises(DeploymentError):
-            hierarchy_from_xml("<oops")
+        with pytest.raises(DeploymentError, match="malformed"):
+            plan_from_xml("<oops")
 
     def test_missing_sections_rejected(self):
-        with pytest.raises(DeploymentError):
-            hierarchy_from_xml("<diet_deployment/>")
+        with pytest.raises(DeploymentError, match="<resources>"):
+            plan_from_xml('<diet_deployment app_work="1.0"/>')
+        with pytest.raises(DeploymentError, match="<hierarchy>"):
+            plan_from_xml(
+                '<diet_deployment app_work="1.0"><resources/></diet_deployment>'
+            )
 
     def test_unknown_node_in_hierarchy_rejected(self):
         text = """
-        <diet_deployment>
+        <diet_deployment app_work="1.0">
           <resources><node name="a" power="1.0"/></resources>
           <hierarchy><agent name="a"><server name="ghost"/></agent></hierarchy>
         </diet_deployment>
         """
-        with pytest.raises(DeploymentError):
-            hierarchy_from_xml(text)
+        with pytest.raises(DeploymentError, match="ghost"):
+            plan_from_xml(text)
 
     def test_server_root_rejected(self):
         text = """
-        <diet_deployment>
+        <diet_deployment app_work="1.0">
           <resources><node name="a" power="1.0"/></resources>
           <hierarchy><server name="a"/></hierarchy>
         </diet_deployment>
         """
-        with pytest.raises(DeploymentError):
-            hierarchy_from_xml(text)
+        with pytest.raises(DeploymentError, match="root <agent>"):
+            plan_from_xml(text)
 
 
 class TestValidation:

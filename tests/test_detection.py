@@ -139,10 +139,6 @@ class TestDetectionParams:
         with pytest.raises(DetectionError, match="duplicate.*'reserve'"):
             parse_detection("timeout=0.5,reserve=0.1,reserve=0.2")
 
-    def test_worst_case_round_sums_the_ladder(self):
-        params = DetectionParams(timeout=1.0, retries=2, backoff=2.0)
-        assert params.worst_case_round == pytest.approx(1.0 + 2.0 + 4.0)
-
     @given(
         timeout=st.floats(0.01, 60.0, allow_nan=False),
         retries=st.integers(0, 5),

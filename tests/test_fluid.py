@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.report import render_timeline
 from repro.api import PlanningSession
-from repro.control import ControlLoop, HybridTrace, from_spec, hybrid
+from repro.control import ControlLoop, HybridTrace, from_spec
 from repro.control.monitor import WindowObservation, merge_fluid
 from repro.errors import ControlError, SimulationError
 from repro.platforms.pool import NodePool
@@ -85,14 +85,16 @@ class TestFluidPopulation:
         # 0.3 completions per window: integers must trickle out as the
         # cumulative mass crosses whole numbers, never drift.
         fluid = FluidPopulation(substeps=4)
-        served = [
+        windows = [
             fluid.advance(i * 1.0, (i + 1) * 1.0, lambda t: 0.6, 0.5, 10.0)
-            .served
             for i in range(10)
         ]
-        assert sum(served) == math.floor(fluid.total_mass)
+        served = [window.served for window in windows]
+        # One-second windows: each served_rate is its window's mass.
+        mass = sum(window.served_rate for window in windows)
+        assert sum(served) == math.floor(mass)
         assert fluid.total_served == sum(served)
-        assert fluid.total_mass == pytest.approx(3.0)
+        assert mass == pytest.approx(3.0)
 
     def test_time_varying_level_uses_substeps(self):
         # Level steps from 0 to 8 halfway through the window: left-endpoint
@@ -123,7 +125,7 @@ class TestFluidPopulation:
 
 class TestHybridTrace:
     def test_partition_recombines_to_total(self):
-        trace = hybrid(
+        trace = HybridTrace(
             from_spec("diurnal:base=4,peak=40,period=32"),
             population=7.5, cohort=20,
         )
@@ -137,20 +139,20 @@ class TestHybridTrace:
 
     def test_population_multiplies_base(self):
         base = from_spec("constant:level=6")
-        trace = hybrid(from_spec("constant:level=6"), population=1000.0)
+        trace = HybridTrace(from_spec("constant:level=6"), population=1000.0)
         assert trace.level(0.0) == 1000 * base.level(0.0)
 
     def test_is_a_trace(self):
-        trace = hybrid(from_spec("constant:level=5"), cohort=2)
+        trace = HybridTrace(from_spec("constant:level=5"), cohort=2)
         assert isinstance(trace, HybridTrace)
         assert trace.peak(0.0, 10.0) == 5  # Trace API works unchanged
 
     def test_validation(self):
         base = from_spec("constant:level=5")
         with pytest.raises(ControlError, match="population"):
-            hybrid(base, population=0.0)
+            HybridTrace(base, population=0.0)
         with pytest.raises(ControlError, match="cohort"):
-            hybrid(base, cohort=0)
+            HybridTrace(base, cohort=0)
         with pytest.raises(ControlError, match="must be a Trace"):
             HybridTrace("constant:level=5")
 
@@ -219,7 +221,7 @@ class TestHybridEquivalence:
     def test_cohort_covering_peak_is_the_discrete_run(self):
         spec = "flash:base=3,peak=10,at=4,rise=2,fall=4"
         discrete = run_loop(from_spec(spec))
-        covered = run_loop(hybrid(from_spec(spec), cohort=64))
+        covered = run_loop(HybridTrace(from_spec(spec), cohort=64))
         assert structural(covered) == structural(discrete)
         assert covered.total_served == discrete.total_served
         assert all(r.fluid_clients == 0.0 for r in covered.records)

@@ -60,7 +60,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.control import ControlLoop, MigrationCostModel, hybrid, piecewise
+from repro.control import (
+    ControlLoop,
+    HybridTrace,
+    MigrationCostModel,
+    piecewise,
+)
 from repro.platforms.pool import NodePool
 from repro.units import dgemm_mflop
 
@@ -149,10 +154,8 @@ def run_cell(
     if scenario == "partition":
         options["faults"] = PARTITION
     if scenario == "hybrid":
-        trace = hybrid(trace, population=10, cohort=4)
-    if drain is not None:
-        options["cost_model"] = MigrationCostModel(drain_seconds=drain)
-    return ControlLoop(
+        trace = HybridTrace(trace, population=10, cohort=4)
+    loop = ControlLoop(
         NodePool.uniform_random(16, low=80, high=400, seed=7),
         dgemm_mflop(310),
         trace,
@@ -164,7 +167,12 @@ def run_cell(
         migration=mode,
         seed=seed,
         **options,
-    ).run()
+    )
+    if drain is not None:
+        # The loop prices migrations with its own cost model; the drain0
+        # cells swap in one whose drains are capped.
+        loop.cost_model = MigrationCostModel(drain_seconds=drain)
+    return loop.run()
 
 
 #: The metric that records heap bookkeeping rather than firing.

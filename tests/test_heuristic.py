@@ -88,7 +88,7 @@ class TestPaperScenarios:
         pool = NodePool.homogeneous(21, 265.0)
         plan = planner.plan(pool, dgemm_mflop(10))
         assert plan.hierarchy.shape_signature() == (2, 1, 1, 1)
-        assert plan.root_degree == 1
+        assert plan.hierarchy.degree(plan.hierarchy.root) == 1
 
     def test_huge_grain_spanning_star(self, planner):
         # Figure 7: DGEMM 1000x1000 -> the heuristic generates a star.

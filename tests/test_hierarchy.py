@@ -197,14 +197,3 @@ class TestExports:
         text = build_sample().describe()
         for node in build_sample().nodes:
             assert repr(node) in text
-
-    def test_to_dot_structure(self):
-        h = build_sample()
-        dot = h.to_dot(title="t")
-        assert dot.startswith('digraph "t" {')
-        assert dot.rstrip().endswith("}")
-        # One node statement per node, one edge per parent-child pair.
-        assert dot.count("->") == len(h) - 1
-        assert dot.count("shape=box") == len(h.agents)
-        assert dot.count("shape=ellipse") == len(h.servers)
-        assert '"root" -> "a1";' in dot

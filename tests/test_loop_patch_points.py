@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 
 import repro.control.loop as control_loop
-from repro.control import ControlLoop, hybrid, piecewise
+from repro.control import ControlLoop, HybridTrace, piecewise
 from repro.platforms.pool import NodePool
 from repro.units import dgemm_mflop
 
@@ -48,7 +48,7 @@ def test_loop_looks_patch_points_up_at_call_time(monkeypatch):
     timeline = ControlLoop(
         NodePool.uniform_random(16, low=80, high=400, seed=7),
         dgemm_mflop(310),
-        hybrid(
+        HybridTrace(
             piecewise(((0.0, 6), (6.0, 24), (12.0, 36))),
             population=10,
             cohort=4,

@@ -116,7 +116,7 @@ class TestPlanEquivalence:
         if all(
             region.root == "+" for region in plan.regions
         ):
-            assert plan.drained_total == 0
+            assert not any(region.drained for region in plan.regions)
 
     def test_random_mutation_walks(self):
         rng = random.Random(42)
@@ -424,6 +424,6 @@ class TestLiveCostPricing:
         target.add_server("s3", 220.0, "r")
         plan = plan_migration(grown, target)
         assert plan.is_live
-        assert plan.drained_total == 0
+        assert not any(region.drained for region in plan.regions)
         model = MigrationCostModel()
         assert model.plan_outage_seconds(plan, DEFAULT_PARAMS) == 0.0

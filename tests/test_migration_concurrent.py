@@ -301,8 +301,10 @@ class TestConcurrentSurgery:
         system = MiddlewareSystem(Simulator(), tree, DEFAULT_PARAMS, WORK)
         system.unlink("A")
         system.unlink("B")
-        assert set(system.unlinked_subtrees) == {"A", "B"}
-        assert system.unlinked_subtrees["A"] == {"A", "a1", "a2"}
+        # Each registration holds its whole subtree dark.
+        for member, root in (("a2", "A"), ("b1", "B")):
+            with pytest.raises(DeploymentError, match=f"subtree '{root}'"):
+                system.unlink(member)
         # Both predicates see their own (now idle) region as quiet.
         assert not system.region_busy_predicate(("A", "a1", "a2"))()
         assert not system.region_busy_predicate(("B", "b1", "b2"))()
@@ -324,7 +326,6 @@ class TestConcurrentSurgery:
             system.unlink("A")
         # Relinking clears the registration; the subtree can drain again.
         system.ensure_linked("A", "r")
-        assert system.unlinked_subtrees == {}
         system.unlink("B")
 
 

@@ -84,7 +84,7 @@ class TestHeterogeneousRegime:
         )
 
     def test_share_split_tracks_eq8(self):
-        from repro.core.comp_model import server_share
+        from test_comp_model import server_share
 
         pool = NodePool.heterogeneous([265.0, 200.0, 100.0])
         h = star_deployment(pool)

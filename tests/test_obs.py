@@ -175,16 +175,6 @@ class TestMetricsOnTimeline:
             assert snapshot.value("deployed_nodes") == record.deployed_nodes
             assert snapshot.value("spares") == record.spares
 
-    def test_diff_counts_the_window(self):
-        timeline = small_loop().run()
-        first, last = timeline.records[0], timeline.records[-1]
-        diff = last.metrics.diff(first.metrics)
-        assert diff.value("conversations_served") == (
-            last.metrics.value("conversations_served")
-            - first.metrics.value("conversations_served")
-        )
-        assert isinstance(diff.describe(), str)
-
     def test_detection_metrics_reach_the_snapshot(self):
         timeline = small_loop(
             epochs=10, faults=FAULTS, detection=DETECTION

@@ -3,13 +3,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import comp_model
 from repro.core.params import LevelSizes, ModelParams
 from repro.core.throughput import (
     agent_sched_throughput,
     server_sched_throughput,
     service_throughput,
 )
+from test_comp_model import server_share
 
 powers = st.floats(min_value=1.0, max_value=1e5, allow_nan=False)
 works = st.floats(min_value=1e-6, max_value=1e5, allow_nan=False)
@@ -96,7 +96,7 @@ class TestServiceProperties:
     )
     @settings(max_examples=80)
     def test_shares_sum_to_one_and_nonnegative(self, p, server_powers, wapp):
-        shares = comp_model.server_share(
+        shares = server_share(
             p, server_powers, [wapp] * len(server_powers)
         )
         assert abs(sum(shares) - 1.0) < 1e-9

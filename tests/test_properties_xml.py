@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from repro.core.hierarchy import Hierarchy
 from repro.core.params import LevelSizes, ModelParams
 from repro.deploy.plan import DeploymentPlan
-from repro.deploy.xml_io import (
-    hierarchy_from_xml,
-    hierarchy_to_xml,
-    plan_from_xml,
-    plan_to_xml,
-)
+from repro.deploy.xml_io import plan_from_xml, plan_to_xml
+
+
+def round_trip(hierarchy: Hierarchy) -> Hierarchy:
+    """``hierarchy`` written into a plan file and read back."""
+    plan = DeploymentPlan(hierarchy=hierarchy, params=ModelParams(), app_work=1.0)
+    return plan_from_xml(plan_to_xml(plan)).hierarchy
 
 
 @st.composite
@@ -67,7 +68,7 @@ class TestHierarchyRoundTrip:
     @given(hierarchies())
     @settings(max_examples=60, deadline=None)
     def test_structure_preserved(self, hierarchy):
-        restored = hierarchy_from_xml(hierarchy_to_xml(hierarchy))
+        restored = round_trip(hierarchy)
         assert restored.nodes == hierarchy.nodes
         assert restored.shape_signature() == hierarchy.shape_signature()
         for node in hierarchy:
@@ -80,7 +81,7 @@ class TestHierarchyRoundTrip:
     @given(hierarchies())
     @settings(max_examples=40, deadline=None)
     def test_restored_tree_is_strictly_valid(self, hierarchy):
-        hierarchy_from_xml(hierarchy_to_xml(hierarchy)).validate(strict=True)
+        round_trip(hierarchy).validate(strict=True)
 
 
 class TestPlanRoundTrip:

@@ -190,6 +190,20 @@ class TestCommandRoundTrip:
 # the registry
 
 
+def placement_signature(system):
+    """Name-sorted ``(name, parent, role)`` rows of the live elements.
+
+    Read from the system's element registry and its wiring, not from
+    ``system.hierarchy``, so it describes what is actually deployed.
+    """
+    rows = [
+        (name, element.parent.name if element.parent is not None else None, role)
+        for role, elements in (("agent", system.agents), ("server", system.servers))
+        for name, element in elements.items()
+    ]
+    return tuple(sorted(rows))
+
+
 def registry_signature(entry):
     """``(name, parent, role)`` rows of a committed generation."""
     return tuple(
@@ -287,14 +301,14 @@ class TestRegistry:
         registry.commit(old, "initial")
         sim = Simulator()
         system = MiddlewareSystem(sim, old, ModelParams(), WORK)
-        assert system.placement_signature() == registry_signature(
+        assert placement_signature(system) == registry_signature(
             registry.entry(0)
         )
         plan = plan_migration(old, new)
         assert plan.is_live
         system.apply_migration(plan.steps)
         registry.commit(plan.apply(old), "replan", epoch=0)
-        assert system.placement_signature() == registry_signature(
+        assert placement_signature(system) == registry_signature(
             registry.entry(1)
         )
 

@@ -420,7 +420,7 @@ class TestTakeAndArm:
         resumed = sim.resume(event, 0.0, key)
         # The carrier (t=3) was due later than the key: a fresh event
         # at the key, whatever the delay.
-        assert resumed is not event and event.cancelled
+        assert resumed is not event and event.callback is None
         assert (resumed.time, resumed.sequence) == key == (1.0, 2)
         sim.run()
         assert fired == ["resumed", "later"]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.stats import IntervalCounter, WindowedRate
+from repro.sim.stats import IntervalCounter
 from repro.sim.trace import TraceRecorder
 
 
@@ -41,27 +41,6 @@ class TestIntervalCounter:
             IntervalCounter().rate(2.0, 1.0)
 
 
-class TestWindowedRate:
-    def test_series_buckets(self):
-        rate = WindowedRate(width=1.0)
-        for t in (0.5, 1.2, 1.8, 2.5):
-            rate.record(t)
-        centers, values = rate.series(0.0, 3.0)
-        assert list(values) == [1.0, 2.0, 1.0]
-        assert list(centers) == [0.5, 1.5, 2.5]
-
-    def test_empty_series(self):
-        rate = WindowedRate(width=1.0)
-        _, values = rate.series(0.0, 2.0)
-        assert list(values) == [0.0, 0.0]
-
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            WindowedRate(width=0.0)
-        with pytest.raises(SimulationError):
-            WindowedRate().series(3.0, 1.0)
-
-
 class TestTraceRecorder:
     def test_emit_and_query(self):
         trace = TraceRecorder()
@@ -69,14 +48,14 @@ class TestTraceRecorder:
         trace.emit(2.0, "msg_recv", "b", request_id=1, size_mb=0.5)
         trace.emit(3.0, "compute", "b", request_id=2, duration=0.1)
         assert len(trace) == 3
-        assert len(trace.by_kind("msg_sent")) == 1
+        assert [r.kind for r in trace] == ["msg_sent", "msg_recv", "compute"]
         assert len(trace.by_node("b")) == 2
-        assert len(trace.for_request(1)) == 2
+        assert [r.request_id for r in trace] == [1, 1, 2]
 
     def test_detail_payload(self):
         trace = TraceRecorder()
         trace.emit(0.0, "compute", "n", what="merge", degree=4)
-        record = trace.by_kind("compute")[0]
+        (record,) = trace
         assert record.detail == {"what": "merge", "degree": 4}
 
     def test_clear(self):

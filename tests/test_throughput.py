@@ -119,6 +119,21 @@ class TestHierarchyThroughput:
         with pytest.raises(ParameterError):
             throughput.hierarchy_throughput(star(2), p, {"s0": 16.0})
 
+    def test_no_servers_is_named(self, p):
+        lone = Hierarchy()
+        lone.set_root("a", 100.0)
+        chain = lone.copy()
+        chain.add_agent("b", 100.0, "a")
+        for h in (lone, chain):
+            with pytest.raises(ParameterError, match="no servers"):
+                throughput.hierarchy_throughput(h, p, 10.0)
+
+    def test_a_childless_agent_beside_servers_is_refused(self, p):
+        h = star(1)
+        h.add_agent("empty", 100.0, "agent")
+        with pytest.raises(ParameterError, match=">= 1 child"):
+            throughput.hierarchy_throughput(h, p, 10.0)
+
     def test_limiting_node_is_weakest_agent(self, p):
         h = Hierarchy()
         h.set_root("fast", 500.0)

@@ -1,54 +1,10 @@
-"""Unit conversion helpers."""
+"""Unit helpers: the DGEMM work count."""
 
 import math
 
 import pytest
 
 from repro import units
-
-
-class TestByteConversions:
-    def test_bytes_to_mb_round_trip(self):
-        assert units.mb_to_bytes(units.bytes_to_mb(1_000_000)) == pytest.approx(
-            1_000_000
-        )
-
-    def test_one_megabit_is_125_kilobytes(self):
-        assert units.mb_to_bytes(1.0) == pytest.approx(125_000)
-
-    def test_bytes_to_mb_scaling(self):
-        assert units.bytes_to_mb(125_000) == pytest.approx(1.0)
-
-
-class TestPowerConversions:
-    def test_gflops_round_trip(self):
-        assert units.gflops_from_mflops(
-            units.mflops_from_gflops(2.5)
-        ) == pytest.approx(2.5)
-
-    def test_mflops_from_gflops(self):
-        assert units.mflops_from_gflops(1.0) == 1000.0
-
-
-class TestTransferTime:
-    def test_basic(self):
-        assert units.transfer_time(10.0, 100.0) == pytest.approx(0.1)
-
-    def test_zero_size(self):
-        assert units.transfer_time(0.0, 100.0) == 0.0
-
-    def test_rejects_nonpositive_bandwidth(self):
-        with pytest.raises(ValueError):
-            units.transfer_time(1.0, 0.0)
-
-
-class TestComputeTime:
-    def test_basic(self):
-        assert units.compute_time(530.0, 265.0) == pytest.approx(2.0)
-
-    def test_rejects_nonpositive_power(self):
-        with pytest.raises(ValueError):
-            units.compute_time(1.0, -5.0)
 
 
 class TestDgemmMflop:

@@ -1,4 +1,4 @@
-"""Workloads: DGEMM model, demand conversion, load ramp."""
+"""Workloads: demand conversion, load ramp."""
 
 import pytest
 
@@ -7,41 +7,8 @@ from repro.core.params import ModelParams
 from repro.errors import ParameterError, SimulationError
 from repro.middleware.system import MiddlewareSystem
 from repro.sim.engine import Simulator
-from repro.units import dgemm_mflop
 from repro.workloads.demand import ClientDemand
-from repro.workloads.dgemm import DGEMMWorkload
 from repro.workloads.loadgen import ClientRamp
-
-
-class TestDGEMMWorkload:
-    def test_square_work(self):
-        assert DGEMMWorkload(310).app_work == pytest.approx(dgemm_mflop(310))
-
-    def test_rectangular(self):
-        w = DGEMMWorkload(10, 20, 30)
-        assert w.app_work == pytest.approx(dgemm_mflop(10, 20, 30))
-        assert w.name == "dgemm-10x20x30"
-
-    def test_square_name(self):
-        assert DGEMMWorkload(100).name == "dgemm-100x100"
-
-    def test_footprints(self):
-        w = DGEMMWorkload(100)
-        # A and B: 2 * 100*100 doubles = 160 kB = 1.28 Mb.
-        assert w.input_mb == pytest.approx(1.28)
-        assert w.output_mb == pytest.approx(0.64)
-
-    def test_data_shipping_params(self):
-        w = DGEMMWorkload(100)
-        params = w.params_with_data_shipping(ModelParams())
-        assert params.service_sizes.sreq == pytest.approx(w.input_mb)
-        assert params.service_sizes.srep == pytest.approx(w.output_mb)
-        # Scheduling-phase sizes untouched.
-        assert params.server_sizes == ModelParams().server_sizes
-
-    def test_rejects_bad_dims(self):
-        with pytest.raises(ParameterError):
-            DGEMMWorkload(0)
 
 
 class TestClientDemand:
